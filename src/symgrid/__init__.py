@@ -40,6 +40,7 @@ from .induction import (
 )
 from .patterns import (
     KIND_ORDER,
+    Scene,
     Selector,
     UnitPattern,
     apply_pattern,
@@ -84,6 +85,7 @@ __all__ = [
     "Perception",
     "Prediction",
     "RuleSet",
+    "Scene",
     "ScoredPattern",
     "SearchProposer",
     "Selector",

@@ -21,6 +21,7 @@ callers treat like any transport failure.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -62,6 +63,10 @@ class RemoteBackend:
                     raise BackendError(
                         f"bad transcript line {line_no}: {e}"
                     ) from e
+                if not isinstance(response, dict):
+                    raise BackendError(
+                        f"bad transcript line {line_no}: response is not a JSON object"
+                    )
                 self._replay.setdefault(key, deque()).append(response)
 
     def _call(self, request: dict) -> dict:
@@ -80,7 +85,12 @@ class RemoteBackend:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = resp.read()
-        except (urllib.error.URLError, OSError, ValueError) as e:
+        except (
+            urllib.error.URLError,
+            OSError,
+            ValueError,
+            http.client.HTTPException,  # BadStatusLine, IncompleteRead, ...
+        ) as e:
             raise BackendError(f"transport failure: {e}") from e
         try:
             response = json.loads(payload.decode("utf-8"))

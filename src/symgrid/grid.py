@@ -56,6 +56,19 @@ class Grid:
     def from_rows(cls, rows: list[list[int]]) -> "Grid":
         return cls(tuple(tuple(row) for row in rows))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Grid":
+        """Wrap rows without the checks of ``__post_init__``.
+
+        Only for grids the library derives from grids that were already
+        validated: the caller guarantees a non-empty, rectangular tuple
+        of int tuples with sides at most 30 and cells 0..9. Anything
+        arriving from outside goes through ``Grid(...)`` instead.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     @property
     def height(self) -> int:
         return len(self.rows)
@@ -212,12 +225,16 @@ def encode_markdown(g: Grid) -> str:
     return "\n".join("|" + "|".join(str(v) for v in row) + "|" for row in g.rows)
 
 
+# The ten ASCII digits only: str.isdigit() is also true for "\u00b2" and "\u0663".
+_MARKDOWN_CELLS = {str(v): v for v in range(NUM_COLORS)}
+
+
 def decode_markdown(text: str) -> Grid:
     """Strict inverse of encode_markdown.
 
     Accepts the exact encoded form plus at most one trailing newline.
-    Ragged rows raise MarkdownError (shape); non-digit cells raise
-    MarkdownError naming row and column.
+    Ragged rows raise MarkdownError (shape); a cell other than one of the
+    ASCII digits 0-9 raises MarkdownError naming row and column.
     """
     if not isinstance(text, str):
         raise MarkdownError("expected text")
@@ -239,9 +256,10 @@ def decode_markdown(text: str) -> Grid:
             )
         parsed = []
         for c, cell in enumerate(cells):
-            if len(cell) != 1 or not cell.isdigit():
+            value = _MARKDOWN_CELLS.get(cell)
+            if value is None:
                 raise MarkdownError(f"row {r} column {c}: bad cell {cell!r}")
-            parsed.append(int(cell))
+            parsed.append(value)
         rows.append(tuple(parsed))
     try:
         return Grid(tuple(rows))

@@ -15,6 +15,7 @@ from typing import Iterable, Protocol
 from .errors import PatternApplicationError, PatternContractError
 from .grid import Grid, grids_equal, pixel_distance
 from .patterns import (
+    Scene,
     UnitPattern,
     apply_pattern,
     canonical_key,
@@ -126,6 +127,7 @@ def detect_unit_patterns(
     partial, everything else is dropped. Proposer ordering is preserved.
     """
     gin, gout = pair
+    scene = Scene(gin, connectivity)
     baseline = pixel_distance(gin, gout)
     seen: set[str] = set()
     out: list[ScoredPattern] = []
@@ -143,7 +145,7 @@ def detect_unit_patterns(
             continue
         seen.add(key)
         try:
-            result = apply_pattern(pattern, gin, connectivity)
+            result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
             continue
         if grids_equal(result, gout):
@@ -190,6 +192,7 @@ def intersect_patterns(
                 entry.pairs.add(idx)
                 entry.exact_flags.append(sp.exact)
 
+    scenes = [(Scene(gin, connectivity), gout) for gin, gout in train_pairs]
     survivors: list[ScoredPattern] = []
     for key in sorted(entries, key=lambda k: canonical_key(entries[k].pattern)):
         entry = entries[key]
@@ -197,9 +200,7 @@ def intersect_patterns(
         confidence = support / n
         if confidence + 1e-9 < threshold:
             continue
-        if any(entry.exact_flags) and _contradicted(
-            entry.pattern, train_pairs, connectivity
-        ):
+        if any(entry.exact_flags) and _contradicted(entry.pattern, scenes):
             continue
         survivors.append(
             ScoredPattern(
@@ -236,12 +237,10 @@ def induce(
     return intersect_patterns(per_pair, list(task.train), threshold, connectivity)
 
 
-def _contradicted(
-    pattern: UnitPattern, train_pairs: list[Pair], connectivity: int
-) -> bool:
-    for gin, gout in train_pairs:
+def _contradicted(pattern: UnitPattern, scenes: list[tuple[Scene, Grid]]) -> bool:
+    for scene, gout in scenes:
         try:
-            result = apply_pattern(pattern, gin, connectivity)
+            result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
             continue  # inapplicable is not a contradiction
         if not grids_equal(result, gout):

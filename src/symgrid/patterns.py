@@ -3,7 +3,9 @@
 Fifteen kinds act on the whole grid; eight act on segmented objects and
 re-render the scene onto a background-filled canvas, painting objects in
 ascending id order (higher id painted last) so overlaps are deterministic.
-Out-of-bounds pixels after a move are clipped, never wrapped.
+Out-of-bounds pixels after a move are clipped, never wrapped. Patterns
+apply to a grid or to a ``Scene``, a grid with its connectivity whose
+segmentation is computed once and shared by every pattern applied to it.
 
 Kinds and parameter signatures:
 
@@ -43,7 +45,13 @@ from dataclasses import dataclass
 
 from .errors import BoundsError, PatternApplicationError, PatternContractError
 from .grid import MAX_SIDE, Coord, Grid
-from .perception import GridObject, Perception, cavity_regions, segment
+from .perception import (
+    GridObject,
+    Perception,
+    background_color,
+    cavity_regions,
+    segment,
+)
 
 DIRECTIONS = ("up", "down", "left", "right")
 AXES = ("h", "v")
@@ -172,19 +180,24 @@ class Selector:
 SELECT_ALL = Selector("all")
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but True is no color, count or offset.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_param(kind: str, name: str, tag: str, value: object) -> None:
     where = f"{kind}: parameter {name}"
     if tag == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise PatternContractError(f"{where} must be an integer, got {value!r}")
     elif tag == "positive":
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise PatternContractError(f"{where} must be a positive integer")
     elif tag == "color":
-        if not isinstance(value, int) or not 0 <= value <= 9:
+        if not _is_int(value) or not 0 <= value <= 9:
             raise PatternContractError(f"{where} must be a color 0..9, got {value!r}")
     elif tag == "factor":
-        if not isinstance(value, int) or value < 2:
+        if not _is_int(value) or value < 2:
             raise PatternContractError(f"{where} must be an integer >= 2")
     elif tag == "axis":
         if value not in AXES:
@@ -199,7 +212,7 @@ def _validate_param(kind: str, name: str, tag: str, value: object) -> None:
             or not all(
                 isinstance(p, tuple)
                 and len(p) == 2
-                and all(isinstance(v, int) and 0 <= v <= 9 for v in p)
+                and all(_is_int(v) and 0 <= v <= 9 for v in p)
                 for p in value
             )
         ):
@@ -316,21 +329,79 @@ def canonical_key(p: UnitPattern) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
+# Scenes
+# ---------------------------------------------------------------------------
+
+
+class Scene:
+    """A grid plus the connectivity it is perceived under.
+
+    One Scene per grid lets every pattern applied to that grid share one
+    segmentation: ``perception`` is computed on first use and kept.
+    ``background`` reuses the perception when one exists and otherwise
+    counts colors, so the whole-grid kinds that only need the background
+    never segment. A Scene lives as long as its caller keeps it, not in
+    any process-wide table. Scenes compare and hash by
+    ``(grid, connectivity)``, like the grids they wrap.
+    """
+
+    __slots__ = ("grid", "connectivity", "_perception", "_background")
+
+    def __init__(self, grid: Grid, connectivity: int = 4) -> None:
+        if connectivity not in (4, 8):
+            raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+        self.grid = grid
+        self.connectivity = connectivity
+        self._perception: Perception | None = None
+        self._background: int | None = None
+
+    @property
+    def perception(self) -> Perception:
+        if self._perception is None:
+            self._perception = segment(self.grid, self.connectivity)
+        return self._perception
+
+    @property
+    def background(self) -> int:
+        if self._background is None:
+            if self._perception is not None:
+                self._background = self._perception.background
+            else:
+                self._background = background_color(self.grid)
+        return self._background
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scene):
+            return NotImplemented
+        return self.connectivity == other.connectivity and self.grid == other.grid
+
+    def __hash__(self) -> int:
+        return hash((self.grid, self.connectivity))
+
+
+def as_scene(g: Grid | Scene, connectivity: int = 4) -> Scene:
+    """``g`` itself when it is a Scene, else a fresh Scene over ``g``."""
+    return g if isinstance(g, Scene) else Scene(g, connectivity)
+
+
+# ---------------------------------------------------------------------------
 # Forward semantics
 # ---------------------------------------------------------------------------
 
 
 def _rotate90(g: Grid) -> Grid:
     h, w = g.height, g.width
-    return Grid(tuple(tuple(g.rows[h - 1 - c][r] for c in range(h)) for r in range(w)))
+    return Grid._trusted(
+        tuple(tuple(g.rows[h - 1 - c][r] for c in range(h)) for r in range(w))
+    )
 
 
 def _reflect_h(g: Grid) -> Grid:
-    return Grid(tuple(tuple(reversed(row)) for row in g.rows))
+    return Grid._trusted(tuple(tuple(reversed(row)) for row in g.rows))
 
 
 def _reflect_v(g: Grid) -> Grid:
-    return Grid(tuple(reversed(g.rows)))
+    return Grid._trusted(tuple(reversed(g.rows)))
 
 
 def _scale_up(g: Grid, factor: int) -> Grid:
@@ -343,7 +414,7 @@ def _scale_up(g: Grid, factor: int) -> Grid:
     for row in g.rows:
         wide = tuple(v for v in row for _ in range(factor))
         rows.extend([wide] * factor)
-    return Grid(tuple(rows))
+    return Grid._trusted(tuple(rows))
 
 
 def _scale_down(g: Grid, factor: int) -> Grid:
@@ -367,7 +438,7 @@ def _scale_down(g: Grid, factor: int) -> Grid:
                 )
             out_row.append(block.pop())
         rows.append(tuple(out_row))
-    return Grid(tuple(rows))
+    return Grid._trusted(tuple(rows))
 
 
 def _tile_grid(g: Grid, rows: int, cols: int) -> Grid:
@@ -375,7 +446,7 @@ def _tile_grid(g: Grid, rows: int, cols: int) -> Grid:
     if h * rows > MAX_SIDE or w * cols > MAX_SIDE:
         raise BoundsError(f"tile_grid({rows},{cols}) would make {h * rows}x{w * cols}")
     tiled_rows = tuple(row * cols for row in g.rows)
-    return Grid(tiled_rows * rows)
+    return Grid._trusted(tiled_rows * rows)
 
 
 def _crop_to_content(g: Grid, bg: int) -> Grid:
@@ -386,7 +457,7 @@ def _crop_to_content(g: Grid, bg: int) -> Grid:
     bottom = max(r for r, _ in cells)
     left = min(c for _, c in cells)
     right = max(c for _, c in cells)
-    return Grid(tuple(row[left : right + 1] for row in g.rows[top : bottom + 1]))
+    return Grid._trusted(tuple(row[left : right + 1] for row in g.rows[top : bottom + 1]))
 
 
 def _symmetry_complete(g: Grid, axis: str, bg: int) -> Grid:
@@ -398,7 +469,7 @@ def _symmetry_complete(g: Grid, axis: str, bg: int) -> Grid:
         )
         for r, row in enumerate(g.rows)
     )
-    return Grid(rows)
+    return Grid._trusted(rows)
 
 
 def _overlay_pairs(g: Grid, axis: str, bg: int) -> Grid:
@@ -419,14 +490,14 @@ def _overlay_pairs(g: Grid, axis: str, bg: int) -> Grid:
         tuple(a if a != bg else b for a, b in zip(ra, rb))
         for ra, rb in zip(first, second)
     )
-    return Grid(rows)
+    return Grid._trusted(rows)
 
 
 def _palette_swap(g: Grid, mapping: tuple[tuple[int, int], ...]) -> Grid:
     table = list(range(10))
     for src, dst in mapping:
         table[src] = dst
-    return Grid(tuple(tuple(table[v] for v in row) for row in g.rows))
+    return Grid._trusted(tuple(tuple(table[v] for v in row) for row in g.rows))
 
 
 def _select_extreme(g: Grid, perception: Perception, largest: bool) -> Grid:
@@ -442,7 +513,7 @@ def _select_extreme(g: Grid, perception: Perception, largest: bool) -> Grid:
         )
         for r in range(top, bottom + 1)
     )
-    return Grid(rows)
+    return Grid._trusted(rows)
 
 
 def _count_encode(selected: list[GridObject], color: int) -> Grid:
@@ -451,7 +522,7 @@ def _count_encode(selected: list[GridObject], color: int) -> Grid:
         raise PatternApplicationError("count_encode: no objects selected")
     if n > MAX_SIDE:
         raise BoundsError(f"count_encode: {n} objects exceed row capacity")
-    return Grid(((color,) * n,))
+    return Grid._trusted(((color,) * n,))
 
 
 def _paint(canvas: list[list[int]], cells: frozenset[Coord] | set[Coord], color: int) -> None:
@@ -468,7 +539,7 @@ def _render(
     canvas = [[bg] * w for _ in range(h)]
     for cells, color in layers:
         _paint(canvas, cells, color)
-    return Grid(tuple(tuple(row) for row in canvas))
+    return Grid._trusted(tuple(tuple(row) for row in canvas))
 
 
 def _shift(mask: frozenset[Coord], dr: int, dc: int) -> set[Coord]:
@@ -558,13 +629,23 @@ def _bbox_border(obj: GridObject) -> set[Coord]:
     return cells
 
 
-def apply_pattern(p: UnitPattern, g: Grid, connectivity: int = 4) -> Grid:
+def apply_pattern(p: UnitPattern, g: Grid | Scene, connectivity: int = 4) -> Grid:
     """Apply one unit pattern; always returns a valid grid or raises.
 
     Whole-grid kinds transform the full grid. Object kinds segment the
     grid, transform the selected objects, and re-render every object onto
     a background canvas in ascending id order.
+
+    ``g`` may be a Scene instead of a grid; the Scene's own connectivity
+    then applies and ``connectivity`` is ignored. Callers that apply many
+    patterns to one grid pass one Scene, so the grid is segmented at most
+    once. The input grid is trusted to be valid (every ``Grid(...)`` is
+    checked when built); the result is derived from it without checking
+    it again, which is sound because each kind only rearranges its cells
+    or paints validated parameter colors within the 30x30 bound.
     """
+    scene = as_scene(g, connectivity)
+    g = scene.grid
     kind = p.kind
 
     if kind == "reflect_h":
@@ -585,19 +666,22 @@ def apply_pattern(p: UnitPattern, g: Grid, connectivity: int = 4) -> Grid:
         return _tile_grid(g, p["rows"], p["cols"])
     if kind == "recolor":
         src, dst = p["src"], p["dst"]
-        return Grid(tuple(tuple(dst if v == src else v for v in row) for row in g.rows))
+        return Grid._trusted(
+            tuple(tuple(dst if v == src else v for v in row) for row in g.rows)
+        )
     if kind == "palette_swap":
         return _palette_swap(g, p["map"])
 
-    perception = segment(g, connectivity)
+    if kind == "crop_to_content":
+        return _crop_to_content(g, scene.background)
+    if kind == "symmetry_complete":
+        return _symmetry_complete(g, p["axis"], scene.background)
+    if kind == "overlay_pairs":
+        return _overlay_pairs(g, p["axis"], scene.background)
+
+    perception = scene.perception
     bg = perception.background
 
-    if kind == "crop_to_content":
-        return _crop_to_content(g, bg)
-    if kind == "symmetry_complete":
-        return _symmetry_complete(g, p["axis"], bg)
-    if kind == "overlay_pairs":
-        return _overlay_pairs(g, p["axis"], bg)
     if kind == "select_largest":
         return _select_extreme(g, perception, largest=True)
     if kind == "select_smallest":

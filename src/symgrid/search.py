@@ -18,6 +18,7 @@ from .grid import Grid, grids_equal, pixel_distance
 from .induction import match_objects
 from .patterns import (
     DIRECTIONS,
+    Scene,
     Selector,
     UnitPattern,
     apply_pattern,
@@ -46,11 +47,12 @@ def enumerate_candidates(
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     gin, gout = pair
+    scene = Scene(gin, connectivity)
     baseline = pixel_distance(gin, gout)
     seen: set[str] = set()
     out: list[FlaggedPattern] = []
     tested = 0
-    for pattern in _proposals(gin, gout, connectivity):
+    for pattern in _proposals(scene, gout):
         key = format_pattern(pattern)
         if key in seen:
             continue
@@ -59,7 +61,7 @@ def enumerate_candidates(
         if tested > budget:
             break
         try:
-            result = apply_pattern(pattern, gin, connectivity)
+            result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
             continue
         if grids_equal(result, gout):
@@ -104,14 +106,16 @@ def _size_rank(perception: Perception, obj: GridObject) -> int:
     return next(i for i, o in enumerate(ranked) if o.id == obj.id)
 
 
-def _proposals(gin: Grid, gout: Grid, connectivity: int) -> Iterator[UnitPattern]:
+def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
     """Yield parameterized patterns in the canonical cheapest-first order.
 
-    Parameters are read off the pair: dimension ratios drive the scaling
-    kinds, the cell diff drives the color kinds, and the object matching
-    drives moves, deletions, and duplications. Identity parameterizations
-    (translate(0,0), recolor(c,c), ...) are never generated.
+    Parameters are read off the pair (the Scene's grid is its input):
+    dimension ratios drive the scaling kinds, the cell diff drives the
+    color kinds, and the object matching drives moves, deletions, and
+    duplications. Identity parameterizations (translate(0,0),
+    recolor(c,c), ...) are never generated.
     """
+    gin = scene.grid
     hi, wi = gin.dims
     ho, wo = gout.dims
     same_dims = gin.dims == gout.dims
@@ -151,7 +155,7 @@ def _proposals(gin: Grid, gout: Grid, connectivity: int) -> Iterator[UnitPattern
         yield make_pattern("select_largest")
         yield make_pattern("select_smallest")
 
-    pin = segment(gin, connectivity)
+    pin = scene.perception
 
     target = _uniform_color(gout)
     if ho == 1 and target is not None:
@@ -193,7 +197,7 @@ def _proposals(gin: Grid, gout: Grid, connectivity: int) -> Iterator[UnitPattern
             if pairs:
                 yield make_pattern("palette_swap", map=pairs)
 
-    pout = segment(gout, connectivity)
+    pout = segment(gout, scene.connectivity)
     tags = match_objects(pin, pout)
     in_by_id = {o.id: o for o in pin.objects}
     out_by_id = {o.id: o for o in pout.objects}

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .grid import Grid, Task, decode_markdown, encode_markdown, grids_equal
 from .induction import RuleSet, induce
-from .patterns import apply_pattern, format_pattern
+from .patterns import Scene, apply_pattern, as_scene, format_pattern
 from .search import SearchProposer
 
 VALID_SOURCES = ("rule_exec", "remote_sample", "fallback")
@@ -73,18 +73,24 @@ class Prediction:
 
 
 def apply_ruleset(
-    rs: RuleSet, test_input: Grid, connectivity: int = 4, trace: SolveTrace | None = None
+    rs: RuleSet,
+    test_input: Grid | Scene,
+    connectivity: int = 4,
+    trace: SolveTrace | None = None,
 ) -> list[Candidate]:
     """Run every surviving pattern on the test input, in rule-set order.
 
     Each successful application becomes a candidate weighted by the
-    pattern's confidence; failures are skipped with a trace note.
+    pattern's confidence; failures are skipped with a trace note. A Scene
+    may stand in for the test input, as in ``apply_pattern``; either way
+    every rule shares one segmentation of it.
     """
+    scene = as_scene(test_input, connectivity)
     candidates: list[Candidate] = []
     for sp in rs.patterns:
         key = format_pattern(sp.pattern)
         try:
-            result = apply_pattern(sp.pattern, test_input, connectivity)
+            result = apply_pattern(sp.pattern, scene)
         except PatternApplicationError as e:
             if trace is not None:
                 trace.skipped_patterns.append(f"{key}: {e}")
@@ -133,7 +139,8 @@ def _vote(cands: list[Candidate]) -> tuple[Grid, int, int]:
                 winner = tied.pop()
             row.append(winner)
         rows.append(tuple(row))
-    return Grid(tuple(rows)), ties, excluded
+    # Every cell is a color taken from a candidate of the winning dims.
+    return Grid._trusted(tuple(rows)), ties, excluded
 
 
 def vote_pixels(cands: list[Candidate]) -> Grid:
@@ -181,7 +188,8 @@ def solve_task(
     predictions = []
     for test_input, _expected in task.test:
         trace = SolveTrace(ruleset=[format_pattern(sp.pattern) for sp in rs.patterns])
-        candidates = apply_ruleset(rs, test_input, connectivity, trace)
+        scene = Scene(test_input, connectivity)
+        candidates = apply_ruleset(rs, scene, connectivity, trace)
 
         backend_ok = backend is not None
         if backend_ok and samples > 0:
@@ -218,7 +226,7 @@ def solve_task(
             if attempt2 is None and rs.patterns:
                 for sp in rs.patterns:
                     try:
-                        top = apply_pattern(sp.pattern, test_input, connectivity)
+                        top = apply_pattern(sp.pattern, scene)
                     except PatternApplicationError:
                         continue
                     if not grids_equal(top, attempt1):

@@ -1,7 +1,10 @@
 """Remote backend client: wire protocol, record/replay, degradation."""
 
+import http.client
 import json
+import socketserver
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -66,6 +69,49 @@ def stub_server():
     thread.join(timeout=5)
 
 
+class _RawReplyHandler(socketserver.StreamRequestHandler):
+    """Reads one HTTP request, then writes ``reply`` bytes verbatim and hangs up."""
+
+    reply = b""
+
+    def handle(self):
+        length = 0
+        while True:
+            line = self.rfile.readline()
+            if line in (b"", b"\r\n", b"\n"):
+                break
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(self.reply)
+
+
+@contextmanager
+def raw_reply_server(reply: bytes):
+    handler = type("Handler", (_RawReplyHandler,), {"reply": reply})
+    server = socketserver.TCPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+# Replies that make http.client raise an HTTPException rather than an OSError.
+MALFORMED_REPLIES = {
+    "bad_status_line": (b"garbage\r\n", http.client.BadStatusLine),
+    "truncated_body": (
+        b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"grids\": [",
+        http.client.IncompleteRead,
+    ),
+}
+
+
 @pytest.fixture()
 def rotate_task():
     rng = random.Random(97)
@@ -92,6 +138,15 @@ class TestWireProtocol:
         backend = RemoteBackend(url="http://127.0.0.1:1/", timeout=0.2)
         with pytest.raises(BackendError):
             backend.sample([], "|1|", [], 1)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+    def test_malformed_http_reply_raises_backend_error(self, case):
+        reply, cause = MALFORMED_REPLIES[case]
+        with raw_reply_server(reply) as url:
+            backend = RemoteBackend(url=url, timeout=5)
+            with pytest.raises(BackendError, match="transport failure") as info:
+                backend.sample([], "|1|", [], 1)
+        assert isinstance(info.value.__cause__, cause)
 
 
 class TestRemoteProposer:
@@ -150,6 +205,20 @@ class TestRecordReplay:
         with pytest.raises(BackendError, match="no recorded response"):
             backend.propose("|1|", "|2|", budget=1)
 
+    def test_response_not_an_object_rejected_at_load(self, tmp_path):
+        request = {"mode": "propose", "input": "|1|", "output": "|2|", "budget": 1}
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(
+            json.dumps({"request": request, "response": {"patterns": []}})
+            + "\n"
+            + json.dumps({"request": request, "response": ["rotate90()@all"]})
+            + "\n"
+        )
+        with pytest.raises(
+            BackendError, match="bad transcript line 2: response is not a JSON object"
+        ):
+            RemoteBackend(transcript_path=str(transcript))
+
     def test_missing_transcript_file(self, tmp_path):
         with pytest.raises(BackendError, match="not found"):
             RemoteBackend(transcript_path=str(tmp_path / "nope.jsonl"))
@@ -168,6 +237,20 @@ class TestDegradation:
         test_input, expected = rotate_task.test[0]
         assert grids_equal(preds[0].attempts[0], expected)
 
+    def test_bad_status_line_degrades_with_a_note(self, rotate_task):
+        rs = induce(rotate_task, SearchProposer())
+        with raw_reply_server(MALFORMED_REPLIES["bad_status_line"][0]) as url:
+            backend = RemoteBackend(url=url, timeout=5)
+            preds = solve_task(rotate_task, rs, backend=backend, passes=2, samples=2)
+        trace = preds[0].trace
+        assert trace.degraded
+        assert any(
+            note.startswith("backend sampling failed: transport failure")
+            for note in trace.notes
+        )
+        test_input, expected = rotate_task.test[0]
+        assert grids_equal(preds[0].attempts[0], expected)
+
     def test_remote_samples_join_the_vote(self, stub_server, rotate_task):
         backend = RemoteBackend(url=stub_server, timeout=5)
         rs = induce(rotate_task, SearchProposer())
@@ -178,7 +261,7 @@ class TestDegradation:
         assert grids_equal(preds[0].attempts[0], expected)
 
     def test_bad_sample_grids_skipped(self, tmp_path, rotate_task):
-        # A transcript whose sample response contains one bad grid line.
+        # A transcript whose sample response holds three bad grids and the answer.
         from symgrid.backend import _canonical
 
         rs = induce(rotate_task, SearchProposer())
@@ -194,10 +277,13 @@ class TestDegradation:
             "hints": list(rs.hints),
             "samples": 2,
         }
-        response = {"grids": ["|not|valid|", encode_markdown(expected)]}
+        # "\u00b2" and "\u0663" pass str.isdigit() but are no ASCII digits.
+        bad = ["|not|valid|", "|\u00b2|", "|\u0663|"]
+        response = {"grids": bad + [encode_markdown(expected)]}
         transcript = tmp_path / "t.jsonl"
         transcript.write_text(json.dumps({"request": request, "response": response}) + "\n")
         backend = RemoteBackend(transcript_path=str(transcript))
         preds = solve_task(rotate_task, rs, backend=backend, passes=1, samples=2)
+        assert not preds[0].trace.degraded
         assert grids_equal(preds[0].attempts[0], expected)
         assert preds[0].trace.candidate_count == 2  # 1 rule + 1 usable sample

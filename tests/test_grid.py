@@ -129,8 +129,10 @@ class TestMarkdown:
             decode_markdown("|0|1|\n|2|")
 
     def test_non_digit_rejected_with_position(self):
-        with pytest.raises(MarkdownError, match="row 0 column 1"):
-            decode_markdown("|0|x|")
+        # str.isdigit() holds for the superscript two and the Arabic-Indic three.
+        for text in ("|0|x|", "|0|\u00b2|", "|0|\u0663|"):
+            with pytest.raises(MarkdownError, match="row 0 column 1"):
+                decode_markdown(text)
 
     def test_trailing_newline_tolerated(self):
         assert decode_markdown("|1|\n") == Grid.from_rows([[1]])

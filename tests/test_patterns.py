@@ -2,6 +2,7 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -11,14 +12,17 @@ from symgrid import (
     KIND_ORDER,
     PatternApplicationError,
     PatternContractError,
+    Scene,
     Selector,
     apply_pattern,
+    background_color,
     format_pattern,
     grids_equal,
     make_pattern,
     parse_pattern,
     segment,
 )
+from symgrid.patterns import AXES, DIRECTIONS, OBJECT_KINDS
 from conftest import grids, random_grid
 
 
@@ -336,6 +340,114 @@ class TestClosure:
             assert 1 <= out.height <= 30 and 1 <= out.width <= 30
 
 
+_COLOR = st.integers(0, 9)
+_OFFSET = st.integers(-4, 4)
+_COLOR_MAP = st.dictionaries(_COLOR, _COLOR, min_size=1, max_size=4).map(
+    lambda m: tuple(sorted(m.items()))
+)
+# Valid parameter values for every kind, by parameter name.
+_PARAMS = {
+    "reflect_h": {},
+    "reflect_v": {},
+    "rotate90": {},
+    "rotate180": {},
+    "rotate270": {},
+    "crop_to_content": {},
+    "symmetry_complete": {"axis": st.sampled_from(AXES)},
+    "scale_up": {"factor": st.integers(2, 4)},
+    "scale_down": {"factor": st.integers(2, 4)},
+    "tile_grid": {"rows": st.integers(1, 3), "cols": st.integers(1, 3)},
+    "overlay_pairs": {"axis": st.sampled_from(AXES)},
+    "select_largest": {},
+    "select_smallest": {},
+    "count_encode": {"color": _COLOR},
+    "recolor": {"src": _COLOR, "dst": _COLOR},
+    "palette_swap": {"map": _COLOR_MAP},
+    "translate": {"dx": _OFFSET, "dy": _OFFSET},
+    "delete_object": {},
+    "duplicate_object": {"dx": _OFFSET, "dy": _OFFSET},
+    "cavity_fill": {"color": _COLOR},
+    "gravity_shift": {"dir": st.sampled_from(DIRECTIONS)},
+    "draw_bbox_border": {"color": _COLOR},
+    "connect_objects": {"color": _COLOR},
+}
+_SELECTOR = st.one_of(
+    st.just(Selector("all")),
+    st.builds(Selector, st.just("color"), _COLOR),
+    st.builds(Selector, st.just("size_rank"), st.integers(0, 3)),
+    st.builds(Selector, st.just("cavities"), st.integers(0, 2)),
+)
+
+
+@st.composite
+def pattern_lists(draw):
+    """One pattern of every kind, in a drawn order."""
+    out = []
+    for kind in draw(st.permutations(KIND_ORDER)):
+        params = {name: draw(value) for name, value in _PARAMS[kind].items()}
+        selector = draw(_SELECTOR) if kind in OBJECT_KINDS else Selector("all")
+        out.append(make_pattern(kind, selector=selector, **params))
+    return out
+
+
+def _outcome(p, g, connectivity=4):
+    try:
+        return apply_pattern(p, g, connectivity)
+    except Exception as e:  # the exception type is the outcome compared
+        return type(e)
+
+
+class TestScene:
+    def test_params_table_covers_the_taxonomy(self):
+        assert set(_PARAMS) == set(KIND_ORDER)
+
+    @given(grids(max_side=10), st.sampled_from((4, 8)), pattern_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_scene_matches_bare_grid(self, g, connectivity, patterns):
+        # Differential: a Scene shared by all 23 kinds (so the perception
+        # and background one kind computed are reused by the next) against
+        # the bare grid. Totality: a valid grid or an inapplicable pattern.
+        scene = Scene(g, connectivity)
+        for p in patterns:
+            shared = _outcome(p, scene)
+            assert shared == _outcome(p, g, connectivity), format_pattern(p)
+            if isinstance(shared, Grid):
+                assert Grid(shared.rows) == shared
+                hash(shared)
+            else:
+                assert issubclass(shared, (PatternApplicationError, PatternContractError))
+        assert scene.perception == segment(g, connectivity)
+        assert scene.background == background_color(g)
+
+    def test_background_never_segments(self, segment_calls):
+        g = Grid.from_rows([[0, 5, 0], [0, 5, 0]])
+        scene = Scene(g)
+        assert scene.background == 0
+        for kind, params in (
+            ("crop_to_content", {}),
+            ("symmetry_complete", {"axis": "h"}),
+            ("overlay_pairs", {"axis": "v"}),
+        ):
+            apply_pattern(make_pattern(kind, **params), scene)
+        assert segment_calls == []
+        assert scene.perception.background == 0
+        assert segment_calls == [(g, 4)]
+
+    def test_scene_is_a_value(self):
+        g = Grid.from_rows([[1, 0], [0, 1]])
+        same = Grid.from_rows([[1, 0], [0, 1]])
+        assert Scene(g) == Scene(same) and hash(Scene(g)) == hash(Scene(same))
+        assert Scene(g, 4) != Scene(g, 8)
+        assert Scene(g) != g
+        assert len({Scene(g), Scene(same), Scene(g, 8)}) == 2
+
+    def test_connectivity_checked_for_every_kind(self):
+        g = Grid.from_rows([[1, 0]])
+        for kind in ("reflect_h", "crop_to_content", "delete_object"):
+            with pytest.raises(ValueError, match="connectivity"):
+                apply_pattern(make_pattern(kind), g, connectivity=6)
+
+
 class TestSerialization:
     def test_format_examples(self):
         assert format_pattern(make_pattern("rotate90")) == "rotate90()@all"
@@ -382,6 +494,12 @@ class TestContracts:
     def test_out_of_range_color(self):
         with pytest.raises(PatternContractError):
             make_pattern("recolor", src=1, dst=11)
+
+    def test_bool_is_not_a_color(self):
+        with pytest.raises(PatternContractError):
+            make_pattern("recolor", src=1, dst=True)
+        with pytest.raises(PatternContractError):
+            make_pattern("palette_swap", map=((0, True),))
 
     def test_scale_factor_minimum(self):
         with pytest.raises(PatternContractError):

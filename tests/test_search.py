@@ -1,6 +1,7 @@
 """Candidate enumeration: planted recovery, canonicalization, soundness."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -97,3 +98,17 @@ class TestEnumerate:
             if any(format_pattern(fp.pattern) == want and fp.exact for fp in cands):
                 hits += 1
         assert hits >= 0.95 * n
+
+
+class TestPerceptionCount:
+    def test_each_pair_grid_segmented_at_most_once(self, segment_calls):
+        rng = random.Random(1213)
+        for kind in PLANT_KINDS:
+            task = generate_planted_task(rng, kind=kind).task
+            for connectivity in (4, 8):
+                for pair in task.train:
+                    segment_calls.clear()
+                    enumerate_candidates(pair, 2000, connectivity)
+                    assert {c for _, c in segment_calls} <= {connectivity}
+                    grids = Counter(g for g, _ in segment_calls)
+                    assert grids <= Counter(pair), kind

@@ -1,6 +1,7 @@
 """Voting, rule execution, fallback logic, dataset evaluation."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,12 @@ from symgrid import (
 )
 from symgrid.induction import synthesize_hint
 from symgrid.solver import SolveTrace, render_report, report_summary
-from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
+from symgrid.taskgen import (
+    PLANT_KINDS,
+    generate_noise_task,
+    generate_planted_task,
+    generate_suite,
+)
 from conftest import random_grid
 from oracles import vote_oracle
 
@@ -301,3 +307,29 @@ class TestEvaluate:
         summary = report_summary(report)
         assert summary["correct"] == 2
         assert len(summary["items"]) == 3
+
+
+class TestPerceptionCount:
+    def test_each_test_input_segmented_at_most_once(self, segment_calls):
+        rng = random.Random(1217)
+        tasks = [generate_planted_task(rng, kind=k, n_test=2).task for k in PLANT_KINDS]
+        for task in tasks:
+            rs = induce(task, SearchProposer())
+            segment_calls.clear()
+            solve_task(task, rs, passes=2)
+            grids = Counter(g for g, _ in segment_calls)
+            assert grids <= Counter(g for g, _ in task.test)
+
+    def test_rules_share_one_segmentation(self, segment_calls):
+        # Three rules that need the perception and one that needs only the
+        # background, all on one test input.
+        rs = _ruleset(
+            (make_pattern("delete_object"), 1, 1.0, True),
+            (make_pattern("gravity_shift", dir="down"), 1, 1.0, True),
+            (make_pattern("cavity_fill", color=4), 1, 1.0, True),
+            (make_pattern("crop_to_content"), 1, 1.0, True),
+        )
+        g = Grid.from_rows([[0, 3, 0], [0, 0, 0], [5, 0, 0]])
+        task = Task(train=((g, g),), test=((g, None),))
+        solve_task(task, rs, passes=2)
+        assert segment_calls == [(g, 4)]
