@@ -22,7 +22,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1007)
     parser.add_argument("--passes", type=int, default=1, choices=(1, 2))
     parser.add_argument("--budget", type=int, default=2000)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--report", action="store_true", help="print per-task lines")
     args = parser.parse_args()
 
@@ -32,9 +31,7 @@ def main() -> None:
     items = [(tid, task) for tid, task, _ in suite]
 
     start = time.perf_counter()
-    report = evaluate(
-        items, passes=args.passes, budget=args.budget, jobs=args.jobs
-    )
+    report = evaluate(items, passes=args.passes, budget=args.budget)
     elapsed = time.perf_counter() - start
 
     if args.report:

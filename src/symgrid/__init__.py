@@ -55,7 +55,7 @@ from .perception import (
     detect_cavities,
     segment,
 )
-from .search import FlaggedPattern, SearchProposer, enumerate_candidates
+from .search import SearchProposer, enumerate_candidates
 from .solver import (
     Candidate,
     EvalReport,
@@ -74,7 +74,6 @@ __all__ = [
     "Config",
     "ConfigError",
     "EvalReport",
-    "FlaggedPattern",
     "Grid",
     "GridObject",
     "GridValidationError",

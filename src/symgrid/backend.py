@@ -139,13 +139,14 @@ class RemotePatternProposer:
     """Stage-2 proposer backed by the remote endpoint.
 
     Returns raw pattern lines; the induction layer parses them, drops
-    malformed ones with a warning, and re-verifies the rest.
+    malformed ones with a warning, and verifies the rest.
     """
 
     backend: RemoteBackend
 
-    def propose(self, pair, budget: int) -> list[str]:
+    def propose(self, scene, output, budget: int) -> list[str]:
         from .grid import encode_markdown
 
-        gin, gout = pair
-        return self.backend.propose(encode_markdown(gin), encode_markdown(gout), budget)
+        return self.backend.propose(
+            encode_markdown(scene.grid), encode_markdown(output), budget
+        )

@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--backend-url", dest="backend_url")
         cmd.add_argument("--transcript", dest="transcript_path")
         cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--jobs", type=int)
     return parser
 
 
@@ -71,7 +70,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
             "backend_url",
             "transcript_path",
             "seed",
-            "jobs",
         )
     }
     return load_config(args.config, overrides)
@@ -93,7 +91,7 @@ def _make_proposer(cfg: Config, backend: RemoteBackend | None):
         if backend is None:
             raise SymgridError("proposer 'remote' needs a backend URL or transcript")
         return RemotePatternProposer(backend)
-    return SearchProposer(cfg.connectivity)
+    return SearchProposer()
 
 
 def _load_task(path: str) -> Task:
@@ -158,7 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"warning: backend unavailable for induction ({e})", file=sys.stderr)
         rs = induce(
             task,
-            SearchProposer(cfg.connectivity),
+            SearchProposer(),
             cfg.confidence_threshold,
             cfg.search_budget,
             cfg.connectivity,
@@ -209,7 +207,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         connectivity=cfg.connectivity,
         backend=backend,
         proposer=proposer,
-        jobs=cfg.jobs,
     )
     print(render_report(report))
     if unreadable:

@@ -19,7 +19,6 @@ class Config:
     backend_url: str | None = None
     seed: int = 0
     transcript_path: str | None = None
-    jobs: int = 1
     timeout: float = 30.0
     proposer: str = "search"  # search | remote; config-file only
 
@@ -36,8 +35,6 @@ class Config:
             raise ConfigError(f"passes must be 1 or 2, got {self.passes}")
         if self.samples < 0:
             raise ConfigError(f"samples must be non-negative, got {self.samples}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
         if self.proposer not in ("search", "remote"):

@@ -34,6 +34,14 @@ class Grid:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # Grids are hashed by voting, dedup and Scenes, so list rows would
+        # pass every other check here and fail much later.
+        if type(self.rows) is not tuple or any(
+            type(row) is not tuple for row in self.rows
+        ):
+            raise GridValidationError(
+                "grid rows must be a tuple of tuples; build from lists with Grid.from_rows"
+            )
         if not self.rows:
             raise GridValidationError("grid has no rows")
         h = len(self.rows)

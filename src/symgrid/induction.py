@@ -1,9 +1,10 @@
 """Change tagging, per-pair pattern detection, and cross-pair intersection.
 
 Objects in an input/output scene pair are tagged added, removed, or
-retained by greedy matching. Candidate unit patterns are collected per
-train pair by a pluggable proposer, then intersected across pairs into a
-confidence-ranked rule set with rendered hint sentences.
+retained by greedy matching. Candidate unit patterns are proposed per
+train pair by a pluggable proposer and verified here, each one applied
+once to the pair input; the verdicts are then intersected across pairs
+into a confidence-ranked rule set with rendered hint sentences.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .patterns import (
     Scene,
     UnitPattern,
     apply_pattern,
+    as_scene,
     canonical_key,
     format_pattern,
     parse_pattern,
@@ -26,7 +28,8 @@ from .perception import Perception
 
 log = logging.getLogger(__name__)
 
-Pair = tuple[Grid, Grid]
+# A train pair; the input may be a Scene over the input grid.
+Pair = tuple[Grid | Scene, Grid]
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,16 @@ class RuleSet:
 class Proposer(Protocol):
     """Source of candidate patterns for one train pair.
 
-    Implementations may yield UnitPattern values or serialized pattern
-    lines; malformed lines are dropped with a warning by the caller.
+    ``propose`` gets the pair input as a Scene and the pair output. It
+    may yield UnitPattern values or serialized pattern lines, and
+    verifies nothing: ``detect_unit_patterns`` parses the lines (dropping
+    malformed ones with a warning), deduplicates, stops after ``budget``
+    distinct candidates, and applies each one once.
     """
 
-    def propose(self, pair: Pair, budget: int) -> Iterable[UnitPattern | str]: ...
+    def propose(
+        self, scene: Scene, output: Grid, budget: int
+    ) -> Iterable[UnitPattern | str]: ...
 
 
 def detect_unit_patterns(
@@ -120,18 +128,22 @@ def detect_unit_patterns(
     budget: int,
     connectivity: int = 4,
 ) -> list[ScoredPattern]:
-    """Collect, re-verify, and deduplicate one pair's candidate patterns.
+    """Collect, verify, and deduplicate one pair's candidate patterns.
 
-    Every candidate is re-applied to the pair input: exact matches are
+    The pair input may be a Scene (its own connectivity then applies).
+    At most ``budget`` distinct candidates are verified, in proposer
+    order. Each is applied once to the pair input: exact matches are
     flagged exact, strict reductions of pixel distance are kept as
-    partial, everything else is dropped. Proposer ordering is preserved.
+    partial, everything else is dropped.
     """
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
     gin, gout = pair
-    scene = Scene(gin, connectivity)
-    baseline = pixel_distance(gin, gout)
+    scene = as_scene(gin, connectivity)
+    baseline = pixel_distance(scene.grid, gout)
     seen: set[str] = set()
     out: list[ScoredPattern] = []
-    for item in proposer.propose(pair, budget):
+    for item in proposer.propose(scene, gout, budget):
         if isinstance(item, str):
             try:
                 pattern = parse_pattern(item)
@@ -143,6 +155,8 @@ def detect_unit_patterns(
         key = format_pattern(pattern)
         if key in seen:
             continue
+        if len(seen) == budget:
+            break
         seen.add(key)
         try:
             result = apply_pattern(pattern, scene)
@@ -158,8 +172,7 @@ def detect_unit_patterns(
 @dataclass
 class _Entry:
     pattern: UnitPattern
-    pairs: set[int] = field(default_factory=set)
-    exact_flags: list[bool] = field(default_factory=list)
+    exact_by_pair: dict[int, bool] = field(default_factory=dict)
 
 
 def intersect_patterns(
@@ -170,13 +183,18 @@ def intersect_patterns(
 ) -> RuleSet:
     """Intersect per-pair detections into a ranked rule set.
 
-    Support counts the pairs whose list contains the pattern (duplicates
-    within one pair count once). Patterns below the confidence threshold
-    are dropped, as is any pattern that was proposed exact somewhere but,
-    re-applied to some train pair, runs without error and yields the
-    wrong output. Partial patterns are kept only as a backstop: once any
-    exact pattern survives, the partials are pruned so they cannot
-    outvote a rule that reproduces every training output.
+    ``per_pair[i]`` must be the output of ``detect_unit_patterns`` for
+    ``train_pairs[i]`` (whose input may be a Scene): its flags are read
+    as verdicts on that pair. Support counts the pairs whose list
+    contains the pattern (duplicates within one pair count once).
+    Patterns below the confidence threshold are dropped, as is any
+    pattern that was proposed exact somewhere but runs without error on
+    some train pair and yields the wrong output. A partial flag says
+    exactly that; only pairs whose list lacks the pattern (possible
+    below threshold 1.0) have it applied here. Partial patterns are kept
+    only as a backstop: once any exact pattern survives, the partials
+    are pruned so they cannot outvote a rule that reproduces every
+    training output.
     """
     if not per_pair:
         raise ValueError("intersect_patterns: no per-pair lists")
@@ -188,26 +206,25 @@ def intersect_patterns(
         for sp in detections:
             key = format_pattern(sp.pattern)
             entry = entries.setdefault(key, _Entry(pattern=sp.pattern))
-            if idx not in entry.pairs:
-                entry.pairs.add(idx)
-                entry.exact_flags.append(sp.exact)
+            entry.exact_by_pair.setdefault(idx, sp.exact)
 
-    scenes = [(Scene(gin, connectivity), gout) for gin, gout in train_pairs]
+    scenes = [(as_scene(gin, connectivity), gout) for gin, gout in train_pairs]
     survivors: list[ScoredPattern] = []
     for key in sorted(entries, key=lambda k: canonical_key(entries[k].pattern)):
         entry = entries[key]
-        support = len(entry.pairs)
+        flags = entry.exact_by_pair
+        support = len(flags)
         confidence = support / n
         if confidence + 1e-9 < threshold:
             continue
-        if any(entry.exact_flags) and _contradicted(entry.pattern, scenes):
+        if any(flags.values()) and _contradicted(entry.pattern, flags, scenes):
             continue
         survivors.append(
             ScoredPattern(
                 pattern=entry.pattern,
                 support=support,
                 confidence=confidence,
-                exact=all(entry.exact_flags),
+                exact=all(flags.values()),
             )
         )
 
@@ -229,16 +246,28 @@ def induce(
     budget: int = 2000,
     connectivity: int = 4,
 ) -> RuleSet:
-    """Detect unit patterns on every train pair and intersect them."""
+    """Detect unit patterns on every train pair and intersect them.
+
+    Each train input gets one Scene, shared by detection and
+    intersection, so it is segmented at most once.
+    """
+    pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     per_pair = [
-        detect_unit_patterns(pair, proposer, budget, connectivity)
-        for pair in task.train
+        detect_unit_patterns(pair, proposer, budget, connectivity) for pair in pairs
     ]
-    return intersect_patterns(per_pair, list(task.train), threshold, connectivity)
+    return intersect_patterns(per_pair, pairs, threshold, connectivity)
 
 
-def _contradicted(pattern: UnitPattern, scenes: list[tuple[Scene, Grid]]) -> bool:
-    for scene, gout in scenes:
+def _contradicted(
+    pattern: UnitPattern,
+    exact_by_pair: dict[int, bool],
+    scenes: list[tuple[Scene, Grid]],
+) -> bool:
+    if not all(exact_by_pair.values()):
+        return True  # a partial applied without error and missed the output
+    for idx, (scene, gout) in enumerate(scenes):
+        if idx in exact_by_pair:
+            continue
         try:
             result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):

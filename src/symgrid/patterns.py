@@ -140,10 +140,10 @@ class Selector:
             if self.value is not None:
                 raise PatternContractError("selector 'all' takes no value")
         elif self.kind == "color":
-            if not isinstance(self.value, int) or not 0 <= self.value <= 9:
+            if not _is_int(self.value) or not 0 <= self.value <= 9:
                 raise PatternContractError(f"selector color={self.value!r} out of range")
         elif self.kind in ("size_rank", "cavities"):
-            if not isinstance(self.value, int) or self.value < 0:
+            if not _is_int(self.value) or self.value < 0:
                 raise PatternContractError(
                     f"selector {self.kind}={self.value!r} must be a non-negative int"
                 )

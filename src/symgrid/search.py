@@ -1,89 +1,42 @@
 """Bounded symbolic search over the taxonomy: the default proposer.
 
 Candidates are generated cheapest-first (whole-grid kinds, then object
-kinds with parameters read off the scene diff), deduplicated on their
-canonical serialization, and each one is applied to the pair input and
-kept only when it reproduces the output exactly or strictly reduces the
-pixel distance to it. Generation order is deterministic, so repeated
-runs return identical lists.
+kinds with parameters read off the scene diff), lazily and without being
+applied: ``induction.detect_unit_patterns`` deduplicates them on their
+canonical serialization, stops at the budget, and verifies each one once
+against the pair. Generation order is deterministic, so repeated runs
+return identical lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import PatternApplicationError, PatternContractError
-from .grid import Grid, grids_equal, pixel_distance
-from .induction import match_objects
+from .grid import Grid
+from .induction import Pair, ScoredPattern, detect_unit_patterns, match_objects
 from .patterns import (
     DIRECTIONS,
     Scene,
     Selector,
     UnitPattern,
-    apply_pattern,
-    format_pattern,
     make_pattern,
 )
 from .perception import GridObject, Perception, segment
 
-Pair = tuple[Grid, Grid]
-
-
-@dataclass(frozen=True)
-class FlaggedPattern:
-    """A consistent candidate: exact reproduces the output, partial only
-    narrows the pixel distance (recorded in ``distance``)."""
-
-    pattern: UnitPattern
-    exact: bool
-    distance: int
-
 
 def enumerate_candidates(
     pair: Pair, budget: int, connectivity: int = 4
-) -> list[FlaggedPattern]:
-    """Enumerate and consistency-check up to ``budget`` candidates."""
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    gin, gout = pair
-    scene = Scene(gin, connectivity)
-    baseline = pixel_distance(gin, gout)
-    seen: set[str] = set()
-    out: list[FlaggedPattern] = []
-    tested = 0
-    for pattern in _proposals(scene, gout):
-        key = format_pattern(pattern)
-        if key in seen:
-            continue
-        seen.add(key)
-        tested += 1
-        if tested > budget:
-            break
-        try:
-            result = apply_pattern(pattern, scene)
-        except (PatternApplicationError, PatternContractError):
-            continue
-        if grids_equal(result, gout):
-            out.append(FlaggedPattern(pattern, exact=True, distance=0))
-        else:
-            d = pixel_distance(result, gout)
-            if d < baseline:
-                out.append(FlaggedPattern(pattern, exact=False, distance=d))
-    return out
+) -> list[ScoredPattern]:
+    """The search's consistent candidates for one pair, verified by
+    ``detect_unit_patterns``: up to ``budget`` distinct ones are tried."""
+    return detect_unit_patterns(pair, SearchProposer(), budget, connectivity)
 
 
-@dataclass(frozen=True)
 class SearchProposer:
-    """Proposer backed by enumerate_candidates; the default backend."""
+    """The default proposer: the search's candidates, unverified."""
 
-    connectivity: int = 4
-
-    def propose(self, pair: Pair, budget: int) -> list[UnitPattern]:
-        return [
-            fp.pattern
-            for fp in enumerate_candidates(pair, budget, self.connectivity)
-        ]
+    def propose(self, scene: Scene, output: Grid, budget: int) -> Iterator[UnitPattern]:
+        return _proposals(scene, output)
 
 
 def _ordered_unique(items):

@@ -277,13 +277,12 @@ def evaluate(
     connectivity: int = 4,
     backend=None,
     proposer=None,
-    jobs: int = 1,
 ) -> EvalReport:
     """Score tasks by exact match: a test item is correct iff any attempt
     equals its expected grid. Items without expected outputs are skipped
     and counted. Deterministic given config and backend transcripts."""
     if proposer is None:
-        proposer = SearchProposer(connectivity)
+        proposer = SearchProposer()
 
     def run_one(entry: tuple[str, Task]):
         task_id, task = entry
@@ -308,16 +307,7 @@ def evaluate(
             )
         return results, cand_count
 
-    per_task: dict[str, tuple[list[ItemResult], int]] = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for (task_id, _), outcome in zip(items, pool.map(run_one, items)):
-                per_task[task_id] = outcome
-    else:
-        for entry in items:
-            per_task[entry[0]] = run_one(entry)
+    per_task = {entry[0]: run_one(entry) for entry in items}
 
     all_items: list[ItemResult] = []
     candidate_total = 0

@@ -22,39 +22,20 @@ from dataclasses import dataclass
 
 from .errors import SymgridError
 from .grid import Grid, Task, grids_equal
-from .patterns import Selector, UnitPattern, apply_pattern, format_pattern, make_pattern
+from .patterns import (
+    KIND_ORDER,
+    Selector,
+    UnitPattern,
+    apply_pattern,
+    format_pattern,
+    make_pattern,
+)
 from .perception import segment
 from .search import enumerate_candidates
 
 Cells = set[tuple[int, int]]
 
 AXIS_CHOICES = ("h", "v")
-
-PLANT_KINDS = (
-    "reflect_h",
-    "reflect_v",
-    "rotate90",
-    "rotate180",
-    "rotate270",
-    "crop_to_content",
-    "symmetry_complete",
-    "scale_up",
-    "scale_down",
-    "tile_grid",
-    "overlay_pairs",
-    "select_largest",
-    "select_smallest",
-    "count_encode",
-    "recolor",
-    "palette_swap",
-    "translate",
-    "delete_object",
-    "duplicate_object",
-    "cavity_fill",
-    "gravity_shift",
-    "draw_bbox_border",
-    "connect_objects",
-)
 
 _ISOMETRY_KINDS = ("reflect_h", "reflect_v", "rotate90", "rotate180", "rotate270")
 
@@ -678,7 +659,7 @@ def generate_planted_task(
 ) -> PlantedTask:
     """One task whose every pair is explained by a single planted pattern."""
     for _ in range(100):
-        k = kind if kind is not None else rng.choice(PLANT_KINDS)
+        k = kind if kind is not None else rng.choice(KIND_ORDER)
         pattern, sampler, check = _PLANTERS[k](rng, k)
         inputs = []
         for _ in range(train_pairs + n_test):
@@ -734,7 +715,7 @@ def generate_suite(
     """Deterministic benchmark suite: (task_id, task, planted_or_None)."""
     rng = random.Random(seed)
     out: list[tuple[str, Task, UnitPattern | None]] = []
-    pool = kinds if kinds is not None else PLANT_KINDS
+    pool = kinds if kinds is not None else KIND_ORDER
     for i in range(n_planted):
         kind = pool[i % len(pool)]
         planted = generate_planted_task(rng, kind=kind)

@@ -4,7 +4,7 @@ import sys
 import hypothesis.strategies as st
 import pytest
 
-from symgrid import Grid, perception
+from symgrid import Grid, Scene, format_pattern, patterns, perception
 
 
 @st.composite
@@ -29,11 +29,22 @@ def random_grid(rng: random.Random, max_side=30, colors=10, min_side=1) -> Grid:
     )
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Point every symgrid module attribute bound to ``original`` at
+    ``replacement`` for the duration of the test."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "symgrid" or name.startswith("symgrid.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture()
 def segment_calls(monkeypatch):
-    """Count segmentations: every symgrid module attribute bound to
-    ``segment`` is replaced by a wrapper that records ``(grid,
-    connectivity)`` before delegating. Returns the list of records."""
+    """Count segmentations: every binding of ``segment`` records
+    ``(grid, connectivity)`` before delegating. Returns the list of
+    records."""
     original = perception.segment
     calls = []
 
@@ -41,10 +52,21 @@ def segment_calls(monkeypatch):
         calls.append((g, connectivity))
         return original(g, connectivity)
 
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "symgrid" or name.startswith("symgrid.")):
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, counting)
+    _rebind(monkeypatch, original, counting)
+    return calls
+
+
+@pytest.fixture()
+def apply_calls(monkeypatch):
+    """Count pattern applications: every binding of ``apply_pattern``
+    records ``(pattern key, grid)`` before delegating, with a Scene
+    argument recorded as its grid. Returns the list of records."""
+    original = patterns.apply_pattern
+    calls = []
+
+    def counting(p, g, connectivity=4):
+        calls.append((format_pattern(p), g.grid if isinstance(g, Scene) else g))
+        return original(p, g, connectivity)
+
+    _rebind(monkeypatch, original, counting)
     return calls

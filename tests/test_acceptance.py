@@ -20,6 +20,7 @@ from symgrid import (
     Candidate,
     Grid,
     GridValidationError,
+    KIND_ORDER,
     MarkdownError,
     SearchProposer,
     apply_pattern,
@@ -36,7 +37,7 @@ from symgrid import (
     serialize_task,
     vote_pixels,
 )
-from symgrid.taskgen import PLANT_KINDS, generate_planted_task, generate_suite
+from symgrid.taskgen import generate_planted_task, generate_suite
 from conftest import random_grid
 from oracles import cavity_oracle, segmentation_oracle, vote_oracle
 
@@ -138,7 +139,7 @@ def test_04_plant_and_recover():
         rank_one = 0
         proposer = SearchProposer()
         for i in range(n):
-            kind = PLANT_KINDS[i % len(PLANT_KINDS)]
+            kind = KIND_ORDER[i % len(KIND_ORDER)]
             pt = generate_planted_task(rng, kind=kind, train_pairs=3)
             want = format_pattern(pt.pattern)
             cands = enumerate_candidates(pt.task.train[0], budget=2000)

@@ -229,11 +229,14 @@ class TestEval:
     def test_not_a_directory(self, tmp_path):
         assert main(["eval", str(tmp_path / "missing")]) != 0
 
-    def test_jobs_flag(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_no_jobs_knob(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        with pytest.raises(ConfigError, match="unknown keys.*jobs"):
+            load_config(str(cfg), {})
         data = tmp_path / "tasks"
         data.mkdir()
-        for tid, task, _ in generate_suite(seed=33, n_planted=4):
-            (data / f"{tid}.json").write_bytes(serialize_task(task))
-        assert main(["eval", str(data), "--jobs", "3", "--passes", "1"]) == 0
-        assert "accuracy: 4/4" in capsys.readouterr().out
+        assert main(["eval", str(data), "--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(data), "--jobs", "2"])
+        assert exc.value.code == 2

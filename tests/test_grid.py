@@ -45,6 +45,12 @@ class TestGridInvariants:
         with pytest.raises(GridValidationError, match="31"):
             Grid.from_rows([[0] * 31])
 
+    def test_list_containers_rejected(self):
+        # Lists would pass the other checks and make the grid unhashable.
+        for rows in ([[1, 2]], ([1, 2],)):
+            with pytest.raises(GridValidationError, match="Grid.from_rows"):
+                Grid(rows)
+
     def test_immutable_and_hashable(self):
         g = Grid.from_rows([[1]])
         assert hash(g) == hash(Grid.from_rows([[1]]))

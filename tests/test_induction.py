@@ -1,10 +1,12 @@
 """Change tagging, per-pair detection, cross-pair intersection, hints."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from symgrid import (
+    KIND_ORDER,
     Grid,
     RuleSet,
     ScoredPattern,
@@ -148,7 +150,7 @@ class _ListProposer:
     def __init__(self, items):
         self.items = items
 
-    def propose(self, pair, budget):
+    def propose(self, scene, output, budget):
         return list(self.items)
 
 
@@ -187,6 +189,20 @@ class TestDetectUnitPatterns:
         proposer = _ListProposer(["rotate90()@all", "rotate90()@all"])
         found = detect_unit_patterns(pair, proposer, budget=10)
         assert len(found) == 1
+
+    def test_budget_caps_every_proposer(self, apply_calls):
+        g = Grid.from_rows([[1, 2], [3, 4]])
+        pair = (g, apply_pattern(make_pattern("rotate90"), g))
+        lines = [
+            "rotate90()@all",
+            "reflect_h()@all",
+            "reflect_v()@all",
+            "rotate180()@all",
+            "rotate270()@all",
+        ]
+        found = detect_unit_patterns(pair, _ListProposer(lines), budget=2)
+        assert [key for key, _ in apply_calls] == lines[:2]
+        assert {format_pattern(sp.pattern) for sp in found} <= set(lines[:2])
 
     def test_inconsistent_proposals_dropped(self):
         g = Grid.from_rows([[1, 2], [3, 4]])
@@ -316,6 +332,33 @@ class TestIntersect:
         per_pair = [[_sp(rot), _sp(rot)], [_sp(rot)]]
         rs = intersect_patterns(per_pair, pairs)
         assert rs.patterns[0].support == 2
+
+
+class TestVerifyOnce:
+    """``induce`` shares one Scene per train input between detection and
+    intersection, and verifies each candidate on each pair once."""
+
+    def test_each_train_grid_segmented_at_most_once(self, segment_calls):
+        rng = random.Random(1223)
+        for kind in KIND_ORDER:
+            task = generate_planted_task(rng, kind=kind).task
+            train_grids = Counter(g for pair in task.train for g in pair)
+            for connectivity in (4, 8):
+                segment_calls.clear()
+                induce(task, SearchProposer(), connectivity=connectivity)
+                assert {c for _, c in segment_calls} <= {connectivity}
+                assert Counter(g for g, _ in segment_calls) <= train_grids, kind
+
+    def test_each_candidate_applied_once_per_train_input(self, apply_calls):
+        rng = random.Random(1229)
+        for kind in KIND_ORDER:
+            task = generate_planted_task(rng, kind=kind).task
+            inputs = Counter(gin for gin, _ in task.train)
+            for connectivity in (4, 8):
+                apply_calls.clear()
+                induce(task, SearchProposer(), connectivity=connectivity)
+                for (key, g), n in Counter(apply_calls).items():
+                    assert n <= inputs[g], (kind, key)
 
 
 class TestRank:

@@ -516,3 +516,7 @@ class TestContracts:
             Selector("size_rank", -1)
         with pytest.raises(PatternContractError):
             Selector("everything")
+        with pytest.raises(PatternContractError):
+            Selector("color", True)
+        with pytest.raises(PatternContractError):
+            Selector("size_rank", False)

@@ -7,13 +7,14 @@ import pytest
 
 from symgrid import (
     Grid,
+    KIND_ORDER,
     apply_pattern,
     enumerate_candidates,
     format_pattern,
     grids_equal,
     make_pattern,
 )
-from symgrid.taskgen import PLANT_KINDS, generate_planted_task
+from symgrid.taskgen import generate_planted_task
 
 
 class TestEnumerate:
@@ -72,7 +73,7 @@ class TestEnumerate:
         b = [format_pattern(fp.pattern) for fp in enumerate_candidates(pair, 2000)]
         assert a == b
 
-    @pytest.mark.parametrize("kind", PLANT_KINDS)
+    @pytest.mark.parametrize("kind", KIND_ORDER)
     def test_planted_kind_recovered(self, kind):
         rng = random.Random(hash(kind) % 10000)
         pt = generate_planted_task(rng, kind=kind)
@@ -92,7 +93,7 @@ class TestEnumerate:
         hits = 0
         n = 200
         for i in range(n):
-            pt = generate_planted_task(rng, kind=PLANT_KINDS[i % len(PLANT_KINDS)])
+            pt = generate_planted_task(rng, kind=KIND_ORDER[i % len(KIND_ORDER)])
             want = format_pattern(pt.pattern)
             cands = enumerate_candidates(pt.task.train[0], budget=2000)
             if any(format_pattern(fp.pattern) == want and fp.exact for fp in cands):
@@ -103,7 +104,7 @@ class TestEnumerate:
 class TestPerceptionCount:
     def test_each_pair_grid_segmented_at_most_once(self, segment_calls):
         rng = random.Random(1213)
-        for kind in PLANT_KINDS:
+        for kind in KIND_ORDER:
             task = generate_planted_task(rng, kind=kind).task
             for connectivity in (4, 8):
                 for pair in task.train:

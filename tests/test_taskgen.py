@@ -5,13 +5,13 @@ import random
 import pytest
 
 from symgrid import (
+    KIND_ORDER,
     SearchProposer,
     apply_pattern,
     grids_equal,
     induce,
 )
 from symgrid.taskgen import (
-    PLANT_KINDS,
     generate_noise_task,
     generate_planted_task,
     generate_suite,
@@ -19,7 +19,7 @@ from symgrid.taskgen import (
 
 
 class TestPlanted:
-    @pytest.mark.parametrize("kind", PLANT_KINDS)
+    @pytest.mark.parametrize("kind", KIND_ORDER)
     def test_pattern_explains_every_pair(self, kind):
         rng = random.Random(sum(map(ord, kind)))
         pt = generate_planted_task(rng, kind=kind)
@@ -76,4 +76,4 @@ class TestSuite:
     def test_suite_covers_kinds_round_robin(self):
         suite = generate_suite(seed=10, n_planted=23)
         kinds = [p.kind for _, _, p in suite if p is not None]
-        assert sorted(kinds) == sorted(PLANT_KINDS)
+        assert sorted(kinds) == sorted(KIND_ORDER)
