@@ -2,12 +2,14 @@
 """Run the synthetic closure benchmark and print accuracy plus timing.
 
 The clean suite must solve perfectly; noise tasks must contribute zero
-hits. Example:
+hits. The script exits 1, naming the offending task ids, when a planted
+task is missed or a noise task is solved. Example:
 
     python scripts/run_benchmark.py --planted 100 --noise 20 --seed 1007
 """
 
 import argparse
+import sys
 import time
 
 from symgrid import evaluate
@@ -15,7 +17,7 @@ from symgrid.solver import render_report
 from symgrid.taskgen import generate_suite
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--planted", type=int, default=100)
     parser.add_argument("--noise", type=int, default=20)
@@ -29,6 +31,7 @@ def main() -> None:
     suite = generate_suite(args.seed, args.planted, args.noise)
     gen_elapsed = time.perf_counter() - gen_start
     items = [(tid, task) for tid, task, _ in suite]
+    planted = {tid: pattern is not None for tid, _, pattern in suite}
 
     start = time.perf_counter()
     report = evaluate(items, passes=args.passes, budget=args.budget)
@@ -45,6 +48,18 @@ def main() -> None:
         f"(accuracy {report.accuracy:.4f}) in {elapsed:.1f}s"
     )
 
+    missed = sorted(
+        {i.task_id for i in report.items if planted[i.task_id] and not i.correct}
+    )
+    solved_noise = sorted(
+        {i.task_id for i in report.items if not planted[i.task_id] and i.correct}
+    )
+    if missed:
+        print(f"FAIL: planted tasks missed: {' '.join(missed)}", file=sys.stderr)
+    if solved_noise:
+        print(f"FAIL: noise tasks solved: {' '.join(solved_noise)}", file=sys.stderr)
+    return 1 if missed or solved_noise else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

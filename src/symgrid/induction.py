@@ -3,15 +3,17 @@
 Objects in an input/output scene pair are tagged added, removed, or
 retained by greedy matching. Candidate unit patterns are proposed per
 train pair by a pluggable proposer and verified here, each one applied
-once to the pair input; the verdicts are then intersected across pairs
+at most once to the pair input (never when it can no longer reach the
+confidence threshold); the verdicts are then intersected across pairs
 into a confidence-ranked rule set with rendered hint sentences.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
 from .grid import Grid, grids_equal, pixel_distance
@@ -114,7 +116,7 @@ class Proposer(Protocol):
     may yield UnitPattern values or serialized pattern lines, and
     verifies nothing: ``detect_unit_patterns`` parses the lines (dropping
     malformed ones with a warning), deduplicates, stops after ``budget``
-    distinct candidates, and applies each one once.
+    distinct candidates, and applies each one at most once.
     """
 
     def propose(
@@ -127,14 +129,18 @@ def detect_unit_patterns(
     proposer: Proposer,
     budget: int,
     connectivity: int = 4,
+    alive: Callable[[str], bool] | None = None,
 ) -> list[ScoredPattern]:
     """Collect, verify, and deduplicate one pair's candidate patterns.
 
     The pair input may be a Scene (its own connectivity then applies).
-    At most ``budget`` distinct candidates are verified, in proposer
-    order. Each is applied once to the pair input: exact matches are
-    flagged exact, strict reductions of pixel distance are kept as
-    partial, everything else is dropped.
+    The first ``budget`` distinct candidates, in proposer order, are
+    considered. Each one whose canonical key passes ``alive`` (every
+    one, when ``alive`` is None) is applied once to the pair input:
+    exact matches are flagged exact, strict reductions of pixel distance
+    are kept as partial, everything else is dropped. A candidate that
+    ``alive`` rejects is not applied and not returned, but it still
+    counts against ``budget``, so the cut does not depend on ``alive``.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -158,6 +164,8 @@ def detect_unit_patterns(
         if len(seen) == budget:
             break
         seen.add(key)
+        if alive is not None and not alive(key):
+            continue
         try:
             result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
@@ -191,7 +199,11 @@ def intersect_patterns(
     pattern that was proposed exact somewhere but runs without error on
     some train pair and yields the wrong output. A partial flag says
     exactly that; only pairs whose list lacks the pattern (possible
-    below threshold 1.0) have it applied here. Partial patterns are kept
+    below threshold 1.0) have it applied here. ``induce`` leaves out of
+    pair k's list the candidates that could no longer reach the
+    threshold (it skips applying them there); this test drops them
+    either way, so the lists it builds give the same rule set as lists
+    with every candidate verified. Partial patterns are kept
     only as a backstop: once any exact pattern survives, the partials
     are pruned so they cannot outvote a rule that reproduces every
     training output.
@@ -249,12 +261,27 @@ def induce(
     """Detect unit patterns on every train pair and intersect them.
 
     Each train input gets one Scene, shared by detection and
-    intersection, so it is segmented at most once.
+    intersection, so it is segmented at most once. On pair k of n only
+    the candidates that can still reach ``threshold`` are applied: those
+    whose support on pairs 0..k-1, plus the n - k pairs left, is enough
+    for ``intersect_patterns`` to keep them. At threshold 1.0 that is the
+    candidates kept on every earlier pair. The others would be dropped
+    below threshold anyway, so the rule set is the same as with every
+    candidate verified; they still count against ``budget`` on each pair.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
-    per_pair = [
-        detect_unit_patterns(pair, proposer, budget, connectivity) for pair in pairs
-    ]
+    n = len(pairs)
+    support: Counter[str] = Counter()  # pairs 0..k-1 whose list holds the key
+
+    def alive(key: str) -> bool:
+        # The complement of intersect_patterns' threshold test, on pair k.
+        return (support[key] + n - k) / n + 1e-9 >= threshold
+
+    per_pair = []
+    for k, pair in enumerate(pairs):
+        detections = detect_unit_patterns(pair, proposer, budget, connectivity, alive)
+        support.update(format_pattern(sp.pattern) for sp in detections)
+        per_pair.append(detections)
     return intersect_patterns(per_pair, pairs, threshold, connectivity)
 
 

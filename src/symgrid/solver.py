@@ -223,16 +223,12 @@ def solve_task(
                 except BackendError as e:
                     trace.degraded = True
                     trace.notes.append(f"backend fallback failed: {e}")
-            if attempt2 is None and rs.patterns:
-                for sp in rs.patterns:
-                    try:
-                        top = apply_pattern(sp.pattern, scene)
-                    except PatternApplicationError:
-                        continue
-                    if not grids_equal(top, attempt1):
-                        attempt2 = top
-                        trace.fallback_source = "top_rule"
-                    break
+            if attempt2 is None:
+                # The first rule that applied: apply_ruleset's first candidate.
+                top = next((c.grid for c in candidates if c.source == "rule_exec"), None)
+                if top is not None and not grids_equal(top, attempt1):
+                    attempt2 = top
+                    trace.fallback_source = "top_rule"
             if attempt2 is not None and not grids_equal(attempt2, attempt1):
                 attempts.append(attempt2)
         predictions.append(Prediction(attempts=tuple(attempts), trace=trace))
@@ -280,7 +276,9 @@ def evaluate(
 ) -> EvalReport:
     """Score tasks by exact match: a test item is correct iff any attempt
     equals its expected grid. Items without expected outputs are skipped
-    and counted. Deterministic given config and backend transcripts."""
+    and counted. Every item is scored, also when task ids repeat; results
+    are reported by task id, and items that share one stay in input
+    order. Deterministic given config and backend transcripts."""
     if proposer is None:
         proposer = SearchProposer()
 
@@ -307,13 +305,13 @@ def evaluate(
             )
         return results, cand_count
 
-    per_task = {entry[0]: run_one(entry) for entry in items}
+    runs = [(entry[0], run_one(entry)) for entry in items]
 
     all_items: list[ItemResult] = []
     candidate_total = 0
     kind_counts: dict[str, int] = {}
-    for task_id, _ in sorted(items, key=lambda e: e[0]):
-        results, cand_count = per_task[task_id]
+    # A stable sort: items that share a task id keep their input order.
+    for _, (results, cand_count) in sorted(runs, key=lambda r: r[0]):
         candidate_total += cand_count
         for item in results:
             all_items.append(item)

@@ -22,16 +22,16 @@ from dataclasses import dataclass
 
 from .errors import SymgridError
 from .grid import Grid, Task, grids_equal
+from .induction import induce
 from .patterns import (
     KIND_ORDER,
     Selector,
     UnitPattern,
     apply_pattern,
-    format_pattern,
     make_pattern,
 )
 from .perception import segment
-from .search import enumerate_candidates
+from .search import SearchProposer
 
 Cells = set[tuple[int, int]]
 
@@ -605,28 +605,20 @@ _PLANTERS = {
 def _in_closure(task: Task, budget: int = 2000) -> bool:
     """Closure membership: exactly-one-rule solvability.
 
-    Every pattern that is exact on all train pairs must also reproduce
-    the expected output on every test input (or fail to apply there, in
-    which case it yields no candidate). Otherwise the train pairs do not
-    determine the test answer and the task is ambiguous.
+    Every pattern that is exact on all train pairs (an exact rule of
+    ``induce`` at threshold 1.0) must also reproduce the expected output
+    on every test input (or fail to apply there, in which case it yields
+    no candidate). Otherwise the train pairs do not determine the test
+    answer and the task is ambiguous.
     """
-    per_pair: list[dict[str, UnitPattern]] = []
-    for pair in task.train:
-        exact = {
-            format_pattern(fp.pattern): fp.pattern
-            for fp in enumerate_candidates(pair, budget)
-            if fp.exact
-        }
-        per_pair.append(exact)
-    common = set(per_pair[0])
-    for keys in per_pair[1:]:
-        common &= set(keys)
-    for key in sorted(common):
-        pattern = per_pair[0][key]
+    rs = induce(task, SearchProposer(), budget=budget)
+    for sp in rs.patterns:
+        if not sp.exact:
+            continue
         for test_input, expected in task.test:
             assert expected is not None
             try:
-                result = apply_pattern(pattern, test_input)
+                result = apply_pattern(sp.pattern, test_input)
             except SymgridError:
                 continue
             if not grids_equal(result, expected):

@@ -3,7 +3,9 @@
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from symgrid import (
     KIND_ORDER,
@@ -12,6 +14,7 @@ from symgrid import (
     ScoredPattern,
     SearchProposer,
     Selector,
+    Task,
     apply_pattern,
     detect_unit_patterns,
     format_pattern,
@@ -24,7 +27,7 @@ from symgrid import (
     synthesize_hints,
 )
 from symgrid.induction import synthesize_hint
-from symgrid.taskgen import generate_planted_task
+from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
 
 
 def scene(rows):
@@ -359,6 +362,151 @@ class TestVerifyOnce:
                 induce(task, SearchProposer(), connectivity=connectivity)
                 for (key, g), n in Counter(apply_calls).items():
                     assert n <= inputs[g], (kind, key)
+
+    def test_later_pairs_apply_only_keys_kept_on_every_earlier_pair(self, apply_calls):
+        rng = random.Random(1231)
+        proposer = SearchProposer()
+        pruned = 0
+        for kind in KIND_ORDER:
+            task = generate_planted_task(rng, kind=kind).task
+            apply_calls.clear()
+            kept = [
+                {
+                    format_pattern(sp.pattern)
+                    for sp in detect_unit_patterns(p, proposer, 2000)
+                }
+                for p in task.train
+            ]
+            unpruned = len(apply_calls)
+            first_pair = {}
+            for k, (gin, _) in enumerate(task.train):
+                first_pair.setdefault(gin, k)
+            apply_calls.clear()
+            induce(task, proposer, threshold=1.0)
+            for key, g in apply_calls:
+                k = first_pair[g]
+                assert all(key in kept[j] for j in range(k)), (kind, key, k)
+            pruned += unpruned - len(apply_calls)
+        assert pruned > 0
+
+    def test_noise_task_applied_on_pair_zero_only(self, apply_calls):
+        # The search proposes nothing for a noise pair, so the lines come
+        # from a stub; none of them explains a noise pair even partially.
+        proposer = _ListProposer(
+            [
+                "reflect_h()@all",
+                "rotate90()@all",
+                "crop_to_content()@all",
+                "recolor(src=1,dst=5)@all",
+                "scale_up(factor=2)@all",
+                "tile_grid(rows=2,cols=1)@all",
+                "select_largest()@all",
+            ]
+        )
+        rng = random.Random(1237)
+        for _ in range(5):
+            task = generate_noise_task(rng)
+            apply_calls.clear()
+            rs = induce(task, proposer)
+            assert rs.patterns == ()
+            assert len(apply_calls) == len(proposer.items)
+            assert {g for _, g in apply_calls} == {task.train[0][0]}
+
+
+def _unpruned(task, proposer, threshold, budget):
+    """The reference ``induce``: every pair verifies every candidate."""
+    pairs = list(task.train)
+    per_pair = [detect_unit_patterns(p, proposer, budget) for p in pairs]
+    return intersect_patterns(per_pair, pairs, threshold)
+
+
+class _PerPairProposer:
+    """Proposer stub yielding a fixed line list per pair input grid."""
+
+    def __init__(self, lines_by_input):
+        self.lines_by_input = lines_by_input
+
+    def propose(self, scene, output, budget):
+        return list(self.lines_by_input[scene.grid])
+
+
+def _pool_task():
+    ins = [
+        Grid.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        Grid.from_rows([[1, 1, 2], [0, 3, 0], [4, 0, 0]]),
+        Grid.from_rows([[0, 2, 2], [0, 0, 3], [6, 0, 1]]),
+        Grid.from_rows([[1, 2, 0], [0, 0, 3], [5, 0, 0]]),
+    ]
+    kinds = ["rotate90", "rotate90", "rotate90", "reflect_h"]
+    return tuple((g, apply_pattern(make_pattern(k), g)) for g, k in zip(ins, kinds))
+
+
+# Each line's verdict on the four _pool_task pairs: E exact, P partial,
+# - not kept (applies but no closer, inapplicable, or malformed).
+_POOL = {
+    "rotate90()@all": "EEE-",
+    "reflect_h()@all": "PPPE",
+    "reflect_v()@all": "PPP-",
+    "rotate180()@all": "---P",
+    "recolor(src=1,dst=0)@all": "-P-P",
+    "translate(dx=1,dy=0)@all": "--PP",
+    "tile_grid(rows=2,cols=1)@all": "----",  # applies, wrong dims
+    "scale_down(factor=2)@all": "----",  # inapplicable on 3x3
+    "garbage(((": "----",  # malformed
+}
+
+
+class TestPruning:
+    """``induce`` applies on pair k only the candidates that can still
+    reach the threshold; its rule set equals the unpruned reference."""
+
+    @pytest.fixture(scope="class")
+    def suite_detections(self):
+        suite = generate_suite(seed=1007, n_planted=100, n_noise=20)
+        proposer = SearchProposer()
+        return [
+            (task, [detect_unit_patterns(p, proposer, 2000) for p in task.train])
+            for _, task, _ in suite
+        ]
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.67, 0.5, 0.34, 0.0])
+    def test_suite_matches_unpruned(self, suite_detections, threshold):
+        proposer = SearchProposer()
+        for task, per_pair in suite_detections:
+            reference = intersect_patterns(per_pair, list(task.train), threshold)
+            assert induce(task, proposer, threshold, 2000) == reference
+
+    def test_pool_verdicts(self):
+        pairs = _pool_task()
+        for line, verdicts in _POOL.items():
+            for pair, verdict in zip(pairs, verdicts):
+                proposer = _PerPairProposer({pair[0]: [line]})
+                found = detect_unit_patterns(pair, proposer, 1)
+                assert ("-" if not found else "EP"[not found[0].exact]) == verdict, line
+
+    @given(
+        n_pairs=st.integers(1, 4),
+        lists=st.lists(
+            st.lists(st.sampled_from(list(_POOL)), max_size=8), min_size=4, max_size=4
+        ),
+        threshold=st.sampled_from([1.0, 0.67, 0.5, 0.34, 0.0]),
+        budget=st.integers(1, 4),
+    )
+    # Pair 1 skips reflect_v (not kept on pair 0) yet spends its budget
+    # of 1 on it, so rotate90 is never verified there and no rule survives.
+    @example(
+        n_pairs=2,
+        lists=[["rotate90()@all"], ["reflect_v()@all", "rotate90()@all"], [], []],
+        threshold=1.0,
+        budget=1,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fake_proposer_matches_unpruned(self, n_pairs, lists, threshold, budget):
+        pairs = _pool_task()[:n_pairs]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: lines for (g, _), lines in zip(pairs, lists)})
+        expected = _unpruned(task, proposer, threshold, budget)
+        assert induce(task, proposer, threshold, budget) == expected
 
 
 class TestRank:

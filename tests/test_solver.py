@@ -16,6 +16,7 @@ from symgrid import (
     apply_pattern,
     apply_ruleset,
     evaluate,
+    format_pattern,
     grids_equal,
     induce,
     make_pattern,
@@ -291,6 +292,15 @@ class TestEvaluate:
         assert report.scored == 0
         assert report.accuracy == 0.0
 
+    def test_duplicate_task_ids_each_scored(self):
+        rng = random.Random(79)
+        planted = generate_planted_task(rng, kind="rotate90").task
+        noise = generate_noise_task(rng)
+        for items in ([("a", planted), ("a", noise)], [("a", noise), ("a", planted)]):
+            report = evaluate(items, passes=1)
+            assert (report.correct, report.scored) == (1, 2)
+            assert [i.correct for i in report.items] == [t is planted for _, t in items]
+
     def test_report_rendering(self):
         suite = generate_suite(seed=17, n_planted=2, n_noise=1)
         items = [(tid, task) for tid, task, _ in suite]
@@ -326,3 +336,40 @@ class TestPerceptionCount:
         task = Task(train=((g, g),), test=((g, None),))
         solve_task(task, rs, passes=2)
         assert segment_calls == [(g, 4)]
+
+
+class TestApplyCount:
+    def test_each_rule_applied_once_per_test_input(self, apply_calls):
+        rng = random.Random(1249)
+        for kind in KIND_ORDER:
+            task = generate_planted_task(rng, kind=kind, n_test=2).task
+            rs = induce(task, SearchProposer())
+            apply_calls.clear()
+            solve_task(task, rs, passes=2)
+            expected = Counter(
+                (format_pattern(sp.pattern), g)
+                for g, _ in task.test
+                for sp in rs.patterns
+            )
+            assert Counter(apply_calls) == expected, kind
+
+    def test_second_attempt_reuses_the_first_rule_that_applied(self, apply_calls):
+        # scale_up(2) cannot apply to a 16x16 input; the next rule is the
+        # top rule, and the other two outvote it.
+        rs = _ruleset(
+            (make_pattern("scale_up", factor=2), 3, 1.0, True),
+            (make_pattern("recolor", src=1, dst=2), 3, 1.0, True),
+            (make_pattern("recolor", src=1, dst=3), 3, 1.0, True),
+            (make_pattern("palette_swap", map=((1, 3),)), 3, 1.0, True),
+        )
+        g = Grid.from_rows([[1] * 16 for _ in range(16)])
+        task = Task(train=((g, g),), test=((g, None),))
+        preds = solve_task(task, rs, passes=2)
+        assert preds[0].attempts == (
+            Grid.from_rows([[3] * 16 for _ in range(16)]),
+            Grid.from_rows([[2] * 16 for _ in range(16)]),
+        )
+        assert preds[0].trace.fallback_source == "top_rule"
+        assert sorted(key for key, _ in apply_calls) == sorted(
+            format_pattern(sp.pattern) for sp in rs.patterns
+        )

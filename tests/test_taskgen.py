@@ -6,11 +6,19 @@ import pytest
 
 from symgrid import (
     KIND_ORDER,
+    Grid,
     SearchProposer,
+    Selector,
+    SymgridError,
+    Task,
     apply_pattern,
+    enumerate_candidates,
+    format_pattern,
     grids_equal,
     induce,
+    make_pattern,
 )
+from symgrid import taskgen
 from symgrid.taskgen import (
     generate_noise_task,
     generate_planted_task,
@@ -77,3 +85,63 @@ class TestSuite:
         suite = generate_suite(seed=10, n_planted=23)
         kinds = [p.kind for _, _, p in suite if p is not None]
         assert sorted(kinds) == sorted(KIND_ORDER)
+
+
+def _in_closure_reference(task, budget=2000):
+    """Closure membership by its per-pair definition: each train pair gets
+    its own unpruned search, and the patterns exact on every pair must
+    reproduce every test output they apply to."""
+    per_pair = [
+        {
+            format_pattern(sp.pattern): sp.pattern
+            for sp in enumerate_candidates(pair, budget)
+            if sp.exact
+        }
+        for pair in task.train
+    ]
+    common = set(per_pair[0]).intersection(*per_pair[1:])
+    for key in sorted(common):
+        for test_input, expected in task.test:
+            try:
+                result = apply_pattern(per_pair[0][key], test_input)
+            except SymgridError:
+                continue
+            if not grids_equal(result, expected):
+                return False
+    return True
+
+
+class TestClosure:
+    def test_matches_per_pair_reference_on_suite_draws(self, monkeypatch):
+        # Every draw the generator checks, kept or rejected, plus the noise.
+        drawn = []
+        original = taskgen._in_closure
+
+        def recording(task, budget=2000):
+            drawn.append(task)
+            return original(task, budget)
+
+        monkeypatch.setattr(taskgen, "_in_closure", recording)
+        suite = generate_suite(seed=1007, n_planted=100, n_noise=20)
+        tasks = drawn + [task for _, task, planted in suite if planted is None]
+        verdicts = [original(task) for task in tasks]
+        assert verdicts == [_in_closure_reference(task) for task in tasks]
+        assert set(verdicts) == {True, False}
+
+    def test_ambiguous_selector_rejected(self):
+        # Train inputs hold only color-1 objects, so translate@all and
+        # translate@color=1 are both exact on every pair; the test input
+        # adds a color-3 object that only one of them moves.
+        planted = make_pattern("translate", dx=1, dy=0, selector=Selector("color", 1))
+        inputs = [
+            Grid.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+            Grid.from_rows([[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0]]),
+            Grid.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
+        ]
+        test_input = Grid.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 3, 0, 0]])
+        task = Task(
+            train=tuple((g, apply_pattern(planted, g)) for g in inputs),
+            test=((test_input, apply_pattern(planted, test_input)),),
+        )
+        assert _in_closure_reference(task) is False
+        assert taskgen._in_closure(task) is False
