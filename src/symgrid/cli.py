@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--samples", type=int)
         cmd.add_argument("--backend-url", dest="backend_url")
         cmd.add_argument("--transcript", dest="transcript_path")
-        cmd.add_argument("--seed", type=int)
     return parser
 
 
@@ -69,7 +68,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
             "samples",
             "backend_url",
             "transcript_path",
-            "seed",
         )
     }
     return load_config(args.config, overrides)

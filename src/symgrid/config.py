@@ -17,7 +17,6 @@ class Config:
     passes: int = 2
     samples: int = 5
     backend_url: str | None = None
-    seed: int = 0
     transcript_path: str | None = None
     timeout: float = 30.0
     proposer: str = "search"  # search | remote; config-file only

@@ -25,6 +25,7 @@ from .patterns import (
     canonical_key,
     format_pattern,
     parse_pattern,
+    synthesize_hint,
 )
 from .perception import Perception
 
@@ -302,64 +303,6 @@ def _contradicted(
         if not grids_equal(result, gout):
             return True
     return False
-
-
-_DIR_WORDS = {"up": "upward", "down": "downward", "left": "leftward", "right": "rightward"}
-_AXIS_WORDS = {"h": "left-right", "v": "top-bottom"}
-
-
-def synthesize_hint(p: UnitPattern) -> str:
-    """Deterministic template rendering of one pattern as a sentence."""
-    sel = p.selector.describe()
-    kind = p.kind
-    if kind == "rotate90":
-        return "rotate the grid 90 degrees clockwise"
-    if kind == "rotate180":
-        return "rotate the grid 180 degrees"
-    if kind == "rotate270":
-        return "rotate the grid 270 degrees clockwise"
-    if kind == "reflect_h":
-        return "reflect the grid left-right"
-    if kind == "reflect_v":
-        return "reflect the grid top-bottom"
-    if kind == "crop_to_content":
-        return "crop the grid to its content"
-    if kind == "symmetry_complete":
-        return f"complete the grid symmetrically {_AXIS_WORDS[p['axis']]}"
-    if kind == "scale_up":
-        return f"scale the grid up by factor {p['factor']}"
-    if kind == "scale_down":
-        return f"scale the grid down by factor {p['factor']}"
-    if kind == "tile_grid":
-        return f"tile the grid {p['rows']} times down and {p['cols']} times across"
-    if kind == "overlay_pairs":
-        return f"overlay the two halves of the grid split {_AXIS_WORDS[p['axis']]}"
-    if kind == "select_largest":
-        return "keep only the largest object, cropped to its box"
-    if kind == "select_smallest":
-        return "keep only the smallest object, cropped to its box"
-    if kind == "count_encode":
-        return f"emit one color-{p['color']} cell per object among {sel}"
-    if kind == "recolor":
-        return f"replace color {p['src']} with color {p['dst']}"
-    if kind == "palette_swap":
-        pairs = ", ".join(f"{a} to {b}" for a, b in p["map"])
-        return f"remap colors: {pairs}"
-    if kind == "translate":
-        return f"move {sel} by {p['dx']} columns and {p['dy']} rows"
-    if kind == "delete_object":
-        return f"delete {sel}"
-    if kind == "duplicate_object":
-        return f"duplicate {sel} offset by {p['dx']} columns and {p['dy']} rows"
-    if kind == "cavity_fill":
-        return f"fill the cavities of {sel} with color {p['color']}"
-    if kind == "gravity_shift":
-        return f"slide {sel} {_DIR_WORDS[p['dir']]} until blocked"
-    if kind == "draw_bbox_border":
-        return f"draw the bounding box of {sel} in color {p['color']}"
-    if kind == "connect_objects":
-        return f"connect aligned pairs of {sel} with color {p['color']}"
-    raise PatternContractError(f"no hint template for {kind!r}")  # pragma: no cover
 
 
 def synthesize_hints(rs: RuleSet) -> list[str]:

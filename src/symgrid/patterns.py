@@ -7,28 +7,11 @@ Out-of-bounds pixels after a move are clipped, never wrapped. Patterns
 apply to a grid or to a ``Scene``, a grid with its connectivity whose
 segmentation is computed once and shared by every pattern applied to it.
 
-Kinds and parameter signatures:
-
-    reflect_h()                     mirror left-right
-    reflect_v()                     mirror top-bottom
-    rotate90() rotate180() rotate270()   clockwise rotations
-    crop_to_content()               tight crop of non-background cells
-    symmetry_complete(axis=h|v)     fill background cells from the mirror
-    scale_up(factor=k)              k>=2 block replication
-    scale_down(factor=k)            inverse; grid must be an exact k-blowup
-    tile_grid(rows=r,cols=c)        repeat the grid r x c times
-    overlay_pairs(axis=h|v)         split into two halves, first wins per cell
-    select_largest() select_smallest()   crop of the extreme-size object
-    count_encode(color=c)           1xN row of c, N = selected object count
-    recolor(src=a,dst=b)            every cell a becomes b
-    palette_swap(map=a:b;c:d)       simultaneous color remap
-    translate(dx=?,dy=?)            move selected objects (cols, rows)
-    delete_object()                 remove selected objects
-    duplicate_object(dx=?,dy=?)     paint a shifted copy of selected objects
-    cavity_fill(color=c)            fill enclosed holes of selected objects
-    gravity_shift(dir=up|down|left|right)   slide until blocked
-    draw_bbox_border(color=c)       paint the bbox outline of selected objects
-    connect_objects(color=c)        fill straight gaps between selected pairs
+Each kind is one record of the ``_KINDS`` table at the end of this
+module: its parameter signature, whether it takes an object selector,
+its forward semantics and its hint template. ``KIND_ORDER``,
+``OBJECT_KINDS``, validation, serialization, ``apply_pattern`` and
+``synthesize_hint`` all read that table.
 
 Selectors pick the objects a pattern applies to: ``all``, ``color=c``,
 ``size_rank=k`` (k-th largest; size desc, id asc), ``cavities=n``.
@@ -42,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BoundsError, PatternApplicationError, PatternContractError
 from .grid import MAX_SIDE, Coord, Grid
@@ -55,78 +39,6 @@ from .perception import (
 
 DIRECTIONS = ("up", "down", "left", "right")
 AXES = ("h", "v")
-
-# Canonical, cheapest-first kind order: whole-grid kinds, then object kinds.
-KIND_ORDER = (
-    "reflect_h",
-    "reflect_v",
-    "rotate90",
-    "rotate180",
-    "rotate270",
-    "crop_to_content",
-    "symmetry_complete",
-    "scale_up",
-    "scale_down",
-    "tile_grid",
-    "overlay_pairs",
-    "select_largest",
-    "select_smallest",
-    "count_encode",
-    "recolor",
-    "palette_swap",
-    "translate",
-    "delete_object",
-    "duplicate_object",
-    "cavity_fill",
-    "gravity_shift",
-    "draw_bbox_border",
-    "connect_objects",
-)
-
-_KIND_INDEX = {k: i for i, k in enumerate(KIND_ORDER)}
-
-# param name -> validator tag, per kind, in canonical serialization order
-_SIGNATURES: dict[str, tuple[tuple[str, str], ...]] = {
-    "reflect_h": (),
-    "reflect_v": (),
-    "rotate90": (),
-    "rotate180": (),
-    "rotate270": (),
-    "crop_to_content": (),
-    "symmetry_complete": (("axis", "axis"),),
-    "scale_up": (("factor", "factor"),),
-    "scale_down": (("factor", "factor"),),
-    "tile_grid": (("rows", "positive"), ("cols", "positive")),
-    "overlay_pairs": (("axis", "axis"),),
-    "select_largest": (),
-    "select_smallest": (),
-    "count_encode": (("color", "color"),),
-    "recolor": (("src", "color"), ("dst", "color")),
-    "palette_swap": (("map", "colormap"),),
-    "translate": (("dx", "int"), ("dy", "int")),
-    "delete_object": (),
-    "duplicate_object": (("dx", "int"), ("dy", "int")),
-    "cavity_fill": (("color", "color"),),
-    "gravity_shift": (("dir", "direction"),),
-    "draw_bbox_border": (("color", "color"),),
-    "connect_objects": (("color", "color"),),
-}
-
-OBJECT_KINDS = frozenset(
-    {
-        "translate",
-        "delete_object",
-        "duplicate_object",
-        "cavity_fill",
-        "gravity_shift",
-        "draw_bbox_border",
-        "connect_objects",
-        "count_encode",
-    }
-)
-
-assert len(_SIGNATURES) == 23
-
 
 @dataclass(frozen=True)
 class Selector:
@@ -235,9 +147,10 @@ class UnitPattern:
     selector: Selector = SELECT_ALL
 
     def __post_init__(self) -> None:
-        sig = _SIGNATURES.get(self.kind)
-        if sig is None:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
             raise PatternContractError(f"unknown pattern kind {self.kind!r}")
+        sig = spec.signature
         expected = tuple(name for name, _ in sig)
         got = tuple(name for name, _ in self.params)
         if got != expected:
@@ -246,7 +159,7 @@ class UnitPattern:
             )
         for (name, tag), (_, value) in zip(sig, self.params):
             _validate_param(self.kind, name, tag, value)
-        if self.kind not in OBJECT_KINDS and self.selector != SELECT_ALL:
+        if not spec.takes_selector and self.selector != SELECT_ALL:
             raise PatternContractError(
                 f"{self.kind} is a whole-grid kind; selector must be 'all'"
             )
@@ -260,9 +173,10 @@ class UnitPattern:
 
 def make_pattern(kind: str, selector: Selector = SELECT_ALL, **params: object) -> UnitPattern:
     """Build a UnitPattern with parameters in canonical signature order."""
-    sig = _SIGNATURES.get(kind)
-    if sig is None:
+    spec = _KINDS.get(kind)
+    if spec is None:
         raise PatternContractError(f"unknown pattern kind {kind!r}")
+    sig = spec.signature
     missing = [name for name, _ in sig if name not in params]
     extra = [name for name in params if name not in {n for n, _ in sig}]
     if missing or extra:
@@ -297,14 +211,15 @@ def parse_pattern(line: str) -> UnitPattern:
         raise PatternContractError(f"unparseable pattern line: {line!r}")
     kind, inner, sel_kind, sel_value = m.groups()
     selector = Selector(sel_kind, int(sel_value) if sel_value is not None else None)
+    spec = _KINDS.get(kind)
+    tags = dict(spec.signature) if spec is not None else {}
     params: dict[str, object] = {}
     if inner:
         for item in inner.split(","):
             if "=" not in item:
                 raise PatternContractError(f"bad parameter {item!r} in {line!r}")
             name, raw = item.split("=", 1)
-            sig = dict(_SIGNATURES.get(kind, ()))
-            tag = sig.get(name)
+            tag = tags.get(name)
             if tag == "colormap":
                 try:
                     pairs = tuple(
@@ -385,26 +300,61 @@ def as_scene(g: Grid | Scene, connectivity: int = 4) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# Forward semantics
+# Forward semantics: one ``(pattern, scene) -> Grid`` function per kind
 # ---------------------------------------------------------------------------
 
+_Layer = tuple[set[Coord] | frozenset[Coord], int]
 
-def _rotate90(g: Grid) -> Grid:
-    h, w = g.height, g.width
+
+def _reflect_h(p: UnitPattern, s: Scene) -> Grid:
+    return Grid._trusted(tuple(row[::-1] for row in s.grid.rows))
+
+
+def _reflect_v(p: UnitPattern, s: Scene) -> Grid:
+    return Grid._trusted(s.grid.rows[::-1])
+
+
+def _rotate90(p: UnitPattern, s: Scene) -> Grid:
+    # Clockwise: column c, read bottom-up, becomes row c.
+    return Grid._trusted(tuple(zip(*reversed(s.grid.rows))))
+
+
+def _rotate180(p: UnitPattern, s: Scene) -> Grid:
+    return Grid._trusted(tuple(row[::-1] for row in reversed(s.grid.rows)))
+
+
+def _rotate270(p: UnitPattern, s: Scene) -> Grid:
+    # Clockwise by 270: column c, read top-down, becomes row w - 1 - c.
+    return Grid._trusted(tuple(zip(*s.grid.rows))[::-1])
+
+
+def _crop_to_content(p: UnitPattern, s: Scene) -> Grid:
+    g, bg = s.grid, s.background
+    cells = [(r, c) for r in range(g.height) for c in range(g.width) if g.rows[r][c] != bg]
+    if not cells:
+        raise PatternApplicationError("crop_to_content: grid has no content")
+    top = min(r for r, _ in cells)
+    bottom = max(r for r, _ in cells)
+    left = min(c for _, c in cells)
+    right = max(c for _, c in cells)
+    return Grid._trusted(tuple(row[left : right + 1] for row in g.rows[top : bottom + 1]))
+
+
+def _symmetry_complete(p: UnitPattern, s: Scene) -> Grid:
+    """Fill each background cell from its mirror across the axis."""
+    rows, bg = s.grid.rows, s.background
+    mirror = [row[::-1] for row in rows] if p["axis"] == "h" else rows[::-1]
     return Grid._trusted(
-        tuple(tuple(g.rows[h - 1 - c][r] for c in range(h)) for r in range(w))
+        tuple(
+            tuple(v if v != bg else m for v, m in zip(row, mrow))
+            for row, mrow in zip(rows, mirror)
+        )
     )
 
 
-def _reflect_h(g: Grid) -> Grid:
-    return Grid._trusted(tuple(tuple(reversed(row)) for row in g.rows))
-
-
-def _reflect_v(g: Grid) -> Grid:
-    return Grid._trusted(tuple(reversed(g.rows)))
-
-
-def _scale_up(g: Grid, factor: int) -> Grid:
+def _scale_up(p: UnitPattern, s: Scene) -> Grid:
+    """k >= 2 block replication."""
+    g, factor = s.grid, p["factor"]
     h, w = g.height, g.width
     if h * factor > MAX_SIDE or w * factor > MAX_SIDE:
         raise BoundsError(
@@ -417,7 +367,9 @@ def _scale_up(g: Grid, factor: int) -> Grid:
     return Grid._trusted(tuple(rows))
 
 
-def _scale_down(g: Grid, factor: int) -> Grid:
+def _scale_down(p: UnitPattern, s: Scene) -> Grid:
+    """Inverse of scale_up; the grid must be an exact k-blowup."""
+    g, factor = s.grid, p["factor"]
     h, w = g.height, g.width
     if h % factor or w % factor:
         raise PatternApplicationError(
@@ -441,7 +393,8 @@ def _scale_down(g: Grid, factor: int) -> Grid:
     return Grid._trusted(tuple(rows))
 
 
-def _tile_grid(g: Grid, rows: int, cols: int) -> Grid:
+def _tile_grid(p: UnitPattern, s: Scene) -> Grid:
+    g, rows, cols = s.grid, p["rows"], p["cols"]
     h, w = g.height, g.width
     if h * rows > MAX_SIDE or w * cols > MAX_SIDE:
         raise BoundsError(f"tile_grid({rows},{cols}) would make {h * rows}x{w * cols}")
@@ -449,30 +402,9 @@ def _tile_grid(g: Grid, rows: int, cols: int) -> Grid:
     return Grid._trusted(tiled_rows * rows)
 
 
-def _crop_to_content(g: Grid, bg: int) -> Grid:
-    cells = [(r, c) for r in range(g.height) for c in range(g.width) if g.rows[r][c] != bg]
-    if not cells:
-        raise PatternApplicationError("crop_to_content: grid has no content")
-    top = min(r for r, _ in cells)
-    bottom = max(r for r, _ in cells)
-    left = min(c for _, c in cells)
-    right = max(c for _, c in cells)
-    return Grid._trusted(tuple(row[left : right + 1] for row in g.rows[top : bottom + 1]))
-
-
-def _symmetry_complete(g: Grid, axis: str, bg: int) -> Grid:
-    mirror = _reflect_h(g) if axis == "h" else _reflect_v(g)
-    rows = tuple(
-        tuple(
-            v if v != bg else mirror.rows[r][c]
-            for c, v in enumerate(row)
-        )
-        for r, row in enumerate(g.rows)
-    )
-    return Grid._trusted(rows)
-
-
-def _overlay_pairs(g: Grid, axis: str, bg: int) -> Grid:
+def _overlay_pairs(p: UnitPattern, s: Scene) -> Grid:
+    """Split into two halves; the first half's non-background cells win."""
+    g, axis, bg = s.grid, p["axis"], s.background
     h, w = g.height, g.width
     if axis == "h":
         if w % 2:
@@ -493,14 +425,8 @@ def _overlay_pairs(g: Grid, axis: str, bg: int) -> Grid:
     return Grid._trusted(rows)
 
 
-def _palette_swap(g: Grid, mapping: tuple[tuple[int, int], ...]) -> Grid:
-    table = list(range(10))
-    for src, dst in mapping:
-        table[src] = dst
-    return Grid._trusted(tuple(tuple(table[v] for v in row) for row in g.rows))
-
-
-def _select_extreme(g: Grid, perception: Perception, largest: bool) -> Grid:
+def _select_extreme(perception: Perception, largest: bool) -> Grid:
+    """Crop of the largest (smallest) object; ties go to the lowest id."""
     if not perception.objects:
         raise PatternApplicationError("select: grid has no objects")
     sign = -1 if largest else 1
@@ -516,13 +442,29 @@ def _select_extreme(g: Grid, perception: Perception, largest: bool) -> Grid:
     return Grid._trusted(rows)
 
 
-def _count_encode(selected: list[GridObject], color: int) -> Grid:
-    n = len(selected)
+def _count_encode(p: UnitPattern, s: Scene) -> Grid:
+    """1xN row of the color, N = number of selected objects."""
+    n = len(p.selector.resolve(s.perception))
     if n == 0:
         raise PatternApplicationError("count_encode: no objects selected")
     if n > MAX_SIDE:
         raise BoundsError(f"count_encode: {n} objects exceed row capacity")
-    return Grid._trusted(((color,) * n,))
+    return Grid._trusted(((p["color"],) * n,))
+
+
+def _recolor(p: UnitPattern, s: Scene) -> Grid:
+    src, dst = p["src"], p["dst"]
+    return Grid._trusted(
+        tuple(tuple(dst if v == src else v for v in row) for row in s.grid.rows)
+    )
+
+
+def _palette_swap(p: UnitPattern, s: Scene) -> Grid:
+    """Simultaneous color remap."""
+    table = list(range(10))
+    for src, dst in p["map"]:
+        table[src] = dst
+    return Grid._trusted(tuple(tuple(table[v] for v in row) for row in s.grid.rows))
 
 
 def _paint(canvas: list[list[int]], cells: frozenset[Coord] | set[Coord], color: int) -> None:
@@ -532,18 +474,65 @@ def _paint(canvas: list[list[int]], cells: frozenset[Coord] | set[Coord], color:
             canvas[r][c] = color
 
 
-def _render(
-    dims: tuple[int, int], bg: int, layers: list[tuple[set[Coord] | frozenset[Coord], int]]
-) -> Grid:
-    h, w = dims
-    canvas = [[bg] * w for _ in range(h)]
+def _render(g: Grid, bg: int, layers: list[_Layer]) -> Grid:
+    """Paint ``layers`` in order onto a background canvas of ``g``'s size."""
+    w = g.width
+    canvas = [[bg] * w for _ in range(g.height)]
     for cells, color in layers:
         _paint(canvas, cells, color)
     return Grid._trusted(tuple(tuple(row) for row in canvas))
 
 
+def _over_objects(g: Grid, perception: Perception, extra: list[_Layer]) -> Grid:
+    """Every object as perceived, then ``extra`` painted over them."""
+    layers = [(obj.mask, obj.color) for obj in perception.objects]
+    return _render(g, perception.background, layers + extra)
+
+
 def _shift(mask: frozenset[Coord], dr: int, dc: int) -> set[Coord]:
     return {(r + dr, c + dc) for r, c in mask}
+
+
+def _translate(p: UnitPattern, s: Scene) -> Grid:
+    """Move the selected objects by (dx columns, dy rows)."""
+    perception = s.perception
+    selected_ids = {o.id for o in p.selector.resolve(perception)}
+    dx, dy = p["dx"], p["dy"]
+    layers = [
+        (_shift(obj.mask, dy, dx) if obj.id in selected_ids else obj.mask, obj.color)
+        for obj in perception.objects
+    ]
+    return _render(s.grid, perception.background, layers)
+
+
+def _delete_object(p: UnitPattern, s: Scene) -> Grid:
+    perception = s.perception
+    selected_ids = {o.id for o in p.selector.resolve(perception)}
+    layers = [
+        (obj.mask, obj.color)
+        for obj in perception.objects
+        if obj.id not in selected_ids
+    ]
+    return _render(s.grid, perception.background, layers)
+
+
+def _duplicate_object(p: UnitPattern, s: Scene) -> Grid:
+    """Paint a copy of each selected object shifted by (dx, dy)."""
+    perception = s.perception
+    dx, dy = p["dx"], p["dy"]
+    copies = [(_shift(o.mask, dy, dx), o.color) for o in p.selector.resolve(perception)]
+    return _over_objects(s.grid, perception, copies)
+
+
+def _cavity_fill(p: UnitPattern, s: Scene) -> Grid:
+    perception = s.perception
+    color = p["color"]
+    fills = [
+        (region, color)
+        for o in p.selector.resolve(perception)
+        for region in cavity_regions(o.mask, o.bbox)
+    ]
+    return _over_objects(s.grid, perception, fills)
 
 
 def _gravity_order(objs: list[GridObject], direction: str) -> list[GridObject]:
@@ -560,9 +549,11 @@ def _gravity_order(objs: list[GridObject], direction: str) -> list[GridObject]:
 _DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 
 
-def _gravity_shift(
-    g: Grid, perception: Perception, selected: list[GridObject], direction: str
-) -> Grid:
+def _gravity_shift(p: UnitPattern, s: Scene) -> Grid:
+    """Slide the selected objects one at a time until blocked."""
+    g, perception = s.grid, s.perception
+    selected = p.selector.resolve(perception)
+    direction = p["dir"]
     h, w = g.height, g.width
     dr, dc = _DELTAS[direction]
     selected_ids = {o.id for o in selected}
@@ -587,16 +578,36 @@ def _gravity_shift(
     for obj in perception.objects:
         cells = placed.get(obj.id, obj.mask)
         layers.append((cells, obj.color))
-    return _render((h, w), perception.background, layers)
+    return _render(g, perception.background, layers)
 
 
-def _connect_cells(
-    g: Grid, bg: int, selected: list[GridObject]
-) -> set[Coord]:
-    """Straight all-background gaps between cells of two different selected objects."""
+def _bbox_border(obj: GridObject) -> set[Coord]:
+    top, left, bottom, right = obj.bbox
+    cells: set[Coord] = set()
+    for c in range(left, right + 1):
+        cells.add((top, c))
+        cells.add((bottom, c))
+    for r in range(top, bottom + 1):
+        cells.add((r, left))
+        cells.add((r, right))
+    return cells
+
+
+def _draw_bbox_border(p: UnitPattern, s: Scene) -> Grid:
+    perception = s.perception
+    color = p["color"]
+    borders = [(_bbox_border(o), color) for o in p.selector.resolve(perception)]
+    return _over_objects(s.grid, perception, borders)
+
+
+def _connect_objects(p: UnitPattern, s: Scene) -> Grid:
+    """Fill the straight all-background gaps between cells of two
+    different selected objects."""
+    g, perception = s.grid, s.perception
+    bg = perception.background
     h, w = g.height, g.width
     owner: dict[Coord, int] = {}
-    for obj in selected:
+    for obj in p.selector.resolve(perception):
         for cell in obj.mask:
             owner[cell] = obj.id
     fills: set[Coord] = set()
@@ -614,19 +625,92 @@ def _connect_cells(
                 gap = [(r, c) for r in range(a + 1, b)]
                 if all(g.rows[gr][gc] == bg for gr, gc in gap):
                     fills.update(gap)
-    return fills
+    return _over_objects(g, perception, [(fills, p["color"])])
 
 
-def _bbox_border(obj: GridObject) -> set[Coord]:
-    top, left, bottom, right = obj.bbox
-    cells: set[Coord] = set()
-    for c in range(left, right + 1):
-        cells.add((top, c))
-        cells.add((bottom, c))
-    for r in range(top, bottom + 1):
-        cells.add((r, left))
-        cells.add((r, right))
-    return cells
+# ---------------------------------------------------------------------------
+# The taxonomy table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything this module knows about one kind."""
+
+    name: str
+    signature: tuple[tuple[str, str], ...]  # (param, validator tag), serialization order
+    takes_selector: bool  # object kinds; the others take only selector 'all'
+    apply: Callable[[UnitPattern, Scene], Grid]
+    hint: str  # str.format template over {sel} and the rendered params
+
+
+_AXIS = (("axis", "axis"),)
+_FACTOR = (("factor", "factor"),)
+_COLOR = (("color", "color"),)
+_OFFSET = (("dx", "int"), ("dy", "int"))
+
+# Canonical, cheapest-first kind order: whole-grid kinds, then object kinds.
+_KINDS: dict[str, _Kind] = {k.name: k for k in (
+    _Kind("reflect_h", (), False, _reflect_h, "reflect the grid left-right"),
+    _Kind("reflect_v", (), False, _reflect_v, "reflect the grid top-bottom"),
+    _Kind("rotate90", (), False, _rotate90, "rotate the grid 90 degrees clockwise"),
+    _Kind("rotate180", (), False, _rotate180, "rotate the grid 180 degrees"),
+    _Kind("rotate270", (), False, _rotate270, "rotate the grid 270 degrees clockwise"),
+    _Kind("crop_to_content", (), False, _crop_to_content, "crop the grid to its content"),
+    _Kind("symmetry_complete", _AXIS, False, _symmetry_complete,
+          "complete the grid symmetrically {axis}"),
+    _Kind("scale_up", _FACTOR, False, _scale_up, "scale the grid up by factor {factor}"),
+    _Kind("scale_down", _FACTOR, False, _scale_down, "scale the grid down by factor {factor}"),
+    _Kind("tile_grid", (("rows", "positive"), ("cols", "positive")), False, _tile_grid,
+          "tile the grid {rows} times down and {cols} times across"),
+    _Kind("overlay_pairs", _AXIS, False, _overlay_pairs,
+          "overlay the two halves of the grid split {axis}"),
+    _Kind("select_largest", (), False, lambda p, s: _select_extreme(s.perception, True),
+          "keep only the largest object, cropped to its box"),
+    _Kind("select_smallest", (), False, lambda p, s: _select_extreme(s.perception, False),
+          "keep only the smallest object, cropped to its box"),
+    _Kind("count_encode", _COLOR, True, _count_encode,
+          "emit one color-{color} cell per object among {sel}"),
+    _Kind("recolor", (("src", "color"), ("dst", "color")), False, _recolor,
+          "replace color {src} with color {dst}"),
+    _Kind("palette_swap", (("map", "colormap"),), False, _palette_swap, "remap colors: {map}"),
+    _Kind("translate", _OFFSET, True, _translate, "move {sel} by {dx} columns and {dy} rows"),
+    _Kind("delete_object", (), True, _delete_object, "delete {sel}"),
+    _Kind("duplicate_object", _OFFSET, True, _duplicate_object,
+          "duplicate {sel} offset by {dx} columns and {dy} rows"),
+    _Kind("cavity_fill", _COLOR, True, _cavity_fill,
+          "fill the cavities of {sel} with color {color}"),
+    _Kind("gravity_shift", (("dir", "direction"),), True, _gravity_shift,
+          "slide {sel} {dir} until blocked"),
+    _Kind("draw_bbox_border", _COLOR, True, _draw_bbox_border,
+          "draw the bounding box of {sel} in color {color}"),
+    _Kind("connect_objects", _COLOR, True, _connect_objects,
+          "connect aligned pairs of {sel} with color {color}"),
+)}
+
+KIND_ORDER = tuple(_KINDS)
+OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
+_KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
+
+
+def _hint_words(tag: str, value: object) -> str:
+    if tag == "axis":
+        return "left-right" if value == "h" else "top-bottom"
+    if tag == "direction":
+        return f"{value}ward"  # upward, downward, leftward, rightward
+    if tag == "colormap":
+        return ", ".join(f"{a} to {b}" for a, b in value)
+    return str(value)
+
+
+def synthesize_hint(p: UnitPattern) -> str:
+    """Deterministic template rendering of one pattern as a sentence."""
+    kind = _KINDS[p.kind]
+    words = {
+        name: _hint_words(tag, value)
+        for (name, tag), (_, value) in zip(kind.signature, p.params)
+    }
+    return kind.hint.format(sel=p.selector.describe(), **words)
 
 
 def apply_pattern(p: UnitPattern, g: Grid | Scene, connectivity: int = 4) -> Grid:
@@ -644,101 +728,4 @@ def apply_pattern(p: UnitPattern, g: Grid | Scene, connectivity: int = 4) -> Gri
     it again, which is sound because each kind only rearranges its cells
     or paints validated parameter colors within the 30x30 bound.
     """
-    scene = as_scene(g, connectivity)
-    g = scene.grid
-    kind = p.kind
-
-    if kind == "reflect_h":
-        return _reflect_h(g)
-    if kind == "reflect_v":
-        return _reflect_v(g)
-    if kind == "rotate90":
-        return _rotate90(g)
-    if kind == "rotate180":
-        return _rotate90(_rotate90(g))
-    if kind == "rotate270":
-        return _rotate90(_rotate90(_rotate90(g)))
-    if kind == "scale_up":
-        return _scale_up(g, p["factor"])
-    if kind == "scale_down":
-        return _scale_down(g, p["factor"])
-    if kind == "tile_grid":
-        return _tile_grid(g, p["rows"], p["cols"])
-    if kind == "recolor":
-        src, dst = p["src"], p["dst"]
-        return Grid._trusted(
-            tuple(tuple(dst if v == src else v for v in row) for row in g.rows)
-        )
-    if kind == "palette_swap":
-        return _palette_swap(g, p["map"])
-
-    if kind == "crop_to_content":
-        return _crop_to_content(g, scene.background)
-    if kind == "symmetry_complete":
-        return _symmetry_complete(g, p["axis"], scene.background)
-    if kind == "overlay_pairs":
-        return _overlay_pairs(g, p["axis"], scene.background)
-
-    perception = scene.perception
-    bg = perception.background
-
-    if kind == "select_largest":
-        return _select_extreme(g, perception, largest=True)
-    if kind == "select_smallest":
-        return _select_extreme(g, perception, largest=False)
-
-    selected = p.selector.resolve(perception)
-
-    if kind == "count_encode":
-        return _count_encode(selected, p["color"])
-    if kind == "gravity_shift":
-        return _gravity_shift(g, perception, selected, p["dir"])
-
-    selected_ids = {o.id for o in selected}
-    dims = (g.height, g.width)
-
-    if kind == "translate":
-        dx, dy = p["dx"], p["dy"]
-        layers = []
-        for obj in perception.objects:
-            cells = _shift(obj.mask, dy, dx) if obj.id in selected_ids else obj.mask
-            layers.append((cells, obj.color))
-        return _render(dims, bg, layers)
-
-    if kind == "delete_object":
-        layers = [
-            (obj.mask, obj.color)
-            for obj in perception.objects
-            if obj.id not in selected_ids
-        ]
-        return _render(dims, bg, layers)
-
-    if kind == "duplicate_object":
-        dx, dy = p["dx"], p["dy"]
-        layers = [(obj.mask, obj.color) for obj in perception.objects]
-        for obj in perception.objects:
-            if obj.id in selected_ids:
-                layers.append((_shift(obj.mask, dy, dx), obj.color))
-        return _render(dims, bg, layers)
-
-    if kind == "cavity_fill":
-        layers = [(obj.mask, obj.color) for obj in perception.objects]
-        for obj in perception.objects:
-            if obj.id in selected_ids:
-                for region in cavity_regions(obj.mask, obj.bbox):
-                    layers.append((region, p["color"]))
-        return _render(dims, bg, layers)
-
-    if kind == "draw_bbox_border":
-        layers = [(obj.mask, obj.color) for obj in perception.objects]
-        for obj in perception.objects:
-            if obj.id in selected_ids:
-                layers.append((_bbox_border(obj), p["color"]))
-        return _render(dims, bg, layers)
-
-    if kind == "connect_objects":
-        layers = [(obj.mask, obj.color) for obj in perception.objects]
-        layers.append((_connect_cells(g, bg, selected), p["color"]))
-        return _render(dims, bg, layers)
-
-    raise PatternContractError(f"unknown pattern kind {kind!r}")  # pragma: no cover
+    return _KINDS[p.kind].apply(p, as_scene(g, connectivity))

@@ -44,7 +44,6 @@ class Perception:
 
     objects: tuple[GridObject, ...]
     background: int
-    source_dims: tuple[int, int]
 
 
 def background_color(g: Grid) -> int:
@@ -175,4 +174,4 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
                     cavity_count=len(cavity_regions(mask, bbox)),
                 )
             )
-    return Perception(objects=tuple(objects), background=bg, source_dims=(h, w))
+    return Perception(objects=tuple(objects), background=bg)

@@ -24,6 +24,8 @@ from .errors import SymgridError
 from .grid import Grid, Task, grids_equal
 from .induction import induce
 from .patterns import (
+    AXES,
+    DIRECTIONS,
     KIND_ORDER,
     Selector,
     UnitPattern,
@@ -34,8 +36,6 @@ from .perception import segment
 from .search import SearchProposer
 
 Cells = set[tuple[int, int]]
-
-AXIS_CHOICES = ("h", "v")
 
 _ISOMETRY_KINDS = ("reflect_h", "reflect_v", "rotate90", "rotate180", "rotate270")
 
@@ -200,7 +200,7 @@ def _plant_crop(rng, kind):
 
 
 def _plant_symmetry(rng, kind):
-    axis = rng.choice(AXIS_CHOICES)
+    axis = rng.choice(AXES)
     pattern = make_pattern("symmetry_complete", axis=axis)
     competitors = [make_pattern(k) for k in _ISOMETRY_KINDS]
     competitors.append(
@@ -264,7 +264,7 @@ def _plant_tile(rng, kind):
 
 
 def _plant_overlay(rng, kind):
-    axis = rng.choice(AXIS_CHOICES)
+    axis = rng.choice(AXES)
     pattern = make_pattern("overlay_pairs", axis=axis)
     competitors = [
         make_pattern("crop_to_content"),
@@ -493,7 +493,7 @@ def _plant_cavity(rng, kind):
 
 
 def _plant_gravity(rng, kind):
-    direction = rng.choice(("up", "down", "left", "right"))
+    direction = rng.choice(DIRECTIONS)
     pattern = make_pattern("gravity_shift", dir=direction)
     competitors = _same_dims_competitors("gravity_shift")
 

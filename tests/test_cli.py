@@ -26,7 +26,6 @@ class TestConfig:
         assert (cfg.connectivity, cfg.confidence_threshold) == (4, 1.0)
         assert (cfg.search_budget, cfg.passes, cfg.samples) == (2000, 2, 5)
         assert cfg.backend_url is None and cfg.transcript_path is None
-        assert cfg.seed == 0
 
     def test_ranges_enforced(self):
         with pytest.raises(ConfigError):
@@ -229,14 +228,15 @@ class TestEval:
     def test_not_a_directory(self, tmp_path):
         assert main(["eval", str(tmp_path / "missing")]) != 0
 
-    def test_no_jobs_knob(self, tmp_path, capsys):
+    @pytest.mark.parametrize("knob", ["jobs", "seed"])
+    def test_no_jobs_knob(self, tmp_path, capsys, knob):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jobs": 2}))
-        with pytest.raises(ConfigError, match="unknown keys.*jobs"):
+        cfg.write_text(json.dumps({knob: 2}))
+        with pytest.raises(ConfigError, match=f"unknown keys.*{knob}"):
             load_config(str(cfg), {})
         data = tmp_path / "tasks"
         data.mkdir()
         assert main(["eval", str(data), "--config", str(cfg)]) == 2
         with pytest.raises(SystemExit) as exc:
-            main(["eval", str(data), "--jobs", "2"])
+            main(["eval", str(data), f"--{knob}", "2"])
         assert exc.value.code == 2

@@ -538,25 +538,72 @@ class TestHints:
     def test_every_kind_has_a_template(self):
         from symgrid import KIND_ORDER
 
+        color4, largest = Selector("color", 4), Selector("size_rank", 0)
         samples = {
-            "symmetry_complete": dict(axis="h"),
-            "scale_up": dict(factor=2),
-            "scale_down": dict(factor=2),
-            "tile_grid": dict(rows=2, cols=1),
-            "overlay_pairs": dict(axis="v"),
-            "count_encode": dict(color=1),
-            "recolor": dict(src=1, dst=2),
-            "palette_swap": dict(map=((1, 2), (2, 1))),
-            "translate": dict(dx=1, dy=0),
-            "duplicate_object": dict(dx=1, dy=0),
-            "cavity_fill": dict(color=3),
-            "gravity_shift": dict(dir="down"),
-            "draw_bbox_border": dict(color=3),
-            "connect_objects": dict(color=3),
+            "reflect_h": ({}, "reflect the grid left-right"),
+            "reflect_v": ({}, "reflect the grid top-bottom"),
+            "rotate90": ({}, "rotate the grid 90 degrees clockwise"),
+            "rotate180": ({}, "rotate the grid 180 degrees"),
+            "rotate270": ({}, "rotate the grid 270 degrees clockwise"),
+            "crop_to_content": ({}, "crop the grid to its content"),
+            "symmetry_complete": (
+                dict(axis="h"), "complete the grid symmetrically left-right"
+            ),
+            "scale_up": (dict(factor=2), "scale the grid up by factor 2"),
+            "scale_down": (dict(factor=3), "scale the grid down by factor 3"),
+            "tile_grid": (
+                dict(rows=2, cols=1), "tile the grid 2 times down and 1 times across"
+            ),
+            "overlay_pairs": (
+                dict(axis="v"), "overlay the two halves of the grid split top-bottom"
+            ),
+            "select_largest": ({}, "keep only the largest object, cropped to its box"),
+            "select_smallest": ({}, "keep only the smallest object, cropped to its box"),
+            "count_encode": (
+                dict(color=1, selector=color4),
+                "emit one color-1 cell per object among the color-4 objects",
+            ),
+            "recolor": (dict(src=1, dst=2), "replace color 1 with color 2"),
+            "palette_swap": (
+                dict(map=((1, 2), (2, 1))), "remap colors: 1 to 2, 2 to 1"
+            ),
+            "translate": (
+                dict(dx=1, dy=-2, selector=largest),
+                "move the largest object by 1 columns and -2 rows",
+            ),
+            "delete_object": (
+                dict(selector=Selector("size_rank", 2)),
+                "delete the rank-2 object by size",
+            ),
+            "duplicate_object": (
+                dict(dx=0, dy=3, selector=Selector("cavities", 1)),
+                "duplicate the objects with 1 cavities offset by 0 columns and 3 rows",
+            ),
+            "cavity_fill": (
+                dict(color=3, selector=color4),
+                "fill the cavities of the color-4 objects with color 3",
+            ),
+            "gravity_shift": (
+                dict(dir="left", selector=largest),
+                "slide the largest object leftward until blocked",
+            ),
+            "draw_bbox_border": (
+                dict(color=3, selector=color4),
+                "draw the bounding box of the color-4 objects in color 3",
+            ),
+            "connect_objects": (
+                dict(color=5, selector=largest),
+                "connect aligned pairs of the largest object with color 5",
+            ),
         }
-        for kind in KIND_ORDER:
-            hint = synthesize_hint(make_pattern(kind, **samples.get(kind, {})))
-            assert isinstance(hint, str) and hint
+        assert tuple(samples) == KIND_ORDER
+        for kind, (params, sentence) in samples.items():
+            assert synthesize_hint(make_pattern(kind, **params)) == sentence, kind
+        for direction in ("up", "down", "right"):
+            p = make_pattern("gravity_shift", dir=direction)
+            assert synthesize_hint(p) == (
+                f"slide all the objects {direction}ward until blocked"
+            )
 
     def test_hints_aligned_with_patterns(self):
         rng = random.Random(7)

@@ -285,9 +285,9 @@ class TestGroupLaws:
     @given(grids(max_side=8))
     @settings(max_examples=60)
     def test_rotate180_is_two_rotate90(self, g):
-        assert grids_equal(
-            apply("rotate180", g), apply("rotate90", apply("rotate90", g))
-        )
+        twice = apply("rotate90", apply("rotate90", g))
+        assert grids_equal(apply("rotate180", g), twice)
+        assert grids_equal(apply("rotate270", g), apply("rotate90", twice))
 
     @given(grids(max_side=8))
     @settings(max_examples=60)
@@ -505,9 +505,17 @@ class TestContracts:
         with pytest.raises(PatternContractError):
             make_pattern("scale_up", factor=1)
 
-    def test_whole_grid_kind_rejects_selector(self):
-        with pytest.raises(PatternContractError, match="whole-grid"):
-            make_pattern("rotate90", selector=Selector("color", 1))
+    @pytest.mark.parametrize("kind", KIND_ORDER)
+    @given(data=st.data())
+    @settings(max_examples=5)
+    def test_whole_grid_kind_rejects_selector(self, kind, data):
+        params = data.draw(st.fixed_dictionaries(_PARAMS[kind]))
+        selector = data.draw(_SELECTOR.filter(lambda s: s.kind != "all"))
+        if kind in OBJECT_KINDS:
+            assert make_pattern(kind, selector=selector, **params).selector == selector
+        else:
+            with pytest.raises(PatternContractError, match="whole-grid"):
+                make_pattern(kind, selector=selector, **params)
 
     def test_selector_validation(self):
         with pytest.raises(PatternContractError):
