@@ -71,7 +71,9 @@ class Grid:
         Only for grids the library derives from grids that were already
         validated: the caller guarantees a non-empty, rectangular tuple
         of int tuples with sides at most 30 and cells 0..9. Anything
-        arriving from outside goes through ``Grid(...)`` instead.
+        arriving from outside goes through ``Grid(...)`` instead, except
+        ``decode_markdown``, which performs that complete check itself
+        while it parses.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "rows", rows)
@@ -262,14 +264,15 @@ def decode_markdown(text: str) -> Grid:
             raise MarkdownError(
                 f"row {r}: width {len(cells)} differs from width {width}"
             )
-        parsed = []
-        for c, cell in enumerate(cells):
-            value = _MARKDOWN_CELLS.get(cell)
-            if value is None:
-                raise MarkdownError(f"row {r} column {c}: bad cell {cell!r}")
-            parsed.append(value)
-        rows.append(tuple(parsed))
-    try:
-        return Grid(tuple(rows))
-    except GridValidationError as e:
-        raise MarkdownError(str(e)) from None
+        try:
+            rows.append(tuple([_MARKDOWN_CELLS[cell] for cell in cells]))
+        except KeyError:
+            c = next(c for c, cell in enumerate(cells) if cell not in _MARKDOWN_CELLS)
+            raise MarkdownError(f"row {r} column {c}: bad cell {cells[c]!r}") from None
+    # The same checks, in the same order, as Grid.__post_init__ after the rows.
+    if len(rows) > MAX_SIDE:
+        raise MarkdownError(f"height {len(rows)} exceeds {MAX_SIDE}")
+    if width > MAX_SIDE:
+        raise MarkdownError(f"width {width} exceeds {MAX_SIDE}")
+    # Every cell came from the digit table and every row has the width.
+    return Grid._trusted(tuple(rows))

@@ -11,8 +11,8 @@ the top-confidence single rule when its output differs from attempt 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     BackendError,
@@ -38,8 +38,10 @@ class Candidate:
     def __post_init__(self) -> None:
         if self.source not in VALID_SOURCES:
             raise ValueError(f"unknown candidate source {self.source!r}")
-        if not self.weight > 0:
-            raise ValueError(f"candidate weight must be positive, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(
+                f"candidate weight must be positive and finite, got {self.weight}"
+            )
 
 
 @dataclass
@@ -105,42 +107,45 @@ def _vote(cands: list[Candidate]) -> tuple[Grid, int, int]:
     """Weighted per-pixel majority; returns (grid, ties, dims_excluded)."""
     if not cands:
         raise ValueError("vote_pixels: no candidates")
-    weights = [Fraction(c.weight) for c in cands]
+    # A finite float is a dyadic rational: scaled by the common denominator,
+    # every weight is an exact integer, so sums and comparisons are exact.
+    ratios = [c.weight.as_integer_ratio() for c in cands]
+    scale = math.lcm(*(d for _, d in ratios))
+    weights = [n * (scale // d) for n, d in ratios]
 
-    dim_weight: dict[tuple[int, int], Fraction] = {}
+    dim_weight: dict[tuple[int, int], int] = {}
     for cand, w in zip(cands, weights):
-        dim_weight[cand.grid.dims] = dim_weight.get(cand.grid.dims, Fraction(0)) + w
+        dim_weight[cand.grid.dims] = dim_weight.get(cand.grid.dims, 0) + w
     best = max(dim_weight.values())
     tied_dims = {d for d, w in dim_weight.items() if w == best}
     win = next(c.grid.dims for c in cands if c.grid.dims in tied_dims)
-    voters = [(c, w) for c, w in zip(cands, weights) if c.grid.dims == win]
-    excluded = len(cands) - len(voters)
+    keep = [i for i, c in enumerate(cands) if c.grid.dims == win]
+    grids = [cands[i].grid.rows for i in keep]
+    voter_weights = [weights[i] for i in keep]
+    n = len(keep)
 
-    h, w = win
     ties = 0
     rows = []
-    for r in range(h):
+    for r in range(win[0]):
         row = []
-        for c in range(w):
-            tally: dict[int, Fraction] = {}
-            for cand, weight in voters:
-                color = cand.grid.rows[r][c]
-                tally[color] = tally.get(color, Fraction(0)) + weight
+        for cell in zip(*[g[r] for g in grids]):
+            first = cell[0]
+            if cell.count(first) == n:
+                row.append(first)
+                continue
+            # Keys keep the order of first appearance, so the first key at
+            # the top weight belongs to the earliest voter holding a tied color.
+            tally: dict[int, int] = {}
+            for color, weight in zip(cell, voter_weights):
+                tally[color] = tally.get(color, 0) + weight
             top = max(tally.values())
-            tied = {color for color, wt in tally.items() if wt == top}
-            if len(tied) > 1:
+            tops = [color for color, wt in tally.items() if wt == top]
+            if len(tops) > 1:
                 ties += 1
-                winner = next(
-                    cand.grid.rows[r][c]
-                    for cand, _ in voters
-                    if cand.grid.rows[r][c] in tied
-                )
-            else:
-                winner = tied.pop()
-            row.append(winner)
+            row.append(tops[0])
         rows.append(tuple(row))
     # Every cell is a color taken from a candidate of the winning dims.
-    return Grid._trusted(tuple(rows)), ties, excluded
+    return Grid._trusted(tuple(rows)), ties, len(cands) - n
 
 
 def vote_pixels(cands: list[Candidate]) -> Grid:

@@ -8,6 +8,8 @@ stay free of package internals beyond public value types.
 
 from fractions import Fraction
 
+from symgrid import Grid
+
 
 class DisjointSet:
     def __init__(self):
@@ -141,3 +143,50 @@ def vote_oracle(candidates):
                     break
         out.append(out_row)
     return out
+
+
+def fraction_vote(cands):
+    """The solver's per-pixel vote in ``Fraction`` arithmetic.
+
+    This is ``solver._vote`` as it was before it counted in integers, kept
+    as the reference for that fast path. The one change: the result goes
+    through the validating ``Grid(...)`` instead of ``Grid._trusted``.
+    Returns (grid, ties, dims_excluded).
+    """
+    if not cands:
+        raise ValueError("vote_pixels: no candidates")
+    weights = [Fraction(c.weight) for c in cands]
+
+    dim_weight = {}
+    for cand, w in zip(cands, weights):
+        dim_weight[cand.grid.dims] = dim_weight.get(cand.grid.dims, Fraction(0)) + w
+    best = max(dim_weight.values())
+    tied_dims = {d for d, w in dim_weight.items() if w == best}
+    win = next(c.grid.dims for c in cands if c.grid.dims in tied_dims)
+    voters = [(c, w) for c, w in zip(cands, weights) if c.grid.dims == win]
+    excluded = len(cands) - len(voters)
+
+    h, w = win
+    ties = 0
+    rows = []
+    for r in range(h):
+        row = []
+        for c in range(w):
+            tally = {}
+            for cand, weight in voters:
+                color = cand.grid.rows[r][c]
+                tally[color] = tally.get(color, Fraction(0)) + weight
+            top = max(tally.values())
+            tied = {color for color, wt in tally.items() if wt == top}
+            if len(tied) > 1:
+                ties += 1
+                winner = next(
+                    cand.grid.rows[r][c]
+                    for cand, _ in voters
+                    if cand.grid.rows[r][c] in tied
+                )
+            else:
+                winner = tied.pop()
+            row.append(winner)
+        rows.append(tuple(row))
+    return Grid(tuple(rows)), ties, excluded

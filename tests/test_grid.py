@@ -163,6 +163,96 @@ class TestMarkdown:
         assert decode_markdown(encode_markdown(g)) == g
 
 
+_DIGITS = {str(v): v for v in range(10)}
+
+
+def _reference_decode(text):
+    """decode_markdown as a per-cell lookup followed by the validating
+    ``Grid(...)``: the reference for the one-pass decoder."""
+    if not isinstance(text, str):
+        raise MarkdownError("expected text")
+    if text.endswith("\n"):
+        text = text[:-1]
+    if not text:
+        raise MarkdownError("empty table")
+    rows = []
+    width = None
+    for r, line in enumerate(text.split("\n")):
+        if len(line) < 3 or line[0] != "|" or line[-1] != "|":
+            raise MarkdownError(f"row {r}: not delimited by '|'")
+        cells = line[1:-1].split("|")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise MarkdownError(
+                f"row {r}: width {len(cells)} differs from width {width}"
+            )
+        parsed = []
+        for c, cell in enumerate(cells):
+            value = _DIGITS.get(cell)
+            if value is None:
+                raise MarkdownError(f"row {r} column {c}: bad cell {cell!r}")
+            parsed.append(value)
+        rows.append(tuple(parsed))
+    try:
+        return Grid(tuple(rows))
+    except GridValidationError as e:
+        raise MarkdownError(str(e)) from None
+
+
+@st.composite
+def markdown_tables(draw):
+    """The table of a grid up to 32x32 (so possibly too large) with at
+    most one fault: a bad cell, a ragged row, height or width forced to
+    31, or a trailing newline."""
+    h = draw(st.integers(1, 32))
+    w = draw(st.integers(1, 32))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[str(rng.randrange(10)) for _ in range(w)] for _ in range(h)]
+    fault = draw(
+        st.sampled_from(["none", "cell", "ragged", "height", "width", "newline"])
+    )
+    if fault == "cell":
+        bad = draw(st.sampled_from(["x", "\u00b2", "\u0663", ""]))
+        rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] = bad
+    elif fault == "ragged":
+        row = rows[draw(st.integers(0, h - 1))]
+        if w > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("0")
+    elif fault == "height":
+        rows = (rows * 31)[:31]
+    elif fault == "width":
+        rows = [(row * 31)[:31] for row in rows]
+    text = "\n".join("|" + "|".join(row) + "|" for row in rows)
+    return text + "\n" if fault == "newline" else text
+
+
+def _decode_outcome(decode, text):
+    try:
+        return decode(text)
+    except MarkdownError as e:
+        return str(e)
+
+
+class TestDecodeAgainstReference:
+    @given(markdown_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_tables(self, text):
+        got = _decode_outcome(decode_markdown, text)
+        assert got == _decode_outcome(_reference_decode, text)
+        if isinstance(got, Grid):
+            assert Grid(got.rows) == got
+
+    @given(st.text(alphabet="|0123456789x\u00b2\n", max_size=80))
+    @settings(max_examples=300)
+    def test_text_over_table_alphabet(self, text):
+        assert _decode_outcome(decode_markdown, text) == _decode_outcome(
+            _reference_decode, text
+        )
+
+
 class TestGridsEqual:
     def test_equal(self):
         assert grids_equal(Grid.from_rows([[1]]), Grid.from_rows([[1]]))

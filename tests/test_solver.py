@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from symgrid import (
     Candidate,
@@ -24,14 +26,14 @@ from symgrid import (
     vote_pixels,
 )
 from symgrid.induction import synthesize_hint
-from symgrid.solver import SolveTrace, render_report, report_summary
+from symgrid.solver import SolveTrace, _vote, render_report, report_summary
 from symgrid.taskgen import (
     generate_noise_task,
     generate_planted_task,
     generate_suite,
 )
 from conftest import random_grid
-from oracles import vote_oracle
+from oracles import fraction_vote, vote_oracle
 
 
 def _ruleset(*entries):
@@ -42,6 +44,43 @@ def _ruleset(*entries):
     return RuleSet(
         patterns=patterns, hints=tuple(synthesize_hint(sp.pattern) for sp in patterns)
     )
+
+
+# Non-dyadic weights, an int, the smallest subnormal and a huge float: sums
+# of these in floating point would round, so exactness shows.
+_VOTE_WEIGHTS = (1.0, 1 / 3, 2 / 3, 0.5, 0.25, 0.1, 0.7, 3, 5e-324, 1e300)
+
+
+@st.composite
+def vote_candidates(draw):
+    """1-8 candidates over up to three dimension pairs. Each candidate
+    copies a per-dims base grid and repaints some cells from three
+    colors, so unanimous cells and two- and three-way ties are common."""
+    dims_pool = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    bases = {
+        (h, w): [[draw(st.integers(0, 2)) for _ in range(w)] for _ in range(h)]
+        for h, w in dims_pool
+    }
+    cands = []
+    for _ in range(draw(st.integers(1, 8))):
+        h, w = draw(st.sampled_from(dims_pool))
+        rows = [
+            [
+                bases[h, w][r][c] if draw(st.booleans()) else draw(st.integers(0, 2))
+                for c in range(w)
+            ]
+            for r in range(h)
+        ]
+        weight = draw(st.sampled_from(_VOTE_WEIGHTS))
+        cands.append(Candidate(Grid.from_rows(rows), "rule_exec", weight))
+    return cands
 
 
 class TestVote:
@@ -126,10 +165,32 @@ class TestVote:
             ]
             assert vote_pixels(cands) == vote_pixels(scaled)
 
+    @given(vote_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_vote(self, cands):
+        assert _vote(cands) == fraction_vote(cands)
+
+    def test_three_way_tie_counted(self):
+        cands = [
+            Candidate(Grid.from_rows([[c, 5]]), "rule_exec", 1 / 3) for c in (3, 1, 2)
+        ]
+        assert _vote(cands) == (Grid.from_rows([[3, 5]]), 1, 0)
+
+    def test_sums_are_exact(self):
+        # In floats 1e300 + 5e-324 == 1e300, which would make this a tie.
+        cands = [
+            Candidate(Grid.from_rows([[1]]), "rule_exec", 1e300),
+            Candidate(Grid.from_rows([[2]]), "rule_exec", 1e300),
+            Candidate(Grid.from_rows([[2]]), "rule_exec", 5e-324),
+            Candidate(Grid.from_rows([[1, 1]]), "rule_exec", 1e300),
+        ]
+        assert _vote(cands) == (Grid.from_rows([[2]]), 0, 1)
+
     def test_candidate_contract(self):
         g = Grid.from_rows([[1]])
-        with pytest.raises(ValueError):
-            Candidate(g, "rule_exec", 0.0)
+        for weight in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Candidate(g, "rule_exec", weight)
         with pytest.raises(ValueError):
             Candidate(g, "mystery", 1.0)
 

@@ -36,6 +36,10 @@ class TestPlanted:
             assert grids_equal(apply_pattern(pt.pattern, gin), gout)
             assert not grids_equal(gin, gout), "planted pair must not be identity"
 
+    def test_planters_follow_the_taxonomy(self):
+        # A kind missing here would only show as a KeyError inside generate_suite.
+        assert tuple(taskgen._PLANTERS) == KIND_ORDER
+
     def test_requested_kind_respected(self):
         rng = random.Random(1)
         pt = generate_planted_task(rng, kind="tile_grid")
