@@ -32,6 +32,7 @@ from .induction import (
     ChangeTag,
     RuleSet,
     ScoredPattern,
+    collect_candidates,
     detect_unit_patterns,
     induce,
     intersect_patterns,
@@ -95,6 +96,7 @@ __all__ = [
     "apply_pattern",
     "apply_ruleset",
     "background_color",
+    "collect_candidates",
     "decode_markdown",
     "detect_cavities",
     "detect_unit_patterns",

@@ -16,7 +16,8 @@ Transcripts are JSONL files of {"request": ..., "response": ...} lines.
 With a URL and a transcript path the client records; with a transcript
 path alone it replays, matching requests by their canonical JSON form
 (FIFO among identical requests). A replay miss raises BackendError, which
-callers treat like any transport failure.
+callers treat like any transport failure; so does a live response body
+longer than ``MAX_BODY_BYTES``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendError
+
+# The largest response body read: room for thousands of pattern lines or
+# 30x30 sample grids. A longer body is a BackendError, like a bad one.
+MAX_BODY_BYTES = 4 << 20
 
 
 def _canonical(request: dict) -> str:
@@ -84,7 +89,10 @@ class RemoteBackend:
         req = urllib.request.Request(self.url, data=body, headers=headers)
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = resp.read()
+                payload = resp.read(MAX_BODY_BYTES + 1)
+                if len(payload) <= MAX_BODY_BYTES and resp.length:
+                    # Unlike read(), read(n) does not check Content-Length.
+                    raise http.client.IncompleteRead(payload, resp.length)
         except (
             urllib.error.URLError,
             OSError,
@@ -92,6 +100,8 @@ class RemoteBackend:
             http.client.HTTPException,  # BadStatusLine, IncompleteRead, ...
         ) as e:
             raise BackendError(f"transport failure: {e}") from e
+        if len(payload) > MAX_BODY_BYTES:
+            raise BackendError(f"response body exceeds {MAX_BODY_BYTES} bytes")
         try:
             response = json.loads(payload.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as e:

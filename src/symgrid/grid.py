@@ -232,11 +232,13 @@ def encode_markdown(g: Grid) -> str:
     Cells are single digits separated by `|`, with leading and trailing
     `|` per row and no header. Deterministic; `\\n` joins rows.
     """
-    return "\n".join("|" + "|".join(str(v) for v in row) + "|" for row in g.rows)
+    digits = _DIGITS
+    return "\n".join(["|" + "|".join([digits[v] for v in row]) + "|" for row in g.rows])
 
 
 # The ten ASCII digits only: str.isdigit() is also true for "\u00b2" and "\u0663".
-_MARKDOWN_CELLS = {str(v): v for v in range(NUM_COLORS)}
+_DIGITS = tuple(str(v) for v in range(NUM_COLORS))
+_MARKDOWN_CELLS = {digit: v for v, digit in enumerate(_DIGITS)}
 
 
 def decode_markdown(text: str) -> Grid:

@@ -1,11 +1,12 @@
 """Change tagging, per-pair pattern detection, and cross-pair intersection.
 
 Objects in an input/output scene pair are tagged added, removed, or
-retained by greedy matching. Candidate unit patterns are proposed per
-train pair by a pluggable proposer and verified here, each one applied
-at most once to the pair input (never when it can no longer reach the
-confidence threshold); the verdicts are then intersected across pairs
-into a confidence-ranked rule set with rendered hint sentences.
+retained by greedy matching. Candidate unit patterns come from a
+pluggable proposer: every train pair's candidates are collected first,
+then each one is applied at most once to a pair input, and only while
+the number of pairs that propose it can still carry it to the
+confidence threshold. The verdicts are intersected across pairs into a
+confidence-ranked rule set with rendered hint sentences.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
 from .grid import Grid, grids_equal, pixel_distance
@@ -115,9 +116,10 @@ class Proposer(Protocol):
 
     ``propose`` gets the pair input as a Scene and the pair output. It
     may yield UnitPattern values or serialized pattern lines, and
-    verifies nothing: ``detect_unit_patterns`` parses the lines (dropping
-    malformed ones with a warning), deduplicates, stops after ``budget``
-    distinct candidates, and applies each one at most once.
+    verifies nothing: ``collect_candidates`` parses the lines (dropping
+    malformed ones with a warning), deduplicates and stops after
+    ``budget`` distinct candidates; ``detect_unit_patterns`` applies each
+    one at most once.
     """
 
     def propose(
@@ -125,32 +127,20 @@ class Proposer(Protocol):
     ) -> Iterable[UnitPattern | str]: ...
 
 
-def detect_unit_patterns(
-    pair: Pair,
-    proposer: Proposer,
-    budget: int,
-    connectivity: int = 4,
-    alive: Callable[[str], bool] | None = None,
-) -> list[ScoredPattern]:
-    """Collect, verify, and deduplicate one pair's candidate patterns.
+def collect_candidates(
+    pair: Pair, proposer: Proposer, budget: int, connectivity: int = 4
+) -> dict[str, UnitPattern]:
+    """One pair's first ``budget`` distinct candidates, by canonical key.
 
     The pair input may be a Scene (its own connectivity then applies).
-    The first ``budget`` distinct candidates, in proposer order, are
-    considered. Each one whose canonical key passes ``alive`` (every
-    one, when ``alive`` is None) is applied once to the pair input:
-    exact matches are flagged exact, strict reductions of pixel distance
-    are kept as partial, everything else is dropped. A candidate that
-    ``alive`` rejects is not applied and not returned, but it still
-    counts against ``budget``, so the cut does not depend on ``alive``.
+    Lines are parsed, malformed ones dropped with a warning, and
+    duplicates skipped; the dict keeps proposer order. Nothing is applied.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     gin, gout = pair
-    scene = as_scene(gin, connectivity)
-    baseline = pixel_distance(scene.grid, gout)
-    seen: set[str] = set()
-    out: list[ScoredPattern] = []
-    for item in proposer.propose(scene, gout, budget):
+    candidates: dict[str, UnitPattern] = {}
+    for item in proposer.propose(as_scene(gin, connectivity), gout, budget):
         if isinstance(item, str):
             try:
                 pattern = parse_pattern(item)
@@ -160,13 +150,29 @@ def detect_unit_patterns(
         else:
             pattern = item
         key = format_pattern(pattern)
-        if key in seen:
+        if key in candidates:
             continue
-        if len(seen) == budget:
+        if len(candidates) == budget:
             break
-        seen.add(key)
-        if alive is not None and not alive(key):
-            continue
+        candidates[key] = pattern
+    return candidates
+
+
+def detect_unit_patterns(
+    pair: Pair, candidates: dict[str, UnitPattern], connectivity: int = 4
+) -> list[ScoredPattern]:
+    """Verify candidates, as ``collect_candidates`` returns them, on one pair.
+
+    The pair input may be a Scene (its own connectivity then applies).
+    Each candidate is applied once to the pair input, in dict order:
+    exact matches are flagged exact, strict reductions of pixel distance
+    are kept as partial, everything else is dropped.
+    """
+    gin, gout = pair
+    scene = as_scene(gin, connectivity)
+    baseline = pixel_distance(scene.grid, gout)
+    out: list[ScoredPattern] = []
+    for pattern in candidates.values():
         try:
             result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
@@ -259,28 +265,33 @@ def induce(
     budget: int = 2000,
     connectivity: int = 4,
 ) -> RuleSet:
-    """Detect unit patterns on every train pair and intersect them.
+    """Collect candidates on every train pair, verify, and intersect.
 
-    Each train input gets one Scene, shared by detection and
-    intersection, so it is segmented at most once. On pair k of n only
-    the candidates that can still reach ``threshold`` are applied: those
-    whose support on pairs 0..k-1, plus the n - k pairs left, is enough
-    for ``intersect_patterns`` to keep them. At threshold 1.0 that is the
-    candidates kept on every earlier pair. The others would be dropped
-    below threshold anyway, so the rule set is the same as with every
-    candidate verified; they still count against ``budget`` on each pair.
+    Each train input gets one Scene, shared by collection, verification
+    and intersection, so it is segmented at most once. Every pair's
+    candidates are collected first, in pair order. A candidate is applied
+    on pair k only if it is in pair k's list, so its support can never
+    exceed its support on pairs 0..k-1 plus the pairs k..n-1 whose lists
+    hold it. Pair k verifies only the candidates for which that bound
+    reaches ``threshold`` in ``intersect_patterns``' test; the others
+    would be dropped below threshold anyway, so the rule set is the same
+    as with every candidate verified.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
+    collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
     support: Counter[str] = Counter()  # pairs 0..k-1 whose list holds the key
-
-    def alive(key: str) -> bool:
-        # The complement of intersect_patterns' threshold test, on pair k.
-        return (support[key] + n - k) / n + 1e-9 >= threshold
-
+    proposed = Counter(key for candidates in collected for key in candidates)
     per_pair = []
-    for k, pair in enumerate(pairs):
-        detections = detect_unit_patterns(pair, proposer, budget, connectivity, alive)
+    for pair, candidates in zip(pairs, collected):
+        # ``proposed`` counts pairs k..n-1 here, pair k included.
+        reachable = {
+            key: pattern
+            for key, pattern in candidates.items()
+            if (support[key] + proposed[key]) / n + 1e-9 >= threshold
+        }
+        proposed.subtract(candidates.keys())
+        detections = detect_unit_patterns(pair, reachable, connectivity)
         support.update(format_pattern(sp.pattern) for sp in detections)
         per_pair.append(detections)
     return intersect_patterns(per_pair, pairs, threshold, connectivity)

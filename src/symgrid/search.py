@@ -2,9 +2,10 @@
 
 Candidates are generated cheapest-first (whole-grid kinds, then object
 kinds with parameters read off the scene diff), lazily and without being
-applied: ``induction.detect_unit_patterns`` deduplicates them on their
-canonical serialization, stops at the budget, and verifies each one once
-against the pair. Generation order is deterministic, so repeated runs
+applied: ``induction.collect_candidates`` deduplicates them on their
+canonical serialization and stops at the budget, and
+``induction.detect_unit_patterns`` verifies each one once against the
+pair. Generation order is deterministic, so repeated runs
 return identical lists.
 """
 
@@ -13,12 +14,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from .grid import Grid
-from .induction import Pair, ScoredPattern, detect_unit_patterns, match_objects
+from .induction import (
+    Pair,
+    ScoredPattern,
+    collect_candidates,
+    detect_unit_patterns,
+    match_objects,
+)
 from .patterns import (
     DIRECTIONS,
     Scene,
     Selector,
     UnitPattern,
+    as_scene,
     make_pattern,
 )
 from .perception import GridObject, Perception, segment
@@ -27,9 +35,12 @@ from .perception import GridObject, Perception, segment
 def enumerate_candidates(
     pair: Pair, budget: int, connectivity: int = 4
 ) -> list[ScoredPattern]:
-    """The search's consistent candidates for one pair, verified by
-    ``detect_unit_patterns``: up to ``budget`` distinct ones are tried."""
-    return detect_unit_patterns(pair, SearchProposer(), budget, connectivity)
+    """The search's consistent candidates for one pair: up to ``budget``
+    distinct ones are collected, then verified by ``detect_unit_patterns``."""
+    gin, gout = pair
+    pair = (as_scene(gin, connectivity), gout)
+    candidates = collect_candidates(pair, SearchProposer(), budget, connectivity)
+    return detect_unit_patterns(pair, candidates, connectivity)
 
 
 class SearchProposer:

@@ -160,12 +160,10 @@ def vote_pixels(cands: list[Candidate]) -> Grid:
     return grid
 
 
-def _backend_sample(backend, task: Task, test_input: Grid, hints: list[str], n: int) -> list[Grid]:
-    train_md = [
-        {"input": encode_markdown(gin), "output": encode_markdown(gout)}
-        for gin, gout in task.train
-    ]
-    raw = backend.sample(train_md, encode_markdown(test_input), hints, n)
+def _backend_sample(
+    backend, train_md: list[dict], test_md: str, hints: list[str], n: int
+) -> list[Grid]:
+    raw = backend.sample(train_md, test_md, hints, n)
     grids = []
     for text in raw:
         try:
@@ -190,6 +188,13 @@ def solve_task(
     """
     if passes not in (1, 2):
         raise ValueError(f"passes must be 1 or 2, got {passes}")
+    # The backend gets the grids as markdown: each one is encoded once.
+    train_md = None
+    if backend is not None:
+        train_md = [
+            {"input": encode_markdown(gin), "output": encode_markdown(gout)}
+            for gin, gout in task.train
+        ]
     predictions = []
     for test_input, _expected in task.test:
         trace = SolveTrace(ruleset=[format_pattern(sp.pattern) for sp in rs.patterns])
@@ -197,9 +202,10 @@ def solve_task(
         candidates = apply_ruleset(rs, scene, connectivity, trace)
 
         backend_ok = backend is not None
+        test_md = None if backend is None else encode_markdown(test_input)
         if backend_ok and samples > 0:
             try:
-                for g in _backend_sample(backend, task, test_input, list(rs.hints), samples):
+                for g in _backend_sample(backend, train_md, test_md, list(rs.hints), samples):
                     candidates.append(Candidate(grid=g, source="remote_sample", weight=1.0))
             except BackendError as e:
                 trace.degraded = True
@@ -221,7 +227,7 @@ def solve_task(
             degenerate = trace.identity_fallback or not rs.patterns
             if degenerate and backend_ok:
                 try:
-                    fallback = _backend_sample(backend, task, test_input, [], 1)
+                    fallback = _backend_sample(backend, train_md, test_md, [], 1)
                     if fallback:
                         attempt2 = fallback[0]
                         trace.fallback_source = "remote"

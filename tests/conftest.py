@@ -4,7 +4,16 @@ import sys
 import hypothesis.strategies as st
 import pytest
 
-from symgrid import Grid, Scene, format_pattern, patterns, perception
+from symgrid import (
+    Grid,
+    Scene,
+    collect_candidates,
+    detect_unit_patterns,
+    format_pattern,
+    patterns,
+    perception,
+)
+from symgrid.patterns import as_scene
 
 
 @st.composite
@@ -27,6 +36,15 @@ def random_grid(rng: random.Random, max_side=30, colors=10, min_side=1) -> Grid:
     return Grid.from_rows(
         [[rng.randrange(colors) for _ in range(w)] for _ in range(h)]
     )
+
+
+def detect(pair, proposer, budget, connectivity=4):
+    """One pair's verified candidates: ``collect_candidates`` then
+    ``detect_unit_patterns``, sharing one Scene over the pair input."""
+    gin, gout = pair
+    pair = (as_scene(gin, connectivity), gout)
+    candidates = collect_candidates(pair, proposer, budget, connectivity)
+    return detect_unit_patterns(pair, candidates, connectivity)
 
 
 def _rebind(monkeypatch, original, replacement):

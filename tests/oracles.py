@@ -190,3 +190,9 @@ def fraction_vote(cands):
             row.append(winner)
         rows.append(tuple(row))
     return Grid(tuple(rows)), ties, excluded
+
+
+def str_encode_markdown(g):
+    """``grid.encode_markdown`` as it was before it mapped cells through a
+    digit table, with ``str(v)`` per cell: the reference for that fast path."""
+    return "\n".join("|" + "|".join(str(v) for v in row) + "|" for row in g.rows)

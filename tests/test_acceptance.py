@@ -25,7 +25,6 @@ from symgrid import (
     SearchProposer,
     apply_pattern,
     decode_markdown,
-    detect_unit_patterns,
     encode_markdown,
     enumerate_candidates,
     evaluate,
@@ -38,7 +37,7 @@ from symgrid import (
     vote_pixels,
 )
 from symgrid.taskgen import generate_planted_task, generate_suite
-from conftest import random_grid
+from conftest import detect, random_grid
 from oracles import cavity_oracle, segmentation_oracle, vote_oracle
 
 
@@ -150,7 +149,7 @@ def test_04_plant_and_recover():
                 continue
             recovered += 1
             per_pair = [
-                detect_unit_patterns(pair, proposer, 2000) for pair in pt.task.train
+                detect(pair, proposer, 2000) for pair in pt.task.train
             ]
             rs = intersect_patterns(per_pair, list(pt.task.train))
             if rs.patterns and format_pattern(rs.patterns[0].pattern) == want:
@@ -181,8 +180,8 @@ def test_05_spurious_rule_rejection():
             pair2 = (g2, Grid.from_rows(wrong_rows))
             key = format_pattern(pattern)
             per_pair = [
-                detect_unit_patterns(pair1, proposer, 2000),
-                detect_unit_patterns(pair2, proposer, 2000),
+                detect(pair1, proposer, 2000),
+                detect(pair2, proposer, 2000),
             ]
             if not any(
                 sp.exact and format_pattern(sp.pattern) == key for sp in per_pair[0]

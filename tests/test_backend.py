@@ -20,6 +20,7 @@ from symgrid import (
     make_pattern,
     solve_task,
 )
+from symgrid import backend as backend_module
 from symgrid.backend import RemoteBackend, RemotePatternProposer
 from symgrid.taskgen import generate_planted_task
 import random
@@ -250,6 +251,26 @@ class TestDegradation:
         )
         test_input, expected = rotate_task.test[0]
         assert grids_equal(preds[0].attempts[0], expected)
+
+    @pytest.mark.parametrize("content_length", [True, False])
+    def test_oversized_body_degrades_with_a_note(
+        self, rotate_task, monkeypatch, capsys, content_length
+    ):
+        monkeypatch.setattr(backend_module, "MAX_BODY_BYTES", 16)
+        body = json.dumps({"grids": ["|1|2|", "|3|4|"]}).encode()
+        head = b"HTTP/1.0 200 OK\r\n"
+        if content_length:
+            head += b"Content-Length: %d\r\n" % len(body)
+        rs = induce(rotate_task, SearchProposer())
+        with raw_reply_server(head + b"\r\n" + body) as url:
+            backend = RemoteBackend(url=url, timeout=5)
+            preds = solve_task(rotate_task, rs, backend=backend, passes=2, samples=2)
+        trace = preds[0].trace
+        assert trace.degraded
+        assert trace.notes == ["backend sampling failed: response body exceeds 16 bytes"]
+        test_input, expected = rotate_task.test[0]
+        assert grids_equal(preds[0].attempts[0], expected)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_remote_samples_join_the_vote(self, stub_server, rotate_task):
         backend = RemoteBackend(url=stub_server, timeout=5)

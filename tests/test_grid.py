@@ -21,6 +21,7 @@ from symgrid import (
     serialize_task,
 )
 from conftest import grids, random_grid
+from oracles import str_encode_markdown
 
 
 class TestGridInvariants:
@@ -251,6 +252,13 @@ class TestDecodeAgainstReference:
         assert _decode_outcome(decode_markdown, text) == _decode_outcome(
             _reference_decode, text
         )
+
+
+class TestEncodeAgainstReference:
+    @given(grids(max_side=30))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_grids(self, g):
+        assert encode_markdown(g) == str_encode_markdown(g)
 
 
 class TestGridsEqual:

@@ -16,6 +16,7 @@ from symgrid import (
     Selector,
     Task,
     apply_pattern,
+    collect_candidates,
     detect_unit_patterns,
     format_pattern,
     grids_equal,
@@ -26,8 +27,10 @@ from symgrid import (
     segment,
     synthesize_hints,
 )
+from symgrid import induction
 from symgrid.induction import synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
+from conftest import detect
 
 
 def scene(rows):
@@ -161,7 +164,7 @@ class TestDetectUnitPatterns:
     def test_planted_reflection_detected(self):
         g = Grid.from_rows([[1, 2, 3], [4, 5, 6]])
         pair = (g, apply_pattern(make_pattern("reflect_h"), g))
-        found = detect_unit_patterns(pair, SearchProposer(), budget=2000)
+        found = detect(pair, SearchProposer(), budget=2000)
         keys = {format_pattern(sp.pattern): sp.exact for sp in found}
         assert keys.get("reflect_h()@all") is True
         assert all(sp.support == 1 for sp in found)
@@ -171,7 +174,7 @@ class TestDetectUnitPatterns:
         pair = (g, apply_pattern(make_pattern("rotate90"), g))
         proposer = _ListProposer(["garbage(((", "rotate90()@all"])
         with caplog.at_level("WARNING"):
-            found = detect_unit_patterns(pair, proposer, budget=10)
+            found = detect(pair, proposer, budget=10)
         assert [format_pattern(sp.pattern) for sp in found] == ["rotate90()@all"]
         assert any("malformed" in rec.message for rec in caplog.records)
 
@@ -182,7 +185,7 @@ class TestDetectUnitPatterns:
         for _ in range(50):
             gin = random_grid(rng, max_side=7, colors=4)
             gout = random_grid(rng, max_side=7, colors=4)
-            for sp in detect_unit_patterns((gin, gout), SearchProposer(), 500):
+            for sp in detect((gin, gout), SearchProposer(), 500):
                 if sp.exact:
                     assert grids_equal(apply_pattern(sp.pattern, gin), gout)
 
@@ -190,7 +193,7 @@ class TestDetectUnitPatterns:
         g = Grid.from_rows([[1, 2], [3, 4]])
         pair = (g, apply_pattern(make_pattern("rotate90"), g))
         proposer = _ListProposer(["rotate90()@all", "rotate90()@all"])
-        found = detect_unit_patterns(pair, proposer, budget=10)
+        found = detect(pair, proposer, budget=10)
         assert len(found) == 1
 
     def test_budget_caps_every_proposer(self, apply_calls):
@@ -203,7 +206,7 @@ class TestDetectUnitPatterns:
             "rotate180()@all",
             "rotate270()@all",
         ]
-        found = detect_unit_patterns(pair, _ListProposer(lines), budget=2)
+        found = detect(pair, _ListProposer(lines), budget=2)
         assert [key for key, _ in apply_calls] == lines[:2]
         assert {format_pattern(sp.pattern) for sp in found} <= set(lines[:2])
 
@@ -211,7 +214,7 @@ class TestDetectUnitPatterns:
         g = Grid.from_rows([[1, 2], [3, 4]])
         pair = (g, apply_pattern(make_pattern("rotate90"), g))
         proposer = _ListProposer(["recolor(src=1,dst=2)@all"])  # neither exact nor closer
-        assert detect_unit_patterns(pair, proposer, budget=10) == []
+        assert detect(pair, proposer, budget=10) == []
 
 
 def _sp(pattern, exact=True):
@@ -302,7 +305,7 @@ class TestIntersect:
         pt = generate_planted_task(rng, kind="recolor")
         proposer = SearchProposer()
         per_pair = [
-            detect_unit_patterns(pair, proposer, 2000) for pair in pt.task.train
+            detect(pair, proposer, 2000) for pair in pt.task.train
         ]
         pairs = list(pt.task.train)
         previous = None
@@ -318,7 +321,7 @@ class TestIntersect:
         pt = generate_planted_task(rng, kind="cavity_fill")
         proposer = SearchProposer()
         per_pair = [
-            detect_unit_patterns(pair, proposer, 2000) for pair in pt.task.train
+            detect(pair, proposer, 2000) for pair in pt.task.train
         ]
         pairs = list(pt.task.train)
         rs = intersect_patterns(per_pair, pairs)
@@ -364,6 +367,8 @@ class TestVerifyOnce:
                     assert n <= inputs[g], (kind, key)
 
     def test_later_pairs_apply_only_keys_kept_on_every_earlier_pair(self, apply_calls):
+        # ...and proposed on every later pair: at threshold 1.0 a key that
+        # some pair's list lacks can never reach full support.
         rng = random.Random(1231)
         proposer = SearchProposer()
         pruned = 0
@@ -373,11 +378,12 @@ class TestVerifyOnce:
             kept = [
                 {
                     format_pattern(sp.pattern)
-                    for sp in detect_unit_patterns(p, proposer, 2000)
+                    for sp in detect(p, proposer, 2000)
                 }
                 for p in task.train
             ]
             unpruned = len(apply_calls)
+            proposed = [set(collect_candidates(p, proposer, 2000)) for p in task.train]
             first_pair = {}
             for k, (gin, _) in enumerate(task.train):
                 first_pair.setdefault(gin, k)
@@ -386,6 +392,7 @@ class TestVerifyOnce:
             for key, g in apply_calls:
                 k = first_pair[g]
                 assert all(key in kept[j] for j in range(k)), (kind, key, k)
+                assert all(key in p for p in proposed[k + 1 :]), (kind, key, k)
             pruned += unpruned - len(apply_calls)
         assert pruned > 0
 
@@ -416,7 +423,7 @@ class TestVerifyOnce:
 def _unpruned(task, proposer, threshold, budget):
     """The reference ``induce``: every pair verifies every candidate."""
     pairs = list(task.train)
-    per_pair = [detect_unit_patterns(p, proposer, budget) for p in pairs]
+    per_pair = [detect(p, proposer, budget) for p in pairs]
     return intersect_patterns(per_pair, pairs, threshold)
 
 
@@ -457,16 +464,71 @@ _POOL = {
 
 
 class TestPruning:
-    """``induce`` applies on pair k only the candidates that can still
-    reach the threshold; its rule set equals the unpruned reference."""
+    """``induce`` applies on pair k only the candidates whose support so far
+    plus the later pairs that propose them can still reach the threshold;
+    its rule set equals the unpruned reference."""
 
     @pytest.fixture(scope="class")
-    def suite_detections(self):
-        suite = generate_suite(seed=1007, n_planted=100, n_noise=20)
+    def suite(self):
+        return generate_suite(seed=1007, n_planted=100, n_noise=20)
+
+    @pytest.fixture(scope="class")
+    def suite_detections(self, suite):
         proposer = SearchProposer()
         return [
-            (task, [detect_unit_patterns(p, proposer, 2000) for p in task.train])
+            (task, [detect(p, proposer, 2000) for p in task.train])
             for _, task, _ in suite
+        ]
+
+    # Every application inside induce: verification plus the intersection's
+    # contradiction checks (none at 1.0, 3 at 0.5, 15 at 0.0). The unpruned
+    # verifier needs 4,189 and 7,424 verifications at 1.0 and 0.5.
+    @pytest.mark.parametrize("threshold, applies", [(1.0, 2085), (0.5, 4287), (0.0, 9730)])
+    def test_suite_apply_counts(self, suite, apply_calls, threshold, applies):
+        apply_calls.clear()
+        proposer = SearchProposer()
+        for _, task, _ in suite:
+            induce(task, proposer, threshold, 2000)
+        assert len(apply_calls) == applies
+
+    def test_verification_runs_through_detect_unit_patterns(self, monkeypatch, apply_calls):
+        pairs = _pool_task()
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: list(_POOL) for g, _ in pairs})
+        verified = []
+
+        def recording(pair, candidates, connectivity=4):
+            verified.append(list(candidates))
+            return detect_unit_patterns(pair, candidates, connectivity)
+
+        monkeypatch.setattr(induction, "detect_unit_patterns", recording)
+        apply_calls.clear()
+        induce(task, proposer, threshold=0.0, budget=len(_POOL))
+        assert len(verified) == len(pairs)
+        keys = [key for keys in verified for key in keys]
+        # Intersection's contradiction checks come after every verification.
+        assert [key for key, _ in apply_calls[: len(keys)]] == keys
+
+    def test_key_missing_on_a_later_pair_is_never_applied(self, apply_calls):
+        # rotate90 is exact on all three pairs but proposed on pairs 0 and 1
+        # only, so its support is at most 2 of 3. (0.67 exceeds 2/3 and
+        # would need all three pairs.)
+        pairs = _pool_task()[:3]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        lines = [["rotate90()@all"], ["rotate90()@all"], ["reflect_v()@all"]]
+        proposer = _PerPairProposer({g: ls for (g, _), ls in zip(pairs, lines)})
+        expected = _unpruned(task, proposer, 1.0, 2000)
+        apply_calls.clear()
+        assert induce(task, proposer, 1.0) == expected
+        assert "rotate90()@all" not in {key for key, _ in apply_calls}
+        apply_calls.clear()
+        rs = induce(task, proposer, 2 / 3)
+        # Verified on pairs 0 and 1, then checked on pair 2 by intersection.
+        assert [g for key, g in apply_calls if key == "rotate90()@all"] == [
+            g for g, _ in pairs
+        ]
+        assert [(format_pattern(sp.pattern), sp.support) for sp in rs.patterns] == [
+            ("rotate90()@all", 2)
         ]
 
     @pytest.mark.parametrize("threshold", [1.0, 0.67, 0.5, 0.34, 0.0])
@@ -481,7 +543,7 @@ class TestPruning:
         for line, verdicts in _POOL.items():
             for pair, verdict in zip(pairs, verdicts):
                 proposer = _PerPairProposer({pair[0]: [line]})
-                found = detect_unit_patterns(pair, proposer, 1)
+                found = detect(pair, proposer, 1)
                 assert ("-" if not found else "EP"[not found[0].exact]) == verdict, line
 
     @given(
@@ -498,6 +560,14 @@ class TestPruning:
         n_pairs=2,
         lists=[["rotate90()@all"], ["reflect_v()@all", "rotate90()@all"], [], []],
         threshold=1.0,
+        budget=1,
+    )
+    # rotate90, the only exact key, is proposed on pair 0 alone: its bound
+    # of 1 pair in 2 just reaches 0.5, so it is verified there.
+    @example(
+        n_pairs=2,
+        lists=[["rotate90()@all"], ["reflect_v()@all"], [], []],
+        threshold=0.5,
         budget=1,
     )
     @settings(max_examples=300, deadline=None)

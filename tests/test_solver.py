@@ -1,5 +1,6 @@
 """Voting, rule execution, fallback logic, dataset evaluation."""
 
+import json
 import random
 from collections import Counter
 
@@ -17,6 +18,7 @@ from symgrid import (
     Task,
     apply_pattern,
     apply_ruleset,
+    encode_markdown,
     evaluate,
     format_pattern,
     grids_equal,
@@ -25,6 +27,8 @@ from symgrid import (
     solve_task,
     vote_pixels,
 )
+from symgrid import solver
+from symgrid.backend import RemoteBackend
 from symgrid.induction import synthesize_hint
 from symgrid.solver import SolveTrace, _vote, render_report, report_summary
 from symgrid.taskgen import (
@@ -434,3 +438,49 @@ class TestApplyCount:
         assert sorted(key for key, _ in apply_calls) == sorted(
             format_pattern(sp.pattern) for sp in rs.patterns
         )
+
+
+class TestMarkdownCount:
+    def test_each_grid_encoded_once_per_task(self, tmp_path, monkeypatch):
+        # Two noise test inputs: no rules, empty samples, then the remote
+        # fallback, so each test input reaches the backend twice.
+        rng = random.Random(1301)
+        noise = generate_noise_task(rng)
+        task = Task(train=noise.train, test=noise.test + generate_noise_task(rng).test)
+        train_md = [
+            {"input": encode_markdown(a), "output": encode_markdown(b)}
+            for a, b in task.train
+        ]
+        lines = []
+        for test_input, expected in task.test:
+            request = {
+                "mode": "sample",
+                "train": train_md,
+                "test_input": encode_markdown(test_input),
+                "hints": [],
+            }
+            lines.append({"request": {**request, "samples": 2}, "response": {"grids": []}})
+            lines.append(
+                {
+                    "request": {**request, "samples": 1},
+                    "response": {"grids": [encode_markdown(expected)]},
+                }
+            )
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        backend = RemoteBackend(transcript_path=str(transcript))
+        rs = induce(task, SearchProposer())
+        assert rs.patterns == ()
+
+        encoded = []
+        original = solver.encode_markdown
+
+        def counting(g):
+            encoded.append(g)
+            return original(g)
+
+        monkeypatch.setattr(solver, "encode_markdown", counting)
+        preds = solve_task(task, rs, backend=backend, passes=2, samples=2)
+        assert [p.trace.fallback_source for p in preds] == ["remote", "remote"]
+        assert not any(p.trace.degraded for p in preds)
+        assert len(encoded) == 2 * len(task.train) + len(task.test)
