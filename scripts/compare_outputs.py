@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""Check that two checkouts give byte-identical outputs on the bench suite.
+
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR [--planted 100] [--noise 20]
+
+Each checkout runs its own ``scripts/gen_tasks.py`` and its own
+``src/symgrid``, one process at a time. Compared byte for byte, in order:
+
+1. the seed-1007 suite that ``gen_tasks.py`` writes (task files and
+   ``MANIFEST.tsv``);
+2. ``symgrid eval SUITE --passes 1`` and ``--passes 2``: stdout and
+   ``eval_summary.json``;
+3. ``symgrid solve TASK --passes 2`` stdout for every task;
+4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
+   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0.
+
+Steps 2 to 4 read the parent's suite, so both sides answer the same files.
+Steps 3 and 4 call the CLI's ``main`` in one worker process per checkout
+rather than one process per command. The exit code is 0 when everything
+matches and 1 at the first difference, which is named on stderr.
+``--planted`` and ``--noise`` size the suite as in ``run_benchmark.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 1007
+THRESHOLDS = ("1.0", "0.67", "0.5", "0.34", "0.0")
+
+
+def _env(checkout: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+
+def _run(checkout: Path, argv: list[str], cwd: Path) -> str:
+    result = subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=_env(checkout), capture_output=True, text=True
+    )
+    if result.returncode != 0:
+        raise SystemExit(
+            f"{checkout}: {' '.join(argv)} exited {result.returncode}\n{result.stderr}"
+        )
+    return result.stdout
+
+
+def _first_difference(a: str, b: str) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x != y:
+            return f"line {i}: parent {x!r}, change {y!r}"
+    if len(lines_a) != len(lines_b):
+        return f"parent has {len(lines_a)} lines, change {len(lines_b)}"
+    return "line endings differ"
+
+
+def _compare(what: str, parent: str | bytes, change: str | bytes) -> None:
+    if parent == change:
+        return
+    if isinstance(parent, bytes):
+        parent = parent.decode("utf-8", "replace")
+        change = change.decode("utf-8", "replace")
+    print(f"first difference: {what}: {_first_difference(parent, change)}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _suite(checkout: Path, out: Path, planted: int, noise: int) -> dict[str, bytes]:
+    _run(
+        checkout,
+        [str(checkout / "scripts" / "gen_tasks.py"), str(out), "--planted", str(planted),
+         "--noise", str(noise), "--seed", str(SEED)],
+        cwd=out.parent,
+    )
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _eval(checkout: Path, suite: Path, passes: int, work: Path) -> tuple[str, bytes]:
+    stdout = _run(
+        checkout, ["-m", "symgrid.cli", "eval", str(suite), "--passes", str(passes)], cwd=work
+    )
+    summary = work / "eval_summary.json"
+    data = summary.read_bytes()
+    summary.unlink()
+    return stdout, data
+
+
+def _cli_outputs(checkout: Path, suite: Path, work: Path) -> list[dict]:
+    stdout = _run(checkout, [__file__, "--worker", str(checkout), str(suite)], cwd=work)
+    return [json.loads(line) for line in stdout.splitlines()]
+
+
+def _worker(checkout: Path, suite: Path) -> int:
+    """Print one JSON line per solve/induce command, run through ``main``."""
+    import symgrid
+    from symgrid.cli import main
+
+    expected = (checkout / "src" / "symgrid").resolve()
+    if Path(symgrid.__file__).resolve().parent != expected:
+        print(f"imported symgrid from {symgrid.__file__}, not {expected}", file=sys.stderr)
+        return 2
+    commands = []
+    for task in sorted(suite.glob("*.json")):
+        commands.append(["solve", str(task), "--passes", "2"])
+        commands.extend(["induce", str(task), "--threshold", t] for t in THRESHOLDS)
+    lines = []
+    for argv in commands:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(argv)
+        lines.append(json.dumps({"argv": argv, "code": code, "stdout": buffer.getvalue()}))
+    print("\n".join(lines))
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--planted", type=int, default=100)
+    parser.add_argument("--noise", type=int, default=20)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:  # PARENT is the checkout, CHANGE the suite directory
+        return _worker(args.parent.resolve(), args.change.resolve())
+
+    parent, change = args.parent.resolve(), args.change.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        work = root / "work"
+        work.mkdir()
+        suites = {}
+        for side, checkout in (("parent", parent), ("change", change)):
+            suites[side] = _suite(checkout, root / f"suite_{side}", args.planted, args.noise)
+        _compare("suite file names", "\n".join(suites["parent"]), "\n".join(suites["change"]))
+        for name, data in suites["parent"].items():
+            _compare(f"suite file {name}", data, suites["change"][name])
+        suite = root / "suite_parent"
+
+        for passes in (1, 2):
+            (p_out, p_sum), (c_out, c_sum) = (
+                _eval(checkout, suite, passes, work) for checkout in (parent, change)
+            )
+            _compare(f"eval --passes {passes} stdout", p_out, c_out)
+            _compare(f"eval --passes {passes} eval_summary.json", p_sum, c_sum)
+
+        p_runs, c_runs = (_cli_outputs(checkout, suite, work) for checkout in (parent, change))
+        _compare("solve/induce command list", str([r["argv"] for r in p_runs]),
+                 str([r["argv"] for r in c_runs]))
+        for p_run, c_run in zip(p_runs, c_runs):
+            what = " ".join([p_run["argv"][0], Path(p_run["argv"][1]).name, *p_run["argv"][2:]])
+            _compare(f"{what} exit code", str(p_run["code"]), str(c_run["code"]))
+            _compare(f"{what} stdout", p_run["stdout"], c_run["stdout"])
+
+    tasks = len(suites["parent"]) - 1  # MANIFEST.tsv
+    print(
+        f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout and "
+        f"eval_summary.json), solve --passes 2 on {tasks} tasks, induce on "
+        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)}"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

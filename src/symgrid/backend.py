@@ -57,7 +57,13 @@ class RemoteBackend:
             path = Path(self.transcript_path)
             if not path.exists():
                 raise BackendError(f"transcript not found: {self.transcript_path}")
-            for line_no, line in enumerate(path.read_text().splitlines(), 1):
+            try:
+                text = path.read_text(encoding="utf-8")
+            except OSError as e:
+                raise BackendError(f"cannot read transcript: {e}") from e
+            except UnicodeDecodeError as e:
+                raise BackendError(f"transcript is not valid UTF-8: {e}") from e
+            for line_no, line in enumerate(text.splitlines(), 1):
                 if not line.strip():
                     continue
                 try:
@@ -68,6 +74,10 @@ class RemoteBackend:
                     raise BackendError(
                         f"bad transcript line {line_no}: {e}"
                     ) from e
+                except RecursionError:
+                    raise BackendError(
+                        f"bad transcript line {line_no}: nested too deeply"
+                    ) from None
                 if not isinstance(response, dict):
                     raise BackendError(
                         f"bad transcript line {line_no}: response is not a JSON object"
@@ -86,8 +96,9 @@ class RemoteBackend:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        req = urllib.request.Request(self.url, data=body, headers=headers)
         try:
+            # A malformed URL raises ValueError here, not in urlopen.
+            req = urllib.request.Request(self.url, data=body, headers=headers)
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = resp.read(MAX_BODY_BYTES + 1)
                 if len(payload) <= MAX_BODY_BYTES and resp.length:

@@ -45,11 +45,15 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
     values: dict = {}
     if path is not None:
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config {path} is not valid UTF-8: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        except RecursionError:
+            raise ConfigError(f"config {path} is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path}: expected a JSON object")
         known = {f.name for f in fields(Config)}

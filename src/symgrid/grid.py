@@ -177,6 +177,8 @@ def parse_task(data: bytes | str) -> Task:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise TaskFormatError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise TaskFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise TaskFormatError("top level: expected an object")
     for key in ("train", "test"):

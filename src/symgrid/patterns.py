@@ -24,7 +24,7 @@ The serialized string is the canonical key used for deduplication.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import BoundsError, PatternApplicationError, PatternContractError
@@ -71,7 +71,7 @@ class Selector:
             return [o for o in objs if o.color == self.value]
         if self.kind == "cavities":
             return [o for o in objs if o.cavity_count == self.value]
-        ranked = sorted(objs, key=lambda o: (-o.size, o.id))
+        ranked = perception.by_size
         assert self.value is not None
         if self.value >= len(ranked):
             return []
@@ -147,19 +147,28 @@ class UnitPattern:
     selector: Selector = SELECT_ALL
 
     def __post_init__(self) -> None:
+        # One pass over the parameters checks each name and value; on a
+        # failure the names are compared first, as they always were.
         spec = _KINDS.get(self.kind)
         if spec is None:
             raise PatternContractError(f"unknown pattern kind {self.kind!r}")
-        sig = spec.signature
-        expected = tuple(name for name, _ in sig)
-        got = tuple(name for name, _ in self.params)
-        if got != expected:
-            raise PatternContractError(
-                f"{self.kind}: expected parameters {expected}, got {got}"
-            )
-        for (name, tag), (_, value) in zip(sig, self.params):
-            _validate_param(self.kind, name, tag, value)
-        if not spec.takes_selector and self.selector != SELECT_ALL:
+        checks = spec.checks
+        valid = len(self.params) == len(checks)
+        for (name, value), (want, ok) in zip(self.params, checks):
+            valid = valid and name == want and ok(value)
+        if not valid:
+            got = tuple(name for name, _ in self.params)
+            if got != spec.names:
+                raise PatternContractError(
+                    f"{self.kind}: expected parameters {spec.names}, got {got}"
+                )
+            for (name, tag), (_, value) in zip(spec.signature, self.params):
+                _validate_param(self.kind, name, tag, value)
+        if (
+            not spec.takes_selector
+            and self.selector is not SELECT_ALL
+            and self.selector != SELECT_ALL
+        ):
             raise PatternContractError(
                 f"{self.kind} is a whole-grid kind; selector must be 'all'"
             )
@@ -176,14 +185,14 @@ def make_pattern(kind: str, selector: Selector = SELECT_ALL, **params: object) -
     spec = _KINDS.get(kind)
     if spec is None:
         raise PatternContractError(f"unknown pattern kind {kind!r}")
-    sig = spec.signature
-    missing = [name for name, _ in sig if name not in params]
-    extra = [name for name in params if name not in {n for n, _ in sig}]
-    if missing or extra:
+    names = spec.names
+    if params.keys() != set(names):
+        missing = [name for name in names if name not in params]
+        extra = [name for name in params if name not in names]
         raise PatternContractError(
             f"{kind}: missing={missing} unexpected={extra}"
         )
-    ordered = tuple((name, params[name]) for name, _ in sig)
+    ordered = tuple([(name, params[name]) for name in names])
     return UnitPattern(kind=kind, params=ordered, selector=selector)
 
 
@@ -633,6 +642,32 @@ def _connect_objects(p: UnitPattern, s: Scene) -> Grid:
 # ---------------------------------------------------------------------------
 
 
+def _is_colormap(value: object) -> bool:
+    return (
+        isinstance(value, tuple)
+        and bool(value)
+        and all(
+            isinstance(p, tuple) and len(p) == 2 and all(_is_int(v) and 0 <= v <= 9 for v in p)
+            for p in value
+        )
+        and len({s for s, _ in value}) == len(value)
+        and tuple(sorted(value)) == value
+    )
+
+
+# Validator tag -> whether a value passes; ``_validate_param`` holds the
+# message for each tag and runs only once a value has failed.
+_CHECKS: dict[str, Callable[[object], bool]] = {
+    "int": _is_int,
+    "positive": lambda v: _is_int(v) and v >= 1,
+    "color": lambda v: _is_int(v) and 0 <= v <= 9,
+    "factor": lambda v: _is_int(v) and v >= 2,
+    "axis": lambda v: v in AXES,
+    "direction": lambda v: v in DIRECTIONS,
+    "colormap": _is_colormap,
+}
+
+
 @dataclass(frozen=True)
 class _Kind:
     """Everything this module knows about one kind."""
@@ -642,6 +677,15 @@ class _Kind:
     takes_selector: bool  # object kinds; the others take only selector 'all'
     apply: Callable[[UnitPattern, Scene], Grid]
     hint: str  # str.format template over {sel} and the rendered params
+    # Derived from ``signature``:
+    names: tuple[str, ...] = field(init=False)
+    checks: tuple[tuple[str, Callable[[object], bool]], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        names = tuple(name for name, _ in self.signature)
+        checks = tuple((name, _CHECKS[tag]) for name, tag in self.signature)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "checks", checks)
 
 
 _AXIS = (("axis", "axis"),)

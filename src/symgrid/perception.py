@@ -1,8 +1,8 @@
 """Scene decomposition: objects, cavities, and the background profile.
 
-Segmentation is a color-aware breadth-first flood fill: same-colored,
-edge-adjacent (4-connectivity by default), non-background cells form one
-object. Objects are numbered in row-major first-encounter order, so the
+Segmentation is a color-aware flood fill: same-colored, edge-adjacent
+(4-connectivity by default), non-background cells form one object.
+Objects are numbered in row-major first-encounter order, so the
 decomposition is deterministic and runs in time linear in the cell count.
 """
 
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .grid import Coord, Grid
 
 NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-NEIGHBORS_8 = NEIGHBORS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class GridObject:
     def size(self) -> int:
         return len(self.mask)
 
-    @property
+    @cached_property
     def shape(self) -> frozenset[Coord]:
-        """Mask normalized to its bounding-box origin."""
+        """Mask normalized to its bounding-box origin, computed on first use."""
         top, left, _, _ = self.bbox
         return frozenset((r - top, c - left) for r, c in self.mask)
 
@@ -44,6 +44,19 @@ class Perception:
 
     objects: tuple[GridObject, ...]
     background: int
+
+    @cached_property
+    def by_size(self) -> tuple[GridObject, ...]:
+        """The size order: largest first, ties to the lower id.
+
+        ``size_rank=k`` selects ``by_size[k]``. Computed on first use.
+        """
+        return tuple(sorted(self.objects, key=lambda o: (-o.size, o.id)))
+
+    @cached_property
+    def size_ranks(self) -> dict[int, int]:
+        """Object id -> its position in ``by_size``."""
+        return {o.id: rank for rank, o in enumerate(self.by_size)}
 
 
 def background_color(g: Grid) -> int:
@@ -57,12 +70,6 @@ def background_color(g: Grid) -> int:
         if counts[color] > counts[best]:
             best = color
     return best
-
-
-def _bbox_of(cells: list[Coord]) -> tuple[int, int, int, int]:
-    rs = [r for r, _ in cells]
-    cs = [c for _, c in cells]
-    return (min(rs), min(cs), max(rs), max(cs))
 
 
 def cavity_regions(
@@ -137,41 +144,57 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
     Background-colored cells never form objects; every non-background
     cell belongs to exactly one object. Objects are numbered 0,1,... in
     row-major first-encounter order.
+
+    The fill runs over flat indices into a copy of the grid padded with a
+    -1 border, so every neighbor index is in range, and a reached cell is
+    overwritten with -1 so it never matches again. An object's cell order
+    does not matter: its mask is a set and its bbox a min/max.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    offsets = NEIGHBORS_4 if connectivity == 4 else NEIGHBORS_8
     bg = background_color(g)
-    h, w = g.height, g.width
-    visited = [[False] * w for _ in range(h)]
+    w = g.width + 2  # padded row length
+    cells = [-1] * (w + 1)
+    for row in g.rows:
+        cells += row
+        cells += (-1, -1)
+    cells += [-1] * (w - 1)
+    if connectivity == 4:
+        offsets = (-w, w, -1, 1)
+    else:
+        offsets = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
+    origin = w + 1  # padded index of cell (0, 0)
     objects: list[GridObject] = []
-    queue: deque[Coord] = deque()
-    for r in range(h):
-        for c in range(w):
-            if visited[r][c] or g.rows[r][c] == bg:
-                continue
-            color = g.rows[r][c]
-            cells: list[Coord] = [(r, c)]
-            visited[r][c] = True
-            queue.append((r, c))
-            while queue:
-                cr, cc = queue.popleft()
-                for dr, dc in offsets:
-                    nr, nc = cr + dr, cc + dc
-                    if 0 <= nr < h and 0 <= nc < w and not visited[nr][nc]:
-                        if g.rows[nr][nc] == color:
-                            visited[nr][nc] = True
-                            cells.append((nr, nc))
-                            queue.append((nr, nc))
-            mask = frozenset(cells)
-            bbox = _bbox_of(cells)
-            objects.append(
-                GridObject(
-                    id=len(objects),
-                    color=color,
-                    mask=mask,
-                    bbox=bbox,
-                    cavity_count=len(cavity_regions(mask, bbox)),
-                )
+    for start in range(origin, len(cells) - w):
+        color = cells[start]
+        if color < 0 or color == bg:
+            continue
+        cells[start] = -1
+        members = [start]
+        for i in members:  # the loop also visits cells appended below
+            for d in offsets:
+                j = i + d
+                if cells[j] == color:
+                    cells[j] = -1
+                    members.append(j)
+        mask = frozenset([divmod(i - origin, w) for i in members])
+        cols = [i % w for i in members]
+        # ``start`` is the object's first cell in row-major order.
+        top, left = start // w - 1, min(cols) - 1
+        bottom, right = max(members) // w - 1, max(cols) - 1
+        height, width = bottom - top + 1, right - left + 1
+        if height <= 2 or width <= 2 or len(members) == height * width:
+            # Every bbox cell off the mask lies on the bbox border.
+            cavity_count = 0
+        else:
+            cavity_count = len(cavity_regions(mask, (top, left, bottom, right)))
+        objects.append(
+            GridObject(
+                id=len(objects),
+                color=color,
+                mask=mask,
+                bbox=(top, left, bottom, right),
+                cavity_count=cavity_count,
             )
+        )
     return Perception(objects=tuple(objects), background=bg)

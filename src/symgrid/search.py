@@ -29,7 +29,7 @@ from .patterns import (
     as_scene,
     make_pattern,
 )
-from .perception import GridObject, Perception, segment
+from .perception import segment
 
 
 def enumerate_candidates(
@@ -63,11 +63,6 @@ def _ordered_unique(items):
 def _uniform_color(g: Grid) -> int | None:
     colors = {v for row in g.rows for v in row}
     return colors.pop() if len(colors) == 1 else None
-
-
-def _size_rank(perception: Perception, obj: GridObject) -> int:
-    ranked = sorted(perception.objects, key=lambda o: (-o.size, o.id))
-    return next(i for i, o in enumerate(ranked) if o.id == obj.id)
 
 
 def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
@@ -162,6 +157,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
                 yield make_pattern("palette_swap", map=pairs)
 
     pout = segment(gout, scene.connectivity)
+    rank = pin.size_ranks
     tags = match_objects(pin, pout)
     in_by_id = {o.id: o for o in pin.objects}
     out_by_id = {o.id: o for o in pout.objects}
@@ -192,7 +188,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
             "translate",
             dx=dc,
             dy=dr,
-            selector=Selector("size_rank", _size_rank(pin, a)),
+            selector=Selector("size_rank", rank[a.id]),
         )
 
     if removed:
@@ -201,7 +197,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
             yield make_pattern("delete_object", selector=Selector("color", color))
         for obj in removed:
             yield make_pattern(
-                "delete_object", selector=Selector("size_rank", _size_rank(pin, obj))
+                "delete_object", selector=Selector("size_rank", rank[obj.id])
             )
         for count in sorted({o.cavity_count for o in removed}):
             yield make_pattern("delete_object", selector=Selector("cavities", count))
@@ -224,7 +220,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
                     "duplicate_object",
                     dx=dx,
                     dy=dy,
-                    selector=Selector("size_rank", _size_rank(pin, in_obj)),
+                    selector=Selector("size_rank", rank[in_obj.id]),
                 )
 
     holed = [o for o in pin.objects if o.cavity_count > 0]

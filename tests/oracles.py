@@ -4,11 +4,20 @@ These deliberately use different algorithms from the package: union-find
 instead of BFS for segmentation, label-everything-then-filter instead of
 border flood for cavities, and explicit 0..9 scans for voting. They must
 stay free of package internals beyond public value types.
+
+The exception is the references kept for fast paths (``fraction_vote``,
+``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``): each is
+the code a fast path replaced, kept so differential tests can require the
+same results from both.
 """
 
+from collections import deque
 from fractions import Fraction
 
-from symgrid import Grid
+from symgrid import Grid, background_color
+from symgrid.errors import PatternContractError
+from symgrid.patterns import _KINDS, AXES, DIRECTIONS, SELECT_ALL
+from symgrid.perception import GridObject, Perception, cavity_regions
 
 
 class DisjointSet:
@@ -196,3 +205,137 @@ def str_encode_markdown(g):
     """``grid.encode_markdown`` as it was before it mapped cells through a
     digit table, with ``str(v)`` per cell: the reference for that fast path."""
     return "\n".join("|" + "|".join(str(v) for v in row) + "|" for row in g.rows)
+
+
+_BFS_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+_BFS_NEIGHBORS_8 = _BFS_NEIGHBORS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _bbox_of(cells):
+    rs = [r for r, _ in cells]
+    cs = [c for _, c in cells]
+    return (min(rs), min(cs), max(rs), max(cs))
+
+
+def bfs_segment(g, connectivity=4):
+    """``perception.segment`` as it was before the flat-index flood fill:
+    a breadth-first fill over (row, column) pairs with a visited matrix,
+    and the cavity flood run for every object. Kept as the reference for
+    that fast path; only the names it imports are qualified."""
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    offsets = _BFS_NEIGHBORS_4 if connectivity == 4 else _BFS_NEIGHBORS_8
+    bg = background_color(g)
+    h, w = g.height, g.width
+    visited = [[False] * w for _ in range(h)]
+    objects = []
+    queue = deque()
+    for r in range(h):
+        for c in range(w):
+            if visited[r][c] or g.rows[r][c] == bg:
+                continue
+            color = g.rows[r][c]
+            cells = [(r, c)]
+            visited[r][c] = True
+            queue.append((r, c))
+            while queue:
+                cr, cc = queue.popleft()
+                for dr, dc in offsets:
+                    nr, nc = cr + dr, cc + dc
+                    if 0 <= nr < h and 0 <= nc < w and not visited[nr][nc]:
+                        if g.rows[nr][nc] == color:
+                            visited[nr][nc] = True
+                            cells.append((nr, nc))
+                            queue.append((nr, nc))
+            mask = frozenset(cells)
+            bbox = _bbox_of(cells)
+            objects.append(
+                GridObject(
+                    id=len(objects),
+                    color=color,
+                    mask=mask,
+                    bbox=bbox,
+                    cavity_count=len(cavity_regions(mask, bbox)),
+                )
+            )
+    return Perception(objects=tuple(objects), background=bg)
+
+
+def _reference_validate_param(kind, name, tag, value):
+    where = f"{kind}: parameter {name}"
+    if tag == "int":
+        if not _is_int(value):
+            raise PatternContractError(f"{where} must be an integer, got {value!r}")
+    elif tag == "positive":
+        if not _is_int(value) or value < 1:
+            raise PatternContractError(f"{where} must be a positive integer")
+    elif tag == "color":
+        if not _is_int(value) or not 0 <= value <= 9:
+            raise PatternContractError(f"{where} must be a color 0..9, got {value!r}")
+    elif tag == "factor":
+        if not _is_int(value) or value < 2:
+            raise PatternContractError(f"{where} must be an integer >= 2")
+    elif tag == "axis":
+        if value not in AXES:
+            raise PatternContractError(f"{where} must be one of {AXES}")
+    elif tag == "direction":
+        if value not in DIRECTIONS:
+            raise PatternContractError(f"{where} must be one of {DIRECTIONS}")
+    elif tag == "colormap":
+        if (
+            not isinstance(value, tuple)
+            or not value
+            or not all(
+                isinstance(p, tuple)
+                and len(p) == 2
+                and all(_is_int(v) and 0 <= v <= 9 for v in p)
+                for p in value
+            )
+        ):
+            raise PatternContractError(f"{where} must be a tuple of color pairs")
+        srcs = [s for s, _ in value]
+        if len(set(srcs)) != len(srcs):
+            raise PatternContractError(f"{where} maps a source color twice")
+        if tuple(sorted(value)) != value:
+            raise PatternContractError(f"{where} pairs must be sorted by source")
+    else:
+        raise AssertionError(tag)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reference_pattern_check(kind, params, selector=SELECT_ALL):
+    """``UnitPattern.__post_init__`` as it was before validation took one
+    pass: names compared as tuples, then each value through the tag chain.
+    Raises the PatternContractError the pattern must raise, else None."""
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise PatternContractError(f"unknown pattern kind {kind!r}")
+    sig = spec.signature
+    expected = tuple(name for name, _ in sig)
+    got = tuple(name for name, _ in params)
+    if got != expected:
+        raise PatternContractError(f"{kind}: expected parameters {expected}, got {got}")
+    for (name, tag), (_, value) in zip(sig, params):
+        _reference_validate_param(kind, name, tag, value)
+    if not spec.takes_selector and selector != SELECT_ALL:
+        raise PatternContractError(f"{kind} is a whole-grid kind; selector must be 'all'")
+
+
+def reference_pattern(kind, selector=SELECT_ALL, **params):
+    """``make_pattern`` as it was before validation took one pass. Returns
+    the ``(kind, params, selector)`` fields of the pattern it would build,
+    or raises the PatternContractError it must raise."""
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise PatternContractError(f"unknown pattern kind {kind!r}")
+    sig = spec.signature
+    missing = [name for name, _ in sig if name not in params]
+    extra = [name for name in params if name not in {n for n, _ in sig}]
+    if missing or extra:
+        raise PatternContractError(f"{kind}: missing={missing} unexpected={extra}")
+    ordered = tuple((name, params[name]) for name, _ in sig)
+    reference_pattern_check(kind, ordered, selector)
+    return kind, ordered, selector

@@ -1,10 +1,15 @@
 """CLI surface: subcommands, config plumbing, exit codes, output formats."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symgrid
 from symgrid import serialize_task
 from symgrid.cli import main
 from symgrid.config import Config, ConfigError, load_config
@@ -240,3 +245,71 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", str(data), f"--{knob}", "2"])
         assert exc.value.code == 2
+
+
+_DEEP = "[" * 5000 + "]" * 5000  # json.loads raises RecursionError on this
+_NOT_UTF8 = b"\xff\xfe{"
+
+
+class TestHostileInputs:
+    """Each hostile input ends in a clean exit: 2 with ``error: ...`` for
+    bad input, 0 when only the backend degrades. Never a traceback."""
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("solve_deep_task", 2),
+            ("perceive_deep_task", 2),
+            ("eval_dir_with_deep_task", 0),
+            ("config_not_utf8", 2),
+            ("config_deep", 2),
+            ("transcript_not_utf8", 2),
+            ("transcript_deep_line", 2),
+            ("malformed_backend_url", 0),
+        ],
+    )
+    def test_clean_exit(self, rotate_task_file, tmp_path, case, code):
+        task, _ = rotate_task_file
+        deep = tmp_path / "deep.json"
+        deep.write_text(_DEEP)
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(_NOT_UTF8)
+        tasks = tmp_path / "tasks"
+        tasks.mkdir()
+        (tasks / "deep.json").write_text(_DEEP)
+        (tasks / "ok.json").write_bytes(task.read_bytes())
+        argv = {
+            "solve_deep_task": ["solve", str(deep)],
+            "perceive_deep_task": ["perceive", str(deep)],
+            "eval_dir_with_deep_task": ["eval", str(tasks), "--passes", "1"],
+            "config_not_utf8": ["solve", str(task), "--config", str(not_utf8)],
+            "config_deep": ["solve", str(task), "--config", str(deep)],
+            "transcript_not_utf8": ["solve", str(task), "--transcript", str(not_utf8)],
+            "transcript_deep_line": ["solve", str(task), "--transcript", str(deep)],
+            "malformed_backend_url": [
+                "solve", str(task), "--backend-url", "http://[::1", "--samples", "1",
+            ],
+        }[case]
+        # Run the code this process imported, whatever the child's cwd.
+        import_root = str(Path(symgrid.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(filter(None, [import_root, inherited]))
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "symgrid.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert "Traceback" not in result.stderr
+        assert result.returncode == code, result.stderr
+        if code == 2:
+            assert result.stderr.startswith("error: ")
+        elif case == "eval_dir_with_deep_task":
+            assert "skipping deep.json" in result.stderr
+            assert "unreadable files: 1" in result.stdout
+        else:
+            assert "degraded=yes" in result.stdout

@@ -1,0 +1,56 @@
+"""scripts/compare_outputs.py: the byte-identity check between checkouts."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+SMALL = ["--planted", "3", "--noise", "1"]
+
+
+def _compare(parent, change):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(parent), str(change), *SMALL],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _copy_checkout(dest):
+    for part in ("src", "scripts"):
+        shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def test_checkout_against_itself_is_identical():
+    result = _compare(ROOT, ROOT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("identical: 4-task suite")
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        # A changed hint: only the induce output prints hints.
+        ('"rotate the grid 90 degrees clockwise"', '"turn the grid clockwise"',
+         "induce"),
+        # A changed solve header: eval does not print it, solve does.
+        ('print(f"# test {i} attempt {a}")', 'print(f"# test {i} try {a}")',
+         "solve"),
+    ],
+)
+def test_first_difference_is_named(tmp_path, old, new, named):
+    change = _copy_checkout(tmp_path / "change")
+    path = change / "src" / "symgrid" / ("patterns.py" if named == "induce" else "cli.py")
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    result = _compare(ROOT, change)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"first difference: {named} ")
+    assert "Traceback" not in result.stderr

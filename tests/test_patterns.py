@@ -528,3 +528,145 @@ class TestContracts:
             Selector("color", True)
         with pytest.raises(PatternContractError):
             Selector("size_rank", False)
+
+
+# Values on both sides of each parameter's bounds, by parameter name:
+# bools, ints just out of range, unknown words, and color maps that are
+# unsorted, map a source twice, are empty, hold a bad color or are a list.
+_MAP_EDGES = (
+    ((1, 2), (3, 4)), ((3, 4), (1, 2)), ((1, 2), (1, 3)), (), ((0, 10),),
+    ((True, 1),), ((1, 2, 3),), [(1, 2)],
+)
+_EDGES = {
+    "axis": ("h", "v", "x", 0),
+    "factor": (1, 2, 3, True),
+    "rows": (0, 1, 2, True),
+    "cols": (0, 1, 2, True),
+    "color": (-1, 0, 9, 10, True),
+    "src": (-1, 0, 9, 10, True),
+    "dst": (-1, 0, 9, 10, False),
+    "map": _MAP_EDGES,
+    "dx": (0, -4, True, 1.0, None),
+    "dy": (0, 4, False, "1"),
+    "dir": ("up", "left", "sideways", None),
+}
+_ANY_VALUE = st.sampled_from(
+    (None, True, -1, 0, 2, 10, 1.0, "h", "down", "x", ((1, 2),), ((2, 1), (1, 2)))
+)
+
+
+@st.composite
+def raw_pattern_inputs(draw, kind):
+    """Named parameters for ``kind`` in drawn order, and a selector: each
+    name may be missing, an extra name may be added, and each value is
+    valid, on an edge of its bounds or of another parameter's type."""
+    valid = _PARAMS[kind]
+    params = {}
+    for name in draw(st.permutations(list(valid))):
+        if draw(st.integers(0, 7)) == 0:
+            continue  # missing
+        edge = st.sampled_from(_EDGES[name])
+        params[name] = draw(st.one_of(valid[name], edge, _ANY_VALUE))
+    for name in draw(st.lists(st.sampled_from(sorted(_EDGES) + ["zzz"]), max_size=1)):
+        params.setdefault(name, draw(_ANY_VALUE))
+    return params, draw(_SELECTOR)
+
+
+def _validation_outcome(build):
+    try:
+        return "built", build()
+    except PatternContractError as e:
+        return "rejected", str(e)
+
+
+class TestOnePassValidation:
+    """``make_pattern`` and ``UnitPattern(...)`` validate in one pass; the
+    reference is the validator they replaced, kept in ``oracles``. Every
+    input must give an equal pattern or the same error message."""
+
+    @pytest.mark.parametrize("kind", KIND_ORDER)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_make_pattern_matches_reference(self, kind, data):
+        from oracles import reference_pattern
+
+        params, selector = data.draw(raw_pattern_inputs(kind))
+
+        def build():
+            p = make_pattern(kind, selector=selector, **params)
+            return p.kind, p.params, p.selector
+
+        want = _validation_outcome(lambda: reference_pattern(kind, selector, **params))
+        assert _validation_outcome(build) == want
+
+    @pytest.mark.parametrize("kind", KIND_ORDER)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_pattern_matches_reference(self, kind, data):
+        from oracles import reference_pattern_check
+        from symgrid import UnitPattern
+
+        named, selector = data.draw(raw_pattern_inputs(kind))
+        params = tuple(named.items())
+
+        def build():
+            p = UnitPattern(kind, params, selector)
+            return p.kind, p.params, p.selector
+
+        def reference():
+            reference_pattern_check(kind, params, selector)
+            return kind, params, selector
+
+        assert _validation_outcome(build) == _validation_outcome(reference)
+
+    @pytest.mark.parametrize(
+        "kind, params, selector",
+        [
+            ("recolor", {"src": True, "dst": 1}, Selector("all")),
+            ("recolor", {"src": 1, "dst": 10}, Selector("all")),
+            ("recolor", {"src": 1}, Selector("all")),
+            ("recolor", {"src": 1, "dst": 2, "zzz": 3}, Selector("all")),
+            ("palette_swap", {"map": ((2, 1), (1, 2))}, Selector("all")),
+            ("palette_swap", {"map": ((1, 2), (1, 3))}, Selector("all")),
+            ("palette_swap", {"map": ()}, Selector("all")),
+            ("reflect_h", {}, Selector("color", 3)),
+            ("tile_grid", {"rows": 0, "cols": 2}, Selector("all")),
+            ("gravity_shift", {"dir": "sideways"}, Selector("all")),
+            ("translate", {"dx": 1.0, "dy": 0}, Selector("all")),
+            ("spin", {}, Selector("all")),
+        ],
+    )
+    def test_named_invalid_inputs(self, kind, params, selector):
+        from oracles import reference_pattern
+
+        verdict, message = _validation_outcome(
+            lambda: reference_pattern(kind, selector, **params)
+        )
+        assert verdict == "rejected"
+        with pytest.raises(PatternContractError) as exc:
+            make_pattern(kind, selector=selector, **params)
+        assert str(exc.value) == message
+
+
+class TestSizeRankSelector:
+    """``Selector("size_rank", k)`` picks the k-th object of a sort by
+    (size descending, id ascending), for every k, ties included."""
+
+    @given(grids(max_side=10, colors=3), st.sampled_from((4, 8)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sorted_reference(self, g, connectivity):
+        objs = segment(g, connectivity).objects
+        ranked = sorted(objs, key=lambda o: (-o.size, o.id))
+        perception = Scene(g, connectivity).perception
+        for k in range(len(objs) + 2):
+            want = [ranked[k]] if k < len(ranked) else []
+            assert Selector("size_rank", k).resolve(perception) == want
+
+    def test_ties_go_to_the_lower_id(self):
+        # Three single cells (ids 0, 1 and 3) and a three-cell bar (id 2).
+        g = Grid.from_rows([[1, 0, 2, 0], [0, 0, 3, 0], [4, 0, 3, 0], [0, 0, 3, 0]])
+        perception = segment(g)
+        sizes = [(o.id, o.size) for o in perception.objects]
+        assert sizes == [(0, 1), (1, 1), (2, 3), (3, 1)]
+        picks = [Selector("size_rank", k).resolve(perception) for k in range(5)]
+        assert [[o.id for o in pick] for pick in picks] == [[2], [0], [1], [3], []]

@@ -2,6 +2,7 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -201,3 +202,54 @@ class TestCavities:
         )
         regions = cavity_regions(obj.mask, obj.bbox)
         assert regions == [frozenset({(2, 2)})]
+
+
+class TestFlatIndexSegment:
+    """``segment`` is a flat-index flood fill that skips the cavity flood
+    when no bbox cell off the mask can be interior; ``oracles.bfs_segment``
+    is the breadth-first fill it replaced. Whole perceptions (ids, masks,
+    bboxes, cavity counts, background) must be equal."""
+
+    @given(
+        st.one_of(
+            grids(max_side=30, colors=2),
+            grids(max_side=30, colors=3),
+            grids(max_side=30, colors=10),
+        ),
+        st.sampled_from((4, 8)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bfs_reference(self, g, connectivity):
+        from oracles import bfs_segment
+
+        assert segment(g, connectivity) == bfs_segment(g, connectivity)
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_matches_bfs_reference_on_the_bench_suite(self, connectivity):
+        from oracles import bfs_segment
+        from symgrid.taskgen import generate_suite
+
+        for _, task, _ in generate_suite(1007, 100, 20):
+            for pair in task.train + task.test:
+                for g in pair:
+                    if g is not None:
+                        assert segment(g, connectivity) == bfs_segment(g, connectivity)
+
+    @pytest.mark.parametrize(
+        "rows, cavities",
+        [
+            ([[1, 1, 1], [1, 0, 1], [1, 1, 1]], 1),  # the smallest ring
+            ([[1, 1], [1, 1]], 0),  # fills its bbox
+            ([[1, 1, 1], [1, 0, 1]], 0),  # height 2: no interior row
+            ([[1, 1, 1, 1], [1, 0, 0, 1], [1, 1, 1, 1]], 1),
+            ([[1, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]], 2),
+        ],
+    )
+    def test_cavity_shortcut_edges(self, rows, cavities):
+        from oracles import bfs_segment
+
+        blank = [0] * (len(rows[0]) + 2)
+        g = Grid.from_rows([blank, *([0, *r, 0] for r in rows), blank])  # bg 0
+        p = segment(g)
+        assert [o.cavity_count for o in p.objects if o.color == 1] == [cavities]
+        assert p == bfs_segment(g)
