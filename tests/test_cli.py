@@ -265,6 +265,7 @@ class TestHostileInputs:
             ("config_deep", 2),
             ("transcript_not_utf8", 2),
             ("transcript_deep_line", 2),
+            ("transcript_is_a_directory", 2),
             ("malformed_backend_url", 0),
         ],
     )
@@ -286,6 +287,7 @@ class TestHostileInputs:
             "config_deep": ["solve", str(task), "--config", str(deep)],
             "transcript_not_utf8": ["solve", str(task), "--transcript", str(not_utf8)],
             "transcript_deep_line": ["solve", str(task), "--transcript", str(deep)],
+            "transcript_is_a_directory": ["solve", str(task), "--transcript", str(tasks)],
             "malformed_backend_url": [
                 "solve", str(task), "--backend-url", "http://[::1", "--samples", "1",
             ],
