@@ -37,7 +37,6 @@ from .induction import (
     induce,
     intersect_patterns,
     match_objects,
-    synthesize_hints,
 )
 from .patterns import (
     KIND_ORDER,
@@ -116,6 +115,5 @@ __all__ = [
     "segment",
     "serialize_task",
     "solve_task",
-    "synthesize_hints",
     "vote_pixels",
 ]

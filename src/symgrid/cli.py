@@ -16,14 +16,14 @@ from pathlib import Path
 
 from .backend import RemoteBackend, RemotePatternProposer
 from .config import Config, load_config
-from .errors import BackendError, SymgridError
+from .errors import SymgridError
 from .grid import Task, encode_markdown, parse_task
-from .induction import induce
 from .patterns import format_pattern
 from .perception import segment
 from .search import SearchProposer
 from .solver import (
     evaluate,
+    induce_with_fallback,
     render_report,
     report_summary,
     solve_task,
@@ -128,7 +128,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     task = _load_task(args.path)
     backend = _make_backend(cfg)
     proposer = _make_proposer(cfg, backend)
-    rs = induce(
+    rs, _ = induce_with_fallback(
         task, proposer, cfg.confidence_threshold, cfg.search_budget, cfg.connectivity
     )
     if not rs.patterns:
@@ -145,24 +145,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     task = _load_task(args.path)
     backend = _make_backend(cfg)
-    try:
-        proposer = _make_proposer(cfg, backend)
-        rs = induce(
-            task, proposer, cfg.confidence_threshold, cfg.search_budget, cfg.connectivity
-        )
-    except BackendError as e:
-        print(f"warning: backend unavailable for induction ({e})", file=sys.stderr)
-        rs = induce(
-            task,
-            SearchProposer(),
-            cfg.confidence_threshold,
-            cfg.search_budget,
-            cfg.connectivity,
-        )
+    proposer = _make_proposer(cfg, backend)
+    rs, failure = induce_with_fallback(
+        task, proposer, cfg.confidence_threshold, cfg.search_budget, cfg.connectivity
+    )
     predictions = solve_task(
         task, rs, backend, cfg.passes, cfg.samples, cfg.connectivity
     )
     for i, pred in enumerate(predictions):
+        if failure is not None:
+            pred.trace.degraded = True
+            pred.trace.notes.append(f"backend induction failed: {failure}")
         for a, attempt in enumerate(pred.attempts, start=1):
             print(f"# test {i} attempt {a}")
             print(encode_markdown(attempt))
@@ -186,9 +179,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     root = Path(args.path)
     if not root.is_dir():
         raise SymgridError(f"{args.path}: not a directory")
+    # When DIR is the current directory, the summary of a previous run
+    # sits among the tasks; it is this command's output, not a task.
+    summary_path = Path.cwd() / "eval_summary.json"
     items: list[tuple[str, Task]] = []
     unreadable = 0
     for path in sorted(root.glob("*.json")):
+        if path.resolve() == summary_path.resolve():
+            continue
         try:
             items.append((path.stem, parse_task(path.read_bytes())))
         except (OSError, SymgridError) as e:
@@ -209,7 +207,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(render_report(report))
     if unreadable:
         print(f"unreadable files: {unreadable}")
-    summary_path = Path.cwd() / "eval_summary.json"
     summary = report_summary(report)
     summary["unreadable_files"] = unreadable
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -314,8 +314,3 @@ def _contradicted(
         if not grids_equal(result, gout):
             return True
     return False
-
-
-def synthesize_hints(rs: RuleSet) -> list[str]:
-    """Hint sentences for a rule set, index-aligned with its patterns."""
-    return [synthesize_hint(sp.pattern) for sp in rs.patterns]

@@ -11,7 +11,11 @@ Each kind is one record of the ``_KINDS`` table at the end of this
 module: its parameter signature, whether it takes an object selector,
 its forward semantics and its hint template. ``KIND_ORDER``,
 ``OBJECT_KINDS``, validation, serialization, ``apply_pattern`` and
-``synthesize_hint`` all read that table.
+``synthesize_hint`` all read that table. Each parameter type named in a
+signature (``int``, ``positive``, ``color``, ``factor``, ``axis``,
+``direction``, ``colormap``) is one record of the ``_TAGS`` table: one
+check function that gives both the verdict and the error message, the
+parser of its serialized form, and the words a hint renders it as.
 
 Selectors pick the objects a pattern applies to: ``all``, ``color=c``,
 ``size_rank=k`` (k-th largest; size desc, id asc), ``cavities=n``.
@@ -97,47 +101,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate_param(kind: str, name: str, tag: str, value: object) -> None:
-    where = f"{kind}: parameter {name}"
-    if tag == "int":
-        if not _is_int(value):
-            raise PatternContractError(f"{where} must be an integer, got {value!r}")
-    elif tag == "positive":
-        if not _is_int(value) or value < 1:
-            raise PatternContractError(f"{where} must be a positive integer")
-    elif tag == "color":
-        if not _is_int(value) or not 0 <= value <= 9:
-            raise PatternContractError(f"{where} must be a color 0..9, got {value!r}")
-    elif tag == "factor":
-        if not _is_int(value) or value < 2:
-            raise PatternContractError(f"{where} must be an integer >= 2")
-    elif tag == "axis":
-        if value not in AXES:
-            raise PatternContractError(f"{where} must be one of {AXES}")
-    elif tag == "direction":
-        if value not in DIRECTIONS:
-            raise PatternContractError(f"{where} must be one of {DIRECTIONS}")
-    elif tag == "colormap":
-        if (
-            not isinstance(value, tuple)
-            or not value
-            or not all(
-                isinstance(p, tuple)
-                and len(p) == 2
-                and all(_is_int(v) and 0 <= v <= 9 for v in p)
-                for p in value
-            )
-        ):
-            raise PatternContractError(f"{where} must be a tuple of color pairs")
-        srcs = [s for s, _ in value]
-        if len(set(srcs)) != len(srcs):
-            raise PatternContractError(f"{where} maps a source color twice")
-        if tuple(sorted(value)) != value:
-            raise PatternContractError(f"{where} pairs must be sorted by source")
-    else:  # pragma: no cover - signature table is static
-        raise AssertionError(tag)
-
-
 @dataclass(frozen=True)
 class UnitPattern:
     """One atomic transformation: a kind, bound parameters, and a selector."""
@@ -154,16 +117,18 @@ class UnitPattern:
             raise PatternContractError(f"unknown pattern kind {self.kind!r}")
         checks = spec.checks
         valid = len(self.params) == len(checks)
-        for (name, value), (want, ok) in zip(self.params, checks):
-            valid = valid and name == want and ok(value)
+        for (name, value), (want, error) in zip(self.params, checks):
+            valid = valid and name == want and error(value) is None
         if not valid:
             got = tuple(name for name, _ in self.params)
             if got != spec.names:
                 raise PatternContractError(
                     f"{self.kind}: expected parameters {spec.names}, got {got}"
                 )
-            for (name, tag), (_, value) in zip(spec.signature, self.params):
-                _validate_param(self.kind, name, tag, value)
+            for (name, value), (_, error) in zip(self.params, checks):
+                message = error(value)
+                if message is not None:
+                    raise PatternContractError(f"{self.kind}: parameter {name} {message}")
         if (
             not spec.takes_selector
             and self.selector is not SELECT_ALL
@@ -221,29 +186,17 @@ def parse_pattern(line: str) -> UnitPattern:
     kind, inner, sel_kind, sel_value = m.groups()
     selector = Selector(sel_kind, int(sel_value) if sel_value is not None else None)
     spec = _KINDS.get(kind)
-    tags = dict(spec.signature) if spec is not None else {}
+    parsers = {} if spec is None else {name: _TAGS[tag].parse for name, tag in spec.signature}
     params: dict[str, object] = {}
     if inner:
         for item in inner.split(","):
             if "=" not in item:
                 raise PatternContractError(f"bad parameter {item!r} in {line!r}")
             name, raw = item.split("=", 1)
-            tag = tags.get(name)
-            if tag == "colormap":
-                try:
-                    pairs = tuple(
-                        tuple(int(x) for x in pair.split(":")) for pair in raw.split(";")
-                    )
-                except ValueError:
-                    raise PatternContractError(f"bad color map {raw!r}") from None
-                params[name] = tuple(sorted((a, b) for a, b in pairs))
-            elif tag in ("axis", "direction"):
-                params[name] = raw
-            else:
-                try:
-                    params[name] = int(raw)
-                except ValueError:
-                    raise PatternContractError(f"bad value {raw!r} in {line!r}") from None
+            try:
+                params[name] = parsers.get(name, int)(raw)
+            except ValueError:
+                raise PatternContractError(f"bad value {raw!r} in {line!r}") from None
     return make_pattern(kind, selector=selector, **params)
 
 
@@ -642,29 +595,63 @@ def _connect_objects(p: UnitPattern, s: Scene) -> Grid:
 # ---------------------------------------------------------------------------
 
 
-def _is_colormap(value: object) -> bool:
-    return (
+def _colormap_error(value: object) -> str | None:
+    if not (
         isinstance(value, tuple)
-        and bool(value)
+        and value
         and all(
             isinstance(p, tuple) and len(p) == 2 and all(_is_int(v) and 0 <= v <= 9 for v in p)
             for p in value
         )
-        and len({s for s, _ in value}) == len(value)
-        and tuple(sorted(value)) == value
-    )
+    ):
+        return "must be a tuple of color pairs"
+    if len({s for s, _ in value}) != len(value):
+        return "maps a source color twice"
+    if tuple(sorted(value)) != value:
+        return "pairs must be sorted by source"
+    return None
 
 
-# Validator tag -> whether a value passes; ``_validate_param`` holds the
-# message for each tag and runs only once a value has failed.
-_CHECKS: dict[str, Callable[[object], bool]] = {
-    "int": _is_int,
-    "positive": lambda v: _is_int(v) and v >= 1,
-    "color": lambda v: _is_int(v) and 0 <= v <= 9,
-    "factor": lambda v: _is_int(v) and v >= 2,
-    "axis": lambda v: v in AXES,
-    "direction": lambda v: v in DIRECTIONS,
-    "colormap": _is_colormap,
+def _parse_colormap(raw: str) -> tuple:
+    # A pair of the wrong length is kept, so the check rejects it with a
+    # PatternContractError like any other bad value.
+    try:
+        return tuple(sorted(tuple(int(x) for x in pair.split(":")) for pair in raw.split(";")))
+    except ValueError:
+        raise PatternContractError(f"bad color map {raw!r}") from None
+
+
+@dataclass(frozen=True)
+class _Tag:
+    """Everything this module knows about one parameter type."""
+
+    error: Callable[[object], str | None]  # None if valid, else the message tail
+    parse: Callable[[str], object] = int  # serialized form back to a value
+    words: Callable[[object], str] = str  # the value as a hint renders it
+
+
+_TAGS: dict[str, _Tag] = {
+    "int": _Tag(lambda v: None if _is_int(v) else f"must be an integer, got {v!r}"),
+    "positive": _Tag(lambda v: None if _is_int(v) and v >= 1 else "must be a positive integer"),
+    "color": _Tag(
+        lambda v: None if _is_int(v) and 0 <= v <= 9 else f"must be a color 0..9, got {v!r}"
+    ),
+    "factor": _Tag(lambda v: None if _is_int(v) and v >= 2 else "must be an integer >= 2"),
+    "axis": _Tag(
+        lambda v: None if v in AXES else f"must be one of {AXES}",
+        str,
+        lambda v: "left-right" if v == "h" else "top-bottom",
+    ),
+    "direction": _Tag(
+        lambda v: None if v in DIRECTIONS else f"must be one of {DIRECTIONS}",
+        str,
+        lambda v: f"{v}ward",  # upward, downward, leftward, rightward
+    ),
+    "colormap": _Tag(
+        _colormap_error,
+        _parse_colormap,
+        lambda v: ", ".join(f"{a} to {b}" for a, b in v),
+    ),
 }
 
 
@@ -673,17 +660,17 @@ class _Kind:
     """Everything this module knows about one kind."""
 
     name: str
-    signature: tuple[tuple[str, str], ...]  # (param, validator tag), serialization order
+    signature: tuple[tuple[str, str], ...]  # (param, ``_TAGS`` key), serialization order
     takes_selector: bool  # object kinds; the others take only selector 'all'
     apply: Callable[[UnitPattern, Scene], Grid]
     hint: str  # str.format template over {sel} and the rendered params
     # Derived from ``signature``:
     names: tuple[str, ...] = field(init=False)
-    checks: tuple[tuple[str, Callable[[object], bool]], ...] = field(init=False)
+    checks: tuple[tuple[str, Callable[[object], str | None]], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         names = tuple(name for name, _ in self.signature)
-        checks = tuple((name, _CHECKS[tag]) for name, tag in self.signature)
+        checks = tuple((name, _TAGS[tag].error) for name, tag in self.signature)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "checks", checks)
 
@@ -737,21 +724,11 @@ OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
 _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
 
 
-def _hint_words(tag: str, value: object) -> str:
-    if tag == "axis":
-        return "left-right" if value == "h" else "top-bottom"
-    if tag == "direction":
-        return f"{value}ward"  # upward, downward, leftward, rightward
-    if tag == "colormap":
-        return ", ".join(f"{a} to {b}" for a, b in value)
-    return str(value)
-
-
 def synthesize_hint(p: UnitPattern) -> str:
     """Deterministic template rendering of one pattern as a sentence."""
     kind = _KINDS[p.kind]
     words = {
-        name: _hint_words(tag, value)
+        name: _TAGS[tag].words(value)
         for (name, tag), (_, value) in zip(kind.signature, p.params)
     }
     return kind.hint.format(sel=p.selector.describe(), **words)

@@ -12,6 +12,7 @@ the top-confidence single rule when its output differs from attempt 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -90,12 +91,11 @@ def apply_ruleset(
     scene = as_scene(test_input, connectivity)
     candidates: list[Candidate] = []
     for sp in rs.patterns:
-        key = format_pattern(sp.pattern)
         try:
             result = apply_pattern(sp.pattern, scene)
         except PatternApplicationError as e:
             if trace is not None:
-                trace.skipped_patterns.append(f"{key}: {e}")
+                trace.skipped_patterns.append(f"{format_pattern(sp.pattern)}: {e}")
             continue
         candidates.append(Candidate(grid=result, source="rule_exec", weight=sp.confidence))
         if trace is not None:
@@ -171,6 +171,26 @@ def _backend_sample(
         except SymgridError:
             continue
     return grids
+
+
+def induce_with_fallback(
+    task: Task,
+    proposer,
+    threshold: float = 1.0,
+    budget: int = 2000,
+    connectivity: int = 4,
+) -> tuple[RuleSet, str | None]:
+    """``induce``, under the one backend-failure policy of every command.
+
+    When the proposer's backend fails, a warning goes to stderr and the
+    whole task is induced again with the search proposer. Returns the rule
+    set and the failure, or None when the proposer did not fail.
+    """
+    try:
+        return induce(task, proposer, threshold, budget, connectivity), None
+    except BackendError as e:
+        print(f"warning: backend unavailable for induction ({e})", file=sys.stderr)
+        return induce(task, SearchProposer(), threshold, budget, connectivity), str(e)
 
 
 def solve_task(
@@ -289,13 +309,15 @@ def evaluate(
     equals its expected grid. Items without expected outputs are skipped
     and counted. Every item is scored, also when task ids repeat; results
     are reported by task id, and items that share one stay in input
-    order. Deterministic given config and backend transcripts."""
+    order. A backend failure while inducing a task degrades it as in
+    ``induce_with_fallback``. Deterministic given config and backend
+    transcripts."""
     if proposer is None:
         proposer = SearchProposer()
 
     def run_one(entry: tuple[str, Task]):
         task_id, task = entry
-        rs = induce(task, proposer, threshold, budget, connectivity)
+        rs, _ = induce_with_fallback(task, proposer, threshold, budget, connectivity)
         preds = solve_task(task, rs, backend, passes, samples, connectivity)
         results = []
         cand_count = 0

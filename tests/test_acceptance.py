@@ -386,19 +386,19 @@ def test_10_segmentation_time_is_linear_in_cell_count():
         rng = random.Random(1010)
         sides = (10, 20, 30)
         reps = 200
-        totals = {}
-        for side in sides:
-            batch = [
-                random_grid(rng, max_side=side, min_side=side) for _ in range(reps)
-            ]
-            best = None
-            for _ in range(3):
+        batches = {
+            side: [random_grid(rng, max_side=side, min_side=side) for _ in range(reps)]
+            for side in sides
+        }
+        # Each round times all three sides back to back, so a swing in
+        # machine load hits every side alike; each side keeps its best round.
+        totals = dict.fromkeys(sides, float("inf"))
+        for _ in range(7):
+            for side in sides:
                 start = time.perf_counter()
-                for g in batch:
+                for g in batches[side]:
                     segment(g)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            totals[side] = best
+                totals[side] = min(totals[side], time.perf_counter() - start)
 
         xs = [side * side for side in sides]
         ys = [totals[side] for side in sides]

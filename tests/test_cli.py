@@ -223,6 +223,20 @@ class TestEval:
         assert summary["correct"] == 4
         assert summary["unreadable_files"] == 1
 
+    def test_rerun_in_task_directory_skips_own_summary(self, tmp_path, capsys, monkeypatch):
+        for tid, task, _ in generate_suite(seed=31, n_planted=2, n_noise=1):
+            (tmp_path / f"{tid}.json").write_bytes(serialize_task(task))
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for _ in range(2):
+            assert main(["eval", ".", "--passes", "1"]) == 0
+            captured = capsys.readouterr()
+            assert "eval_summary.json" not in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert "unreadable files" not in outputs[1]
+        assert json.loads((tmp_path / "eval_summary.json").read_text())["scored"] == 3
+
     def test_empty_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         data = tmp_path / "empty"
@@ -267,6 +281,8 @@ class TestHostileInputs:
             ("transcript_deep_line", 2),
             ("transcript_is_a_directory", 2),
             ("malformed_backend_url", 0),
+            ("eval_dead_backend_remote_proposer", 0),
+            ("induce_dead_backend_remote_proposer", 0),
         ],
     )
     def test_clean_exit(self, rotate_task_file, tmp_path, case, code):
@@ -279,6 +295,9 @@ class TestHostileInputs:
         tasks.mkdir()
         (tasks / "deep.json").write_text(_DEEP)
         (tasks / "ok.json").write_bytes(task.read_bytes())
+        remote = tmp_path / "remote.json"
+        remote.write_text('{"proposer": "remote"}')
+        dead = ["--config", str(remote), "--backend-url", "http://127.0.0.1:1/"]
         argv = {
             "solve_deep_task": ["solve", str(deep)],
             "perceive_deep_task": ["perceive", str(deep)],
@@ -291,6 +310,8 @@ class TestHostileInputs:
             "malformed_backend_url": [
                 "solve", str(task), "--backend-url", "http://[::1", "--samples", "1",
             ],
+            "eval_dead_backend_remote_proposer": ["eval", str(tasks), "--passes", "1", *dead],
+            "induce_dead_backend_remote_proposer": ["induce", str(task), *dead],
         }[case]
         # Run the code this process imported, whatever the child's cwd.
         import_root = str(Path(symgrid.__file__).resolve().parent.parent)
@@ -313,5 +334,12 @@ class TestHostileInputs:
         elif case == "eval_dir_with_deep_task":
             assert "skipping deep.json" in result.stderr
             assert "unreadable files: 1" in result.stdout
+        elif case == "eval_dead_backend_remote_proposer":
+            assert "warning: backend unavailable for induction" in result.stderr
+            assert "accuracy: 1/1" in result.stdout
+            assert (tmp_path / "eval_summary.json").exists()
+        elif case == "induce_dead_backend_remote_proposer":
+            assert "warning: backend unavailable for induction" in result.stderr
+            assert result.stdout.splitlines()[0] == "rotate90()@all"
         else:
             assert "degraded=yes" in result.stdout

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from symgrid import (
     KIND_ORDER,
     Grid,
-    RuleSet,
     ScoredPattern,
     SearchProposer,
     Selector,
@@ -25,7 +24,6 @@ from symgrid import (
     make_pattern,
     match_objects,
     segment,
-    synthesize_hints,
 )
 from symgrid import induction
 from symgrid.induction import synthesize_hint
@@ -602,8 +600,9 @@ class TestHints:
         )
 
     def test_empty_ruleset_empty_hints(self):
-        rs = RuleSet(patterns=(), hints=())
-        assert synthesize_hints(rs) == []
+        rs = induce(generate_noise_task(random.Random(0)), SearchProposer())
+        assert rs.patterns == ()
+        assert rs.hints == ()
 
     def test_every_kind_has_a_template(self):
         from symgrid import KIND_ORDER
@@ -680,4 +679,4 @@ class TestHints:
         pt = generate_planted_task(rng, kind="rotate180")
         rs = induce(pt.task, SearchProposer())
         assert len(rs.hints) == len(rs.patterns)
-        assert rs.hints == tuple(synthesize_hints(rs))
+        assert rs.hints == tuple(synthesize_hint(sp.pattern) for sp in rs.patterns)

@@ -481,6 +481,34 @@ class TestSerialization:
             with pytest.raises(PatternContractError):
                 parse_pattern(bad)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("translate(dx=x,dy=1)@all", "bad value 'x' in 'translate(dx=x,dy=1)@all'"),
+            ("palette_swap(map=1-2)@all", "bad color map '1-2'"),
+            ("palette_swap(map=)@all", "bad color map ''"),
+            ("translate(dx=1,dz=1)@all", "translate: missing=['dy'] unexpected=['dz']"),
+            ("translate(dx=1,dz=x)@all", "bad value 'x' in 'translate(dx=1,dz=x)@all'"),
+            ("spin(a=1)@all", "unknown pattern kind 'spin'"),
+            ("spin(a=x)@all", "bad value 'x' in 'spin(a=x)@all'"),
+            (
+                "symmetry_complete(axis=q)@all",
+                "symmetry_complete: parameter axis must be one of ('h', 'v')",
+            ),
+        ],
+    )
+    def test_parse_error_messages(self, line, message):
+        with pytest.raises(PatternContractError) as exc:
+            parse_pattern(line)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw", ["5", "1:2:3", "1:2;3"])
+    def test_parse_colormap_of_wrong_arity_is_a_contract_error(self, raw):
+        # A remote proposer's line is dropped on a PatternContractError;
+        # any other exception would end the run.
+        with pytest.raises(PatternContractError, match="must be a tuple of color pairs"):
+            parse_pattern(f"palette_swap(map={raw})@all")
+
 
 class TestContracts:
     def test_unknown_kind(self):
