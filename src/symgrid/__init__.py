@@ -44,9 +44,11 @@ from .patterns import (
     Selector,
     UnitPattern,
     apply_pattern,
+    build_pattern,
     format_pattern,
     make_pattern,
     parse_pattern,
+    pattern_key,
 )
 from .perception import (
     GridObject,
@@ -95,6 +97,7 @@ __all__ = [
     "apply_pattern",
     "apply_ruleset",
     "background_color",
+    "build_pattern",
     "collect_candidates",
     "decode_markdown",
     "detect_cavities",
@@ -111,6 +114,7 @@ __all__ = [
     "match_objects",
     "parse_pattern",
     "parse_task",
+    "pattern_key",
     "pixel_distance",
     "segment",
     "serialize_task",

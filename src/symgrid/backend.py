@@ -17,7 +17,8 @@ With a URL and a transcript path the client records; with a transcript
 path alone it replays, matching requests by their canonical JSON form
 (FIFO among identical requests). A replay miss raises BackendError, which
 callers treat like any transport failure; so does a live response body
-longer than ``MAX_BODY_BYTES``.
+longer than ``MAX_BODY_BYTES`` and a sample response with more than
+``MAX_SAMPLE_GRIDS`` grids.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from .errors import BackendError
 # The largest response body read: room for thousands of pattern lines or
 # 30x30 sample grids. A longer body is a BackendError, like a bad one.
 MAX_BODY_BYTES = 4 << 20
+
+# The most grids one sample response may carry. Each grid becomes a vote
+# candidate; the solver asks for a handful (5 by default), so a response
+# this long is a misbehaving server and is a BackendError.
+MAX_SAMPLE_GRIDS = 64
 
 
 def _canonical(request: dict) -> str:
@@ -152,6 +158,10 @@ class RemoteBackend:
         grids = response.get("grids")
         if not isinstance(grids, list) or not all(isinstance(g, str) for g in grids):
             raise BackendError("response missing 'grids' list")
+        if len(grids) > MAX_SAMPLE_GRIDS:
+            raise BackendError(
+                f"response has {len(grids)} grids, more than {MAX_SAMPLE_GRIDS}"
+            )
         return grids
 
 

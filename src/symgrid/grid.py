@@ -9,6 +9,7 @@ as dictionary keys during voting and deduplication.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import GridValidationError, MarkdownError, TaskFormatError
@@ -129,8 +130,10 @@ def pixel_distance(a: Grid, b: Grid) -> int:
     b's area + 1, strictly worse than any same-shape disagreement."""
     if a.dims != b.dims:
         return b.height * b.width + 1
+    # Equal rows are skipped whole; map(ne) counts the rest without a
+    # per-cell Python frame (True counts as 1).
     return sum(
-        1 for ra, rb in zip(a.rows, b.rows) for va, vb in zip(ra, rb) if va != vb
+        [sum(map(operator.ne, ra, rb)) for ra, rb in zip(a.rows, b.rows) if ra != rb]
     )
 
 

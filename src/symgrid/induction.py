@@ -3,10 +3,13 @@
 Objects in an input/output scene pair are tagged added, removed, or
 retained by greedy matching. Candidate unit patterns come from a
 pluggable proposer: every train pair's candidates are collected first,
-then each one is applied at most once to a pair input, and only while
-the number of pairs that propose it can still carry it to the
-confidence threshold. The verdicts are intersected across pairs into a
-confidence-ranked rule set with rendered hint sentences.
+keyed by value (``patterns.pattern_key``), then each one is applied at
+most once to a pair input, and only while the number of pairs that
+propose it can still carry it to the confidence threshold. A candidate
+becomes a (validated) UnitPattern only there, just before it is
+applied, so the many that are never verified are never built. The
+verdicts are intersected across pairs into a confidence-ranked rule set
+with rendered hint sentences.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ from typing import Iterable, Protocol
 from .errors import PatternApplicationError, PatternContractError
 from .grid import Grid, grids_equal, pixel_distance
 from .patterns import (
+    PatternKey,
     Scene,
     UnitPattern,
     apply_pattern,
     as_scene,
+    build_pattern,
     canonical_key,
-    format_pattern,
     parse_pattern,
+    pattern_key,
     synthesize_hint,
 )
 from .perception import Perception
@@ -115,41 +120,47 @@ class Proposer(Protocol):
     """Source of candidate patterns for one train pair.
 
     ``propose`` gets the pair input as a Scene and the pair output. It
-    may yield UnitPattern values or serialized pattern lines, and
-    verifies nothing: ``collect_candidates`` parses the lines (dropping
-    malformed ones with a warning), deduplicates and stops after
-    ``budget`` distinct candidates; ``detect_unit_patterns`` applies each
-    one at most once.
+    may yield value keys (``patterns.pattern_key``), UnitPattern values
+    or serialized pattern lines, and verifies nothing:
+    ``collect_candidates`` parses the lines (dropping malformed ones with
+    a warning), turns each item into its key, deduplicates on the key and
+    stops after ``budget`` distinct candidates; ``detect_unit_patterns``
+    builds a pattern from a key only when it verifies it, and applies
+    each one at most once.
     """
 
     def propose(
         self, scene: Scene, output: Grid, budget: int
-    ) -> Iterable[UnitPattern | str]: ...
+    ) -> Iterable[PatternKey | UnitPattern | str]: ...
 
 
 def collect_candidates(
     pair: Pair, proposer: Proposer, budget: int, connectivity: int = 4
-) -> dict[str, UnitPattern]:
-    """One pair's first ``budget`` distinct candidates, by canonical key.
+) -> dict[PatternKey, UnitPattern | None]:
+    """One pair's first ``budget`` distinct candidates, by value key.
 
     The pair input may be a Scene (its own connectivity then applies).
     Lines are parsed, malformed ones dropped with a warning, and
-    duplicates skipped; the dict keeps proposer order. Nothing is applied.
+    duplicates skipped; the dict keeps proposer order. A key maps to its
+    pattern when the proposer gave one (or a line), else to None: keys
+    are built only when verified. Nothing is applied.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     gin, gout = pair
-    candidates: dict[str, UnitPattern] = {}
+    candidates: dict[PatternKey, UnitPattern | None] = {}
     for item in proposer.propose(as_scene(gin, connectivity), gout, budget):
-        if isinstance(item, str):
+        if isinstance(item, tuple):
+            key, pattern = item, None
+        elif isinstance(item, str):
             try:
                 pattern = parse_pattern(item)
             except PatternContractError as e:
                 log.warning("dropping malformed pattern line %r: %s", item, e)
                 continue
+            key = pattern_key(pattern)
         else:
-            pattern = item
-        key = format_pattern(pattern)
+            key, pattern = pattern_key(item), item
         if key in candidates:
             continue
         if len(candidates) == budget:
@@ -159,20 +170,24 @@ def collect_candidates(
 
 
 def detect_unit_patterns(
-    pair: Pair, candidates: dict[str, UnitPattern], connectivity: int = 4
+    pair: Pair, candidates: dict[PatternKey, UnitPattern | None], connectivity: int = 4
 ) -> list[ScoredPattern]:
     """Verify candidates, as ``collect_candidates`` returns them, on one pair.
 
     The pair input may be a Scene (its own connectivity then applies).
-    Each candidate is applied once to the pair input, in dict order:
-    exact matches are flagged exact, strict reductions of pixel distance
-    are kept as partial, everything else is dropped.
+    A key without a pattern is built here, which validates it (a key
+    that names no valid pattern raises PatternContractError). Each
+    candidate is applied once to the pair input, in dict order: exact
+    matches are flagged exact, strict reductions of pixel distance are
+    kept as partial, everything else is dropped.
     """
     gin, gout = pair
     scene = as_scene(gin, connectivity)
     baseline = pixel_distance(scene.grid, gout)
     out: list[ScoredPattern] = []
-    for pattern in candidates.values():
+    for key, pattern in candidates.items():
+        if pattern is None:
+            pattern = build_pattern(key)
         try:
             result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
@@ -220,10 +235,10 @@ def intersect_patterns(
     if len(per_pair) != len(train_pairs):
         raise ValueError("intersect_patterns: per-pair lists do not match pairs")
     n = len(per_pair)
-    entries: dict[str, _Entry] = {}
+    entries: dict[PatternKey, _Entry] = {}
     for idx, detections in enumerate(per_pair):
         for sp in detections:
-            key = format_pattern(sp.pattern)
+            key = pattern_key(sp.pattern)
             entry = entries.setdefault(key, _Entry(pattern=sp.pattern))
             entry.exact_by_pair.setdefault(idx, sp.exact)
 
@@ -280,7 +295,7 @@ def induce(
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
     collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
-    support: Counter[str] = Counter()  # pairs 0..k-1 whose list holds the key
+    support: Counter[PatternKey] = Counter()  # pairs 0..k-1 whose list holds the key
     proposed = Counter(key for candidates in collected for key in candidates)
     per_pair = []
     for pair, candidates in zip(pairs, collected):
@@ -292,7 +307,7 @@ def induce(
         }
         proposed.subtract(candidates.keys())
         detections = detect_unit_patterns(pair, reachable, connectivity)
-        support.update(format_pattern(sp.pattern) for sp in detections)
+        support.update(pattern_key(sp.pattern) for sp in detections)
         per_pair.append(detections)
     return intersect_patterns(per_pair, pairs, threshold, connectivity)
 

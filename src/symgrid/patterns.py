@@ -22,7 +22,12 @@ Selectors pick the objects a pattern applies to: ``all``, ``color=c``,
 Whole-grid kinds always carry selector ``all``.
 
 Serialized form, one pattern per line: ``kind(param=value,...)@selector``.
-The serialized string is the canonical key used for deduplication.
+It is what leaves the library (CLI output, traces, the backend) and the
+tie-break of ``canonical_key``'s order. Candidates are deduplicated on
+``pattern_key``, a plain value ``(kind, parameter values in signature
+order, (selector kind, selector value))``: two valid patterns have equal
+keys exactly when their serializations are equal, and ``build_pattern``
+turns a key back into a validated UnitPattern.
 """
 
 from __future__ import annotations
@@ -159,6 +164,34 @@ def make_pattern(kind: str, selector: Selector = SELECT_ALL, **params: object) -
         )
     ordered = tuple([(name, params[name]) for name in names])
     return UnitPattern(kind=kind, params=ordered, selector=selector)
+
+
+# A candidate by value: (kind, parameter values in signature order,
+# (selector kind, selector value)). Plain tuples, so hashing and equality
+# never run Python code.
+PatternKey = tuple[str, tuple[object, ...], tuple[str, int | None]]
+KEY_ALL = ("all", None)  # the selector part of a key for selector 'all'
+
+
+def pattern_key(p: UnitPattern) -> PatternKey:
+    """``p`` by value; equal keys exactly when ``format_pattern`` is equal."""
+    sel = p.selector
+    return (p.kind, tuple([value for _, value in p.params]), (sel.kind, sel.value))
+
+
+def build_pattern(key: PatternKey) -> UnitPattern:
+    """The UnitPattern a key names, validated like any other; raises
+    PatternContractError when the key names none."""
+    kind, values, sel = key
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise PatternContractError(f"unknown pattern kind {kind!r}")
+    if len(values) != len(spec.names):
+        raise PatternContractError(
+            f"{kind}: expected values for {spec.names}, got {len(values)}"
+        )
+    selector = SELECT_ALL if sel == KEY_ALL else Selector(*sel)
+    return UnitPattern(kind, tuple(zip(spec.names, values)), selector)
 
 
 def _format_value(value: object) -> str:

@@ -2,11 +2,14 @@
 
 Candidates are generated cheapest-first (whole-grid kinds, then object
 kinds with parameters read off the scene diff), lazily and without being
-applied: ``induction.collect_candidates`` deduplicates them on their
-canonical serialization and stops at the budget, and
-``induction.detect_unit_patterns`` verifies each one once against the
-pair. Generation order is deterministic, so repeated runs
-return identical lists.
+applied or built: the search yields value keys ``(kind, parameter values
+in signature order, (selector kind, selector value))``, the
+``patterns.pattern_key`` form. ``induction.collect_candidates``
+deduplicates them on the key and stops at the budget;
+``induction.detect_unit_patterns`` builds (and so validates) a
+UnitPattern only for a key it verifies, then applies it once to the
+pair. Generation order is deterministic, so repeated runs return
+identical lists.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from .induction import (
     detect_unit_patterns,
     match_objects,
 )
-from .patterns import (
-    DIRECTIONS,
-    Scene,
-    Selector,
-    UnitPattern,
-    as_scene,
-    make_pattern,
-)
+from .patterns import DIRECTIONS, KEY_ALL as ALL, PatternKey, Scene, as_scene
 from .perception import segment
 
 
@@ -44,9 +40,9 @@ def enumerate_candidates(
 
 
 class SearchProposer:
-    """The default proposer: the search's candidates, unverified."""
+    """The default proposer: the search's candidates as value keys, unverified."""
 
-    def propose(self, scene: Scene, output: Grid, budget: int) -> Iterator[UnitPattern]:
+    def propose(self, scene: Scene, output: Grid, budget: int) -> Iterator[PatternKey]:
         return _proposals(scene, output)
 
 
@@ -65,14 +61,15 @@ def _uniform_color(g: Grid) -> int | None:
     return colors.pop() if len(colors) == 1 else None
 
 
-def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
-    """Yield parameterized patterns in the canonical cheapest-first order.
+def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
+    """Yield pattern keys in the canonical cheapest-first order.
 
     Parameters are read off the pair (the Scene's grid is its input):
     dimension ratios drive the scaling kinds, the cell diff drives the
     color kinds, and the object matching drives moves, deletions, and
     duplications. Identity parameterizations (translate(0,0),
-    recolor(c,c), ...) are never generated.
+    recolor(c,c), ...) are never generated. The input is segmented only
+    where its objects are read: the count branch and same-dims pairs.
     """
     gin = scene.grid
     hi, wi = gin.dims
@@ -81,53 +78,51 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
     transposed = (wi, hi) == (ho, wo)
 
     if same_dims:
-        yield make_pattern("reflect_h")
-        yield make_pattern("reflect_v")
+        yield ("reflect_h", (), ALL)
+        yield ("reflect_v", (), ALL)
     if transposed:
-        yield make_pattern("rotate90")
+        yield ("rotate90", (), ALL)
     if same_dims:
-        yield make_pattern("rotate180")
+        yield ("rotate180", (), ALL)
     if transposed:
-        yield make_pattern("rotate270")
+        yield ("rotate270", (), ALL)
     if ho <= hi and wo <= wi:
-        yield make_pattern("crop_to_content")
+        yield ("crop_to_content", (), ALL)
     if same_dims:
-        yield make_pattern("symmetry_complete", axis="h")
-        yield make_pattern("symmetry_complete", axis="v")
+        yield ("symmetry_complete", ("h",), ALL)
+        yield ("symmetry_complete", ("v",), ALL)
     if ho % hi == 0 and wo % wi == 0:
         f = ho // hi
         if f >= 2 and f == wo // wi:
-            yield make_pattern("scale_up", factor=f)
+            yield ("scale_up", (f,), ALL)
     if hi % ho == 0 and wi % wo == 0:
         f = hi // ho
         if f >= 2 and f == wi // wo:
-            yield make_pattern("scale_down", factor=f)
+            yield ("scale_down", (f,), ALL)
     if ho % hi == 0 and wo % wi == 0:
         r, c = ho // hi, wo // wi
         if (r, c) != (1, 1):
-            yield make_pattern("tile_grid", rows=r, cols=c)
+            yield ("tile_grid", (r, c), ALL)
     if wi % 2 == 0 and (ho, wo) == (hi, wi // 2):
-        yield make_pattern("overlay_pairs", axis="h")
+        yield ("overlay_pairs", ("h",), ALL)
     if hi % 2 == 0 and (ho, wo) == (hi // 2, wi):
-        yield make_pattern("overlay_pairs", axis="v")
+        yield ("overlay_pairs", ("v",), ALL)
     if ho <= hi and wo <= wi:
-        yield make_pattern("select_largest")
-        yield make_pattern("select_smallest")
-
-    pin = scene.perception
+        yield ("select_largest", (), ALL)
+        yield ("select_smallest", (), ALL)
 
     target = _uniform_color(gout)
     if ho == 1 and target is not None:
+        pin = scene.perception
         if len(pin.objects) == wo:
-            yield make_pattern("count_encode", color=target)
+            yield ("count_encode", (target,), ALL)
         for color in sorted({o.color for o in pin.objects}):
             if sum(1 for o in pin.objects if o.color == color) == wo:
-                yield make_pattern(
-                    "count_encode", color=target, selector=Selector("color", color)
-                )
+                yield ("count_encode", (target,), ("color", color))
 
     if not same_dims:
         return
+    pin = scene.perception
 
     changed = [
         (r, c, gin.rows[r][c], gout.rows[r][c])
@@ -139,7 +134,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
     new_colors = _ordered_unique(b for _, _, _, b in changed)
 
     for src, dst in color_moves:
-        yield make_pattern("recolor", src=src, dst=dst)
+        yield ("recolor", (src, dst), ALL)
 
     if changed:
         mapping: dict[int, int] = {}
@@ -154,7 +149,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
         if functional:
             pairs = tuple(sorted((a, b) for a, b in mapping.items() if a != b))
             if pairs:
-                yield make_pattern("palette_swap", map=pairs)
+                yield ("palette_swap", (pairs,), ALL)
 
     pout = segment(gout, scene.connectivity)
     rank = pin.size_ranks
@@ -176,31 +171,22 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
             moved.append((a, delta))
     deltas = _ordered_unique(delta for _, delta in moved)
     for dr, dc in deltas:
-        yield make_pattern("translate", dx=dc, dy=dr)
+        yield ("translate", (dc, dr), ALL)
         for color in sorted(
             {a.color for a, delta in moved if delta == (dr, dc)}
         ):
-            yield make_pattern(
-                "translate", dx=dc, dy=dr, selector=Selector("color", color)
-            )
+            yield ("translate", (dc, dr), ("color", color))
     for a, (dr, dc) in moved:
-        yield make_pattern(
-            "translate",
-            dx=dc,
-            dy=dr,
-            selector=Selector("size_rank", rank[a.id]),
-        )
+        yield ("translate", (dc, dr), ("size_rank", rank[a.id]))
 
     if removed:
-        yield make_pattern("delete_object")
+        yield ("delete_object", (), ALL)
         for color in sorted({o.color for o in removed}):
-            yield make_pattern("delete_object", selector=Selector("color", color))
+            yield ("delete_object", (), ("color", color))
         for obj in removed:
-            yield make_pattern(
-                "delete_object", selector=Selector("size_rank", rank[obj.id])
-            )
+            yield ("delete_object", (), ("size_rank", rank[obj.id]))
         for count in sorted({o.cavity_count for o in removed}):
-            yield make_pattern("delete_object", selector=Selector("cavities", count))
+            yield ("delete_object", (), ("cavities", count))
 
     for out_obj in added:
         for in_obj in pin.objects:
@@ -209,53 +195,33 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
                 dx = out_obj.bbox[1] - in_obj.bbox[1]
                 if (dx, dy) == (0, 0):
                     continue
-                yield make_pattern("duplicate_object", dx=dx, dy=dy)
-                yield make_pattern(
-                    "duplicate_object",
-                    dx=dx,
-                    dy=dy,
-                    selector=Selector("color", in_obj.color),
-                )
-                yield make_pattern(
-                    "duplicate_object",
-                    dx=dx,
-                    dy=dy,
-                    selector=Selector("size_rank", rank[in_obj.id]),
-                )
+                yield ("duplicate_object", (dx, dy), ALL)
+                yield ("duplicate_object", (dx, dy), ("color", in_obj.color))
+                yield ("duplicate_object", (dx, dy), ("size_rank", rank[in_obj.id]))
 
     holed = [o for o in pin.objects if o.cavity_count > 0]
     if holed and changed:
         holed_colors = sorted({o.color for o in holed})
         holed_counts = sorted({o.cavity_count for o in holed})
         for color in new_colors:
-            yield make_pattern("cavity_fill", color=color)
+            yield ("cavity_fill", (color,), ALL)
             for oc in holed_colors:
-                yield make_pattern(
-                    "cavity_fill", color=color, selector=Selector("color", oc)
-                )
+                yield ("cavity_fill", (color,), ("color", oc))
             for count in holed_counts:
-                yield make_pattern(
-                    "cavity_fill", color=color, selector=Selector("cavities", count)
-                )
+                yield ("cavity_fill", (color,), ("cavities", count))
 
     if pin.objects and changed:
         object_colors = sorted({o.color for o in pin.objects})
         for direction in DIRECTIONS:
-            yield make_pattern("gravity_shift", dir=direction)
+            yield ("gravity_shift", (direction,), ALL)
             for color in object_colors:
-                yield make_pattern(
-                    "gravity_shift", dir=direction, selector=Selector("color", color)
-                )
+                yield ("gravity_shift", (direction,), ("color", color))
 
         for color in new_colors:
-            yield make_pattern("draw_bbox_border", color=color)
+            yield ("draw_bbox_border", (color,), ALL)
             for oc in object_colors:
-                yield make_pattern(
-                    "draw_bbox_border", color=color, selector=Selector("color", oc)
-                )
-            yield make_pattern(
-                "draw_bbox_border", color=color, selector=Selector("size_rank", 0)
-            )
+                yield ("draw_bbox_border", (color,), ("color", oc))
+            yield ("draw_bbox_border", (color,), ("size_rank", 0))
 
         if len(pin.objects) >= 2:
             multi_colors = sorted(
@@ -264,8 +230,6 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[UnitPattern]:
                 if sum(1 for o in pin.objects if o.color == c) >= 2
             )
             for color in new_colors:
-                yield make_pattern("connect_objects", color=color)
+                yield ("connect_objects", (color,), ALL)
                 for oc in multi_colors:
-                    yield make_pattern(
-                        "connect_objects", color=color, selector=Selector("color", oc)
-                    )
+                    yield ("connect_objects", (color,), ("color", oc))

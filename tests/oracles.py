@@ -6,9 +6,9 @@ border flood for cavities, and explicit 0..9 scans for voting. They must
 stay free of package internals beyond public value types.
 
 The exception is the references kept for fast paths (``fraction_vote``,
-``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``): each is
-the code a fast path replaced, kept so differential tests can require the
-same results from both.
+``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``,
+``genexpr_pixel_distance``): each is the code a fast path replaced, kept
+so differential tests can require the same results from both.
 """
 
 from collections import deque
@@ -205,6 +205,16 @@ def str_encode_markdown(g):
     """``grid.encode_markdown`` as it was before it mapped cells through a
     digit table, with ``str(v)`` per cell: the reference for that fast path."""
     return "\n".join("|" + "|".join(str(v) for v in row) + "|" for row in g.rows)
+
+
+def genexpr_pixel_distance(a, b):
+    """``grid.pixel_distance`` as it was before it skipped equal rows, with
+    one generator step per cell: the reference for that fast path."""
+    if a.dims != b.dims:
+        return b.height * b.width + 1
+    return sum(
+        1 for ra, rb in zip(a.rows, b.rows) for va, vb in zip(ra, rb) if va != vb
+    )
 
 
 _BFS_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))

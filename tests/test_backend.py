@@ -283,28 +283,61 @@ class TestDegradation:
 
     def test_bad_sample_grids_skipped(self, tmp_path, rotate_task):
         # A transcript whose sample response holds three bad grids and the answer.
-        from symgrid.backend import _canonical
-
         rs = induce(rotate_task, SearchProposer())
         test_input, expected = rotate_task.test[0]
-        train_md = [
-            {"input": encode_markdown(a), "output": encode_markdown(b)}
-            for a, b in rotate_task.train
-        ]
-        request = {
-            "mode": "sample",
-            "train": train_md,
-            "test_input": encode_markdown(test_input),
-            "hints": list(rs.hints),
-            "samples": 2,
-        }
         # "\u00b2" and "\u0663" pass str.isdigit() but are no ASCII digits.
         bad = ["|not|valid|", "|\u00b2|", "|\u0663|"]
-        response = {"grids": bad + [encode_markdown(expected)]}
-        transcript = tmp_path / "t.jsonl"
-        transcript.write_text(json.dumps({"request": request, "response": response}) + "\n")
-        backend = RemoteBackend(transcript_path=str(transcript))
+        grids = bad + [encode_markdown(expected)]
+        backend = _sample_replay(tmp_path, rotate_task, rs, 2, grids)
         preds = solve_task(rotate_task, rs, backend=backend, passes=1, samples=2)
         assert not preds[0].trace.degraded
         assert grids_equal(preds[0].attempts[0], expected)
         assert preds[0].trace.candidate_count == 2  # 1 rule + 1 usable sample
+
+    def test_too_many_sample_grids_degrades_with_a_note(self, tmp_path, rotate_task):
+        # Each grid would become a vote candidate: past the cap the whole
+        # response is a backend failure, and the rule's answer stands.
+        rs = induce(rotate_task, SearchProposer())
+        test_input, expected = rotate_task.test[0]
+        n = backend_module.MAX_SAMPLE_GRIDS + 1
+        wrong = encode_markdown(test_input)  # the unrotated input: outvotes the rule
+        backend = _sample_replay(tmp_path, rotate_task, rs, 2, [wrong] * n)
+        preds = solve_task(rotate_task, rs, backend=backend, passes=1, samples=2)
+        trace = preds[0].trace
+        assert trace.degraded
+        assert trace.notes == [
+            f"backend sampling failed: response has {n} grids,"
+            f" more than {backend_module.MAX_SAMPLE_GRIDS}"
+        ]
+        assert trace.candidate_count == 1  # the rule alone
+        assert grids_equal(preds[0].attempts[0], expected)
+
+    def test_sample_grids_up_to_the_cap_are_kept(self, tmp_path, rotate_task):
+        rs = induce(rotate_task, SearchProposer())
+        test_input, expected = rotate_task.test[0]
+        n = backend_module.MAX_SAMPLE_GRIDS
+        backend = _sample_replay(tmp_path, rotate_task, rs, 2, [encode_markdown(expected)] * n)
+        preds = solve_task(rotate_task, rs, backend=backend, passes=1, samples=2)
+        assert not preds[0].trace.degraded
+        assert preds[0].trace.candidate_count == 1 + n
+
+
+def _sample_replay(tmp_path, task, rs, samples, grids):
+    """A replaying backend whose one recorded sample request for ``task``'s
+    first test input answers ``grids``."""
+    test_input, _ = task.test[0]
+    request = {
+        "mode": "sample",
+        "train": [
+            {"input": encode_markdown(a), "output": encode_markdown(b)}
+            for a, b in task.train
+        ],
+        "test_input": encode_markdown(test_input),
+        "hints": list(rs.hints),
+        "samples": samples,
+    }
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(
+        json.dumps({"request": request, "response": {"grids": grids}}) + "\n"
+    )
+    return RemoteBackend(transcript_path=str(transcript))

@@ -21,7 +21,7 @@ from symgrid import (
     serialize_task,
 )
 from conftest import grids, random_grid
-from oracles import str_encode_markdown
+from oracles import genexpr_pixel_distance, str_encode_markdown
 
 
 class TestGridInvariants:
@@ -297,3 +297,18 @@ class TestPixelDistance:
         a = Grid.from_rows([[1]])
         b = Grid.from_rows([[1, 2], [3, 4]])
         assert pixel_distance(a, b) == 5
+
+    @given(grids(max_side=8, colors=3), st.data())
+    @settings(max_examples=200)
+    def test_matches_reference(self, a, data):
+        # A few cells of ``a`` changed (so most rows stay equal), and an
+        # unrelated grid that mostly differs in shape.
+        rows = [list(row) for row in a.rows]
+        cell = st.tuples(
+            st.integers(0, a.height - 1), st.integers(0, a.width - 1), st.integers(0, 9)
+        )
+        for r, c, v in data.draw(st.lists(cell, max_size=6)):
+            rows[r][c] = v
+        for b in (Grid.from_rows(rows), data.draw(grids(max_side=8, colors=3))):
+            assert pixel_distance(a, b) == genexpr_pixel_distance(a, b)
+            assert pixel_distance(b, a) == genexpr_pixel_distance(b, a)

@@ -14,15 +14,19 @@ from symgrid import (
     SearchProposer,
     Selector,
     Task,
+    UnitPattern,
     apply_pattern,
     collect_candidates,
     detect_unit_patterns,
+    evaluate,
     format_pattern,
     grids_equal,
     induce,
     intersect_patterns,
     make_pattern,
     match_objects,
+    parse_pattern,
+    pattern_key,
     segment,
 )
 from symgrid import induction
@@ -374,10 +378,7 @@ class TestVerifyOnce:
             task = generate_planted_task(rng, kind=kind).task
             apply_calls.clear()
             kept = [
-                {
-                    format_pattern(sp.pattern)
-                    for sp in detect(p, proposer, 2000)
-                }
+                {pattern_key(sp.pattern) for sp in detect(p, proposer, 2000)}
                 for p in task.train
             ]
             unpruned = len(apply_calls)
@@ -387,7 +388,8 @@ class TestVerifyOnce:
                 first_pair.setdefault(gin, k)
             apply_calls.clear()
             induce(task, proposer, threshold=1.0)
-            for key, g in apply_calls:
+            for line, g in apply_calls:
+                key = pattern_key(parse_pattern(line))
                 k = first_pair[g]
                 assert all(key in kept[j] for j in range(k)), (kind, key, k)
                 assert all(key in p for p in proposed[k + 1 :]), (kind, key, k)
@@ -416,6 +418,40 @@ class TestVerifyOnce:
             assert rs.patterns == ()
             assert len(apply_calls) == len(proposer.items)
             assert {g for _, g in apply_calls} == {task.train[0][0]}
+
+
+class TestLateBuilding:
+    """Candidates travel as value keys; a UnitPattern is built only for a
+    key that is verified."""
+
+    def test_evaluate_builds_no_more_patterns_than_it_verifies(
+        self, monkeypatch, apply_calls
+    ):
+        items = [
+            (name, task)
+            for name, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20)
+        ]
+        built = 0
+        verified = 0
+        post_init = UnitPattern.__post_init__
+        detect_original = induction.detect_unit_patterns
+
+        def counting_post_init(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        def counting_detect(pair, candidates, connectivity=4):
+            nonlocal verified
+            before = len(apply_calls)
+            out = detect_original(pair, candidates, connectivity)
+            verified += len(apply_calls) - before
+            return out
+
+        monkeypatch.setattr(UnitPattern, "__post_init__", counting_post_init)
+        monkeypatch.setattr(induction, "detect_unit_patterns", counting_detect)
+        evaluate(items)
+        assert 0 < built <= verified
 
 
 def _unpruned(task, proposer, threshold, budget):
@@ -505,7 +541,8 @@ class TestPruning:
         assert len(verified) == len(pairs)
         keys = [key for keys in verified for key in keys]
         # Intersection's contradiction checks come after every verification.
-        assert [key for key, _ in apply_calls[: len(keys)]] == keys
+        applied = [pattern_key(parse_pattern(line)) for line, _ in apply_calls[: len(keys)]]
+        assert applied == keys
 
     def test_key_missing_on_a_later_pair_is_never_applied(self, apply_calls):
         # rotate90 is exact on all three pairs but proposed on pairs 0 and 1

@@ -16,10 +16,12 @@ from symgrid import (
     Selector,
     apply_pattern,
     background_color,
+    build_pattern,
     format_pattern,
     grids_equal,
     make_pattern,
     parse_pattern,
+    pattern_key,
     segment,
 )
 from symgrid.patterns import AXES, DIRECTIONS, OBJECT_KINDS
@@ -390,6 +392,14 @@ def pattern_lists(draw):
     return out
 
 
+@st.composite
+def valid_patterns(draw, kinds=st.sampled_from(KIND_ORDER)):
+    kind = draw(kinds)
+    params = {name: draw(value) for name, value in _PARAMS[kind].items()}
+    selector = draw(_SELECTOR) if kind in OBJECT_KINDS else Selector("all")
+    return make_pattern(kind, selector=selector, **params)
+
+
 def _outcome(p, g, connectivity=4):
     try:
         return apply_pattern(p, g, connectivity)
@@ -508,6 +518,50 @@ class TestSerialization:
         # any other exception would end the run.
         with pytest.raises(PatternContractError, match="must be a tuple of color pairs"):
             parse_pattern(f"palette_swap(map={raw})@all")
+
+
+class TestValueKeys:
+    """``pattern_key`` names a pattern by value; ``build_pattern`` builds
+    (and validates) the pattern a key names."""
+
+    @given(valid_patterns(), st.data())
+    @settings(max_examples=300)
+    def test_keys_equal_exactly_when_serializations_equal(self, a, data):
+        # A rebuilt copy is always equal; a second draw of the same kind
+        # often shares all but one value.
+        copy = parse_pattern(format_pattern(a))
+        b = data.draw(
+            st.one_of(st.just(copy), valid_patterns(st.just(a.kind)), valid_patterns())
+        )
+        same_key = pattern_key(a) == pattern_key(b)
+        assert same_key == (format_pattern(a) == format_pattern(b))
+        if same_key:
+            assert hash(pattern_key(a)) == hash(pattern_key(b))
+
+    @given(valid_patterns())
+    @settings(max_examples=200)
+    def test_build_inverts_key(self, p):
+        key = pattern_key(p)
+        built = build_pattern(key)
+        assert built == p and pattern_key(built) == key
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (("spin", (), ("all", None)), "unknown pattern kind 'spin'"),
+            (("recolor", (1,), ("all", None)), "recolor: expected values for ('src', 'dst'), got 1"),
+            (("rotate90", (1,), ("all", None)), "rotate90: expected values for (), got 1"),
+            (("recolor", (1, 10), ("all", None)), "recolor: parameter dst must be a color 0..9, got 10"),
+            (("recolor", (1, True), ("all", None)), "recolor: parameter dst must be a color 0..9, got True"),
+            (("reflect_h", (), ("color", 3)), "reflect_h is a whole-grid kind; selector must be 'all'"),
+            (("translate", (1, 0), ("color", 12)), "selector color=12 out of range"),
+            (("translate", (1, 0), ("all", 0)), "selector 'all' takes no value"),
+        ],
+    )
+    def test_build_rejects_keys_that_name_no_pattern(self, key, message):
+        with pytest.raises(PatternContractError) as exc:
+            build_pattern(key)
+        assert str(exc.value) == message
 
 
 class TestContracts:

@@ -8,13 +8,17 @@ import pytest
 from symgrid import (
     Grid,
     KIND_ORDER,
+    Scene,
+    SearchProposer,
     apply_pattern,
+    build_pattern,
     enumerate_candidates,
     format_pattern,
     grids_equal,
     make_pattern,
+    pattern_key,
 )
-from symgrid.taskgen import generate_planted_task
+from symgrid.taskgen import generate_planted_task, generate_suite
 
 
 class TestEnumerate:
@@ -113,3 +117,20 @@ class TestPerceptionCount:
                     assert {c for _, c in segment_calls} <= {connectivity}
                     grids = Counter(g for g, _ in segment_calls)
                     assert grids <= Counter(pair), kind
+
+
+class TestValueKeys:
+    def test_every_key_on_the_bench_suite_builds(self):
+        # Keys are built only when verified, so a key that named no valid
+        # pattern could hide; on the bench suite every key builds, and in
+        # the canonical form ``pattern_key`` gives.
+        suite = generate_suite(seed=1007, n_planted=100, n_noise=20)
+        proposer = SearchProposer()
+        keys = 0
+        for connectivity in (4, 8):
+            for _, task, _ in suite:
+                for gin, gout in task.train:
+                    for key in proposer.propose(Scene(gin, connectivity), gout, 2000):
+                        assert pattern_key(build_pattern(key)) == key
+                        keys += 1
+        assert keys > 0
