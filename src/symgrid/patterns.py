@@ -22,8 +22,8 @@ Selectors pick the objects a pattern applies to: ``all``, ``color=c``,
 Whole-grid kinds always carry selector ``all``.
 
 Serialized form, one pattern per line: ``kind(param=value,...)@selector``.
-It is what leaves the library (CLI output, traces, the backend) and the
-tie-break of ``canonical_key``'s order. Candidates are deduplicated on
+It is what leaves the library (CLI output, traces) and what the backend
+proposes, and the tie-break of ``canonical_key``'s order. Candidates are deduplicated on
 ``pattern_key``, a plain value ``(kind, parameter values in signature
 order, (selector kind, selector value))``: two valid patterns have equal
 keys exactly when their serializations are equal, and ``build_pattern``
