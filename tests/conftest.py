@@ -77,7 +77,7 @@ def segment_calls(monkeypatch):
 @pytest.fixture()
 def apply_calls(monkeypatch):
     """Count pattern applications: every binding of ``apply_pattern``
-    records ``(pattern key, grid)`` before delegating, with a Scene
+    records ``(format_pattern(p), grid)`` before delegating, with a Scene
     argument recorded as its grid. Returns the list of records."""
     original = patterns.apply_pattern
     calls = []

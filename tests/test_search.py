@@ -118,6 +118,16 @@ class TestPerceptionCount:
                     grids = Counter(g for g, _ in segment_calls)
                     assert grids <= Counter(pair), kind
 
+    def test_input_not_segmented_unless_its_objects_are_read(self, segment_calls):
+        # A pair that changes dims, with an output taller than one row,
+        # gets only whole-grid kinds proposed: no branch reads its objects.
+        g = Grid.from_rows([[1, 0], [0, 2]])
+        out = apply_pattern(make_pattern("scale_up", factor=2), g)
+        segment_calls.clear()
+        keys = list(SearchProposer().propose(Scene(g), out, 2000))
+        assert ("scale_up", (2,), ("all", None)) in keys
+        assert segment_calls == []
+
 
 class TestValueKeys:
     def test_every_key_on_the_bench_suite_builds(self):
