@@ -31,16 +31,12 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import MAX_SAMPLE_GRIDS
 from .errors import BackendError
 
 # The largest response body read: room for thousands of pattern lines or
 # 30x30 sample grids. A longer body is a BackendError, like a bad one.
 MAX_BODY_BYTES = 4 << 20
-
-# The most grids one sample response may carry. Each grid becomes a vote
-# candidate; the solver asks for a handful (5 by default), so a response
-# this long is a misbehaving server and is a BackendError.
-MAX_SAMPLE_GRIDS = 64
 
 
 def _canonical(request: dict) -> str:

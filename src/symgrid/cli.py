@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .backend import RemoteBackend, RemotePatternProposer
@@ -58,18 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "connectivity",
-            "confidence_threshold",
-            "search_budget",
-            "passes",
-            "samples",
-            "backend_url",
-            "transcript_path",
-        )
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
     return load_config(args.config, overrides)
 
 
@@ -161,7 +151,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(encode_markdown(attempt))
         t = pred.trace
         print(
-            f"# trace test={i} patterns={len(t.ruleset)} "
+            f"# trace test={i} patterns={len(rs.patterns)} "
             f"candidates={t.candidate_count} ties={t.ties_resolved} "
             f"dims_excluded={t.dims_excluded} "
             f"identity_fallback={'yes' if t.identity_fallback else 'no'} "

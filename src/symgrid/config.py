@@ -8,6 +8,12 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+# The most grids one sample response may carry, and so the most samples a
+# run may ask for. Each grid becomes a vote candidate; the solver asks for
+# a handful (5 by default), so a longer response is a misbehaving server
+# and the backend raises BackendError for it.
+MAX_SAMPLE_GRIDS = 64
+
 
 @dataclass
 class Config:
@@ -32,8 +38,10 @@ class Config:
             raise ConfigError(f"search_budget must be positive, got {self.search_budget}")
         if self.passes not in (1, 2):
             raise ConfigError(f"passes must be 1 or 2, got {self.passes}")
-        if self.samples < 0:
-            raise ConfigError(f"samples must be non-negative, got {self.samples}")
+        if not 0 <= self.samples <= MAX_SAMPLE_GRIDS:
+            raise ConfigError(
+                f"samples must be in [0,{MAX_SAMPLE_GRIDS}], got {self.samples}"
+            )
         if self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
         if self.proposer not in ("search", "remote"):

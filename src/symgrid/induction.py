@@ -120,8 +120,8 @@ class Proposer(Protocol):
     """Source of candidate patterns for one train pair.
 
     ``propose`` gets the pair input as a Scene and the pair output. It
-    may yield value keys (``patterns.pattern_key``), UnitPattern values
-    or serialized pattern lines, and verifies nothing:
+    may yield value keys (``patterns.pattern_key``) or serialized pattern
+    lines, and verifies nothing:
     ``collect_candidates`` parses the lines (dropping malformed ones with
     a warning), turns each item into its key, deduplicates on the key and
     stops after ``budget`` distinct candidates; ``detect_unit_patterns``
@@ -131,7 +131,7 @@ class Proposer(Protocol):
 
     def propose(
         self, scene: Scene, output: Grid, budget: int
-    ) -> Iterable[PatternKey | UnitPattern | str]: ...
+    ) -> Iterable[PatternKey | str]: ...
 
 
 def collect_candidates(
@@ -142,17 +142,15 @@ def collect_candidates(
     The pair input may be a Scene (its own connectivity then applies).
     Lines are parsed, malformed ones dropped with a warning, and
     duplicates skipped; the dict keeps proposer order. A key maps to its
-    pattern when the proposer gave one (or a line), else to None: keys
-    are built only when verified. Nothing is applied.
+    parsed pattern when the proposer gave a line, else to None: keys are
+    built only when verified. Nothing is applied.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     gin, gout = pair
     candidates: dict[PatternKey, UnitPattern | None] = {}
     for item in proposer.propose(as_scene(gin, connectivity), gout, budget):
-        if isinstance(item, tuple):
-            key, pattern = item, None
-        elif isinstance(item, str):
+        if isinstance(item, str):
             try:
                 pattern = parse_pattern(item)
             except PatternContractError as e:
@@ -160,7 +158,7 @@ def collect_candidates(
                 continue
             key = pattern_key(pattern)
         else:
-            key, pattern = pattern_key(item), item
+            key, pattern = item, None
         if key in candidates:
             continue
         if len(candidates) == budget:

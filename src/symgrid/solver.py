@@ -25,7 +25,7 @@ from .induction import RuleSet, induce
 from .patterns import Scene, apply_pattern, as_scene, format_pattern
 from .search import SearchProposer
 
-VALID_SOURCES = ("rule_exec", "remote_sample", "fallback")
+VALID_SOURCES = ("rule_exec", "remote_sample")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class Candidate:
 class SolveTrace:
     """What happened while answering one test input."""
 
-    ruleset: list[str] = field(default_factory=list)
     candidate_count: int = 0
     ties_resolved: int = 0
     dims_excluded: int = 0
@@ -217,7 +216,7 @@ def solve_task(
         ]
     predictions = []
     for test_input, _expected in task.test:
-        trace = SolveTrace(ruleset=[format_pattern(sp.pattern) for sp in rs.patterns])
+        trace = SolveTrace()
         scene = Scene(test_input, connectivity)
         candidates = apply_ruleset(rs, scene, connectivity, trace)
 

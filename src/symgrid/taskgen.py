@@ -1,12 +1,14 @@
 """Synthetic tasks within taxonomy closure, plus guaranteed-noise tasks.
 
-A planted task fixes one unit pattern, samples train and test inputs the
-pattern applies to, and derives every output by applying it. Input
-samplers are kind-specific and reject degenerate draws: identity
-applications, and scenes where a canonically earlier pattern coincides
-with the planted one (e.g. a rotation-symmetric grid makes two rotations
-indistinguishable). Those rejections keep the planted pattern the unique
-cheapest explanation, which is what a closure benchmark needs.
+A planted task fixes one unit pattern and draws its train and test
+pairs. Each kind's planter returns that pattern, a kind-specific input
+sampler and the kind's competitors: canonically earlier patterns that
+could coincide with it (e.g. a rotation-symmetric grid makes two
+rotations indistinguishable). One sampling loop derives each output by
+applying the pattern and rejects degenerate draws: identity
+applications, and outputs a competitor reproduces. Those rejections
+keep the planted pattern the unique cheapest explanation, which is what
+a closure benchmark needs.
 
 Noise tasks are out of closure by construction: every output has both
 dimensions one larger than its input (killing the dimension-derived
@@ -27,6 +29,8 @@ from .patterns import (
     AXES,
     DIRECTIONS,
     KIND_ORDER,
+    _DELTAS,
+    Scene,
     Selector,
     UnitPattern,
     apply_pattern,
@@ -139,6 +143,12 @@ def _place(
     return Grid.from_rows(canvas)
 
 
+def _move_region(h: int, w: int, dx: int, dy: int) -> tuple[int, int, int, int]:
+    """The part of an h x w canvas a shape stays on when moved by dx
+    columns and dy rows, as a ``_place`` region."""
+    return (max(0, -dy), max(0, -dx), h - 1 - max(0, dy), w - 1 - max(0, dx))
+
+
 def _colors(rng: random.Random, n: int, exclude: set[int] = frozenset()) -> list[int]:
     pool = [c for c in range(1, 10) if c not in exclude]
     return rng.sample(pool, n)
@@ -147,17 +157,6 @@ def _colors(rng: random.Random, n: int, exclude: set[int] = frozenset()) -> list
 # ---------------------------------------------------------------------------
 # Coincidence rejection
 # ---------------------------------------------------------------------------
-
-
-def _collides(pattern_kinds: list[UnitPattern], g: Grid, out: Grid) -> bool:
-    """True when any listed pattern reproduces the planted output on g."""
-    for p in pattern_kinds:
-        try:
-            if grids_equal(apply_pattern(p, g), out):
-                return True
-        except SymgridError:
-            continue
-    return False
 
 
 def _same_dims_competitors(exclude_kind: str) -> list[UnitPattern]:
@@ -169,7 +168,8 @@ def _same_dims_competitors(exclude_kind: str) -> list[UnitPattern]:
 
 
 # ---------------------------------------------------------------------------
-# Per-kind planters: (pattern, input sampler, extra check)
+# Per-kind planters: (pattern, input sampler, competitors). A sampler
+# returns None for a draw it rejects itself; _sample_pair does the rest.
 # ---------------------------------------------------------------------------
 
 
@@ -180,10 +180,7 @@ def _plant_isometry(rng, kind):
     def sample(rng):
         return _dense_grid(rng)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_crop(rng, kind):
@@ -196,7 +193,7 @@ def _plant_crop(rng, kind):
         pad = rng.randint(1, 2)
         return _place(rng, h, w, shapes, region=(pad, pad, h - 1 - pad, w - 1 - pad))
 
-    return pattern, sample, lambda g, out: True
+    return pattern, sample, ()
 
 
 def _plant_symmetry(rng, kind):
@@ -224,10 +221,7 @@ def _plant_symmetry(rng, kind):
             return None
         return Grid.from_rows(rows)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_scale_up(rng, kind):
@@ -237,7 +231,7 @@ def _plant_scale_up(rng, kind):
     def sample(rng):
         return _dense_grid(rng, 2, min(8, 30 // factor))
 
-    return pattern, sample, lambda g, out: True
+    return pattern, sample, ()
 
 
 def _plant_scale_down(rng, kind):
@@ -249,7 +243,7 @@ def _plant_scale_down(rng, kind):
         base = _dense_grid(rng, 2, min(8, 30 // factor))
         return apply_pattern(blow, base)
 
-    return pattern, sample, lambda g, out: True
+    return pattern, sample, ()
 
 
 def _plant_tile(rng, kind):
@@ -260,7 +254,7 @@ def _plant_tile(rng, kind):
     def sample(rng):
         return _dense_grid(rng, 2, min(8, 30 // max(rows, cols), 30 // rows, 30 // cols))
 
-    return pattern, sample, lambda g, out: True
+    return pattern, sample, ()
 
 
 def _plant_overlay(rng, kind):
@@ -290,10 +284,7 @@ def _plant_overlay(rng, kind):
             rows = a + b
         return Grid.from_rows(rows)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_select(rng, kind):
@@ -311,7 +302,7 @@ def _plant_select(rng, kind):
             return None
         return g
 
-    return pattern, sample, lambda g, out: True
+    return pattern, sample, ()
 
 
 def _plant_count(rng, kind):
@@ -330,7 +321,7 @@ def _plant_count(rng, kind):
             return None
         return g
 
-    return pattern, sample, lambda g, out: True
+    return pattern, sample, ()
 
 
 def _plant_recolor(rng, kind):
@@ -346,10 +337,7 @@ def _plant_recolor(rng, kind):
         ]
         return _place(rng, rng.randint(7, 12), rng.randint(7, 12), shapes)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_palette_swap(rng, kind):
@@ -365,10 +353,7 @@ def _plant_palette_swap(rng, kind):
             return None
         return g
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_translate(rng, kind):
@@ -385,19 +370,13 @@ def _plant_translate(rng, kind):
     def sample(rng):
         h = rng.randint(9, 14)
         w = rng.randint(9, 14)
-        region = (
-            max(0, -dy),
-            max(0, -dx),
-            h - 1 - max(0, dy),
-            w - 1 - max(0, dx),
-        )
         gap = abs(dx) + abs(dy) + 1
         shapes = [(_blob(rng, rng.randint(2, 4)), moving)]
         if by_color:
             shapes.append((_blob(rng, rng.randint(2, 4)), static))
         elif rng.random() < 0.5:
             shapes.append((_blob(rng, rng.randint(2, 4)), moving))
-        g = _place(rng, h, w, shapes, gap=gap, region=region)
+        g = _place(rng, h, w, shapes, gap=gap, region=_move_region(h, w, dx, dy))
         if g is None:
             return None
         n_in = len(segment(g).objects)
@@ -406,10 +385,7 @@ def _plant_translate(rng, kind):
             return None  # a move merged or clipped something
         return g
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_delete(rng, kind):
@@ -429,10 +405,7 @@ def _plant_delete(rng, kind):
             return None
         return g
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_duplicate(rng, kind):
@@ -445,14 +418,8 @@ def _plant_duplicate(rng, kind):
     def sample(rng):
         h = rng.randint(10, 14)
         w = rng.randint(10, 14)
-        region = (
-            max(0, -dy),
-            max(0, -dx),
-            h - 1 - max(0, dy),
-            w - 1 - max(0, dx),
-        )
         shape = _blob(rng, rng.randint(2, 4))
-        g = _place(rng, h, w, [(shape, color)], region=region)
+        g = _place(rng, h, w, [(shape, color)], region=_move_region(h, w, dx, dy))
         if g is None:
             return None
         out = apply_pattern(pattern, g)
@@ -461,10 +428,7 @@ def _plant_duplicate(rng, kind):
             return None  # copy clipped, or merged with the original
         return g
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_cavity(rng, kind):
@@ -486,16 +450,19 @@ def _plant_cavity(rng, kind):
             shapes.append((_blob(rng, rng.randint(2, 4)), ring_colors[1]))
         return _place(rng, rng.randint(11, 14), rng.randint(11, 14), shapes)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_gravity(rng, kind):
     direction = rng.choice(DIRECTIONS)
     pattern = make_pattern("gravity_shift", dir=direction)
-    competitors = _same_dims_competitors("gravity_shift")
+    # A uniform slide is a translation, which outranks gravity. Sides are
+    # at most 13, so a translation by 13 or more clears the canvas, which
+    # a slide never does.
+    dr, dc = _DELTAS[direction]
+    competitors = _same_dims_competitors("gravity_shift") + [
+        make_pattern("translate", dx=dc * d, dy=dr * d) for d in range(1, 13)
+    ]
 
     def sample(rng):
         n = rng.randint(2, 3)
@@ -503,24 +470,7 @@ def _plant_gravity(rng, kind):
         shapes = [(_blob(rng, rng.randint(2, 4)), c) for c in colors]
         return _place(rng, rng.randint(8, 13), rng.randint(8, 13), shapes, gap=2)
 
-    def check(g, out):
-        if _collides(competitors, g, out):
-            return False
-        # A uniform slide is a translation, which outranks gravity.
-        h, w = g.dims
-        step = {"up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}[
-            direction
-        ]
-        for d in range(1, max(h, w)):
-            t = make_pattern("translate", dx=step[0] * d, dy=step[1] * d)
-            try:
-                if grids_equal(apply_pattern(t, g), out):
-                    return False
-            except SymgridError:
-                continue
-        return True
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_border(rng, kind):
@@ -536,10 +486,7 @@ def _plant_border(rng, kind):
         shapes = [(_blob(rng, rng.randint(3, 6)), c) for c in scene_colors]
         return _place(rng, rng.randint(10, 13), rng.randint(10, 13), shapes, gap=2)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 def _plant_connect(rng, kind):
@@ -569,10 +516,7 @@ def _plant_connect(rng, kind):
             rows[top + r][left_b + c] = scene_colors[1]
         return Grid.from_rows(rows)
 
-    def check(g, out):
-        return not _collides(competitors, g, out)
-
-    return pattern, sample, check
+    return pattern, sample, competitors
 
 
 _PLANTERS = {
@@ -626,20 +570,32 @@ def _in_closure(task: Task, budget: int = 2000) -> bool:
     return True
 
 
-def _sample_input(rng, pattern, sampler, check) -> Grid | None:
+def _sample_pair(rng, pattern, sampler, competitors) -> tuple[Grid, Grid] | None:
+    """Up to 60 draws for one (input, output) pair, or None.
+
+    A draw is rejected when the sampler gives None, the pattern does not
+    apply or leaves the input unchanged, or a competitor reproduces the
+    output.
+    """
     for _ in range(60):
         g = sampler(rng)
         if g is None:
             continue
+        scene = Scene(g)
         try:
-            out = apply_pattern(pattern, g)
+            out = apply_pattern(pattern, scene)
         except SymgridError:
             continue
         if grids_equal(out, g):
             continue
-        if not check(g, out):
-            continue
-        return g
+        for rival in competitors:
+            try:
+                if grids_equal(apply_pattern(rival, scene), out):
+                    break
+            except SymgridError:
+                continue
+        else:
+            return g, out
     return None
 
 
@@ -652,19 +608,16 @@ def generate_planted_task(
     """One task whose every pair is explained by a single planted pattern."""
     for _ in range(100):
         k = kind if kind is not None else rng.choice(KIND_ORDER)
-        pattern, sampler, check = _PLANTERS[k](rng, k)
-        inputs = []
+        pattern, sampler, competitors = _PLANTERS[k](rng, k)
+        pairs = []
         for _ in range(train_pairs + n_test):
-            g = _sample_input(rng, pattern, sampler, check)
-            if g is None:
+            pair = _sample_pair(rng, pattern, sampler, competitors)
+            if pair is None:
                 break
-            inputs.append(g)
-        if len(inputs) < train_pairs + n_test:
+            pairs.append(pair)
+        if len(pairs) < train_pairs + n_test:
             continue
-        outputs = [apply_pattern(pattern, g) for g in inputs]
-        train = tuple(zip(inputs[:train_pairs], outputs[:train_pairs]))
-        test = tuple(zip(inputs[train_pairs:], outputs[train_pairs:]))
-        task = Task(train=train, test=test)
+        task = Task(train=tuple(pairs[:train_pairs]), test=tuple(pairs[train_pairs:]))
         if not _in_closure(task):
             continue
         return PlantedTask(task=task, pattern=pattern)

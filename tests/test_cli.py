@@ -12,7 +12,7 @@ import pytest
 import symgrid
 from symgrid import serialize_task
 from symgrid.cli import main
-from symgrid.config import Config, ConfigError, load_config
+from symgrid.config import MAX_SAMPLE_GRIDS, Config, ConfigError, load_config
 from symgrid.taskgen import generate_planted_task, generate_suite
 
 
@@ -41,6 +41,8 @@ class TestConfig:
             Config(passes=3)
         with pytest.raises(ConfigError):
             Config(search_budget=0)
+        with pytest.raises(ConfigError):
+            Config(samples=-1)
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -201,6 +203,21 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 0
         assert "degraded" in captured.err or "degraded=yes" in captured.out
+
+    def test_samples_above_the_response_cap_is_a_config_error(
+        self, rotate_task_file, capsys
+    ):
+        # A sample response longer than the cap is a backend failure, so
+        # asking for more would degrade every honest response.
+        path, _ = rotate_task_file
+        assert main(["solve", str(path), "--samples", str(MAX_SAMPLE_GRIDS)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(path), "--samples", str(MAX_SAMPLE_GRIDS + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: samples must be in [0,{MAX_SAMPLE_GRIDS}], got {MAX_SAMPLE_GRIDS + 1}"
+        ]
 
     def test_threshold_flag_accepted(self, rotate_task_file, capsys):
         path, _ = rotate_task_file

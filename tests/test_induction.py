@@ -153,7 +153,7 @@ class TestChangeTagInvariants:
 
 
 class _ListProposer:
-    """Proposer stub yielding a fixed list of patterns or raw lines."""
+    """Proposer stub yielding a fixed list of pattern lines."""
 
     def __init__(self, items):
         self.items = items

@@ -1,5 +1,6 @@
 """Generator guarantees: closure membership, noise unsolvability, determinism."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from symgrid import (
     grids_equal,
     induce,
     make_pattern,
+    serialize_task,
 )
 from symgrid import taskgen
 from symgrid.taskgen import (
@@ -84,6 +86,18 @@ class TestSuite:
         ids = [tid for tid, _, _ in a]
         assert len(ids) == len(set(ids)) == 11
         assert sum(1 for _, _, p in a if p is None) == 3
+
+    def test_bench_suite_is_pinned(self):
+        # The benchmark's task set: any change to a planter, a sampler or
+        # a rejection rule that alters one draw changes this digest.
+        digest = hashlib.sha256()
+        for tid, task, planted in generate_suite(1007, 100, 20):
+            digest.update(tid.encode("utf-8"))
+            digest.update(serialize_task(task))
+            digest.update((format_pattern(planted) if planted else "-").encode("utf-8"))
+        assert digest.hexdigest() == (
+            "cecea7f2b36d4f350429538d127d1e0372911654f43616574664063b15a7e2e0"
+        )
 
     def test_suite_covers_kinds_round_robin(self):
         suite = generate_suite(seed=10, n_planted=23)
