@@ -17,14 +17,16 @@ With a URL and a transcript path the client records; with a transcript
 path alone it replays, matching requests by their canonical JSON form
 (FIFO among identical requests). A replay miss raises BackendError, which
 callers treat like any transport failure; so does a live response body
-longer than ``MAX_BODY_BYTES`` and a sample response with more than
-``MAX_SAMPLE_GRIDS`` grids.
+longer than ``MAX_BODY_BYTES`` or still arriving when the call's timeout
+has passed, and a sample response with more than ``MAX_SAMPLE_GRIDS``
+grids.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 from collections import deque
@@ -45,6 +47,13 @@ def _canonical(request: dict) -> str:
 
 @dataclass
 class RemoteBackend:
+    """The HTTP client, or the replay of its transcript.
+
+    ``timeout`` bounds a live call: no socket operation waits longer, and
+    no chunk of the response body is read once ``timeout`` seconds have
+    passed since the request started.
+    """
+
     url: str | None = None
     timeout: float = 30.0
     token: str | None = None
@@ -98,13 +107,14 @@ class RemoteBackend:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        deadline = time.monotonic() + self.timeout
         try:
             # A malformed URL raises ValueError here, not in urlopen.
             req = urllib.request.Request(self.url, data=body, headers=headers)
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = resp.read(MAX_BODY_BYTES + 1)
+                payload = self._read_body(resp, deadline)
                 if len(payload) <= MAX_BODY_BYTES and resp.length:
-                    # Unlike read(), read(n) does not check Content-Length.
+                    # Unlike read(), read1(n) does not check Content-Length.
                     raise http.client.IncompleteRead(payload, resp.length)
         except (
             urllib.error.URLError,
@@ -127,6 +137,25 @@ class RemoteBackend:
                     json.dumps({"request": request, "response": response}) + "\n"
                 )
         return response
+
+    def _read_body(self, resp: http.client.HTTPResponse, deadline: float) -> bytes:
+        """The body up to one byte past ``MAX_BODY_BYTES``, read in chunks.
+
+        ``urlopen``'s timeout bounds each socket read, not their sum, so a
+        server that drips its body could hold the call for ever; no chunk
+        is read once ``deadline`` has passed.
+        """
+        chunks = []
+        size = 0
+        while size <= MAX_BODY_BYTES:
+            if time.monotonic() > deadline:
+                raise BackendError(f"response not complete within {self.timeout} s")
+            chunk = resp.read1(MAX_BODY_BYTES + 1 - size)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+        return b"".join(chunks)
 
     def propose(self, input_md: str, output_md: str, budget: int) -> list[str]:
         """Candidate pattern lines for one train pair."""

@@ -145,7 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for i, pred in enumerate(predictions):
         if failure is not None:
             pred.trace.degraded = True
-            pred.trace.notes.append(f"backend induction failed: {failure}")
+            pred.trace.notes.append(failure)
         for a, attempt in enumerate(pred.attempts, start=1):
             print(f"# test {i} attempt {a}")
             print(encode_markdown(attempt))
@@ -194,6 +194,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         backend=backend,
         proposer=proposer,
     )
+    for item in report.items:
+        if item.degraded:
+            print(
+                f"warning: task {item.task_id} test {item.test_index} ran without "
+                f"its backend: {'; '.join(item.degraded)}",
+                file=sys.stderr,
+            )
     print(render_report(report))
     if unreadable:
         print(f"unreadable files: {unreadable}")

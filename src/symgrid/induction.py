@@ -15,8 +15,9 @@ with rendered hint sentences.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
@@ -33,7 +34,7 @@ from .patterns import (
     pattern_key,
     synthesize_hint,
 )
-from .perception import Perception
+from .perception import GridObject, Perception
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +59,14 @@ class ChangeTag:
             raise ValueError("retained tags carry both refs")
 
 
+# The greedy passes' features, in priority order.
+_MATCH_FEATURES = (
+    attrgetter("mask", "color"),
+    attrgetter("shape", "color"),
+    attrgetter("shape"),
+)
+
+
 def match_objects(pin: Perception, pout: Perception) -> list[ChangeTag]:
     """Greedy object correspondence between two perceptions.
 
@@ -65,35 +74,31 @@ def match_objects(pin: Perception, pout: Perception) -> list[ChangeTag]:
     shape translated with the same color; same shape with a different
     color. Each object matches at most once; leftovers become removed
     (input side) or added (output side). Deterministic given scan-order
-    ids.
+    ids: in each pass an input object, in id order, takes the first
+    unmatched output object in id order with its feature, which is the
+    head of that feature's queue.
     """
     unmatched_in = list(pin.objects)
-    unmatched_out = list(pout.objects)
+    unmatched_out = {o.id: o for o in pout.objects}
     pairs: list[tuple[int, int]] = []
-
-    def run_pass(predicate) -> None:
-        nonlocal unmatched_in, unmatched_out
+    for feature in _MATCH_FEATURES:
+        queues: dict[object, deque[GridObject]] = {}
+        for o in unmatched_out.values():
+            queues.setdefault(feature(o), deque()).append(o)
         still_in = []
         for obj in unmatched_in:
-            hit = None
-            for cand in unmatched_out:
-                if predicate(obj, cand):
-                    hit = cand
-                    break
-            if hit is not None:
+            queue = queues.get(feature(obj))
+            if queue:
+                hit = queue.popleft()
                 pairs.append((obj.id, hit.id))
-                unmatched_out = [o for o in unmatched_out if o.id != hit.id]
+                del unmatched_out[hit.id]
             else:
                 still_in.append(obj)
         unmatched_in = still_in
 
-    run_pass(lambda a, b: a.mask == b.mask and a.color == b.color)
-    run_pass(lambda a, b: a.shape == b.shape and a.color == b.color)
-    run_pass(lambda a, b: a.shape == b.shape)
-
     tags = [ChangeTag("retained", input_id=i, output_id=o) for i, o in sorted(pairs)]
     tags.extend(ChangeTag("removed", input_id=o.id) for o in unmatched_in)
-    tags.extend(ChangeTag("added", output_id=o.id) for o in unmatched_out)
+    tags.extend(ChangeTag("added", output_id=o.id) for o in unmatched_out.values())
     return tags
 
 
@@ -282,31 +287,36 @@ def induce(
 
     Each train input gets one Scene, shared by collection, verification
     and intersection, so it is segmented at most once. Every pair's
-    candidates are collected first, in pair order. A candidate is applied
-    on pair k only if it is in pair k's list, so its support can never
-    exceed its support on pairs 0..k-1 plus the pairs k..n-1 whose lists
-    hold it. Pair k verifies only the candidates for which that bound
-    reaches ``threshold`` in ``intersect_patterns``' test; the others
-    would be dropped below threshold anyway, so the rule set is the same
-    as with every candidate verified.
+    candidates are collected first, in pair order. The pairs are then
+    verified from the smallest input (fewest cells) up, ties in pair
+    order. A candidate is applied on a pair only if it is in that pair's
+    list, so its support can never exceed its support on the pairs
+    verified so far plus the pairs still to verify whose lists hold it.
+    Each pair verifies only the candidates for which that bound reaches
+    ``threshold`` in ``intersect_patterns``' test; the others would be
+    dropped below threshold anyway, so the rule set is the same as with
+    every candidate verified, in any order. Most candidates that fail
+    therefore fail on the cheapest grid.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
     collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
-    support: Counter[PatternKey] = Counter()  # pairs 0..k-1 whose list holds the key
+    support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
     proposed = Counter(key for candidates in collected for key in candidates)
-    per_pair = []
-    for pair, candidates in zip(pairs, collected):
-        # ``proposed`` counts pairs k..n-1 here, pair k included.
+    per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
+    cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
+    for k in sorted(range(n), key=cells.__getitem__):  # stable: ties keep pair order
+        candidates = collected[k]
+        # ``proposed`` counts the pairs not yet verified here, pair k included.
         reachable = {
             key: pattern
             for key, pattern in candidates.items()
             if (support[key] + proposed[key]) / n + 1e-9 >= threshold
         }
         proposed.subtract(candidates.keys())
-        detections = detect_unit_patterns(pair, reachable, connectivity)
+        detections = detect_unit_patterns(pairs[k], reachable, connectivity)
         support.update(pattern_key(sp.pattern) for sp in detections)
-        per_pair.append(detections)
+        per_pair[k] = detections
     return intersect_patterns(per_pair, pairs, threshold, connectivity)
 
 

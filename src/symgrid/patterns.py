@@ -1,8 +1,12 @@
 """The 23-operation transformation taxonomy with executable semantics.
 
-Fifteen kinds act on the whole grid; eight act on segmented objects and
-re-render the scene onto a background-filled canvas, painting objects in
-ascending id order (higher id painted last) so overlaps are deterministic.
+Fifteen kinds act on the whole grid; eight act on segmented objects.
+Their result is the scene re-rendered onto a background-filled canvas,
+objects painted in ascending id order (higher id painted last) so
+overlaps are deterministic. Since a grid's objects and its background
+partition it, the input grid already is that canvas with every object
+painted, so the object kinds copy it and paint only what changes: erased
+masks in the background color, then moved, copied or added cells.
 Out-of-bounds pixels after a move are clipped, never wrapped. Patterns
 apply to a grid or to a ``Scene``, a grid with its connectivity whose
 segmentation is computed once and shared by every pattern applied to it.
@@ -469,19 +473,17 @@ def _paint(canvas: list[list[int]], cells: frozenset[Coord] | set[Coord], color:
             canvas[r][c] = color
 
 
-def _render(g: Grid, bg: int, layers: list[_Layer]) -> Grid:
-    """Paint ``layers`` in order onto a background canvas of ``g``'s size."""
-    w = g.width
-    canvas = [[bg] * w for _ in range(g.height)]
+def _repaint(g: Grid, layers: list[_Layer]) -> Grid:
+    """A copy of ``g`` with ``layers`` painted over it in order.
+
+    ``segment`` puts every non-background cell in exactly one object, so
+    ``g`` is already every object of its perception painted in id order
+    onto a background canvas; the object kinds paint only what changes.
+    """
+    canvas = [list(row) for row in g.rows]
     for cells, color in layers:
         _paint(canvas, cells, color)
     return Grid._trusted(tuple(tuple(row) for row in canvas))
-
-
-def _over_objects(g: Grid, perception: Perception, extra: list[_Layer]) -> Grid:
-    """Every object as perceived, then ``extra`` painted over them."""
-    layers = [(obj.mask, obj.color) for obj in perception.objects]
-    return _render(g, perception.background, layers + extra)
 
 
 def _shift(mask: frozenset[Coord], dr: int, dc: int) -> set[Coord]:
@@ -489,26 +491,32 @@ def _shift(mask: frozenset[Coord], dr: int, dc: int) -> set[Coord]:
 
 
 def _translate(p: UnitPattern, s: Scene) -> Grid:
-    """Move the selected objects by (dx columns, dy rows)."""
+    """Move the selected objects by (dx columns, dy rows).
+
+    The selected masks are erased, then every object from the first
+    selected id on is painted again in id order, the selected ones
+    shifted, so a higher id still wins an overlap.
+    """
     perception = s.perception
-    selected_ids = {o.id for o in p.selector.resolve(perception)}
+    selected = p.selector.resolve(perception)
+    if not selected:
+        return _repaint(s.grid, [])
+    bg, first = perception.background, selected[0].id
+    selected_ids = {o.id for o in selected}
     dx, dy = p["dx"], p["dy"]
-    layers = [
-        (_shift(obj.mask, dy, dx) if obj.id in selected_ids else obj.mask, obj.color)
-        for obj in perception.objects
-    ]
-    return _render(s.grid, perception.background, layers)
+    layers: list[_Layer] = [(o.mask, bg) for o in selected]
+    layers.extend(
+        (_shift(o.mask, dy, dx) if o.id in selected_ids else o.mask, o.color)
+        for o in perception.objects
+        if o.id >= first
+    )
+    return _repaint(s.grid, layers)
 
 
 def _delete_object(p: UnitPattern, s: Scene) -> Grid:
     perception = s.perception
-    selected_ids = {o.id for o in p.selector.resolve(perception)}
-    layers = [
-        (obj.mask, obj.color)
-        for obj in perception.objects
-        if obj.id not in selected_ids
-    ]
-    return _render(s.grid, perception.background, layers)
+    bg = perception.background
+    return _repaint(s.grid, [(o.mask, bg) for o in p.selector.resolve(perception)])
 
 
 def _duplicate_object(p: UnitPattern, s: Scene) -> Grid:
@@ -516,7 +524,7 @@ def _duplicate_object(p: UnitPattern, s: Scene) -> Grid:
     perception = s.perception
     dx, dy = p["dx"], p["dy"]
     copies = [(_shift(o.mask, dy, dx), o.color) for o in p.selector.resolve(perception)]
-    return _over_objects(s.grid, perception, copies)
+    return _repaint(s.grid, copies)
 
 
 def _cavity_fill(p: UnitPattern, s: Scene) -> Grid:
@@ -527,7 +535,7 @@ def _cavity_fill(p: UnitPattern, s: Scene) -> Grid:
         for o in p.selector.resolve(perception)
         for region in cavity_regions(o.mask, o.bbox)
     ]
-    return _over_objects(s.grid, perception, fills)
+    return _repaint(s.grid, fills)
 
 
 def _gravity_order(objs: list[GridObject], direction: str) -> list[GridObject]:
@@ -545,35 +553,41 @@ _DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 
 
 def _gravity_shift(p: UnitPattern, s: Scene) -> Grid:
-    """Slide the selected objects one at a time until blocked."""
+    """Slide the selected objects one at a time until blocked.
+
+    An object falls by the shortest free run, over its cells, along the
+    direction: a cell is free unless an unselected object or an already
+    placed one holds it. A selected object that has not moved yet blocks
+    nothing, and its own cells may lie inside another cell's run, so
+    every cell's run is scanned, not only the leading ones.
+    """
     g, perception = s.grid, s.perception
     selected = p.selector.resolve(perception)
     direction = p["dir"]
     h, w = g.height, g.width
     dr, dc = _DELTAS[direction]
     selected_ids = {o.id for o in selected}
-    occupied: set[Coord] = set()
+    free = [[True] * w for _ in range(h)]
     for obj in perception.objects:
         if obj.id not in selected_ids:
-            occupied |= obj.mask
+            for r, c in obj.mask:
+                free[r][c] = False
     placed: dict[int, set[Coord]] = {}
     for obj in _gravity_order(selected, direction):
-        steps = 0
-        while True:
-            trial = _shift(obj.mask, dr * (steps + 1), dc * (steps + 1))
-            if any(not (0 <= r < h and 0 <= c < w) for r, c in trial):
-                break
-            if trial & occupied:
-                break
-            steps += 1
-        final = _shift(obj.mask, dr * steps, dc * steps)
+        fall = max(h, w)
+        for r, c in obj.mask:
+            run, r, c = 0, r + dr, c + dc
+            while run < fall and 0 <= r < h and 0 <= c < w and free[r][c]:
+                run, r, c = run + 1, r + dr, c + dc
+            fall = run  # the scan stops at ``fall``, so ``run <= fall``
+        final = _shift(obj.mask, dr * fall, dc * fall)
+        for r, c in final:
+            free[r][c] = False
         placed[obj.id] = final
-        occupied |= final
-    layers = []
-    for obj in perception.objects:
-        cells = placed.get(obj.id, obj.mask)
-        layers.append((cells, obj.color))
-    return _render(g, perception.background, layers)
+    bg = perception.background
+    layers: list[_Layer] = [(obj.mask, bg) for obj in selected]
+    layers.extend((placed[obj.id], obj.color) for obj in selected)
+    return _repaint(g, layers)
 
 
 def _bbox_border(obj: GridObject) -> set[Coord]:
@@ -592,7 +606,7 @@ def _draw_bbox_border(p: UnitPattern, s: Scene) -> Grid:
     perception = s.perception
     color = p["color"]
     borders = [(_bbox_border(o), color) for o in p.selector.resolve(perception)]
-    return _over_objects(s.grid, perception, borders)
+    return _repaint(s.grid, borders)
 
 
 def _connect_objects(p: UnitPattern, s: Scene) -> Grid:
@@ -620,7 +634,7 @@ def _connect_objects(p: UnitPattern, s: Scene) -> Grid:
                 gap = [(r, c) for r in range(a + 1, b)]
                 if all(g.rows[gr][gc] == bg for gr, gc in gap):
                     fills.update(gap)
-    return _over_objects(g, perception, [(fills, p["color"])])
+    return _repaint(g, [(fills, p["color"])])
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +785,9 @@ def apply_pattern(p: UnitPattern, g: Grid | Scene, connectivity: int = 4) -> Gri
     """Apply one unit pattern; always returns a valid grid or raises.
 
     Whole-grid kinds transform the full grid. Object kinds segment the
-    grid, transform the selected objects, and re-render every object onto
-    a background canvas in ascending id order.
+    grid, transform the selected objects, and paint what changed over a
+    copy of the input grid; the result is the same as re-rendering every
+    object onto a background canvas in ascending id order.
 
     ``g`` may be a Scene instead of a grid; the Scene's own connectivity
     then applies and ``connectivity`` is ignored. Callers that apply many

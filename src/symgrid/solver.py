@@ -183,13 +183,15 @@ def induce_with_fallback(
 
     When the proposer's backend fails, a warning goes to stderr and the
     whole task is induced again with the search proposer. Returns the rule
-    set and the failure, or None when the proposer did not fail.
+    set and a note on the failure for the task's traces, or None when the
+    proposer did not fail.
     """
     try:
         return induce(task, proposer, threshold, budget, connectivity), None
     except BackendError as e:
         print(f"warning: backend unavailable for induction ({e})", file=sys.stderr)
-        return induce(task, SearchProposer(), threshold, budget, connectivity), str(e)
+        rs = induce(task, SearchProposer(), threshold, budget, connectivity)
+        return rs, f"backend induction failed: {e}"
 
 
 def solve_task(
@@ -277,6 +279,9 @@ class ItemResult:
     correct: bool | None  # None = skipped (no expected output)
     attempts_used: int
     fired_kinds: tuple[str, ...]
+    # Why the item ran without its backend, empty when it did not: the
+    # induction fallback's failure, then the prediction trace's notes.
+    degraded: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -309,15 +314,17 @@ def evaluate(
     and counted. Every item is scored, also when task ids repeat; results
     are reported by task id, and items that share one stay in input
     order. A backend failure while inducing a task degrades it as in
-    ``induce_with_fallback``. Deterministic given config and backend
+    ``induce_with_fallback``; each item records in ``degraded`` why it ran
+    without its backend. Deterministic given config and backend
     transcripts."""
     if proposer is None:
         proposer = SearchProposer()
 
     def run_one(entry: tuple[str, Task]):
         task_id, task = entry
-        rs, _ = induce_with_fallback(task, proposer, threshold, budget, connectivity)
+        rs, failure = induce_with_fallback(task, proposer, threshold, budget, connectivity)
         preds = solve_task(task, rs, backend, passes, samples, connectivity)
+        induction = () if failure is None else (failure,)
         results = []
         cand_count = 0
         for idx, ((_, expected), pred) in enumerate(zip(task.test, preds)):
@@ -333,6 +340,7 @@ def evaluate(
                     correct=correct,
                     attempts_used=len(pred.attempts),
                     fired_kinds=tuple(dict.fromkeys(pred.trace.fired_kinds)),
+                    degraded=induction + tuple(pred.trace.notes),
                 )
             )
         return results, cand_count

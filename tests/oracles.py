@@ -7,8 +7,9 @@ stay free of package internals beyond public value types.
 
 The exception is the references kept for fast paths (``fraction_vote``,
 ``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``,
-``genexpr_pixel_distance``): each is the code a fast path replaced, kept
-so differential tests can require the same results from both.
+``genexpr_pixel_distance``, ``render_reference``, ``scan_match_objects``):
+each is the code a fast path replaced, kept so differential tests can
+require the same results from both.
 """
 
 from collections import deque
@@ -16,7 +17,14 @@ from fractions import Fraction
 
 from symgrid import Grid, background_color
 from symgrid.errors import PatternContractError
-from symgrid.patterns import _KINDS, AXES, DIRECTIONS, SELECT_ALL
+from symgrid.patterns import (
+    _KINDS,
+    AXES,
+    DIRECTIONS,
+    SELECT_ALL,
+    _bbox_border,
+    _gravity_order,
+)
 from symgrid.perception import GridObject, Perception, cavity_regions
 
 
@@ -349,3 +357,187 @@ def reference_pattern(kind, selector=SELECT_ALL, **params):
     ordered = tuple((name, params[name]) for name, _ in sig)
     reference_pattern_check(kind, ordered, selector)
     return kind, ordered, selector
+
+
+def _render(g, bg, layers):
+    """Paint ``layers`` in order onto a background canvas of ``g``'s size."""
+    h, w = g.height, g.width
+    canvas = [[bg] * w for _ in range(h)]
+    for cells, color in layers:
+        for r, c in cells:
+            if 0 <= r < h and 0 <= c < w:
+                canvas[r][c] = color
+    return Grid(tuple(tuple(row) for row in canvas))
+
+
+def _over_objects(g, perception, extra):
+    """Every object as perceived, then ``extra`` painted over them."""
+    layers = [(obj.mask, obj.color) for obj in perception.objects]
+    return _render(g, perception.background, layers + extra)
+
+
+def _shift(mask, dr, dc):
+    return {(r + dr, c + dc) for r, c in mask}
+
+
+def _render_translate(p, s):
+    perception = s.perception
+    selected_ids = {o.id for o in p.selector.resolve(perception)}
+    dx, dy = p["dx"], p["dy"]
+    layers = [
+        (_shift(obj.mask, dy, dx) if obj.id in selected_ids else obj.mask, obj.color)
+        for obj in perception.objects
+    ]
+    return _render(s.grid, perception.background, layers)
+
+
+def _render_delete_object(p, s):
+    perception = s.perception
+    selected_ids = {o.id for o in p.selector.resolve(perception)}
+    layers = [
+        (obj.mask, obj.color)
+        for obj in perception.objects
+        if obj.id not in selected_ids
+    ]
+    return _render(s.grid, perception.background, layers)
+
+
+def _render_duplicate_object(p, s):
+    perception = s.perception
+    dx, dy = p["dx"], p["dy"]
+    copies = [(_shift(o.mask, dy, dx), o.color) for o in p.selector.resolve(perception)]
+    return _over_objects(s.grid, perception, copies)
+
+
+def _render_cavity_fill(p, s):
+    perception = s.perception
+    color = p["color"]
+    fills = [
+        (region, color)
+        for o in p.selector.resolve(perception)
+        for region in cavity_regions(o.mask, o.bbox)
+    ]
+    return _over_objects(s.grid, perception, fills)
+
+
+_GRAVITY_DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
+
+
+def _render_gravity_shift(p, s):
+    g, perception = s.grid, s.perception
+    selected = p.selector.resolve(perception)
+    direction = p["dir"]
+    h, w = g.height, g.width
+    dr, dc = _GRAVITY_DELTAS[direction]
+    selected_ids = {o.id for o in selected}
+    occupied = set()
+    for obj in perception.objects:
+        if obj.id not in selected_ids:
+            occupied |= obj.mask
+    placed = {}
+    for obj in _gravity_order(selected, direction):
+        steps = 0
+        while True:
+            trial = _shift(obj.mask, dr * (steps + 1), dc * (steps + 1))
+            if any(not (0 <= r < h and 0 <= c < w) for r, c in trial):
+                break
+            if trial & occupied:
+                break
+            steps += 1
+        final = _shift(obj.mask, dr * steps, dc * steps)
+        placed[obj.id] = final
+        occupied |= final
+    layers = []
+    for obj in perception.objects:
+        cells = placed.get(obj.id, obj.mask)
+        layers.append((cells, obj.color))
+    return _render(g, perception.background, layers)
+
+
+def _render_draw_bbox_border(p, s):
+    perception = s.perception
+    color = p["color"]
+    borders = [(_bbox_border(o), color) for o in p.selector.resolve(perception)]
+    return _over_objects(s.grid, perception, borders)
+
+
+def _render_connect_objects(p, s):
+    g, perception = s.grid, s.perception
+    bg = perception.background
+    h, w = g.height, g.width
+    owner = {}
+    for obj in p.selector.resolve(perception):
+        for cell in obj.mask:
+            owner[cell] = obj.id
+    fills = set()
+    for r in range(h):
+        cols = [c for c in range(w) if (r, c) in owner]
+        for a, b in zip(cols, cols[1:]):
+            if owner[(r, a)] != owner[(r, b)] and b - a > 1:
+                gap = [(r, c) for c in range(a + 1, b)]
+                if all(g.rows[gr][gc] == bg for gr, gc in gap):
+                    fills.update(gap)
+    for c in range(w):
+        rows_ = [r for r in range(h) if (r, c) in owner]
+        for a, b in zip(rows_, rows_[1:]):
+            if owner[(a, c)] != owner[(b, c)] and b - a > 1:
+                gap = [(r, c) for r in range(a + 1, b)]
+                if all(g.rows[gr][gc] == bg for gr, gc in gap):
+                    fills.update(gap)
+    return _over_objects(g, perception, [(fills, p["color"])])
+
+
+_RENDER_KINDS = {
+    "translate": _render_translate,
+    "delete_object": _render_delete_object,
+    "duplicate_object": _render_duplicate_object,
+    "cavity_fill": _render_cavity_fill,
+    "gravity_shift": _render_gravity_shift,
+    "draw_bbox_border": _render_draw_bbox_border,
+    "connect_objects": _render_connect_objects,
+}
+RENDER_KINDS = tuple(_RENDER_KINDS)
+
+
+def render_reference(p, scene):
+    """``apply_pattern`` for the seven object kinds that draw a grid, as it
+    was before they painted over the input grid: every object re-rendered
+    in id order onto a background canvas by ``_render``. Kept as the
+    reference for that fast path; ``_gravity_order``, ``_bbox_border``
+    and the selectors are unchanged and shared."""
+    return _RENDER_KINDS[p.kind](p, scene)
+
+
+def scan_match_objects(pin, pout):
+    """``induction.match_objects`` as it was before it indexed the output
+    objects by feature: each greedy pass scans every unmatched input x
+    output pair through a predicate. Returns (tag, input_id, output_id)
+    triples."""
+    unmatched_in = list(pin.objects)
+    unmatched_out = list(pout.objects)
+    pairs = []
+
+    def run_pass(predicate):
+        nonlocal unmatched_in, unmatched_out
+        still_in = []
+        for obj in unmatched_in:
+            hit = None
+            for cand in unmatched_out:
+                if predicate(obj, cand):
+                    hit = cand
+                    break
+            if hit is not None:
+                pairs.append((obj.id, hit.id))
+                unmatched_out = [o for o in unmatched_out if o.id != hit.id]
+            else:
+                still_in.append(obj)
+        unmatched_in = still_in
+
+    run_pass(lambda a, b: a.mask == b.mask and a.color == b.color)
+    run_pass(lambda a, b: a.shape == b.shape and a.color == b.color)
+    run_pass(lambda a, b: a.shape == b.shape)
+
+    tags = [("retained", i, o) for i, o in sorted(pairs)]
+    tags.extend(("removed", o.id, None) for o in unmatched_in)
+    tags.extend(("added", None, o.id) for o in unmatched_out)
+    return tags

@@ -4,6 +4,7 @@ import http.client
 import json
 import socketserver
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -75,7 +76,7 @@ class _RawReplyHandler(socketserver.StreamRequestHandler):
 
     reply = b""
 
-    def handle(self):
+    def read_request(self):
         length = 0
         while True:
             line = self.rfile.readline()
@@ -85,12 +86,32 @@ class _RawReplyHandler(socketserver.StreamRequestHandler):
             if name.strip().lower() == b"content-length":
                 length = int(value)
         self.rfile.read(length)
+
+    def handle(self):
+        self.read_request()
         self.wfile.write(self.reply)
 
 
+class _DripHandler(_RawReplyHandler):
+    """Sends the headers of a valid 16-byte body at once, then the body one
+    byte per 0.3 s: each read is quick, the whole body takes 4.8 s."""
+
+    body = b'{"patterns": []}'
+
+    def handle(self):
+        self.read_request()
+        self.wfile.write(b"HTTP/1.0 200 OK\r\nContent-Length: 16\r\n\r\n")
+        try:
+            for i in range(len(self.body)):
+                self.wfile.write(self.body[i : i + 1])
+                time.sleep(0.3)
+        except OSError:
+            pass  # the client hung up
+
+
 @contextmanager
-def raw_reply_server(reply: bytes):
-    handler = type("Handler", (_RawReplyHandler,), {"reply": reply})
+def raw_reply_server(reply: bytes, handler_class=_RawReplyHandler):
+    handler = type("Handler", (handler_class,), {"reply": reply})
     server = socketserver.TCPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -148,6 +169,17 @@ class TestWireProtocol:
             with pytest.raises(BackendError, match="transport failure") as info:
                 backend.sample([], "|1|", [], 1)
         assert isinstance(info.value.__cause__, cause)
+
+
+    def test_slow_drip_stops_at_the_deadline(self):
+        # The timeout bounds the whole call, not each socket read.
+        with raw_reply_server(b"", _DripHandler) as url:
+            backend = RemoteBackend(url=url, timeout=0.5)
+            start = time.monotonic()
+            with pytest.raises(BackendError, match="not complete within 0.5 s"):
+                backend.propose("|1|", "|1|", budget=1)
+            elapsed = time.monotonic() - start
+        assert elapsed < 2.0
 
 
 class TestRemoteProposer:

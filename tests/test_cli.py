@@ -254,6 +254,32 @@ class TestEval:
         assert "unreadable files" not in outputs[1]
         assert json.loads((tmp_path / "eval_summary.json").read_text())["scored"] == 3
 
+    def test_dead_backend_warns_once_per_item(self, tmp_path, capsys, monkeypatch):
+        # Sampling fails on every item; each says so on stderr, while stdout
+        # and the summary read as a run without a backend.
+        data = tmp_path / "tasks"
+        data.mkdir()
+        for tid, task, _ in generate_suite(seed=31, n_planted=2, n_noise=1):
+            (data / f"{tid}.json").write_bytes(serialize_task(task))
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for backend in ([], ["--backend-url", "http://127.0.0.1:9/"]):
+            assert main(["eval", str(data), "--passes", "2", *backend]) == 0
+            captured = capsys.readouterr()
+            runs.append((captured, (tmp_path / "eval_summary.json").read_text()))
+        (plain, plain_summary), (dead, dead_summary) = runs
+        assert dead.out == plain.out
+        assert dead_summary == plain_summary
+        assert plain.err == ""
+        items = json.loads(dead_summary)["items"]
+        warnings = dead.err.splitlines()
+        assert len(items) == len(warnings) == 3
+        for item, line in zip(items, warnings):
+            assert line.startswith(
+                f"warning: task {item['task_id']} test {item['test_index']} "
+                "ran without its backend: backend sampling failed: "
+            )
+
     def test_empty_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         data = tmp_path / "empty"

@@ -1,5 +1,6 @@
 """Change tagging, per-pair detection, cross-pair intersection, hints."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -138,6 +139,52 @@ class TestMatchObjects:
                 added = [t for t in tags if t.tag == "added"]
                 assert len(added) == 1
                 assert not [t for t in tags if t.tag == "removed"]
+
+
+def _tag_triples(tags):
+    return [(t.tag, t.input_id, t.output_id) for t in tags]
+
+
+class TestMatchObjectsIndex:
+    """``match_objects`` looks each input object's feature up in a queue of
+    output objects; ``oracles.scan_match_objects`` is the pairwise scan it
+    replaced."""
+
+    def test_suite_same_dims_pairs_match_scan(self):
+        from oracles import scan_match_objects
+
+        pairs = [
+            (gin, gout)
+            for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20)
+            for gin, gout in task.train
+            if gin.dims == gout.dims
+        ]
+        assert len(pairs) == 174
+        for gin, gout in pairs:
+            for connectivity in (4, 8):
+                pin, pout = segment(gin, connectivity), segment(gout, connectivity)
+                found = _tag_triples(match_objects(pin, pout))
+                assert found == scan_match_objects(pin, pout)
+
+    def test_random_perceptions_match_scan(self):
+        from conftest import random_grid
+        from oracles import scan_match_objects
+
+        rng = random.Random(1409)
+        for i in range(300):
+            gin = random_grid(rng, max_side=12, colors=rng.randint(2, 4))
+            if i % 3:
+                # An edited copy: some objects keep their mask or shape.
+                rows = gin.to_lists()
+                for _ in range(rng.randint(0, 6)):
+                    r, c = rng.randrange(gin.height), rng.randrange(gin.width)
+                    rows[r][c] = rng.randrange(4)
+                gout = Grid.from_rows(rows)
+            else:
+                gout = random_grid(rng, max_side=12, colors=rng.randint(2, 4))
+            connectivity = (4, 8)[i % 2]
+            pin, pout = segment(gin, connectivity), segment(gout, connectivity)
+            assert _tag_triples(match_objects(pin, pout)) == scan_match_objects(pin, pout)
 
 
 class TestChangeTagInvariants:
@@ -369,11 +416,15 @@ class TestVerifyOnce:
                     assert n <= inputs[g], (kind, key)
 
     def test_later_pairs_apply_only_keys_kept_on_every_earlier_pair(self, apply_calls):
-        # ...and proposed on every later pair: at threshold 1.0 a key that
-        # some pair's list lacks can never reach full support.
+        # "Earlier" is earlier in verification order: smallest input first,
+        # ties in pair order. A key applied there was kept on every pair
+        # verified before and is proposed on every pair verified after: at
+        # threshold 1.0 a key that some pair's list lacks can never reach
+        # full support.
         rng = random.Random(1231)
         proposer = SearchProposer()
         pruned = 0
+        reordered = 0
         for kind in KIND_ORDER:
             task = generate_planted_task(rng, kind=kind).task
             apply_calls.clear()
@@ -383,22 +434,26 @@ class TestVerifyOnce:
             ]
             unpruned = len(apply_calls)
             proposed = [set(collect_candidates(p, proposer, 2000)) for p in task.train]
-            first_pair = {}
-            for k, (gin, _) in enumerate(task.train):
-                first_pair.setdefault(gin, k)
+            order = sorted(range(len(task.train)), key=lambda k: _cells(task.train[k][0]))
+            reordered += order != sorted(order)
+            position = {}
+            for i, k in enumerate(order):
+                position.setdefault(task.train[k][0], i)
             apply_calls.clear()
             induce(task, proposer, threshold=1.0)
             for line, g in apply_calls:
                 key = pattern_key(parse_pattern(line))
-                k = first_pair[g]
-                assert all(key in kept[j] for j in range(k)), (kind, key, k)
-                assert all(key in p for p in proposed[k + 1 :]), (kind, key, k)
+                i = position[g]
+                assert all(key in kept[j] for j in order[:i]), (kind, key, order)
+                assert all(key in proposed[j] for j in order[i + 1 :]), (kind, key, order)
             pruned += unpruned - len(apply_calls)
         assert pruned > 0
+        assert reordered > 0
 
-    def test_noise_task_applied_on_pair_zero_only(self, apply_calls):
+    def test_noise_task_applied_on_smallest_input_only(self, apply_calls):
         # The search proposes nothing for a noise pair, so the lines come
-        # from a stub; none of them explains a noise pair even partially.
+        # from a stub; none of them explains a noise pair even partially,
+        # so each dies on the first pair verified: the smallest input.
         proposer = _ListProposer(
             [
                 "reflect_h()@all",
@@ -411,13 +466,22 @@ class TestVerifyOnce:
             ]
         )
         rng = random.Random(1237)
+        not_first = 0
         for _ in range(5):
             task = generate_noise_task(rng)
+            inputs = [gin for gin, _ in task.train]
+            smallest = min(inputs, key=_cells)
+            not_first += smallest != inputs[0]
             apply_calls.clear()
             rs = induce(task, proposer)
             assert rs.patterns == ()
             assert len(apply_calls) == len(proposer.items)
-            assert {g for _, g in apply_calls} == {task.train[0][0]}
+            assert {g for _, g in apply_calls} == {smallest}
+        assert not_first > 0
+
+
+def _cells(g):
+    return g.height * g.width
 
 
 class TestLateBuilding:
@@ -515,9 +579,10 @@ class TestPruning:
         ]
 
     # Every application inside induce: verification plus the intersection's
-    # contradiction checks (none at 1.0, 3 at 0.5, 15 at 0.0). The unpruned
-    # verifier needs 4,189 and 7,424 verifications at 1.0 and 0.5.
-    @pytest.mark.parametrize("threshold, applies", [(1.0, 2085), (0.5, 4287), (0.0, 9730)])
+    # contradiction checks (none at 1.0, 3 at 0.5, 15 at 0.0). Verifying
+    # in pair order took 2,085 and 4,287 at 1.0 and 0.5; the unpruned
+    # verifier needs 4,189 and 7,424 verifications there.
+    @pytest.mark.parametrize("threshold, applies", [(1.0, 2047), (0.5, 4218), (0.0, 9730)])
     def test_suite_apply_counts(self, suite, apply_calls, threshold, applies):
         apply_calls.clear()
         proposer = SearchProposer()
@@ -572,6 +637,20 @@ class TestPruning:
         for task, per_pair in suite_detections:
             reference = intersect_patterns(per_pair, list(task.train), threshold)
             assert induce(task, proposer, threshold, 2000) == reference
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.5, 0.0])
+    def test_suite_pair_permutations_match_unpruned(self, suite_detections, threshold):
+        # The reachability bound holds in any verification order, so which
+        # pair holds the smallest input never changes the rule set.
+        proposer = SearchProposer()
+        for task, per_pair in suite_detections:
+            for order in itertools.permutations(range(len(task.train))):
+                pairs = tuple(task.train[k] for k in order)
+                reference = intersect_patterns(
+                    [per_pair[k] for k in order], list(pairs), threshold
+                )
+                permuted = Task(train=pairs, test=task.test)
+                assert induce(permuted, proposer, threshold, 2000) == reference, order
 
     def test_pool_verdicts(self):
         pairs = _pool_task()

@@ -269,6 +269,103 @@ class TestObjectKinds:
         assert collided == Grid.from_rows([[1, 2, 2]])
 
 
+def _render_params(rng, kind):
+    if kind in ("translate", "duplicate_object"):
+        return {"dx": rng.randint(-4, 4), "dy": rng.randint(-4, 4)}
+    if kind == "gravity_shift":
+        return {"dir": rng.choice(DIRECTIONS)}
+    if kind == "delete_object":
+        return {}
+    return {"color": rng.randrange(10)}
+
+
+def _scene_grid(rng):
+    h, w = rng.randint(1, 30), rng.randint(1, 30)
+    if rng.random() < 0.25:
+        return random_grid(rng, max_side=30, colors=rng.randint(2, 10))
+    density = rng.choice([0.05, 0.2, 0.4, 0.6])
+    palette = rng.sample(range(1, 10), rng.randint(1, 3))
+    return Grid.from_rows(
+        [
+            [rng.choice(palette) if rng.random() < density else 0 for _ in range(w)]
+            for _ in range(h)
+        ]
+    )
+
+
+class TestRepaint:
+    """The seven object kinds that draw a grid paint only what changes over
+    the input grid; ``oracles.render_reference`` re-renders every object
+    onto a background canvas, as they did before."""
+
+    def test_matches_render_reference_on_random_scenes(self):
+        from oracles import RENDER_KINDS, render_reference
+
+        rng = random.Random(1409)
+        for i in range(160):
+            scene = Scene(_scene_grid(rng), (4, 8)[i % 2])
+            objects = scene.perception.objects
+            selectors = [
+                Selector("all"),
+                Selector("color", rng.choice([o.color for o in objects] or [0])),
+                Selector("size_rank", rng.randint(0, len(objects))),
+                Selector("cavities", rng.randint(0, 2)),
+            ]
+            for kind in RENDER_KINDS:
+                for selector in selectors:
+                    p = make_pattern(kind, selector=selector, **_render_params(rng, kind))
+                    assert apply_pattern(p, scene) == render_reference(p, scene), (
+                        format_pattern(p),
+                        scene.grid,
+                    )
+
+    def test_every_rendering_object_kind_is_covered(self):
+        from oracles import RENDER_KINDS
+
+        assert set(RENDER_KINDS) == set(OBJECT_KINDS) - {"count_encode"}
+
+    def test_upside_down_u_over_a_dot_falls_around_it(self):
+        from oracles import render_reference
+
+        # The dot settles on the floor first; the U's legs then carry it
+        # down until the dot sits inside its arch.
+        g = Grid.from_rows(
+            [
+                [0, 1, 1, 1, 0],
+                [0, 1, 0, 1, 0],
+                [0, 0, 0, 0, 0],
+                [0, 0, 2, 0, 0],
+                [0, 0, 0, 0, 0],
+            ]
+        )
+        p = make_pattern("gravity_shift", dir="down")
+        for connectivity in (4, 8):
+            scene = Scene(g, connectivity)
+            out = apply_pattern(p, scene)
+            assert out == render_reference(p, scene)
+            assert out == Grid.from_rows(
+                [
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 1, 1, 1, 0],
+                    [0, 1, 2, 1, 0],
+                ]
+            )
+
+    def test_translate_moves_a_lower_id_under_a_higher_id(self):
+        from oracles import render_reference
+
+        # Object 0 (color 1) moves right onto object 1 (color 2), which is
+        # painted after it and keeps the shared cell.
+        g = Grid.from_rows([[1, 1, 2, 0], [0, 0, 0, 0]])
+        p = make_pattern("translate", dx=1, dy=0, selector=Selector("color", 1))
+        scene = Scene(g)
+        out = apply_pattern(p, scene)
+        assert out == render_reference(p, scene)
+        assert out == Grid.from_rows([[0, 1, 2, 0], [0, 0, 0, 0]])
+
+
 class TestGroupLaws:
     @given(grids(max_side=8))
     @settings(max_examples=60)
