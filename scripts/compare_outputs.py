@@ -12,13 +12,16 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    ``eval_summary.json``;
 3. ``symgrid solve TASK --passes 2`` stdout for every task;
 4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
-   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0.
+   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0;
+5. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
+   generator keeps a draw only if ``induce`` passes its closure check,
+   so these catch a change in ``induce`` that the seed-1007 suite misses.
 
 Steps 2 to 4 read the parent's suite, so both sides answer the same files.
 Steps 3 and 4 call the CLI's ``main`` in one worker process per checkout
 rather than one process per command. The exit code is 0 when everything
 matches and 1 at the first difference, which is named on stderr.
-``--planted`` and ``--noise`` size the suite as in ``run_benchmark.py``.
+``--planted`` and ``--noise`` size every suite as in ``run_benchmark.py``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 SEED = 1007
+GENERATOR_SEEDS = (1, 2, 3)
 THRESHOLDS = ("1.0", "0.67", "0.5", "0.34", "0.0")
 
 
@@ -72,14 +76,23 @@ def _compare(what: str, parent: str | bytes, change: str | bytes) -> None:
     raise SystemExit(1)
 
 
-def _suite(checkout: Path, out: Path, planted: int, noise: int) -> dict[str, bytes]:
+def _suite(
+    checkout: Path, out: Path, planted: int, noise: int, seed: int = SEED
+) -> dict[str, bytes]:
     _run(
         checkout,
         [str(checkout / "scripts" / "gen_tasks.py"), str(out), "--planted", str(planted),
-         "--noise", str(noise), "--seed", str(SEED)],
+         "--noise", str(noise), "--seed", str(seed)],
         cwd=out.parent,
     )
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _compare_suites(seed: int, parent: dict[str, bytes], change: dict[str, bytes]) -> None:
+    what = f"seed-{seed} suite"
+    _compare(f"{what} file names", "\n".join(parent), "\n".join(change))
+    for name, data in parent.items():
+        _compare(f"{what} file {name}", data, change[name])
 
 
 def _eval(checkout: Path, suite: Path, passes: int, work: Path) -> tuple[str, bytes]:
@@ -139,9 +152,7 @@ def main() -> int:
         suites = {}
         for side, checkout in (("parent", parent), ("change", change)):
             suites[side] = _suite(checkout, root / f"suite_{side}", args.planted, args.noise)
-        _compare("suite file names", "\n".join(suites["parent"]), "\n".join(suites["change"]))
-        for name, data in suites["parent"].items():
-            _compare(f"suite file {name}", data, suites["change"][name])
+        _compare_suites(SEED, suites["parent"], suites["change"])
         suite = root / "suite_parent"
 
         for passes in (1, 2):
@@ -159,11 +170,19 @@ def main() -> int:
             _compare(f"{what} exit code", str(p_run["code"]), str(c_run["code"]))
             _compare(f"{what} stdout", p_run["stdout"], c_run["stdout"])
 
+        for seed in GENERATOR_SEEDS:
+            parent_suite, change_suite = (
+                _suite(checkout, root / f"seed{seed}_{side}", args.planted, args.noise, seed)
+                for side, checkout in (("parent", parent), ("change", change))
+            )
+            _compare_suites(seed, parent_suite, change_suite)
+
     tasks = len(suites["parent"]) - 1  # MANIFEST.tsv
     print(
         f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout and "
         f"eval_summary.json), solve --passes 2 on {tasks} tasks, induce on "
-        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)}"
+        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)}, and the suites of "
+        f"generator seeds {', '.join(map(str, GENERATOR_SEEDS))}"
     )
     return 0
 

@@ -120,6 +120,12 @@ class Task:
             raise TaskFormatError("task has no test inputs")
 
 
+def color_counts(g: Grid) -> list[int]:
+    """Cells of each color 0..9, counted over the grid's bytes in C."""
+    cells = b"".join(map(bytes, g.rows))
+    return list(map(cells.count, range(NUM_COLORS)))
+
+
 def grids_equal(a: Grid, b: Grid) -> bool:
     """Exact comparison: identical dimensions and identical cells."""
     return a.rows == b.rows

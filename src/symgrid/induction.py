@@ -5,11 +5,13 @@ retained by greedy matching. Candidate unit patterns come from a
 pluggable proposer: every train pair's candidates are collected first,
 keyed by value (``patterns.pattern_key``), then each one is applied at
 most once to a pair input, and only while the number of pairs that
-propose it can still carry it to the confidence threshold. A candidate
-becomes a (validated) UnitPattern only there, just before it is
-applied, so the many that are never verified are never built. The
-verdicts are intersected across pairs into a confidence-ranked rule set
-with rendered hint sentences.
+propose it can still carry it to the confidence threshold, while the
+input's color counts leave it a chance to match, and, once it has been
+kept as partial, only if no exact rule survives. A candidate becomes a
+(validated) UnitPattern only there, just before it is applied, so the
+many that are never verified are never built. The verdicts are
+intersected across pairs into a confidence-ranked rule set with rendered
+hint sentences.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from operator import attrgetter
 from typing import Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
-from .grid import Grid, grids_equal, pixel_distance
+from .grid import Grid, color_counts, grids_equal, pixel_distance
 from .patterns import (
+    GROWS,
     PatternKey,
     Scene,
     UnitPattern,
@@ -178,17 +181,39 @@ def detect_unit_patterns(
     """Verify candidates, as ``collect_candidates`` returns them, on one pair.
 
     The pair input may be a Scene (its own connectivity then applies).
-    A key without a pattern is built here, which validates it (a key
-    that names no valid pattern raises PatternContractError). Each
-    candidate is applied once to the pair input, in dict order: exact
-    matches are flagged exact, strict reductions of pixel distance are
-    kept as partial, everything else is dropped.
+    A key without a pattern is built here before it is applied, which
+    validates it (a key that names no valid pattern raises
+    PatternContractError). Each candidate is applied at most once to the
+    pair input, in dict order:
+    exact matches are flagged exact, strict reductions of pixel distance
+    are kept as partial, everything else is dropped.
+
+    A candidate whose kind never adds cells of a color (``GROWS``,
+    except perhaps the background) is dropped without being built or
+    applied when the color counts alone rule it out. A result of the
+    output's shape misses at least one cell for every output cell of
+    color c beyond the result's count of c, and for such a kind that
+    count is at most the input's; summed over those colors, this floor
+    is a lower bound on the pixel distance. A result of another shape is
+    never kept. So once the floor reaches the input's own distance the
+    candidate can be neither exact nor partial. The bound never applies
+    when that distance is 0, where the candidate may still be exact.
     """
     gin, gout = pair
     scene = as_scene(gin, connectivity)
     baseline = pixel_distance(scene.grid, gout)
+    deficits: list[int] | None = None  # output cells of each color beyond the input's
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
+        grows = GROWS.get(key[0], "any")
+        if baseline and grows != "any":
+            if deficits is None:
+                counts_in, counts_out = color_counts(scene.grid), color_counts(gout)
+                deficits = [max(0, o - i) for i, o in zip(counts_in, counts_out)]
+                total = sum(deficits)
+            floor = total - deficits[scene.background] if grows == "background" else total
+            if floor >= baseline:
+                continue
         if pattern is None:
             pattern = build_pattern(key)
         try:
@@ -231,7 +256,10 @@ def intersect_patterns(
     with every candidate verified. Partial patterns are kept
     only as a backstop: once any exact pattern survives, the partials
     are pruned so they cannot outvote a rule that reproduces every
-    training output.
+    training output. ``induce`` relies on that pruning: it holds back a
+    candidate kept as partial on the pairs verified after, and verifies
+    it there only when the lists without those verdicts give no exact
+    rule.
     """
     if not per_pair:
         raise ValueError("intersect_patterns: no per-pair lists")
@@ -297,27 +325,72 @@ def induce(
     dropped below threshold anyway, so the rule set is the same as with
     every candidate verified, in any order. Most candidates that fail
     therefore fail on the cheapest grid.
+
+    Exact rules are looked for first. A candidate kept as partial on a
+    pair can never be an exact rule, and ``intersect_patterns`` prunes
+    every partial once an exact rule survives, so it is held back on the
+    later pairs rather than applied. If the rule set of the verdicts so
+    far holds an exact rule, it is the answer: the exact candidates were
+    verified exactly as without holding back. Otherwise the held-back
+    candidates are verified, pair by pair in the same order and under the
+    same bound on their real verdicts, and the verdicts intersected
+    again. No candidate is applied twice to one pair.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
-    n = len(pairs)
     collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
-    support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
-    proposed = Counter(key for candidates in collected for key in candidates)
-    per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
     cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
-    for k in sorted(range(n), key=cells.__getitem__):  # stable: ties keep pair order
-        candidates = collected[k]
+    order = sorted(range(len(pairs)), key=cells.__getitem__)  # stable: ties keep pair order
+    per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
+    support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
+    partial: set[PatternKey] = set()  # kept as partial on some pair
+    held = _verify(pairs, order, collected, support, per_pair, threshold, partial)
+    rules = intersect_patterns(per_pair, pairs, threshold, connectivity)
+    if not any(held) or any(sp.exact for sp in rules.patterns):
+        return rules
+    _verify(pairs, order, held, support, per_pair, threshold, None)
+    # No exact rule survived. The candidates never kept as partial have
+    # the same verdicts as above, so they die again; leaving them out
+    # spares their contradiction checks.
+    per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in partial] for sps in per_pair]
+    return intersect_patterns(per_pair, pairs, threshold, connectivity)
+
+
+def _verify(
+    pairs: list[tuple[Scene, Grid]],
+    order: list[int],
+    lists: list[dict[PatternKey, UnitPattern | None]],
+    support: Counter[PatternKey],
+    per_pair: list[list[ScoredPattern]],
+    threshold: float,
+    partial: set[PatternKey] | None,
+) -> list[dict[PatternKey, UnitPattern | None]]:
+    """Verify ``lists[k]`` on ``pairs[k]`` for k in ``order``, under
+    ``induce``'s reachability bound, adding the verdicts to ``per_pair``
+    and ``support``. Given a ``partial`` set, the candidates kept as
+    partial join it and are held back on later pairs; returns each
+    pair's held-back candidates."""
+    n = len(pairs)
+    proposed = Counter(key for candidates in lists for key in candidates)
+    held: list[dict[PatternKey, UnitPattern | None]] = [{} for _ in pairs]
+    for k in order:
+        candidates, hold = lists[k], held[k]
+        if partial:
+            hold.update((key, p) for key, p in candidates.items() if key in partial)
         # ``proposed`` counts the pairs not yet verified here, pair k included.
         reachable = {
             key: pattern
             for key, pattern in candidates.items()
-            if (support[key] + proposed[key]) / n + 1e-9 >= threshold
+            if key not in hold and (support[key] + proposed[key]) / n + 1e-9 >= threshold
         }
         proposed.subtract(candidates.keys())
-        detections = detect_unit_patterns(pairs[k], reachable, connectivity)
+        if not reachable:
+            continue
+        detections = detect_unit_patterns(pairs[k], reachable)
         support.update(pattern_key(sp.pattern) for sp in detections)
-        per_pair[k] = detections
-    return intersect_patterns(per_pair, pairs, threshold, connectivity)
+        per_pair[k] += detections
+        if partial is not None:
+            partial.update(pattern_key(sp.pattern) for sp in detections if not sp.exact)
+    return held
 
 
 def _contradicted(

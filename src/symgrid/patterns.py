@@ -13,8 +13,9 @@ segmentation is computed once and shared by every pattern applied to it.
 
 Each kind is one record of the ``_KINDS`` table at the end of this
 module: its parameter signature, whether it takes an object selector,
-its forward semantics and its hint template. ``KIND_ORDER``,
-``OBJECT_KINDS``, validation, serialization, ``apply_pattern`` and
+its forward semantics, its hint template and which colors its result
+may hold more cells of than the input. ``KIND_ORDER``, ``OBJECT_KINDS``,
+``GROWS``, validation, serialization, ``apply_pattern`` and
 ``synthesize_hint`` all read that table. Each parameter type named in a
 signature (``int``, ``positive``, ``color``, ``factor``, ``axis``,
 ``direction``, ``colormap``) is one record of the ``_TAGS`` table: one
@@ -711,6 +712,11 @@ class _Kind:
     takes_selector: bool  # object kinds; the others take only selector 'all'
     apply: Callable[[UnitPattern, Scene], Grid]
     hint: str  # str.format template over {sel} and the rendered params
+    # The colors the result may hold more cells of than the input: "any";
+    # "background", for kinds that erase objects and paint them again, so
+    # an object color only loses cells where objects overlap; or "none",
+    # for kinds that only move cells, so the result keeps the color counts.
+    grows: str = "any"
     # Derived from ``signature``:
     names: tuple[str, ...] = field(init=False)
     checks: tuple[tuple[str, Callable[[object], str | None]], ...] = field(init=False)
@@ -729,11 +735,12 @@ _OFFSET = (("dx", "int"), ("dy", "int"))
 
 # Canonical, cheapest-first kind order: whole-grid kinds, then object kinds.
 _KINDS: dict[str, _Kind] = {k.name: k for k in (
-    _Kind("reflect_h", (), False, _reflect_h, "reflect the grid left-right"),
-    _Kind("reflect_v", (), False, _reflect_v, "reflect the grid top-bottom"),
-    _Kind("rotate90", (), False, _rotate90, "rotate the grid 90 degrees clockwise"),
-    _Kind("rotate180", (), False, _rotate180, "rotate the grid 180 degrees"),
-    _Kind("rotate270", (), False, _rotate270, "rotate the grid 270 degrees clockwise"),
+    _Kind("reflect_h", (), False, _reflect_h, "reflect the grid left-right", grows="none"),
+    _Kind("reflect_v", (), False, _reflect_v, "reflect the grid top-bottom", grows="none"),
+    _Kind("rotate90", (), False, _rotate90, "rotate the grid 90 degrees clockwise", grows="none"),
+    _Kind("rotate180", (), False, _rotate180, "rotate the grid 180 degrees", grows="none"),
+    _Kind("rotate270", (), False, _rotate270, "rotate the grid 270 degrees clockwise",
+          grows="none"),
     _Kind("crop_to_content", (), False, _crop_to_content, "crop the grid to its content"),
     _Kind("symmetry_complete", _AXIS, False, _symmetry_complete,
           "complete the grid symmetrically {axis}"),
@@ -759,7 +766,7 @@ _KINDS: dict[str, _Kind] = {k.name: k for k in (
     _Kind("cavity_fill", _COLOR, True, _cavity_fill,
           "fill the cavities of {sel} with color {color}"),
     _Kind("gravity_shift", (("dir", "direction"),), True, _gravity_shift,
-          "slide {sel} {dir} until blocked"),
+          "slide {sel} {dir} until blocked", grows="background"),
     _Kind("draw_bbox_border", _COLOR, True, _draw_bbox_border,
           "draw the bounding box of {sel} in color {color}"),
     _Kind("connect_objects", _COLOR, True, _connect_objects,
@@ -768,6 +775,7 @@ _KINDS: dict[str, _Kind] = {k.name: k for k in (
 
 KIND_ORDER = tuple(_KINDS)
 OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
+GROWS = {name: k.grows for name, k in _KINDS.items()}  # see ``_Kind.grows``
 _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
 
 

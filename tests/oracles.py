@@ -7,16 +7,29 @@ stay free of package internals beyond public value types.
 
 The exception is the references kept for fast paths (``fraction_vote``,
 ``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``,
-``genexpr_pixel_distance``, ``render_reference``, ``scan_match_objects``):
-each is the code a fast path replaced, kept so differential tests can
-require the same results from both.
+``genexpr_pixel_distance``, ``render_reference``, ``scan_match_objects``,
+``reference_detect_unit_patterns``, ``reference_induce``): each is the
+code a fast path replaced, kept so differential tests can require the
+same results from both.
 """
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
-from symgrid import Grid, background_color
-from symgrid.errors import PatternContractError
+from symgrid import (
+    Grid,
+    ScoredPattern,
+    Scene,
+    background_color,
+    build_pattern,
+    collect_candidates,
+    grids_equal,
+    intersect_patterns,
+    patterns,
+    pattern_key,
+    pixel_distance,
+)
+from symgrid.errors import PatternApplicationError, PatternContractError
 from symgrid.patterns import (
     _KINDS,
     AXES,
@@ -24,6 +37,7 @@ from symgrid.patterns import (
     SELECT_ALL,
     _bbox_border,
     _gravity_order,
+    as_scene,
 )
 from symgrid.perception import GridObject, Perception, cavity_regions
 
@@ -541,3 +555,53 @@ def scan_match_objects(pin, pout):
     tags.extend(("removed", o.id, None) for o in unmatched_in)
     tags.extend(("added", None, o.id) for o in unmatched_out)
     return tags
+
+
+def reference_detect_unit_patterns(pair, candidates, connectivity=4):
+    """``induction.detect_unit_patterns`` as it was before the color-count
+    bound: every candidate is built and applied. It applies through the
+    ``patterns`` module attribute, so the ``apply_calls`` fixture sees
+    its applications."""
+    gin, gout = pair
+    scene = as_scene(gin, connectivity)
+    baseline = pixel_distance(scene.grid, gout)
+    out = []
+    for key, pattern in candidates.items():
+        if pattern is None:
+            pattern = build_pattern(key)
+        try:
+            result = patterns.apply_pattern(pattern, scene)
+        except (PatternApplicationError, PatternContractError):
+            continue
+        if grids_equal(result, gout):
+            out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=True))
+        elif pixel_distance(result, gout) < baseline:
+            out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=False))
+    return out
+
+
+def reference_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4):
+    """``induction.induce`` as it was before it held back partial
+    candidates, verifying through ``reference_detect_unit_patterns``:
+    each pair, from the smallest input up, applies every candidate whose
+    support so far plus the later pairs proposing it can still reach the
+    threshold, and the verdicts are intersected once."""
+    pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
+    n = len(pairs)
+    collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
+    support = Counter()
+    proposed = Counter(key for candidates in collected for key in candidates)
+    per_pair = [[] for _ in pairs]
+    cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
+    for k in sorted(range(n), key=cells.__getitem__):
+        candidates = collected[k]
+        reachable = {
+            key: pattern
+            for key, pattern in candidates.items()
+            if (support[key] + proposed[key]) / n + 1e-9 >= threshold
+        }
+        proposed.subtract(candidates.keys())
+        detections = reference_detect_unit_patterns(pairs[k], reachable, connectivity)
+        support.update(pattern_key(sp.pattern) for sp in detections)
+        per_pair[k] = detections
+    return intersect_patterns(per_pair, pairs, threshold, connectivity)

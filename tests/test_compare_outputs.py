@@ -31,6 +31,7 @@ def test_checkout_against_itself_is_identical():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("identical: 4-task suite")
+    assert "generator seeds 1, 2, 3" in result.stdout
 
 
 @pytest.mark.parametrize(

@@ -6,17 +6,19 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from symgrid import (
     KIND_ORDER,
     Grid,
+    Scene,
     ScoredPattern,
     SearchProposer,
     Selector,
     Task,
     UnitPattern,
     apply_pattern,
+    build_pattern,
     collect_candidates,
     detect_unit_patterns,
     evaluate,
@@ -28,9 +30,11 @@ from symgrid import (
     match_objects,
     parse_pattern,
     pattern_key,
+    pixel_distance,
     segment,
 )
-from symgrid import induction
+from symgrid import background_color, induction
+from symgrid.patterns import GROWS
 from symgrid.induction import synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
 from conftest import detect
@@ -264,6 +268,91 @@ class TestDetectUnitPatterns:
         pair = (g, apply_pattern(make_pattern("rotate90"), g))
         proposer = _ListProposer(["recolor(src=1,dst=2)@all"])  # neither exact nor closer
         assert detect(pair, proposer, budget=10) == []
+
+
+def _bound_skips(line, gin, gout):
+    """Whether the color-count bound rules ``line`` out on (gin, gout),
+    computed here from ``GROWS`` with Counters."""
+    grows = GROWS[parse_pattern(line).kind]
+    baseline = pixel_distance(gin, gout)
+    if grows == "any" or baseline == 0:
+        return False
+    counts_in = Counter(v for row in gin.rows for v in row)
+    counts_out = Counter(v for row in gout.rows for v in row)
+    colors = set(counts_out)
+    if grows == "background":
+        colors.discard(background_color(gin))
+    return sum(max(0, counts_out[c] - counts_in[c]) for c in colors) >= baseline
+
+
+class TestColorCountBound:
+    """``detect_unit_patterns`` drops, unapplied, the candidates of kinds
+    that never add cells of a color once the color counts rule them out;
+    its verdicts equal the unbounded reference verifier's."""
+
+    def test_suite_matches_unbounded_reference(self, apply_calls):
+        from oracles import reference_detect_unit_patterns
+
+        proposer = SearchProposer()
+        skipped = 0
+        for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
+            for gin, gout in task.train:
+                pair = (Scene(gin), gout)
+                candidates = collect_candidates(pair, proposer, 2000)
+                apply_calls.clear()
+                reference = reference_detect_unit_patterns(pair, candidates)
+                everything = Counter(apply_calls)
+                apply_calls.clear()
+                assert detect_unit_patterns(pair, candidates) == reference
+                applied = Counter(apply_calls)
+                assert applied <= everything
+                for line, g in everything - applied:
+                    assert _bound_skips(line, g, gout), line
+                    skipped += 1
+        assert skipped > 0
+
+    def test_equal_grids_keep_reflect_h_exact(self, apply_calls):
+        # The input's own distance is 0, so the bound never applies: every
+        # candidate may still be exact.
+        g = Grid.from_rows([[1, 2, 1], [3, 0, 3]])
+        found = detect((g, g), _ListProposer(["reflect_h()@all", "rotate180()@all"]), 10)
+        assert [(format_pattern(sp.pattern), sp.exact) for sp in found] == [
+            ("reflect_h()@all", True)
+        ]
+        assert [line for line, _ in apply_calls] == ["reflect_h()@all", "rotate180()@all"]
+
+    def test_bound_skips_without_applying(self, apply_calls):
+        # The output has one color-2 cell the input lacks, and one cell
+        # differs: no rearrangement of the input can match or come closer.
+        gin = Grid.from_rows([[1, 0], [0, 0]])
+        gout = Grid.from_rows([[2, 0], [0, 0]])
+        proposer = _ListProposer(["reflect_h()@all", "recolor(src=1,dst=2)@all"])
+        found = detect((gin, gout), proposer, 10)
+        assert [format_pattern(sp.pattern) for sp in found] == ["recolor(src=1,dst=2)@all"]
+        assert [line for line, _ in apply_calls] == ["recolor(src=1,dst=2)@all"]
+
+    def test_gravity_overlap_stays_partial(self):
+        # The L (color 1) falls one row onto the bar (color 2), which cannot
+        # fall and is painted over it, so one color-1 cell is lost. Against
+        # an all-background output that loss is a partial match. Counting
+        # the background too, the floor (the output's 7 extra background
+        # cells) would reach the input's distance of 7 and drop it.
+        from oracles import reference_detect_unit_patterns
+
+        gin = Grid.from_rows(
+            [[1, 1, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0], [3, 0, 0, 0, 0]]
+        )
+        gout = Grid.from_rows([[0] * 5] * 4)
+        lines = ["gravity_shift(dir=down)@all", "reflect_h()@all"]
+        for connectivity in (4, 8):
+            pair = (Scene(gin, connectivity), gout)
+            found = detect(pair, _ListProposer(lines), 10, connectivity)
+            assert found == reference_detect_unit_patterns(
+                pair, {pattern_key(parse_pattern(line)): None for line in lines}
+            )
+            assert [(format_pattern(sp.pattern), sp.exact) for sp in found] == [
+                ("gravity_shift(dir=down)@all", False)
+            ]
 
 
 def _sp(pattern, exact=True):
@@ -579,10 +668,11 @@ class TestPruning:
         ]
 
     # Every application inside induce: verification plus the intersection's
-    # contradiction checks (none at 1.0, 3 at 0.5, 15 at 0.0). Verifying
-    # in pair order took 2,085 and 4,287 at 1.0 and 0.5; the unpruned
+    # contradiction checks (none at 1.0). Before the color-count bound and
+    # the held-back partials it took 2,047, 4,218 and 9,730; verifying in
+    # pair order took 2,085 and 4,287 at 1.0 and 0.5; the unpruned
     # verifier needs 4,189 and 7,424 verifications there.
-    @pytest.mark.parametrize("threshold, applies", [(1.0, 2047), (0.5, 4218), (0.0, 9730)])
+    @pytest.mark.parametrize("threshold, applies", [(1.0, 1335), (0.5, 2806), (0.0, 7845)])
     def test_suite_apply_counts(self, suite, apply_calls, threshold, applies):
         apply_calls.clear()
         proposer = SearchProposer()
@@ -591,23 +681,43 @@ class TestPruning:
         assert len(apply_calls) == applies
 
     def test_verification_runs_through_detect_unit_patterns(self, monkeypatch, apply_calls):
+        # Every application happens inside detect_unit_patterns, on keys
+        # it was given, or in the intersection's contradiction checks,
+        # which run only below threshold 1.0; no verification applies a
+        # key twice to one input.
         pairs = _pool_task()
         task = Task(train=pairs, test=((pairs[0][0], None),))
         proposer = _PerPairProposer({g: list(_POOL) for g, _ in pairs})
         verified = []
+        checked = []
+        detect_original = induction.detect_unit_patterns
+        intersect_original = induction.intersect_patterns
 
-        def recording(pair, candidates, connectivity=4):
-            verified.append(list(candidates))
-            return detect_unit_patterns(pair, candidates, connectivity)
+        def recording_detect(pair, candidates, connectivity=4):
+            before = len(apply_calls)
+            out = detect_original(pair, candidates, connectivity)
+            keys = {format_pattern(build_pattern(key)) for key in candidates}
+            for line, g in apply_calls[before:]:
+                assert line in keys and g == pair[0].grid
+            verified.extend(apply_calls[before:])
+            return out
 
-        monkeypatch.setattr(induction, "detect_unit_patterns", recording)
-        apply_calls.clear()
-        induce(task, proposer, threshold=0.0, budget=len(_POOL))
-        assert len(verified) == len(pairs)
-        keys = [key for keys in verified for key in keys]
-        # Intersection's contradiction checks come after every verification.
-        applied = [pattern_key(parse_pattern(line)) for line, _ in apply_calls[: len(keys)]]
-        assert applied == keys
+        def recording_intersect(*args):
+            before = len(apply_calls)
+            out = intersect_original(*args)
+            checked.extend(apply_calls[before:])
+            return out
+
+        monkeypatch.setattr(induction, "detect_unit_patterns", recording_detect)
+        monkeypatch.setattr(induction, "intersect_patterns", recording_intersect)
+        for threshold in (1.0, 0.0):
+            verified.clear()
+            checked.clear()
+            apply_calls.clear()
+            induce(task, proposer, threshold=threshold, budget=len(_POOL))
+            assert Counter(apply_calls) == Counter(verified) + Counter(checked)
+            assert verified and max(Counter(verified).values()) == 1
+            assert (threshold == 1.0) == (not checked)
 
     def test_key_missing_on_a_later_pair_is_never_applied(self, apply_calls):
         # rotate90 is exact on all three pairs but proposed on pairs 0 and 1
@@ -691,6 +801,113 @@ class TestPruning:
         proposer = _PerPairProposer({g: lines for (g, _), lines in zip(pairs, lists)})
         expected = _unpruned(task, proposer, threshold, budget)
         assert induce(task, proposer, threshold, budget) == expected
+
+
+class TestExactFirst:
+    """``induce`` holds back on later pairs a candidate kept as partial and
+    verifies it there only when no exact rule survives. Its rule sets equal
+    ``oracles.reference_induce``'s; it applies a subset of what the
+    reference applies and, when no exact rule survives, exactly that
+    minus the verifications the color-count bound skips."""
+
+    @pytest.fixture()
+    def run(self, monkeypatch, apply_calls):
+        """Run ``induce`` and the reference on one task; returns both rule
+        sets and the multisets of applications."""
+        import oracles
+
+        verified = []
+        reference_detect = oracles.reference_detect_unit_patterns
+
+        def recording(pair, candidates, connectivity=4):
+            before = len(apply_calls)
+            out = reference_detect(pair, candidates, connectivity)
+            verified.extend(apply_calls[before:])
+            return out
+
+        monkeypatch.setattr(oracles, "reference_detect_unit_patterns", recording)
+
+        def run(task, proposer, threshold, budget=2000):
+            verified.clear()
+            apply_calls.clear()
+            reference = oracles.reference_induce(task, proposer, threshold, budget)
+            everything = Counter(apply_calls)
+            apply_calls.clear()
+            rs = induce(task, proposer, threshold, budget)
+            return rs, reference, Counter(apply_calls), everything, Counter(verified)
+
+        return run
+
+    @staticmethod
+    def _check(task, rs, reference, applied, everything, verified):
+        assert rs == reference
+        assert applied <= everything
+        outputs = dict(task.train)
+        assert len(outputs) == len(task.train)  # an application names its input only
+        skipped = Counter(
+            {a: n for a, n in verified.items() if _bound_skips(*a, outputs[a[1]])}
+        )
+        if not any(sp.exact for sp in rs.patterns):
+            assert everything - applied == skipped
+        return everything - applied - skipped
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.67, 0.5, 0.34, 0.0])
+    def test_suite_matches_reference(self, run, threshold):
+        proposer = SearchProposer()
+        held_back = 0
+        for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
+            held_back += sum(self._check(task, *run(task, proposer, threshold)).values())
+        assert held_back > 0
+
+    def test_partial_on_smallest_pair_with_an_exact_rule(self, run):
+        # reflect_h is partial on pair 0, the first verified (the inputs tie
+        # at 3x3), and is never applied again: rotate90 is exact on all.
+        pairs = _pool_task()[:3]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: ["reflect_h()@all", "rotate90()@all"] for g, _ in pairs})
+        rs, reference, applied, everything, verified = run(task, proposer, 1.0)
+        self._check(task, rs, reference, applied, everything, verified)
+        assert [(format_pattern(sp.pattern), sp.exact) for sp in rs.patterns] == [
+            ("rotate90()@all", True)
+        ]
+        assert applied == Counter(
+            [("reflect_h()@all", pairs[0][0])] + [("rotate90()@all", g) for g, _ in pairs]
+        )
+
+    def test_partial_on_smallest_pair_without_an_exact_rule(self, run):
+        # No exact rule survives, so the held-back verifications of reflect_h
+        # and reflect_v on pairs 1 and 2 run after all: both are partial
+        # rules with full support.
+        pairs = _pool_task()[:3]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        lines = ["reflect_h()@all", "reflect_v()@all"]
+        proposer = _PerPairProposer({g: lines for g, _ in pairs})
+        rs, reference, applied, everything, verified = run(task, proposer, 1.0)
+        self._check(task, rs, reference, applied, everything, verified)
+        assert [(format_pattern(sp.pattern), sp.exact, sp.support) for sp in rs.patterns] == [
+            ("reflect_h()@all", False, 3),
+            ("reflect_v()@all", False, 3),
+        ]
+        assert applied == Counter((line, g) for g, _ in pairs for line in lines)
+
+    @given(
+        n_pairs=st.integers(1, 4),
+        lists=st.lists(
+            st.lists(st.sampled_from(list(_POOL)), max_size=8), min_size=4, max_size=4
+        ),
+        threshold=st.sampled_from([1.0, 0.67, 0.5, 0.34, 0.0]),
+        budget=st.integers(1, 4),
+    )
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fake_proposer_matches_reference(self, run, n_pairs, lists, threshold, budget):
+        pairs = _pool_task()[:n_pairs]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: lines for (g, _), lines in zip(pairs, lists)})
+        self._check(task, *run(task, proposer, threshold, budget))
 
 
 class TestRank:

@@ -1,6 +1,7 @@
 """Taxonomy semantics, group laws, serialization, error contracts."""
 
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -24,7 +25,7 @@ from symgrid import (
     pattern_key,
     segment,
 )
-from symgrid.patterns import AXES, DIRECTIONS, OBJECT_KINDS
+from symgrid.patterns import AXES, DIRECTIONS, GROWS, OBJECT_KINDS
 from conftest import grids, random_grid
 
 
@@ -553,6 +554,63 @@ class TestScene:
         for kind in ("reflect_h", "crop_to_content", "delete_object"):
             with pytest.raises(ValueError, match="connectivity"):
                 apply_pattern(make_pattern(kind), g, connectivity=6)
+
+
+def _counts(g):
+    return Counter(v for row in g.rows for v in row)
+
+
+class TestColorCountFact:
+    """``GROWS`` says which colors a kind's result may hold more cells of
+    than the input; verification's color-count bound relies on it."""
+
+    def test_flagged_kinds(self):
+        flagged = {kind: grows for kind, grows in GROWS.items() if grows != "any"}
+        assert flagged == {
+            "reflect_h": "none",
+            "reflect_v": "none",
+            "rotate90": "none",
+            "rotate180": "none",
+            "rotate270": "none",
+            "gravity_shift": "background",
+        }
+        assert set(GROWS) == set(KIND_ORDER)
+
+    @given(
+        grids(max_side=10, colors=4),
+        st.sampled_from((4, 8)),
+        valid_patterns(st.sampled_from(sorted(k for k, v in GROWS.items() if v != "any"))),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_flagged_kinds_never_add_cells(self, g, connectivity, p):
+        # Either the call raises, or no color that may not grow has more
+        # cells than in the input; "none" kinds keep every count.
+        scene = Scene(g, connectivity)
+        try:
+            out = apply_pattern(p, scene)
+        except (PatternApplicationError, PatternContractError):
+            return
+        before, after = _counts(g), _counts(out)
+        if GROWS[p.kind] == "none":
+            assert after == before
+        else:
+            after[scene.background] = before[scene.background]
+            assert after <= before
+
+    def test_gravity_overlap_loses_a_cell(self):
+        # The L (color 1, id 0) falls one row onto the bar (color 2, id 1),
+        # which cannot fall past the dot (color 3) and is painted last, so
+        # gravity_shift is not a "none" kind: color 1 loses a cell to the
+        # background.
+        g = Grid.from_rows(
+            [[1, 1, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0], [3, 0, 0, 0, 0]]
+        )
+        for connectivity in (4, 8):
+            out = apply_pattern(make_pattern("gravity_shift", dir="down"), Scene(g, connectivity))
+            assert out == Grid.from_rows(
+                [[0, 0, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0], [3, 1, 0, 0, 0]]
+            )
+            assert _counts(out) == _counts(g) - Counter({1: 1}) + Counter({0: 1})
 
 
 class TestSerialization:
