@@ -121,9 +121,17 @@ class Task:
 
 
 def color_counts(g: Grid) -> list[int]:
-    """Cells of each color 0..9, counted over the grid's bytes in C."""
-    cells = b"".join(map(bytes, g.rows))
-    return list(map(cells.count, range(NUM_COLORS)))
+    """Cells of each color 0..9.
+
+    A plain loop: up to about 100 cells it is as fast as joining the rows
+    into bytes and counting each color in C, and most task grids are
+    smaller than that.
+    """
+    counts = [0] * NUM_COLORS
+    for row in g.rows:
+        for v in row:
+            counts[v] += 1
+    return counts
 
 
 def grids_equal(a: Grid, b: Grid) -> bool:

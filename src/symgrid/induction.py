@@ -184,35 +184,28 @@ def detect_unit_patterns(
     A key without a pattern is built here before it is applied, which
     validates it (a key that names no valid pattern raises
     PatternContractError). Each candidate is applied at most once to the
-    pair input, in dict order:
-    exact matches are flagged exact, strict reductions of pixel distance
-    are kept as partial, everything else is dropped.
+    pair input, in dict order: exact matches are flagged exact, strict
+    reductions of pixel distance are kept as partial, everything else is
+    dropped.
 
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
-    applied when the color counts alone rule it out. A result of the
-    output's shape misses at least one cell for every output cell of
-    color c beyond the result's count of c, and for such a kind that
-    count is at most the input's; summed over those colors, this floor
-    is a lower bound on the pixel distance. A result of another shape is
-    never kept. So once the floor reaches the input's own distance the
-    candidate can be neither exact nor partial. The bound never applies
-    when that distance is 0, where the candidate may still be exact.
+    applied once its color-count floor (``_count_floors``), a lower
+    bound on its pixel distance, reaches the input's own distance: it
+    can be neither exact nor partial. The bound never applies when that
+    distance is 0, where the candidate may still be exact.
     """
     gin, gout = pair
     scene = as_scene(gin, connectivity)
     baseline = pixel_distance(scene.grid, gout)
-    deficits: list[int] | None = None  # output cells of each color beyond the input's
+    floors: dict[str, int] | None = None
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
         grows = GROWS.get(key[0], "any")
-        if baseline and grows != "any":
-            if deficits is None:
-                counts_in, counts_out = color_counts(scene.grid), color_counts(gout)
-                deficits = [max(0, o - i) for i, o in zip(counts_in, counts_out)]
-                total = sum(deficits)
-            floor = total - deficits[scene.background] if grows == "background" else total
-            if floor >= baseline:
+        if grows != "any" and baseline:
+            if floors is None:
+                floors = _count_floors(scene, gout)
+            if floors.get(grows, 0) >= baseline:
                 continue
         if pattern is None:
             pattern = build_pattern(key)
@@ -225,6 +218,26 @@ def detect_unit_patterns(
         elif pixel_distance(result, gout) < baseline:
             out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=False))
     return out
+
+
+def _count_floors(scene: Scene, gout: Grid) -> dict[str, int]:
+    """For each ``GROWS`` class that bounds a count, a lower bound on the
+    pixel distance to ``gout`` of a result of the kind on ``scene``.
+
+    A result of the output's shape misses a cell for every output cell
+    of color c beyond the result's count of c, and for such a kind that
+    count is at most the input's for every color the kind does not grow;
+    the floor sums those excesses. A result of another shape is never
+    kept, so the floor need not hold for it. None is given when the input
+    and output shapes differ: the input's distance then exceeds the
+    output's cell count, which no floor reaches.
+    """
+    if scene.grid.dims != gout.dims:
+        return {}
+    counts_in, counts_out = color_counts(scene.grid), color_counts(gout)
+    deficits = [max(0, o - i) for i, o in zip(counts_in, counts_out)]
+    total = sum(deficits)
+    return {"none": total, "background": total - deficits[scene.background]}
 
 
 @dataclass
@@ -337,21 +350,27 @@ def induce(
     again. No candidate is applied twice to one pair.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
+    n = len(pairs)
     collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
     cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
-    order = sorted(range(len(pairs)), key=cells.__getitem__)  # stable: ties keep pair order
+    order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
     per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
     support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
-    partial: set[PatternKey] = set()  # kept as partial on some pair
-    held = _verify(pairs, order, collected, support, per_pair, threshold, partial)
+    held_from: dict[PatternKey, int] = {}  # key -> first position in ``order`` it skips
+    _verify(pairs, order, collected, support, per_pair, threshold, held_from)
     rules = intersect_patterns(per_pair, pairs, threshold, connectivity)
-    if not any(held) or any(sp.exact for sp in rules.patterns):
+    if any(sp.exact for sp in rules.patterns):
+        return rules
+    held: list[dict[PatternKey, UnitPattern | None]] = [{} for _ in pairs]
+    for i, k in enumerate(order):
+        held[k] = {key: p for key, p in collected[k].items() if held_from.get(key, n) <= i}
+    if not any(held):
         return rules
     _verify(pairs, order, held, support, per_pair, threshold, None)
-    # No exact rule survived. The candidates never kept as partial have
-    # the same verdicts as above, so they die again; leaving them out
-    # spares their contradiction checks.
-    per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in partial] for sps in per_pair]
+    # The candidates never kept as partial have the same verdicts as
+    # above, so they die again; leaving them out spares their
+    # contradiction checks.
+    per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in held_from] for sps in per_pair]
     return intersect_patterns(per_pair, pairs, threshold, connectivity)
 
 
@@ -362,25 +381,23 @@ def _verify(
     support: Counter[PatternKey],
     per_pair: list[list[ScoredPattern]],
     threshold: float,
-    partial: set[PatternKey] | None,
-) -> list[dict[PatternKey, UnitPattern | None]]:
+    held_from: dict[PatternKey, int] | None,
+) -> None:
     """Verify ``lists[k]`` on ``pairs[k]`` for k in ``order``, under
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
-    and ``support``. Given a ``partial`` set, the candidates kept as
-    partial join it and are held back on later pairs; returns each
-    pair's held-back candidates."""
+    and ``support``. Given ``held_from``, a candidate kept as partial
+    there is skipped from the next position in ``order`` on, and that
+    position is recorded."""
     n = len(pairs)
     proposed = Counter(key for candidates in lists for key in candidates)
-    held: list[dict[PatternKey, UnitPattern | None]] = [{} for _ in pairs]
-    for k in order:
-        candidates, hold = lists[k], held[k]
-        if partial:
-            hold.update((key, p) for key, p in candidates.items() if key in partial)
+    skip = held_from if held_from is not None else {}
+    for i, k in enumerate(order):
+        candidates = lists[k]
         # ``proposed`` counts the pairs not yet verified here, pair k included.
         reachable = {
             key: pattern
             for key, pattern in candidates.items()
-            if key not in hold and (support[key] + proposed[key]) / n + 1e-9 >= threshold
+            if (support[key] + proposed[key]) / n + 1e-9 >= threshold and key not in skip
         }
         proposed.subtract(candidates.keys())
         if not reachable:
@@ -388,9 +405,10 @@ def _verify(
         detections = detect_unit_patterns(pairs[k], reachable)
         support.update(pattern_key(sp.pattern) for sp in detections)
         per_pair[k] += detections
-        if partial is not None:
-            partial.update(pattern_key(sp.pattern) for sp in detections if not sp.exact)
-    return held
+        if held_from is not None:
+            for sp in detections:
+                if not sp.exact:
+                    held_from[pattern_key(sp.pattern)] = i + 1
 
 
 def _contradicted(

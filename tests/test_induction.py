@@ -890,6 +890,19 @@ class TestExactFirst:
         ]
         assert applied == Counter((line, g) for g, _ in pairs for line in lines)
 
+    def test_held_back_verification_keeps_the_reachability_bound(self, run):
+        # translate is partial on the first pair, so it is held back; once
+        # no exact rule survives it is verified on the second pair, where
+        # it is not kept, and can then no longer reach 1.0 on the third.
+        pool = _pool_task()
+        pairs = (pool[3], pool[0], pool[2])
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: ["translate(dx=1,dy=0)@all"] for g, _ in pairs})
+        rs, reference, applied, everything, verified = run(task, proposer, 1.0)
+        self._check(task, rs, reference, applied, everything, verified)
+        assert rs.patterns == ()
+        assert applied == Counter(("translate(dx=1,dy=0)@all", g) for g, _ in pairs[:2])
+
     @given(
         n_pairs=st.integers(1, 4),
         lists=st.lists(
