@@ -120,20 +120,6 @@ class Task:
             raise TaskFormatError("task has no test inputs")
 
 
-def color_counts(g: Grid) -> list[int]:
-    """Cells of each color 0..9.
-
-    A plain loop: up to about 100 cells it is as fast as joining the rows
-    into bytes and counting each color in C, and most task grids are
-    smaller than that.
-    """
-    counts = [0] * NUM_COLORS
-    for row in g.rows:
-        for v in row:
-            counts[v] += 1
-    return counts
-
-
 def grids_equal(a: Grid, b: Grid) -> bool:
     """Exact comparison: identical dimensions and identical cells."""
     return a.rows == b.rows

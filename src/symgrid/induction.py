@@ -19,11 +19,12 @@ from __future__ import annotations
 import logging
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, ne
 from typing import Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
-from .grid import Grid, color_counts, grids_equal, pixel_distance
+from .grid import Grid, grids_equal, pixel_distance
 from .patterns import (
     GROWS,
     PatternKey,
@@ -190,22 +191,21 @@ def detect_unit_patterns(
 
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
-    applied once its color-count floor (``_count_floors``), a lower
-    bound on its pixel distance, reaches the input's own distance: it
-    can be neither exact nor partial. The bound never applies when that
-    distance is 0, where the candidate may still be exact.
+    applied when the color counts show it can be neither exact nor
+    partial (``_ruled_out_by_counts``). That test never applies when the
+    input equals the output, where the candidate may still be exact.
     """
     gin, gout = pair
     scene = as_scene(gin, connectivity)
     baseline = pixel_distance(scene.grid, gout)
-    floors: dict[str, int] | None = None
+    ruled_out: set[str] | None = None
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
         grows = GROWS.get(key[0], "any")
         if grows != "any" and baseline:
-            if floors is None:
-                floors = _count_floors(scene, gout)
-            if floors.get(grows, 0) >= baseline:
+            if ruled_out is None:
+                ruled_out = _ruled_out_by_counts(scene, gout)
+            if grows in ruled_out:
                 continue
         if pattern is None:
             pattern = build_pattern(key)
@@ -220,24 +220,35 @@ def detect_unit_patterns(
     return out
 
 
-def _count_floors(scene: Scene, gout: Grid) -> dict[str, int]:
-    """For each ``GROWS`` class that bounds a count, a lower bound on the
-    pixel distance to ``gout`` of a result of the kind on ``scene``.
+def _ruled_out_by_counts(scene: Scene, gout: Grid) -> set[str]:
+    """The ``GROWS`` classes whose candidates the color counts rule out on
+    a pair whose input differs from its output.
 
-    A result of the output's shape misses a cell for every output cell
-    of color c beyond the result's count of c, and for such a kind that
-    count is at most the input's for every color the kind does not grow;
-    the floor sums those excesses. A result of another shape is never
-    kept, so the floor need not hold for it. None is given when the input
-    and output shapes differ: the input's distance then exceeds the
-    output's cell count, which no floor reaches.
+    Call the output colors of the cells where input and output differ
+    wanted, and their input colors held. When no color is both, each of
+    those cells turns a held color into a wanted one, so the output has
+    as many more cells of wanted colors than the input as the input's
+    distance. A result with no more cells of any wanted color than the
+    input misses at least that many output cells (or has another shape
+    and is never kept), so it can be neither exact nor partial. That
+    holds for kinds that grow no count, and for kinds that may grow only
+    the background's when the background is not wanted. Nothing is ruled
+    out when the shapes differ: the input's distance then exceeds the
+    output's cell count.
     """
-    if scene.grid.dims != gout.dims:
-        return {}
-    counts_in, counts_out = color_counts(scene.grid), color_counts(gout)
-    deficits = [max(0, o - i) for i, o in zip(counts_in, counts_out)]
-    total = sum(deficits)
-    return {"none": total, "background": total - deficits[scene.background]}
+    grid = scene.grid
+    if grid.dims != gout.dims:
+        return set()
+    held: set[int] = set()
+    wanted: set[int] = set()
+    for ra, rb in zip(grid.rows, gout.rows):
+        if ra != rb:
+            differs = list(map(ne, ra, rb))
+            held.update(compress(ra, differs))
+            wanted.update(compress(rb, differs))
+    if not held.isdisjoint(wanted):
+        return set()
+    return {"none"} if scene.background in wanted else {"none", "background"}
 
 
 @dataclass

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grid import Coord, Grid, color_counts
+from .grid import Coord, Grid
 
 NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -61,8 +61,15 @@ class Perception:
 
 def background_color(g: Grid) -> int:
     """Most frequent color; ties broken by the lowest color value."""
-    counts = color_counts(g)
-    return counts.index(max(counts))
+    counts = [0] * 10
+    for row in g.rows:
+        for v in row:
+            counts[v] += 1
+    best = 0
+    for color in range(1, 10):
+        if counts[color] > counts[best]:
+            best = color
+    return best
 
 
 def cavity_regions(

@@ -2,7 +2,6 @@
 
 import json
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,6 @@ from symgrid import (
     pixel_distance,
     serialize_task,
 )
-from symgrid.grid import color_counts
 from conftest import grids, random_grid
 from oracles import genexpr_pixel_distance, str_encode_markdown
 
@@ -314,11 +312,3 @@ class TestPixelDistance:
         for b in (Grid.from_rows(rows), data.draw(grids(max_side=8, colors=3))):
             assert pixel_distance(a, b) == genexpr_pixel_distance(a, b)
             assert pixel_distance(b, a) == genexpr_pixel_distance(b, a)
-
-
-class TestColorCounts:
-    @given(grids(max_side=30))
-    @settings(max_examples=100)
-    def test_matches_per_cell_count(self, g):
-        counts = Counter(v for row in g.rows for v in row)
-        assert color_counts(g) == [counts[c] for c in range(10)]
