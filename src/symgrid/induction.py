@@ -232,8 +232,11 @@ def _ruled_out_by_counts(scene: Scene, gout: Grid) -> set[str]:
     input misses at least that many output cells (or has another shape
     and is never kept), so it can be neither exact nor partial. That
     holds for kinds that grow no count, and for kinds that may grow only
-    the background's when the background is not wanted. Nothing is ruled
-    out when the shapes differ: the input's distance then exceeds the
+    the background's when the background is not wanted. These are the
+    cases where the color-count floor (the output's cells beyond the
+    input's count, summed over the colors the kind never grows), which
+    never exceeds the input's distance, reaches it. Nothing is ruled out
+    when the shapes differ: the input's distance then exceeds the
     output's cell count.
     """
     grid = scene.grid
@@ -246,8 +249,8 @@ def _ruled_out_by_counts(scene: Scene, gout: Grid) -> set[str]:
             differs = list(map(ne, ra, rb))
             held.update(compress(ra, differs))
             wanted.update(compress(rb, differs))
-    if not held.isdisjoint(wanted):
-        return set()
+            if not held.isdisjoint(wanted):
+                return set()
     return {"none"} if scene.background in wanted else {"none", "background"}
 
 
