@@ -37,7 +37,7 @@ from symgrid import background_color, induction
 from symgrid.patterns import GROWS
 from symgrid.induction import synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
-from conftest import detect
+from conftest import detect, grids
 
 
 def scene(rows):
@@ -287,6 +287,17 @@ def _bound_skips(line, gin, gout):
     return sum(max(0, counts_out[c] - counts_in[c]) for c in colors) >= baseline
 
 
+_BOUNDED_LINES = [
+    "reflect_h()@all",
+    "reflect_v()@all",
+    "rotate90()@all",
+    "rotate180()@all",
+    "rotate270()@all",
+    *(f"gravity_shift(dir={d})@all" for d in ("up", "down", "left", "right")),
+    "gravity_shift(dir=down)@color=1",
+]
+
+
 class TestColorCountBound:
     """``detect_unit_patterns`` drops, unapplied, the candidates of kinds
     that never add cells of a color once the color counts rule them out;
@@ -321,6 +332,26 @@ class TestColorCountBound:
             ("reflect_h()@all", True)
         ]
         assert [line for line, _ in apply_calls] == ["reflect_h()@all", "rotate180()@all"]
+
+    @given(grids(max_side=6, colors=3), st.data(), st.sampled_from((4, 8)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs_match_unbounded_reference(self, gin, data, connectivity):
+        # The output is the input with a few cells recolored, so the
+        # input's distance is small and the bound is often near firing.
+        from oracles import reference_detect_unit_patterns
+
+        rows = [list(row) for row in gin.rows]
+        cell = st.tuples(
+            st.integers(0, gin.height - 1), st.integers(0, gin.width - 1), st.integers(0, 3)
+        )
+        for r, c, v in data.draw(st.lists(cell, max_size=4)):
+            rows[r][c] = v
+        gout = Grid.from_rows(rows)
+        candidates = {pattern_key(parse_pattern(line)): None for line in _BOUNDED_LINES}
+        pair = (Scene(gin, connectivity), gout)
+        assert detect_unit_patterns(pair, candidates) == reference_detect_unit_patterns(
+            pair, candidates
+        )
 
     def test_bound_skips_without_applying(self, apply_calls):
         # The output has one color-2 cell the input lacks, and one cell
