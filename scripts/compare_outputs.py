@@ -12,13 +12,16 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    ``eval_summary.json``;
 3. ``symgrid solve TASK --passes 2`` stdout for every task;
 4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
-   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0;
-5. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
+   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0, and at
+   ``--connectivity 8 --threshold 1.0``;
+5. ``symgrid perceive TASK --connectivity C`` stdout (objects, bboxes and
+   cavity counts of every grid) for every task at connectivity 4 and 8;
+6. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
    generator keeps a draw only if ``induce`` passes its closure check,
    so these catch a change in ``induce`` that the seed-1007 suite misses.
 
-Steps 2 to 4 read the parent's suite, so both sides answer the same files.
-Steps 3 and 4 call the CLI's ``main`` in one worker process per checkout
+Steps 2 to 5 read the parent's suite, so both sides answer the same files.
+Steps 3 to 5 call the CLI's ``main`` in one worker process per checkout
 rather than one process per command. The exit code is 0 when everything
 matches and 1 at the first difference, which is named on stderr.
 ``--planted`` and ``--noise`` size every suite as in ``run_benchmark.py``.
@@ -111,7 +114,7 @@ def _cli_outputs(checkout: Path, suite: Path, work: Path) -> list[dict]:
 
 
 def _worker(checkout: Path, suite: Path) -> int:
-    """Print one JSON line per solve/induce command, run through ``main``."""
+    """Print one JSON line per solve/induce/perceive command, run through ``main``."""
     import symgrid
     from symgrid.cli import main
 
@@ -123,6 +126,8 @@ def _worker(checkout: Path, suite: Path) -> int:
     for task in sorted(suite.glob("*.json")):
         commands.append(["solve", str(task), "--passes", "2"])
         commands.extend(["induce", str(task), "--threshold", t] for t in THRESHOLDS)
+        commands.append(["induce", str(task), "--connectivity", "8", "--threshold", "1.0"])
+        commands.extend(["perceive", str(task), "--connectivity", c] for c in ("4", "8"))
     lines = []
     for argv in commands:
         buffer = io.StringIO()
@@ -163,7 +168,7 @@ def main() -> int:
             _compare(f"eval --passes {passes} eval_summary.json", p_sum, c_sum)
 
         p_runs, c_runs = (_cli_outputs(checkout, suite, work) for checkout in (parent, change))
-        _compare("solve/induce command list", str([r["argv"] for r in p_runs]),
+        _compare("solve/induce/perceive command list", str([r["argv"] for r in p_runs]),
                  str([r["argv"] for r in c_runs]))
         for p_run, c_run in zip(p_runs, c_runs):
             what = " ".join([p_run["argv"][0], Path(p_run["argv"][1]).name, *p_run["argv"][2:]])
@@ -181,7 +186,8 @@ def main() -> int:
     print(
         f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout and "
         f"eval_summary.json), solve --passes 2 on {tasks} tasks, induce on "
-        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)}, and the suites of "
+        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} and at connectivity 8, "
+        f"perceive on {tasks} tasks at connectivity 4 and 8, and the suites of "
         f"generator seeds {', '.join(map(str, GENERATOR_SEEDS))}"
     )
     return 0

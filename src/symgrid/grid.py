@@ -90,7 +90,7 @@ class Grid:
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.height, self.width)
+        return (len(self.rows), len(self.rows[0]))
 
     def cell(self, r: int, c: int) -> int:
         return self.rows[r][c]

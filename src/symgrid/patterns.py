@@ -621,19 +621,14 @@ def _connect_objects(p: UnitPattern, s: Scene) -> Grid:
         for cell in obj.mask:
             owner[cell] = obj.id
     fills: set[Coord] = set()
-    for r in range(h):
-        cols = [c for c in range(w) if (r, c) in owner]
-        for a, b in zip(cols, cols[1:]):
-            if owner[(r, a)] != owner[(r, b)] and b - a > 1:
-                gap = [(r, c) for c in range(a + 1, b)]
-                if all(g.rows[gr][gc] == bg for gr, gc in gap):
-                    fills.update(gap)
-    for c in range(w):
-        rows_ = [r for r in range(h) if (r, c) in owner]
-        for a, b in zip(rows_, rows_[1:]):
-            if owner[(a, c)] != owner[(b, c)] and b - a > 1:
-                gap = [(r, c) for r in range(a + 1, b)]
-                if all(g.rows[gr][gc] == bg for gr, gc in gap):
+    lines = [[(r, c) for c in range(w)] for r in range(h)]
+    lines += [[(r, c) for r in range(h)] for c in range(w)]
+    for line in lines:
+        held = [i for i, cell in enumerate(line) if cell in owner]
+        for a, b in zip(held, held[1:]):
+            if b - a > 1 and owner[line[a]] != owner[line[b]]:
+                gap = line[a + 1 : b]
+                if all(g.rows[r][c] == bg for r, c in gap):
                     fills.update(gap)
     return _repaint(g, [(fills, p["color"])])
 

@@ -8,7 +8,6 @@ decomposition is deterministic and runs in time linear in the cell count.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,55 +76,31 @@ def cavity_regions(
 ) -> list[frozenset[Coord]]:
     """Connected regions of non-mask cells inside bbox that avoid its border.
 
-    Flood fill starts from every border cell of the bounding box that is
-    not part of the mask (4-connectivity over the complement); complement
-    cells never reached are grouped into the returned cavity regions.
+    One labelling pass (Rosenfeld & Pfaltz, J. ACM 1966): each 4-connected
+    component of the complement inside the bbox is flooded once from its
+    row-major first cell and kept when none of its cells lies on the bbox
+    border. Regions come in row-major order of their first cell.
     """
     top, left, bottom, right = bbox
-    outside: set[Coord] = set()
-    queue: deque[Coord] = deque()
-    for r in range(top, bottom + 1):
-        for c in (left, right):
-            if (r, c) not in mask and (r, c) not in outside:
-                outside.add((r, c))
-                queue.append((r, c))
-    for c in range(left, right + 1):
-        for r in (top, bottom):
-            if (r, c) not in mask and (r, c) not in outside:
-                outside.add((r, c))
-                queue.append((r, c))
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in NEIGHBORS_4:
-            nr, nc = r + dr, c + dc
-            if top <= nr <= bottom and left <= nc <= right:
-                if (nr, nc) not in mask and (nr, nc) not in outside:
-                    outside.add((nr, nc))
-                    queue.append((nr, nc))
-
+    seen = set(mask)
     regions: list[frozenset[Coord]] = []
-    seen: set[Coord] = set()
     for r in range(top, bottom + 1):
         for c in range(left, right + 1):
-            if (r, c) in mask or (r, c) in outside or (r, c) in seen:
+            if (r, c) in seen:
                 continue
-            cells = [(r, c)]
             seen.add((r, c))
-            queue.append((r, c))
-            while queue:
-                cr, cc = queue.popleft()
+            cells = [(r, c)]
+            enclosed = True
+            for cr, cc in cells:  # the loop also visits cells appended below
+                if cr == top or cr == bottom or cc == left or cc == right:
+                    enclosed = False
                 for dr, dc in NEIGHBORS_4:
                     nr, nc = cr + dr, cc + dc
-                    if top <= nr <= bottom and left <= nc <= right:
-                        if (
-                            (nr, nc) not in mask
-                            and (nr, nc) not in outside
-                            and (nr, nc) not in seen
-                        ):
-                            seen.add((nr, nc))
-                            cells.append((nr, nc))
-                            queue.append((nr, nc))
-            regions.append(frozenset(cells))
+                    if top <= nr <= bottom and left <= nc <= right and (nr, nc) not in seen:
+                        seen.add((nr, nc))
+                        cells.append((nr, nc))
+            if enclosed:
+                regions.append(frozenset(cells))
     return regions
 
 

@@ -14,6 +14,7 @@ identical lists.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .grid import Grid
@@ -44,16 +45,6 @@ class SearchProposer:
 
     def propose(self, scene: Scene, output: Grid, budget: int) -> Iterator[PatternKey]:
         return _proposals(scene, output)
-
-
-def _ordered_unique(items):
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
 
 
 def _uniform_color(g: Grid) -> int | None:
@@ -111,8 +102,8 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
         yield ("select_largest", (), ALL)
         yield ("select_smallest", (), ALL)
 
-    target = _uniform_color(gout)
-    if ho == 1 and target is not None:
+    target = _uniform_color(gout) if ho == 1 else None
+    if target is not None:
         pin = scene.perception
         if len(pin.objects) == wo:
             yield ("count_encode", (target,), ALL)
@@ -124,52 +115,43 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
         return
     pin = scene.perception
 
-    changed = [
-        (r, c, gin.rows[r][c], gout.rows[r][c])
-        for r in range(hi)
-        for c in range(wi)
-        if gin.rows[r][c] != gout.rows[r][c]
-    ]
-    color_moves = _ordered_unique((a, b) for _, _, a, b in changed)
-    new_colors = _ordered_unique(b for _, _, _, b in changed)
+    # (input color, output color) of each differing cell, first seen first.
+    color_moves = dict.fromkeys(
+        (a, b)
+        for row_in, row_out in zip(gin.rows, gout.rows)
+        if row_in != row_out
+        for a, b in zip(row_in, row_out)
+        if a != b
+    )
+    new_colors = dict.fromkeys(b for _, b in color_moves)
 
     for src, dst in color_moves:
         yield ("recolor", (src, dst), ALL)
 
-    if changed:
-        mapping: dict[int, int] = {}
-        functional = True
-        for row_in, row_out in zip(gin.rows, gout.rows):
-            for a, b in zip(row_in, row_out):
-                if mapping.setdefault(a, b) != b:
-                    functional = False
-                    break
-            if not functional:
-                break
-        if functional:
-            pairs = tuple(sorted((a, b) for a, b in mapping.items() if a != b))
-            if pairs:
-                yield ("palette_swap", (pairs,), ALL)
+    if color_moves:
+        pairs = set(zip(chain.from_iterable(gin.rows), chain.from_iterable(gout.rows)))
+        if len({a for a, _ in pairs}) == len(pairs):  # each input color maps once
+            swaps = tuple(sorted((a, b) for a, b in pairs if a != b))
+            yield ("palette_swap", (swaps,), ALL)
 
     pout = segment(gout, scene.connectivity)
     rank = pin.size_ranks
     tags = match_objects(pin, pout)
-    in_by_id = {o.id: o for o in pin.objects}
-    out_by_id = {o.id: o for o in pout.objects}
+    # ``segment`` numbers objects by position, so an id indexes ``objects``.
     retained = [
-        (in_by_id[t.input_id], out_by_id[t.output_id])
+        (pin.objects[t.input_id], pout.objects[t.output_id])
         for t in tags
         if t.tag == "retained"
     ]
-    removed = [in_by_id[t.input_id] for t in tags if t.tag == "removed"]
-    added = [out_by_id[t.output_id] for t in tags if t.tag == "added"]
+    removed = [pin.objects[t.input_id] for t in tags if t.tag == "removed"]
+    added = [pout.objects[t.output_id] for t in tags if t.tag == "added"]
 
     moved = []
     for a, b in retained:
         delta = (b.bbox[0] - a.bbox[0], b.bbox[1] - a.bbox[1])
         if delta != (0, 0):
             moved.append((a, delta))
-    deltas = _ordered_unique(delta for _, delta in moved)
+    deltas = dict.fromkeys(delta for _, delta in moved)
     for dr, dc in deltas:
         yield ("translate", (dc, dr), ALL)
         for color in sorted(
@@ -200,7 +182,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
                 yield ("duplicate_object", (dx, dy), ("size_rank", rank[in_obj.id]))
 
     holed = [o for o in pin.objects if o.cavity_count > 0]
-    if holed and changed:
+    if holed and color_moves:
         holed_colors = sorted({o.color for o in holed})
         holed_counts = sorted({o.cavity_count for o in holed})
         for color in new_colors:
@@ -210,7 +192,7 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
             for count in holed_counts:
                 yield ("cavity_fill", (color,), ("cavities", count))
 
-    if pin.objects and changed:
+    if pin.objects and color_moves:
         object_colors = sorted({o.color for o in pin.objects})
         for direction in DIRECTIONS:
             yield ("gravity_shift", (direction,), ALL)

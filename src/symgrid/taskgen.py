@@ -34,6 +34,7 @@ from .patterns import (
     Selector,
     UnitPattern,
     apply_pattern,
+    as_scene,
     make_pattern,
 )
 from .perception import segment
@@ -169,7 +170,9 @@ def _same_dims_competitors(exclude_kind: str) -> list[UnitPattern]:
 
 # ---------------------------------------------------------------------------
 # Per-kind planters: (pattern, input sampler, competitors). A sampler
-# returns None for a draw it rejects itself; _sample_pair does the rest.
+# returns None for a draw it rejects itself; one that segments its draw
+# returns it as a Scene, so that perception is reused. _sample_pair does
+# the rest.
 # ---------------------------------------------------------------------------
 
 
@@ -298,9 +301,8 @@ def _plant_select(rng, kind):
         g = _place(rng, rng.randint(8, 14), rng.randint(8, 14), shapes)
         if g is None:
             return None
-        if len({o.size for o in segment(g).objects}) != n:
-            return None
-        return g
+        scene = Scene(g)
+        return scene if len({o.size for o in scene.perception.objects}) == n else None
 
     return pattern, sample, ()
 
@@ -317,9 +319,10 @@ def _plant_count(rng, kind):
             for _ in range(n)
         ]
         g = _place(rng, rng.randint(8, 14), rng.randint(8, 14), shapes)
-        if g is None or len(segment(g).objects) != n:
+        if g is None:
             return None
-        return g
+        scene = Scene(g)
+        return scene if len(scene.perception.objects) == n else None
 
     return pattern, sample, ()
 
@@ -379,11 +382,11 @@ def _plant_translate(rng, kind):
         g = _place(rng, h, w, shapes, gap=gap, region=_move_region(h, w, dx, dy))
         if g is None:
             return None
-        n_in = len(segment(g).objects)
-        out = apply_pattern(pattern, g)
-        if len(segment(out).objects) != n_in:
+        scene = Scene(g)
+        out = apply_pattern(pattern, scene)
+        if len(segment(out).objects) != len(scene.perception.objects):
             return None  # a move merged or clipped something
-        return g
+        return scene
 
     return pattern, sample, competitors
 
@@ -400,10 +403,11 @@ def _plant_delete(rng, kind):
         g = _place(rng, rng.randint(8, 13), rng.randint(8, 13), shapes)
         if g is None:
             return None
-        objs = segment(g).objects
+        scene = Scene(g)
+        objs = scene.perception.objects
         if len(objs) != n or len({o.size for o in objs}) != n:
             return None
-        return g
+        return scene
 
     return pattern, sample, competitors
 
@@ -422,11 +426,11 @@ def _plant_duplicate(rng, kind):
         g = _place(rng, h, w, [(shape, color)], region=_move_region(h, w, dx, dy))
         if g is None:
             return None
-        out = apply_pattern(pattern, g)
-        objs = segment(out).objects
+        scene = Scene(g)
+        objs = segment(apply_pattern(pattern, scene)).objects
         if len(objs) != 2 or objs[0].shape != objs[1].shape:
             return None  # copy clipped, or merged with the original
-        return g
+        return scene
 
     return pattern, sample, competitors
 
@@ -578,10 +582,11 @@ def _sample_pair(rng, pattern, sampler, competitors) -> tuple[Grid, Grid] | None
     output.
     """
     for _ in range(60):
-        g = sampler(rng)
-        if g is None:
+        draw = sampler(rng)
+        if draw is None:
             continue
-        scene = Scene(g)
+        scene = as_scene(draw)
+        g = scene.grid
         try:
             out = apply_pattern(pattern, scene)
         except SymgridError:

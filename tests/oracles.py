@@ -1,14 +1,15 @@
 """Independent reference implementations used to check the engine.
 
 These deliberately use different algorithms from the package: union-find
-instead of BFS for segmentation, label-everything-then-filter instead of
-border flood for cavities, and explicit 0..9 scans for voting. They must
+instead of a flood fill for segmentation and for labelling cavities, and
+explicit 0..9 scans for voting. They must
 stay free of package internals beyond public value types.
 
 The exception is the references kept for fast paths (``fraction_vote``,
 ``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``,
 ``genexpr_pixel_distance``, ``render_reference``, ``scan_match_objects``,
-``reference_detect_unit_patterns``, ``reference_induce``): each is the
+``reference_detect_unit_patterns``, ``reference_induce``,
+``two_flood_cavity_regions``): each is the
 code a fast path replaced, kept so differential tests can require the
 same results from both.
 """
@@ -39,7 +40,7 @@ from symgrid.patterns import (
     _gravity_order,
     as_scene,
 )
-from symgrid.perception import GridObject, Perception, cavity_regions
+from symgrid.perception import GridObject, Perception
 
 
 class DisjointSet:
@@ -243,6 +244,60 @@ _BFS_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _BFS_NEIGHBORS_8 = _BFS_NEIGHBORS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
+def two_flood_cavity_regions(mask, bbox):
+    """``perception.cavity_regions`` as it was before the one-pass
+    labelling: a flood from every bbox border cell off the mask marks the
+    outside, then a second flood groups the cells it never reached into
+    regions, in row-major order of their first cell. Kept as the
+    reference for that fast path."""
+    top, left, bottom, right = bbox
+    outside = set()
+    queue = deque()
+    for r in range(top, bottom + 1):
+        for c in (left, right):
+            if (r, c) not in mask and (r, c) not in outside:
+                outside.add((r, c))
+                queue.append((r, c))
+    for c in range(left, right + 1):
+        for r in (top, bottom):
+            if (r, c) not in mask and (r, c) not in outside:
+                outside.add((r, c))
+                queue.append((r, c))
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in _BFS_NEIGHBORS_4:
+            nr, nc = r + dr, c + dc
+            if top <= nr <= bottom and left <= nc <= right:
+                if (nr, nc) not in mask and (nr, nc) not in outside:
+                    outside.add((nr, nc))
+                    queue.append((nr, nc))
+
+    regions = []
+    seen = set()
+    for r in range(top, bottom + 1):
+        for c in range(left, right + 1):
+            if (r, c) in mask or (r, c) in outside or (r, c) in seen:
+                continue
+            cells = [(r, c)]
+            seen.add((r, c))
+            queue.append((r, c))
+            while queue:
+                cr, cc = queue.popleft()
+                for dr, dc in _BFS_NEIGHBORS_4:
+                    nr, nc = cr + dr, cc + dc
+                    if top <= nr <= bottom and left <= nc <= right:
+                        if (
+                            (nr, nc) not in mask
+                            and (nr, nc) not in outside
+                            and (nr, nc) not in seen
+                        ):
+                            seen.add((nr, nc))
+                            cells.append((nr, nc))
+                            queue.append((nr, nc))
+            regions.append(frozenset(cells))
+    return regions
+
+
 def _bbox_of(cells):
     rs = [r for r, _ in cells]
     cs = [c for _, c in cells]
@@ -287,7 +342,7 @@ def bfs_segment(g, connectivity=4):
                     color=color,
                     mask=mask,
                     bbox=bbox,
-                    cavity_count=len(cavity_regions(mask, bbox)),
+                    cavity_count=len(two_flood_cavity_regions(mask, bbox)),
                 )
             )
     return Perception(objects=tuple(objects), background=bg)
@@ -429,7 +484,7 @@ def _render_cavity_fill(p, s):
     fills = [
         (region, color)
         for o in p.selector.resolve(perception)
-        for region in cavity_regions(o.mask, o.bbox)
+        for region in two_flood_cavity_regions(o.mask, o.bbox)
     ]
     return _over_objects(s.grid, perception, fills)
 

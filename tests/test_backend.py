@@ -15,14 +15,18 @@ from symgrid import (
     Grid,
     SearchProposer,
     apply_pattern,
+    decode_markdown,
     encode_markdown,
     grids_equal,
     induce,
     make_pattern,
+    serialize_task,
     solve_task,
 )
 from symgrid import backend as backend_module
 from symgrid.backend import RemoteBackend, RemotePatternProposer
+from symgrid.cli import main
+from symgrid.solver import induce_with_fallback
 from symgrid.taskgen import generate_planted_task
 import random
 
@@ -303,6 +307,51 @@ class TestDegradation:
         test_input, expected = rotate_task.test[0]
         assert grids_equal(preds[0].attempts[0], expected)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, body, reason",
+        [
+            ("propose", b'{"patterns": "rotate90()@all"}', "response missing 'patterns' list"),
+            ("sample", b'{"grids": [1, 2]}', "response missing 'grids' list"),
+            ("sample", b"\xff not json", "bad response body"),
+            ("sample", b'["|1|2|"]', "response is not a JSON object"),
+        ],
+        ids=["patterns_missing", "grids_missing", "bad_body", "not_an_object"],
+    )
+    def test_bad_live_reply_degrades_with_a_note(self, rotate_task, capsys, mode, body, reason):
+        reply = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        with raw_reply_server(reply) as url:
+            backend = RemoteBackend(url=url, timeout=5)
+            if mode == "propose":
+                rs, note = induce_with_fallback(rotate_task, RemotePatternProposer(backend))
+                notes = [note]
+            else:
+                rs = induce(rotate_task, SearchProposer())
+                preds = solve_task(rotate_task, rs, backend=backend, passes=2, samples=2)
+                assert preds[0].trace.degraded
+                notes = preds[0].trace.notes
+        stage = "induction" if mode == "propose" else "sampling"
+        assert len(notes) == 1
+        assert notes[0].startswith(f"backend {stage} failed: {reason}")
+        assert rs.patterns[0].pattern.kind == "rotate90"  # the search's rule
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_replay_miss_through_solve_degrades_to_exit_zero(self, rotate_task, tmp_path, capsys):
+        # The transcript answers one other request, so the sample request misses.
+        task_path = tmp_path / "task.json"
+        task_path.write_bytes(serialize_task(rotate_task))
+        transcript = tmp_path / "t.jsonl"
+        request = {"mode": "propose", "input": "|1|", "output": "|2|", "budget": 1}
+        transcript.write_text(json.dumps({"request": request, "response": {"patterns": []}}) + "\n")
+        code = main(["solve", str(task_path), "--transcript", str(transcript), "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "degraded=yes" in captured.out
+        assert "warning: backend degraded, solved without it" in captured.err
+        assert "Traceback" not in captured.err
+        test_input, expected = rotate_task.test[0]
+        attempt = captured.out.split("# test 0 attempt 1\n")[1].split("\n#")[0]
+        assert grids_equal(decode_markdown(attempt), expected)
 
     def test_remote_samples_join_the_vote(self, stub_server, rotate_task):
         backend = RemoteBackend(url=stub_server, timeout=5)

@@ -31,6 +31,8 @@ def test_checkout_against_itself_is_identical():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("identical: 4-task suite")
+    assert "at connectivity 8" in result.stdout
+    assert "perceive on 4 tasks at connectivity 4 and 8" in result.stdout
     assert "generator seeds 1, 2, 3" in result.stdout
 
 
@@ -43,6 +45,9 @@ def test_checkout_against_itself_is_identical():
         # A changed solve header: eval does not print it, solve does.
         ('print(f"# test {i} attempt {a}")', 'print(f"# test {i} try {a}")',
          "solve"),
+        # A changed cavity report: only perceive prints cavity counts.
+        ('f"bbox={obj.bbox} cavities={obj.cavity_count}"',
+         'f"bbox={obj.bbox} holes={obj.cavity_count}"', "perceive"),
     ],
 )
 def test_first_difference_is_named(tmp_path, old, new, named):

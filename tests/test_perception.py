@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from symgrid import Grid, background_color, detect_cavities, segment
 from symgrid.perception import cavity_regions
 from conftest import grids, random_grid
-from oracles import background_oracle, cavity_oracle, segmentation_oracle
+from oracles import (
+    background_oracle,
+    cavity_oracle,
+    segmentation_oracle,
+    two_flood_cavity_regions,
+)
 
 
 class TestBackground:
@@ -202,6 +207,23 @@ class TestCavities:
         )
         regions = cavity_regions(obj.mask, obj.bbox)
         assert regions == [frozenset({(2, 2)})]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_labelling_matches_the_two_flood_reference(self, data):
+        # Random bboxes and masks of random density, with mask cells also
+        # one row and column past the bbox: the regions and their order
+        # must equal the reference's. Dense masks enclose several holes.
+        top = data.draw(st.integers(0, 3))
+        left = data.draw(st.integers(0, 3))
+        bottom = top + data.draw(st.integers(0, 9))
+        right = left + data.draw(st.integers(0, 9))
+        density = data.draw(st.integers(0, 10))
+        cells = [(r, c) for r in range(top, bottom + 2) for c in range(left, right + 2)]
+        draws = data.draw(st.lists(st.integers(0, 9), min_size=len(cells), max_size=len(cells)))
+        mask = frozenset(cell for cell, v in zip(cells, draws) if v < density)
+        bbox = (top, left, bottom, right)
+        assert cavity_regions(mask, bbox) == two_flood_cavity_regions(mask, bbox)
 
 
 class TestFlatIndexSegment:

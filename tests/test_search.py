@@ -1,5 +1,6 @@
 """Candidate enumeration: planted recovery, canonicalization, soundness."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -133,14 +134,21 @@ class TestValueKeys:
     def test_every_key_on_the_bench_suite_builds(self):
         # Keys are built only when verified, so a key that named no valid
         # pattern could hide; on the bench suite every key builds, and in
-        # the canonical form ``pattern_key`` gives.
+        # the canonical form ``pattern_key`` gives. The digest pins the
+        # whole key stream, in order, at both connectivities: a change to
+        # the proposal scans that adds, drops or reorders a key changes it.
         suite = generate_suite(seed=1007, n_planted=100, n_noise=20)
         proposer = SearchProposer()
+        digest = hashlib.sha256()
         keys = 0
         for connectivity in (4, 8):
             for _, task, _ in suite:
                 for gin, gout in task.train:
                     for key in proposer.propose(Scene(gin, connectivity), gout, 2000):
                         assert pattern_key(build_pattern(key)) == key
+                        digest.update(repr(key).encode("utf-8") + b"\n")
                         keys += 1
-        assert keys > 0
+        assert keys == 19104
+        assert digest.hexdigest() == (
+            "47db52465fcebfade47b301ac5ee2a626eff8b7ff020ec1397fd8d40d60c757c"
+        )
