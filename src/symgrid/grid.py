@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 
 from .errors import GridValidationError, MarkdownError, TaskFormatError
@@ -243,7 +244,9 @@ def encode_markdown(g: Grid) -> str:
 
 # The ten ASCII digits only: str.isdigit() is also true for "\u00b2" and "\u0663".
 _DIGITS = tuple(str(v) for v in range(NUM_COLORS))
-_MARKDOWN_CELLS = {digit: v for v, digit in enumerate(_DIGITS)}
+# Rows of one-digit cells, one a line; [0-9], since \d also matches other digits.
+_DIGIT_ROWS = re.compile(r"\|(?:[0-9]\|)+(?:\n\|(?:[0-9]\|)+)*")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(NUM_COLORS)))
 
 
 def decode_markdown(text: str) -> Grid:
@@ -252,6 +255,11 @@ def decode_markdown(text: str) -> Grid:
     Accepts the exact encoded form plus at most one trailing newline.
     Ragged rows raise MarkdownError (shape); a cell other than one of the
     ASCII digits 0-9 raises MarkdownError naming row and column.
+
+    A valid table is exactly one that ``_DIGIT_ROWS`` matches with every
+    line of the first line's length and both sides at most 30; it is
+    decoded a row at a time. Any other text is refused, with the error
+    ``_markdown_fault`` names.
     """
     if not isinstance(text, str):
         raise MarkdownError("expected text")
@@ -259,27 +267,39 @@ def decode_markdown(text: str) -> Grid:
         text = text[:-1]
     if not text:
         raise MarkdownError("empty table")
-    rows = []
+    lines = text.split("\n")
+    if not (
+        len(lines) <= MAX_SIDE
+        and len(lines[0]) <= 2 * MAX_SIDE + 1
+        and _DIGIT_ROWS.fullmatch(text)
+        and len(set(map(len, lines))) == 1
+    ):
+        raise _markdown_fault(lines)
+    # The odd characters of each row are its cells; the checks above are
+    # Grid.__post_init__'s, so the rows need no second pass.
+    return Grid._trusted(
+        tuple([tuple(line[1::2].encode().translate(_DIGIT_VALUES)) for line in lines])
+    )
+
+
+def _markdown_fault(lines: list[str]) -> MarkdownError:
+    """The error for the lines of a table ``decode_markdown`` refused:
+    the first fault, reading row by row and cell by cell, then the
+    height and width in Grid.__post_init__'s order."""
     width = None
-    for r, line in enumerate(text.split("\n")):
+    for r, line in enumerate(lines):
         if len(line) < 3 or line[0] != "|" or line[-1] != "|":
-            raise MarkdownError(f"row {r}: not delimited by '|'")
+            return MarkdownError(f"row {r}: not delimited by '|'")
         cells = line[1:-1].split("|")
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise MarkdownError(
-                f"row {r}: width {len(cells)} differs from width {width}"
-            )
-        try:
-            rows.append(tuple([_MARKDOWN_CELLS[cell] for cell in cells]))
-        except KeyError:
-            c = next(c for c, cell in enumerate(cells) if cell not in _MARKDOWN_CELLS)
-            raise MarkdownError(f"row {r} column {c}: bad cell {cells[c]!r}") from None
-    # The same checks, in the same order, as Grid.__post_init__ after the rows.
-    if len(rows) > MAX_SIDE:
-        raise MarkdownError(f"height {len(rows)} exceeds {MAX_SIDE}")
+            return MarkdownError(f"row {r}: width {len(cells)} differs from width {width}")
+        for c, cell in enumerate(cells):
+            if cell not in _DIGITS:
+                return MarkdownError(f"row {r} column {c}: bad cell {cell!r}")
+    if len(lines) > MAX_SIDE:
+        return MarkdownError(f"height {len(lines)} exceeds {MAX_SIDE}")
     if width > MAX_SIDE:
-        raise MarkdownError(f"width {width} exceeds {MAX_SIDE}")
-    # Every cell came from the digit table and every row has the width.
-    return Grid._trusted(tuple(rows))
+        return MarkdownError(f"width {width} exceeds {MAX_SIDE}")
+    raise AssertionError(f"a well-formed table was refused: {lines!r}")

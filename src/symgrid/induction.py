@@ -144,7 +144,11 @@ class Proposer(Protocol):
 
 
 def collect_candidates(
-    pair: Pair, proposer: Proposer, budget: int, connectivity: int = 4
+    pair: Pair,
+    proposer: Proposer,
+    budget: int,
+    connectivity: int = 4,
+    memo: dict[str, tuple[UnitPattern, PatternKey] | str] | None = None,
 ) -> dict[PatternKey, UnitPattern | None]:
     """One pair's first ``budget`` distinct candidates, by value key.
 
@@ -153,19 +157,36 @@ def collect_candidates(
     duplicates skipped; the dict keeps proposer order. A key maps to its
     parsed pattern when the proposer gave a line, else to None: keys are
     built only when verified. Nothing is applied.
+
+    ``memo`` maps each line already parsed to its pattern and key, or to
+    the error text of a malformed line; a line found there is not parsed
+    again, and a malformed one still warns at every occurrence. ``induce``
+    shares one memo across the pairs of one task; without one, this call
+    keeps its own.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
+    if memo is None:
+        memo = {}
     gin, gout = pair
     candidates: dict[PatternKey, UnitPattern | None] = {}
     for item in proposer.propose(as_scene(gin, connectivity), gout, budget):
         if isinstance(item, str):
-            try:
-                pattern = parse_pattern(item)
-            except PatternContractError as e:
-                log.warning("dropping malformed pattern line %r: %s", item, e)
+            parsed = memo.get(item)
+            if parsed is None:
+                try:
+                    pattern = parse_pattern(item)
+                except PatternContractError as e:
+                    # The text, not the exception: its traceback would hold
+                    # this frame, and so the memo, in a reference cycle.
+                    parsed = str(e)
+                else:
+                    parsed = (pattern, pattern_key(pattern))
+                memo[item] = parsed
+            if isinstance(parsed, str):
+                log.warning("dropping malformed pattern line %r: %s", item, parsed)
                 continue
-            key = pattern_key(pattern)
+            pattern, key = parsed
         else:
             key, pattern = item, None
         if key in candidates:
@@ -342,15 +363,17 @@ def induce(
 
     Each train input gets one Scene, shared by collection, verification
     and intersection, so it is segmented at most once. Every pair's
-    candidates are collected first, in pair order. The pairs are then
-    verified from the smallest input (fewest cells) up, ties in pair
-    order. A candidate is applied on a pair only if it is in that pair's
-    list, so its support can never exceed its support on the pairs
-    verified so far plus the pairs still to verify whose lists hold it.
-    Each pair verifies only the candidates for which that bound reaches
-    ``threshold`` in ``intersect_patterns``' test; the others would be
-    dropped below threshold anyway, so the rule set is the same as with
-    every candidate verified, in any order. Most candidates that fail
+    candidates are collected first, in pair order, through one memo of
+    the task's pattern lines, so each distinct line is parsed once (the
+    memo lives for this call only). The pairs are then verified from the
+    smallest input (fewest cells) up, ties in pair order. A candidate is
+    applied on a pair only if it is in that pair's list, so its support
+    can never exceed its support on the pairs verified so far plus the
+    pairs still to verify whose lists hold it. Each pair verifies only
+    the candidates for which that bound reaches ``threshold`` in
+    ``intersect_patterns``' test; the others would be dropped below
+    threshold anyway, so the rule set is the same as with every
+    candidate verified, in any order. Most candidates that fail
     therefore fail on the cheapest grid.
 
     Exact rules are looked for first. A candidate kept as partial on a
@@ -365,7 +388,8 @@ def induce(
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
-    collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
+    memo: dict[str, tuple[UnitPattern, PatternKey] | str] = {}  # this task's lines
+    collected = [collect_candidates(p, proposer, budget, connectivity, memo) for p in pairs]
     cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
     order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
     per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]

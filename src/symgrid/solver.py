@@ -11,19 +11,18 @@ the top-confidence single rule when its output differs from attempt 1.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import (
-    BackendError,
-    PatternApplicationError,
-    SymgridError,
-)
+from .errors import BackendError, MarkdownError, PatternApplicationError
 from .grid import Grid, Task, decode_markdown, encode_markdown, grids_equal
 from .induction import RuleSet, induce
 from .patterns import Scene, apply_pattern, as_scene, format_pattern
 from .search import SearchProposer
+
+log = logging.getLogger(__name__)
 
 VALID_SOURCES = ("rule_exec", "remote_sample")
 
@@ -167,8 +166,8 @@ def _backend_sample(
     for text in raw:
         try:
             grids.append(decode_markdown(text))
-        except SymgridError:
-            continue
+        except MarkdownError as e:
+            log.warning("dropping malformed sample grid: %s", e)
     return grids
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -35,6 +36,20 @@ def random_grid(rng: random.Random, max_side=30, colors=10, min_side=1) -> Grid:
     w = rng.randint(min_side, max_side)
     return Grid.from_rows(
         [[rng.randrange(colors) for _ in range(w)] for _ in range(h)]
+    )
+
+
+# The benchmark's replay transcript (perfbench/workloads.py) gives every
+# propose reply these lines besides a planted task's own line.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import DISTRACTORS  # noqa: E402
+
+
+def replay_lines(planted):
+    """A replayed propose reply for a task planted with ``planted`` (None
+    for a noise task)."""
+    return ([format_pattern(planted)] if planted is not None else []) + list(
+        DISTRACTORS
     )
 
 

@@ -1,5 +1,6 @@
 """Remote backend client: wire protocol, record/replay, degradation."""
 
+import hashlib
 import http.client
 import json
 import socketserver
@@ -27,7 +28,8 @@ from symgrid import backend as backend_module
 from symgrid.backend import RemoteBackend, RemotePatternProposer
 from symgrid.cli import main
 from symgrid.solver import induce_with_fallback
-from symgrid.taskgen import generate_planted_task
+from symgrid.taskgen import generate_planted_task, generate_suite
+from conftest import replay_lines
 import random
 
 
@@ -393,6 +395,23 @@ class TestDegradation:
         assert trace.candidate_count == 1  # the rule alone
         assert grids_equal(preds[0].attempts[0], expected)
 
+    def test_malformed_sample_grids_dropped_with_a_warning(
+        self, tmp_path, rotate_task, caplog, capsys
+    ):
+        rs = induce(rotate_task, SearchProposer())
+        _, expected = rotate_task.test[0]
+        grids = [encode_markdown(expected), "|x|", "|1|2|\n|3|"]
+        backend = _sample_replay(tmp_path, rotate_task, rs, 3, grids)
+        with caplog.at_level("WARNING", logger="symgrid.solver"):
+            preds = solve_task(rotate_task, rs, backend=backend, passes=1, samples=3)
+        assert not preds[0].trace.degraded
+        assert preds[0].trace.candidate_count == 2
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("symgrid.solver", "dropping malformed sample grid: row 0 column 0: bad cell 'x'"),
+            ("symgrid.solver", "dropping malformed sample grid: row 1: width 1 differs from width 2"),
+        ]
+        assert capsys.readouterr().out == ""
+
     def test_sample_grids_up_to_the_cap_are_kept(self, tmp_path, rotate_task):
         rs = induce(rotate_task, SearchProposer())
         test_input, expected = rotate_task.test[0]
@@ -401,6 +420,46 @@ class TestDegradation:
         preds = solve_task(rotate_task, rs, backend=backend, passes=1, samples=2)
         assert not preds[0].trace.degraded
         assert preds[0].trace.candidate_count == 1 + n
+
+
+class _InProcessBackend(RemoteBackend):
+    """Answers in process, recording each request's canonical form (the
+    replay key). Propose replies are ``replay_lines`` of the task being
+    answered; sample replies are its expected answer and a malformed grid."""
+
+    def __init__(self):
+        super().__init__(url="http://127.0.0.1:1/")
+        self.requests = []
+        self.lines = []
+        self.answers = {}
+
+    def _call(self, request):
+        self.requests.append(backend_module._canonical(request))
+        if request["mode"] == "propose":
+            return {"patterns": self.lines}
+        return {"grids": [self.answers[request["test_input"]], "|x|"]}
+
+
+class TestRequestStream:
+    def test_suite_requests_are_pinned(self):
+        # Live transcripts and replay keys depend on every request byte:
+        # any change to what the backend path sends changes this digest.
+        backend = _InProcessBackend()
+        for _, task, planted in generate_suite(1007, 100, 20):
+            backend.lines = replay_lines(planted)
+            backend.answers = {
+                encode_markdown(gin): encode_markdown(expected)
+                for gin, expected in task.test
+            }
+            rs = induce(task, RemotePatternProposer(backend))
+            solve_task(task, rs, backend=backend, passes=2)
+        # 3 propose requests and 1 sample request per task, and one
+        # fallback sample request per noise task.
+        assert len(backend.requests) == 500
+        digest = hashlib.sha256("\n".join(backend.requests).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "f5f1c7275243aa34b0a2651e9c850ffe21e2e0fcf29b29cf08bbe63c14f6fd56"
+        )
 
 
 def _sample_replay(tmp_path, task, rs, samples, grids):

@@ -204,18 +204,24 @@ def _reference_decode(text):
 @st.composite
 def markdown_tables(draw):
     """The table of a grid up to 32x32 (so possibly too large) with at
-    most one fault: a bad cell, a ragged row, height or width forced to
-    31, or a trailing newline."""
+    most one fault: a bad cell (multi-digit or empty among them), a
+    ragged row, height or width forced to 31, or a trailing newline; or
+    both sides forced to exactly 30 or 31."""
     h = draw(st.integers(1, 32))
     w = draw(st.integers(1, 32))
     rng = draw(st.randoms(use_true_random=False))
     rows = [[str(rng.randrange(10)) for _ in range(w)] for _ in range(h)]
     fault = draw(
-        st.sampled_from(["none", "cell", "ragged", "height", "width", "newline"])
+        st.sampled_from(
+            ["none", "cell", "ragged", "height", "width", "newline", "side30", "side31"]
+        )
     )
     if fault == "cell":
-        bad = draw(st.sampled_from(["x", "\u00b2", "\u0663", ""]))
+        bad = draw(st.sampled_from(["x", "\u00b2", "\u0663", "", "12", " 1", "-"]))
         rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] = bad
+    elif fault in ("side30", "side31"):
+        side = int(fault[4:])
+        rows = [(row * side)[:side] for row in (rows * side)[:side]]
     elif fault == "ragged":
         row = rows[draw(st.integers(0, h - 1))]
         if w > 1 and draw(st.booleans()):
@@ -246,7 +252,7 @@ class TestDecodeAgainstReference:
         if isinstance(got, Grid):
             assert Grid(got.rows) == got
 
-    @given(st.text(alphabet="|0123456789x\u00b2\n", max_size=80))
+    @given(st.text(alphabet="|0123456789x\u00b2\n\r -", max_size=80))
     @settings(max_examples=300)
     def test_text_over_table_alphabet(self, text):
         assert _decode_outcome(decode_markdown, text) == _decode_outcome(

@@ -37,7 +37,7 @@ from symgrid import background_color, induction
 from symgrid.patterns import GROWS
 from symgrid.induction import synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
-from conftest import detect, grids
+from conftest import detect, grids, replay_lines
 
 
 def scene(rows):
@@ -268,6 +268,59 @@ class TestDetectUnitPatterns:
         pair = (g, apply_pattern(make_pattern("rotate90"), g))
         proposer = _ListProposer(["recolor(src=1,dst=2)@all"])  # neither exact nor closer
         assert detect(pair, proposer, budget=10) == []
+
+
+class TestParseMemo:
+    """``induce`` parses each distinct pattern line once per call, through
+    one memo shared by the task's pairs and dropped when it returns."""
+
+    @staticmethod
+    def _task():
+        pairs = _pool_task()[:3]  # rotate90 explains all three
+        return Task(train=pairs, test=((pairs[0][0], None),))
+
+    def test_malformed_line_warns_at_every_occurrence(self, caplog):
+        proposer = _ListProposer(["not a pattern line", "rotate90()@all"])
+        with caplog.at_level("WARNING", logger="symgrid.induction"):
+            rs = induce(self._task(), proposer)
+        assert [format_pattern(sp.pattern) for sp in rs.patterns] == ["rotate90()@all"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping malformed pattern line 'not a pattern line': "
+            "unparseable pattern line: 'not a pattern line'"
+        ] * 3
+
+    def test_each_distinct_line_parsed_once_per_call(self, monkeypatch):
+        parsed = []
+        original = induction.parse_pattern
+
+        def counting(line):
+            parsed.append(line)
+            return original(line)
+
+        monkeypatch.setattr(induction, "parse_pattern", counting)
+        lines = ["rotate90()@all", "reflect_h()@all", "scale_up(factor=1)@all"]
+        proposer = _ListProposer(lines + lines[:1])
+        task = self._task()
+        first = induce(task, proposer)
+        assert parsed == lines
+        # Nothing is kept across calls: the same task parses them again.
+        assert induce(task, proposer) == first
+        assert parsed == lines * 2
+
+    def test_rule_sets_equal_without_the_memo(self, monkeypatch):
+        suite = [
+            (task, _ListProposer(replay_lines(planted)))
+            for _, task, planted in generate_suite(seed=1007, n_planted=100)
+        ]
+        with_memo = [induce(task, proposer) for task, proposer in suite]
+        collect = induction.collect_candidates
+
+        def without_memo(pair, proposer, budget, connectivity=4, memo=None):
+            return collect(pair, proposer, budget, connectivity)
+
+        monkeypatch.setattr(induction, "collect_candidates", without_memo)
+        assert [induce(task, proposer) for task, proposer in suite] == with_memo
+        assert all(rs.patterns for rs in with_memo)
 
 
 def _bound_skips(line, gin, gout):
