@@ -16,6 +16,11 @@ the metric's regression bound, and whether a gain would be claimed: the
 change wins at least nine tenths of the pairs and the gap between the
 medians exceeds the parent's interquartile range.
 
+A run that exits non-zero, prints no JSON summary or reports
+``correct: false`` or a failed task stops the script with exit code 1, naming its pair,
+seed and side, and nothing is written. A pair in which either run
+printed no ``answer_digest`` counts as a digest mismatch.
+
 An existing ``--out`` file is updated: the workload's entry is replaced
 and the other workloads are kept. ``--claim METRIC`` records the verdict
 for METRIC on this workload as the file's claim.
@@ -51,7 +56,9 @@ def _revision(directory: Path) -> dict:
     }
 
 
-def _run(directory: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(directory: Path, workload: str, seed: int, seconds: float, label: str) -> dict:
+    """One benchmark run; stops the script, naming ``label``, unless the
+    run exits 0 and reports ``correct: true`` with no failed task."""
     cmd = [
         sys.executable,
         "perfbench/run.py",
@@ -66,9 +73,23 @@ def _run(directory: Path, workload: str, seed: int, seconds: float) -> dict:
     ]
     result = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
     lines = result.stdout.strip().splitlines()
+    where = f"{label} ({directory})"
+    if result.returncode != 0:
+        raise SystemExit(
+            f"{where}: {' '.join(cmd)} exited {result.returncode}\n"
+            f"{result.stdout}{result.stderr}"
+        )
     if not lines:
-        raise SystemExit(f"{directory}: no output from {' '.join(cmd)}\n{result.stderr}")
-    summary = json.loads(lines[-1])
+        raise SystemExit(f"{where}: no output from {' '.join(cmd)}\n{result.stderr}")
+    try:
+        summary = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"{where}: last line is not a JSON summary: {lines[-1]!r}") from None
+    if summary.get("correct") is not True or summary.get("failed") != 0:
+        raise SystemExit(
+            f"{where}: the run reports correct: {summary.get('correct')}, "
+            f"failed: {summary.get('failed')}\n{result.stdout}"
+        )
     digest = next(
         (line.split()[-1] for line in lines if line.strip().startswith("answer_digest")),
         None,
@@ -143,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            run = _run(sides[side], args.workload, seed, seconds)
+            label = f"pair {i + 1} seed {seed} {side}"
+            run = _run(sides[side], args.workload, seed, seconds, label)
             runs[side].append(run)
             shown = " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
@@ -161,8 +183,10 @@ def main(argv: list[str] | None = None) -> int:
         },
         "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
         "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
+        # A run that printed no digest proves nothing, so it counts as a mismatch.
         "answer_digests_equal": all(
-            p["digest"] == c["digest"] for p, c in zip(runs["parent"], runs["change"])
+            p["digest"] is not None and p["digest"] == c["digest"]
+            for p, c in zip(runs["parent"], runs["change"])
         ),
     }
 

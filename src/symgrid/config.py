@@ -28,6 +28,16 @@ class Config:
     proposer: str = "search"  # search | remote; config-file only
 
     def __post_init__(self) -> None:
+        # JSON gives 1.5 or true where an integer is meant; both would pass
+        # the range checks below (True == 1) and misbehave later.
+        for name in ("connectivity", "search_budget", "passes", "samples"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("confidence_threshold", "timeout"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.connectivity not in (4, 8):
             raise ConfigError(f"connectivity must be 4 or 8, got {self.connectivity}")
         if not 0.0 <= self.confidence_threshold <= 1.0:

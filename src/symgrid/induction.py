@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import attrgetter, ne
 from typing import Iterable, Protocol
 
@@ -425,28 +425,42 @@ def _verify(
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
     and ``support``. Given ``held_from``, a candidate kept as partial
     there is skipped from the next position in ``order`` on, and that
-    position is recorded."""
+    position is recorded.
+
+    The bound is kept in integers. ``need`` is the least support m with
+    ``m / n + 1e-9 >= threshold``, ``intersect_patterns``' test (n + 1
+    when no m up to n passes it, as for a threshold above 1 or NaN).
+    ``count[key]`` is the key's support plus the pairs not yet verified
+    whose lists hold it; ``alive`` holds the keys whose count reaches
+    ``need`` and that are not held back. A count falls only when a pair
+    that applied the key did not keep it, and never rises, so a key that
+    leaves ``alive`` never returns and its count is no longer kept.
+    """
     n = len(pairs)
-    proposed = Counter(key for candidates in lists for key in candidates)
-    skip = held_from if held_from is not None else {}
+    need = next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
+    count = Counter(chain.from_iterable(lists))
+    for key, s in support.items():
+        if key in count:
+            count[key] += s
+    alive = {key for key, c in count.items() if c >= need}
     for i, k in enumerate(order):
         candidates = lists[k]
-        # ``proposed`` counts the pairs not yet verified here, pair k included.
-        reachable = {
-            key: pattern
-            for key, pattern in candidates.items()
-            if (support[key] + proposed[key]) / n + 1e-9 >= threshold and key not in skip
-        }
-        proposed.subtract(candidates.keys())
+        reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
         if not reachable:
             continue
         detections = detect_unit_patterns(pairs[k], reachable)
-        support.update(pattern_key(sp.pattern) for sp in detections)
         per_pair[k] += detections
+        detected = [pattern_key(sp.pattern) for sp in detections]
+        support.update(detected)
+        for key in reachable.keys() - detected:
+            count[key] -= 1
+            if count[key] < need:
+                alive.discard(key)
         if held_from is not None:
-            for sp in detections:
+            for key, sp in zip(detected, detections):
                 if not sp.exact:
-                    held_from[pattern_key(sp.pattern)] = i + 1
+                    held_from[key] = i + 1
+                    alive.discard(key)
 
 
 def _contradicted(

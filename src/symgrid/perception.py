@@ -9,11 +9,33 @@ decomposition is deterministic and runs in time linear in the cell count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .grid import Coord, Grid
 
 NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+class lazy:
+    """A feature computed on first access and stored in the instance's
+    ``__dict__``, where later lookups find it before this descriptor.
+
+    ``functools.cached_property`` does the same, but on Python 3.11 it
+    takes a lock shared by every instance on each first access; the
+    library is single-threaded, so that lock guards nothing. The store
+    goes around a frozen dataclass's ``__setattr__``, as
+    ``cached_property``'s does, and leaves its equality and hash alone.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -26,15 +48,38 @@ class GridObject:
     bbox: tuple[int, int, int, int]  # (top, left, bottom, right), inclusive
     cavity_count: int
 
+    @classmethod
+    def _trusted(
+        cls,
+        id: int,
+        color: int,
+        mask: frozenset[Coord],
+        bbox: tuple[int, int, int, int],
+        cavity_count: int,
+    ) -> GridObject:
+        """Build an object without the dataclass ``__init__``.
+
+        ``GridObject`` checks nothing, so this is the same object: one
+        ``__dict__`` fill instead of a frozen ``__setattr__`` per field.
+        For ``segment``, which builds thousands of them.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(id=id, color=color, mask=mask, bbox=bbox, cavity_count=cavity_count)
+        return obj
+
     @property
     def size(self) -> int:
         return len(self.mask)
 
-    @cached_property
+    @lazy
     def shape(self) -> frozenset[Coord]:
         """Mask normalized to its bounding-box origin, computed on first use."""
         top, left, _, _ = self.bbox
         return frozenset((r - top, c - left) for r, c in self.mask)
+
+
+# The shape of every one-cell object, shared by all of them.
+UNIT_SHAPE: frozenset[Coord] = frozenset({(0, 0)})
 
 
 @dataclass(frozen=True)
@@ -44,7 +89,7 @@ class Perception:
     objects: tuple[GridObject, ...]
     background: int
 
-    @cached_property
+    @lazy
     def by_size(self) -> tuple[GridObject, ...]:
         """The size order: largest first, ties to the lower id.
 
@@ -52,7 +97,7 @@ class Perception:
         """
         return tuple(sorted(self.objects, key=lambda o: (-o.size, o.id)))
 
-    @cached_property
+    @lazy
     def size_ranks(self) -> dict[int, int]:
         """Object id -> its position in ``by_size``."""
         return {o.id: rank for rank, o in enumerate(self.by_size)}
@@ -123,7 +168,9 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
     The fill runs over flat indices into a copy of the grid padded with a
     -1 border, so every neighbor index is in range, and a reached cell is
     overwritten with -1 so it never matches again. An object's cell order
-    does not matter: its mask is a set and its bbox a min/max.
+    does not matter: its mask is a set and its bbox a min/max. A one-cell
+    object, the most common kind, is built directly from its cell, with
+    the shared ``UNIT_SHAPE`` as its shape.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
@@ -140,6 +187,7 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
         offsets = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
     origin = w + 1  # padded index of cell (0, 0)
     objects: list[GridObject] = []
+    trusted = GridObject._trusted
     for start in range(origin, len(cells) - w):
         color = cells[start]
         if color < 0 or color == bg:
@@ -152,6 +200,12 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
                 if cells[j] == color:
                     cells[j] = -1
                     members.append(j)
+        if len(members) == 1:
+            r, c = divmod(start - origin, w)
+            obj = trusted(len(objects), color, frozenset(((r, c),)), (r, c, r, c), 0)
+            obj.__dict__["shape"] = UNIT_SHAPE
+            objects.append(obj)
+            continue
         mask = frozenset([divmod(i - origin, w) for i in members])
         cols = [i % w for i in members]
         # ``start`` is the object's first cell in row-major order.
@@ -164,12 +218,6 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
         else:
             cavity_count = len(cavity_regions(mask, (top, left, bottom, right)))
         objects.append(
-            GridObject(
-                id=len(objects),
-                color=color,
-                mask=mask,
-                bbox=(top, left, bottom, right),
-                cavity_count=cavity_count,
-            )
+            trusted(len(objects), color, mask, (top, left, bottom, right), cavity_count)
         )
     return Perception(objects=tuple(objects), background=bg)

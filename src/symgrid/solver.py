@@ -118,9 +118,12 @@ def _vote(cands: list[Candidate]) -> tuple[Grid, int, int]:
     tied_dims = {d for d, w in dim_weight.items() if w == best}
     win = next(c.grid.dims for c in cands if c.grid.dims in tied_dims)
     keep = [i for i, c in enumerate(cands) if c.grid.dims == win]
+    n = len(keep)
+    if n == 1:
+        # A lone voter wins every cell outright.
+        return cands[keep[0]].grid, 0, len(cands) - 1
     grids = [cands[i].grid.rows for i in keep]
     voter_weights = [weights[i] for i in keep]
-    n = len(keep)
 
     ties = 0
     rows = []

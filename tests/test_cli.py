@@ -51,6 +51,40 @@ class TestConfig:
         assert cfg.passes == 1
         assert cfg.samples == 7  # flag wins over file
 
+    # JSON numbers of the wrong kind. search_budget 1.5 used to pass and
+    # then never equal len(candidates), so collection ignored the budget;
+    # true passed for 1 in every integer field and in the float ones.
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"search_budget": 1.5}, "search_budget must be an integer, got 1.5"),
+            ({"search_budget": True}, "search_budget must be an integer, got True"),
+            ({"passes": True}, "passes must be an integer, got True"),
+            ({"passes": 1.0}, "passes must be an integer, got 1.0"),
+            ({"samples": True}, "samples must be an integer, got True"),
+            ({"connectivity": 4.0}, "connectivity must be an integer, got 4.0"),
+            ({"timeout": True}, "timeout must be a number, got True"),
+            ({"confidence_threshold": True}, "confidence_threshold must be a number, got True"),
+            ({"confidence_threshold": "1"}, "confidence_threshold must be a number, got '1'"),
+        ],
+    )
+    def test_wrongly_typed_numbers_exit_2(self, rotate_task_file, tmp_path, capsys, doc, message):
+        path, _ = rotate_task_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(cfg), {})
+        assert main(["solve", str(path), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_numbers_of_the_right_kind_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"timeout": 5, "confidence_threshold": 1, "search_budget": 7}))
+        loaded = load_config(str(cfg), {})
+        assert (loaded.timeout, loaded.confidence_threshold, loaded.search_budget) == (5, 1, 7)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"spice": 1}))
@@ -320,6 +354,8 @@ class TestHostileInputs:
             ("eval_dir_with_deep_task", 0),
             ("config_not_utf8", 2),
             ("config_deep", 2),
+            ("config_float_budget", 2),
+            ("config_bool_passes", 2),
             ("transcript_not_utf8", 2),
             ("transcript_deep_line", 2),
             ("transcript_is_a_directory", 2),
@@ -340,6 +376,10 @@ class TestHostileInputs:
         (tasks / "ok.json").write_bytes(task.read_bytes())
         remote = tmp_path / "remote.json"
         remote.write_text('{"proposer": "remote"}')
+        float_budget = tmp_path / "float_budget.json"
+        float_budget.write_text('{"search_budget": 1.5}')
+        bool_passes = tmp_path / "bool_passes.json"
+        bool_passes.write_text('{"passes": true}')
         dead = ["--config", str(remote), "--backend-url", "http://127.0.0.1:1/"]
         argv = {
             "solve_deep_task": ["solve", str(deep)],
@@ -347,6 +387,8 @@ class TestHostileInputs:
             "eval_dir_with_deep_task": ["eval", str(tasks), "--passes", "1"],
             "config_not_utf8": ["solve", str(task), "--config", str(not_utf8)],
             "config_deep": ["solve", str(task), "--config", str(deep)],
+            "config_float_budget": ["induce", str(task), "--config", str(float_budget)],
+            "config_bool_passes": ["eval", str(tasks), "--config", str(bool_passes)],
             "transcript_not_utf8": ["solve", str(task), "--transcript", str(not_utf8)],
             "transcript_deep_line": ["solve", str(task), "--transcript", str(deep)],
             "transcript_is_a_directory": ["solve", str(task), "--transcript", str(tasks)],

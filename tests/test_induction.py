@@ -1007,6 +1007,56 @@ class TestExactFirst:
         proposer = _PerPairProposer({g: lines for (g, _), lines in zip(pairs, lists)})
         self._check(task, *run(task, proposer, threshold, budget))
 
+    # With 3 train pairs, ``_verify``'s integer bound must agree with the
+    # float test ``m / 3 + 1e-9 >= threshold`` where it changes: 1/3 and
+    # 2/3 need 1 and 2 pairs, a hair above them or below, as 1.0 needs 3.
+    BOUNDARIES = [
+        0.0,
+        1 / 3 - 1e-12,
+        1 / 3,
+        1 / 3 + 1e-12,
+        2 / 3 - 1e-12,
+        2 / 3,
+        2 / 3 + 1e-12,
+        1.0 - 1e-12,
+        1.0,
+        1.0 + 1e-12,
+    ]
+
+    @pytest.mark.parametrize("threshold", BOUNDARIES)
+    def test_threshold_boundaries_on_the_suite(self, run, threshold):
+        proposer = SearchProposer()
+        for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
+            assert len(task.train) == 3
+            self._check(task, *run(task, proposer, threshold))
+
+    @pytest.mark.parametrize("threshold", BOUNDARIES)
+    def test_threshold_boundaries_on_pool_lists(self, run, threshold):
+        # Random subsets of the pool per pair give keys every support 0..3.
+        rng = random.Random(67)
+        pairs = _pool_task()[:3]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        supports = Counter()
+        for _ in range(40):
+            lists = [rng.sample(list(_POOL), rng.randint(0, len(_POOL))) for _ in pairs]
+            proposer = _PerPairProposer({g: ls for (g, _), ls in zip(pairs, lists)})
+            rs, *rest = run(task, proposer, threshold)
+            self._check(task, rs, *rest)
+            supports.update(sp.support for sp in rs.patterns)
+        # Every support the threshold admits shows up in some rule set.
+        assert set(supports) == {m for m in (1, 2, 3) if m / 3 + 1e-9 >= threshold}
+
+    @pytest.mark.parametrize("threshold", [1.5, 1.0 + 1e-8, float("nan")])
+    def test_unreachable_thresholds(self, run, threshold):
+        # No support reaches these (Config refuses them; induce does not):
+        # nothing is verified and no rule survives, as in the reference.
+        pairs = _pool_task()[:3]
+        task = Task(train=pairs, test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: list(_POOL) for g, _ in pairs})
+        rs, reference, applied, everything, verified = run(task, proposer, threshold)
+        assert rs == reference
+        assert rs.patterns == () and applied == everything == Counter()
+
 
 class TestRank:
     def test_planted_pattern_is_rank_one(self):

@@ -1,13 +1,14 @@
 """Segmentation, cavity detection, background profiling."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from symgrid import Grid, background_color, detect_cavities, segment
-from symgrid.perception import cavity_regions
+from symgrid.perception import UNIT_SHAPE, cavity_regions
 from conftest import grids, random_grid
 from oracles import (
     background_oracle,
@@ -275,3 +276,64 @@ class TestFlatIndexSegment:
         p = segment(g)
         assert [o.cavity_count for o in p.objects if o.color == 1] == [cavities]
         assert p == bfs_segment(g)
+
+
+def _check_trusted_objects(g, connectivity):
+    """``segment``'s objects, built by ``GridObject._trusted``, against
+    ``oracles.bfs_segment``'s, built by the dataclass ``__init__``: equal,
+    hashed alike, frozen, with lazy features equal to values recomputed
+    from the masks and sizes."""
+    from oracles import bfs_segment
+
+    p, q = segment(g, connectivity), bfs_segment(g, connectivity)
+    assert p.objects == q.objects
+    assert hash(p) == hash(q)
+    for o, ref in zip(p.objects, q.objects):
+        assert hash(o) == hash(ref)
+        for name in ("id", "color", "mask", "bbox", "cavity_count", "shape"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(o, name, None)
+        top, left = min(r for r, _ in o.mask), min(c for _, c in o.mask)
+        assert o.shape == frozenset((r - top, c - left) for r, c in o.mask) == ref.shape
+        if o.size == 1:
+            assert o.shape is UNIT_SHAPE
+    by_size = sorted(p.objects, key=lambda o: (-len(o.mask), o.id))
+    assert list(p.by_size) == by_size
+    assert p.size_ranks == {o.id: rank for rank, o in enumerate(by_size)}
+    assert p.by_size is p.by_size and p.size_ranks is p.size_ranks  # computed once
+    with pytest.raises(FrozenInstanceError):
+        p.by_size = ()
+
+
+class TestTrustedObjects:
+    """``segment`` builds objects without the dataclass ``__init__`` (one
+    cell objects directly from the cell) and computes ``shape``,
+    ``by_size`` and ``size_ranks`` through the lock-free ``lazy``
+    descriptor; nothing about the objects may differ from the reference."""
+
+    @given(
+        st.one_of(grids(max_side=12, colors=2), grids(max_side=12, colors=10)),
+        st.sampled_from((4, 8)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bfs_reference(self, g, connectivity):
+        _check_trusted_objects(g, connectivity)
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_matches_bfs_reference_on_the_bench_suite(self, connectivity):
+        from symgrid.taskgen import generate_suite
+
+        for _, task, _ in generate_suite(1007, 100, 20):
+            for pair in task.train + task.test:
+                for g in pair:
+                    if g is not None:
+                        _check_trusted_objects(g, connectivity)
+
+    def test_features_stay_out_of_equality(self):
+        g = Grid.from_rows([[0, 1, 0], [2, 2, 0], [0, 0, 3]])
+        a, b = segment(g), segment(g)
+        # Computed on one side only.
+        assert a.size_ranks == {1: 0, 0: 1, 2: 2}
+        assert [o.shape for o in a.objects] == [UNIT_SHAPE, {(0, 0), (0, 1)}, UNIT_SHAPE]
+        assert a == b and hash(a) == hash(b)
+        assert [o.shape for o in a.objects] == [o.shape for o in b.objects]

@@ -190,6 +190,55 @@ class TestVote:
         ]
         assert _vote(cands) == (Grid.from_rows([[2]]), 0, 1)
 
+    def test_lone_candidate_returned_as_is(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            cand = Candidate(
+                random_grid(rng, max_side=5, colors=4), "rule_exec", rng.choice([0.25, 1.0, 3.0])
+            )
+            assert _vote([cand]) == fraction_vote([cand]) == (cand.grid, 0, 0)
+            assert _vote([cand])[0] is cand.grid
+            assert cand.grid.to_lists() == vote_oracle([(cand.grid.to_lists(), cand.weight)])
+
+    def test_lone_candidate_left_by_the_dims_pre_vote(self):
+        lone = Grid.from_rows([[1, 2, 3], [4, 5, 6]])
+        cands = [
+            Candidate(Grid.from_rows([[7]]), "rule_exec", 0.5),
+            Candidate(lone, "rule_exec", 2.0),
+            Candidate(Grid.from_rows([[8]]), "remote_sample", 1.0),
+            Candidate(Grid.from_rows([[9, 9], [9, 9]]), "remote_sample", 1.0),
+        ]
+        grid, ties, excluded = _vote(cands)
+        assert grid is lone and (ties, excluded) == (0, 3)
+        assert (grid, ties, excluded) == fraction_vote(cands)
+        assert grid.to_lists() == vote_oracle([(c.grid.to_lists(), c.weight) for c in cands])
+
+    def test_lone_survivors_match_the_references(self):
+        # Random candidate lists in which one grid alone holds the winning
+        # dims, by weight or by a tie settled in its favour.
+        rng = random.Random(59)
+        seen = 0
+        for _ in range(400):
+            cands = [
+                Candidate(
+                    random_grid(rng, max_side=3, colors=3),
+                    "rule_exec",
+                    rng.choice([0.25, 0.5, 1.0, 2.0]),
+                )
+                for _ in range(rng.randint(1, 5))
+            ]
+            want = fraction_vote(cands)
+            if want[2] != len(cands) - 1:
+                continue
+            seen += 1
+            grid, ties, excluded = _vote(cands)
+            assert (grid, ties, excluded) == want
+            assert any(grid is c.grid for c in cands)
+            assert grid.to_lists() == vote_oracle(
+                [(c.grid.to_lists(), c.weight) for c in cands]
+            )
+        assert seen >= 100
+
     def test_candidate_contract(self):
         g = Grid.from_rows([[1]])
         for weight in (0.0, -1.0, float("nan"), float("inf")):
