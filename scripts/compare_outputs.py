@@ -12,8 +12,8 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    ``eval_summary.json``;
 3. ``symgrid solve TASK --passes 2`` stdout for every task;
 4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
-   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0, and at
-   ``--connectivity 8 --threshold 1.0``;
+   every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0, at connectivity
+   4 and at ``--connectivity 8``;
 5. ``symgrid perceive TASK --connectivity C`` stdout (objects, bboxes and
    cavity counts of every grid) for every task at connectivity 4 and 8;
 6. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
@@ -126,7 +126,9 @@ def _worker(checkout: Path, suite: Path) -> int:
     for task in sorted(suite.glob("*.json")):
         commands.append(["solve", str(task), "--passes", "2"])
         commands.extend(["induce", str(task), "--threshold", t] for t in THRESHOLDS)
-        commands.append(["induce", str(task), "--connectivity", "8", "--threshold", "1.0"])
+        commands.extend(
+            ["induce", str(task), "--connectivity", "8", "--threshold", t] for t in THRESHOLDS
+        )
         commands.extend(["perceive", str(task), "--connectivity", c] for c in ("4", "8"))
     lines = []
     for argv in commands:
@@ -186,7 +188,7 @@ def main() -> int:
     print(
         f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout and "
         f"eval_summary.json), solve --passes 2 on {tasks} tasks, induce on "
-        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} and at connectivity 8, "
+        f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} at connectivity 4 and 8, "
         f"perceive on {tasks} tasks at connectivity 4 and 8, and the suites of "
         f"generator seeds {', '.join(map(str, GENERATOR_SEEDS))}"
     )

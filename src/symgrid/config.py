@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -52,8 +53,9 @@ class Config:
             raise ConfigError(
                 f"samples must be in [0,{MAX_SAMPLE_GRIDS}], got {self.samples}"
             )
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
+        # JSON's NaN fails no comparison and Infinity never times out.
+        if not (0 < self.timeout < math.inf):
+            raise ConfigError(f"timeout must be positive and finite, got {self.timeout}")
         if self.proposer not in ("search", "remote"):
             raise ConfigError(f"proposer must be 'search' or 'remote', got {self.proposer}")
 

@@ -7,7 +7,8 @@ keyed by value (``patterns.pattern_key``), then each one is applied at
 most once to a pair input, and only while the number of pairs that
 propose it can still carry it to the confidence threshold, while the
 input's color counts leave it a chance to match, and, once it has been
-kept as partial, only if no exact rule survives. A candidate becomes a
+kept as partial or a pair's differing cells show it cannot be exact,
+only if no exact rule survives. A candidate becomes a
 (validated) UnitPattern only there, just before it is applied, so the
 many that are never verified are never built. The verdicts are
 intersected across pairs into a confidence-ranked rule set with rendered
@@ -34,11 +35,12 @@ from .patterns import (
     as_scene,
     build_pattern,
     canonical_key,
+    changed_colors,
     parse_pattern,
     pattern_key,
     synthesize_hint,
 )
-from .perception import GridObject, Perception
+from .perception import GridObject, Perception, lazy
 
 log = logging.getLogger(__name__)
 
@@ -197,8 +199,117 @@ def collect_candidates(
     return candidates
 
 
+class _Diff:
+    """What one train pair's differing cells show, read once.
+
+    Call the input colors of the cells where the input and the output
+    differ *held*, and their output colors *wanted* (as lists, one color
+    per differing cell). ``distance`` is their count, the input's
+    ``pixel_distance`` from the output; when the shapes differ it is
+    that function's shape-mismatch score, and held and wanted are None.
+    ``induce`` builds one per train pair and call, and both of its
+    verification rounds read it.
+    """
+
+    def __init__(self, scene: Scene, gout: Grid) -> None:
+        self.scene = scene
+        grid = scene.grid
+        self.held: list[int] | None = None
+        self.wanted: list[int] | None = None
+        if grid.dims != gout.dims:
+            self.distance = pixel_distance(grid, gout)
+            return
+        # The differing rows, end to end, then their differing cells.
+        rows_in: list[int] = []
+        rows_out: list[int] = []
+        for ra, rb in zip(grid.rows, gout.rows):
+            if ra != rb:
+                rows_in += ra
+                rows_out += rb
+        differs = list(map(ne, rows_in, rows_out))
+        held, wanted = list(compress(rows_in, differs)), list(compress(rows_out, differs))
+        self.held, self.wanted = held, wanted
+        self.held_colors, self.wanted_colors = set(held), set(wanted)
+        self.distance = len(held)
+
+    @lazy
+    def ruled_out(self) -> set[str]:
+        """The ``GROWS`` classes whose candidates the color counts rule
+        out: such a candidate can be neither exact nor partial.
+
+        When no color is both held and wanted, each differing cell turns
+        a held color into a wanted one, so the output has as many more
+        cells of wanted colors than the input as the input's distance. A
+        result with no more cells of any wanted color than the input
+        misses at least that many output cells (or has another shape and
+        is never kept), so it can be neither exact nor partial. That
+        holds for kinds that grow no count, and for kinds that may grow
+        only the background's when the background is not wanted. These
+        are the cases where the color-count floor (the output's cells
+        beyond the input's count, summed over the colors the kind never
+        grows), which never exceeds the input's distance, reaches it.
+        Nothing is ruled out when the input equals the output, where any
+        candidate may still be exact, or when the shapes differ: the
+        input's distance then exceeds the output's cell count.
+        """
+        if not self.held:  # equal grids, or shapes that differ
+            return set()
+        wanted = self.wanted_colors
+        if not wanted.isdisjoint(self.held_colors):
+            return set()
+        return {"none"} if self.scene.background in wanted else {"none", "background"}
+
+    @lazy
+    def barred(self) -> set[str]:
+        """The ``GROWS`` classes whose candidates cannot be exact here.
+
+        A kind's result holds no more cells than the input of any color
+        outside its ``GROWS`` class, so it cannot be exact when the output
+        holds more cells of such a color. The cells that do not differ
+        cancel out, so counting the held and wanted colors is enough. On
+        a same-shape pair, a kind that grows no color (the reflections
+        and rotations) therefore needs the input's color counts.
+        """
+        if not self.held:  # equal grids, or shapes that differ
+            return set()
+        held, wanted = self.held, self.wanted
+        gained = {c for c in self.wanted_colors if wanted.count(c) > held.count(c)}
+        if not gained:
+            return set()
+        return {"none"} if gained == {self.scene.background} else {"none", "background"}
+
+    def may_be_exact(self, key: PatternKey) -> bool:
+        """False when the differing cells show that ``key`` cannot give
+        the output on this pair, from facts of its kind's semantics: a
+        kind that only moves cells (``GROWS`` "none") keeps the color
+        counts, and ``patterns.changed_colors`` bounds the colors of the
+        cells a kind changes.
+
+        None of the kinds either fact covers raises
+        PatternApplicationError, so a key this marks applies without
+        error and yields a grid that is not the output: where it was
+        exact on other pairs, the intersection contradicts it, just as
+        it does a partial.
+        """
+        if not self.held:  # equal grids, or shapes that differ
+            return True
+        grows = GROWS.get(key[0], "any")
+        if grows != "any" and grows in self.barred:
+            return False
+        colors = changed_colors(key, self.scene)
+        if colors is None:
+            return True
+        held, wanted = colors
+        return (held is None or self.held_colors <= held) and (
+            wanted is None or self.wanted_colors <= wanted
+        )
+
+
 def detect_unit_patterns(
-    pair: Pair, candidates: dict[PatternKey, UnitPattern | None], connectivity: int = 4
+    pair: Pair,
+    candidates: dict[PatternKey, UnitPattern | None],
+    connectivity: int = 4,
+    diff: _Diff | None = None,
 ) -> list[ScoredPattern]:
     """Verify candidates, as ``collect_candidates`` returns them, on one pair.
 
@@ -213,21 +324,19 @@ def detect_unit_patterns(
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
     applied when the color counts show it can be neither exact nor
-    partial (``_ruled_out_by_counts``). That test never applies when the
-    input equals the output, where the candidate may still be exact.
+    partial (``_Diff.ruled_out``). ``diff`` is the pair's ``_Diff``,
+    as ``induce`` shares it; without one, this call reads the pair.
     """
     gin, gout = pair
     scene = as_scene(gin, connectivity)
-    baseline = pixel_distance(scene.grid, gout)
-    ruled_out: set[str] | None = None
+    if diff is None:
+        diff = _Diff(scene, gout)
+    baseline = diff.distance
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
         grows = GROWS.get(key[0], "any")
-        if grows != "any" and baseline:
-            if ruled_out is None:
-                ruled_out = _ruled_out_by_counts(scene, gout)
-            if grows in ruled_out:
-                continue
+        if grows != "any" and grows in diff.ruled_out:
+            continue
         if pattern is None:
             pattern = build_pattern(key)
         try:
@@ -239,40 +348,6 @@ def detect_unit_patterns(
         elif pixel_distance(result, gout) < baseline:
             out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=False))
     return out
-
-
-def _ruled_out_by_counts(scene: Scene, gout: Grid) -> set[str]:
-    """The ``GROWS`` classes whose candidates the color counts rule out on
-    a pair whose input differs from its output.
-
-    Call the output colors of the cells where input and output differ
-    wanted, and their input colors held. When no color is both, each of
-    those cells turns a held color into a wanted one, so the output has
-    as many more cells of wanted colors than the input as the input's
-    distance. A result with no more cells of any wanted color than the
-    input misses at least that many output cells (or has another shape
-    and is never kept), so it can be neither exact nor partial. That
-    holds for kinds that grow no count, and for kinds that may grow only
-    the background's when the background is not wanted. These are the
-    cases where the color-count floor (the output's cells beyond the
-    input's count, summed over the colors the kind never grows), which
-    never exceeds the input's distance, reaches it. Nothing is ruled out
-    when the shapes differ: the input's distance then exceeds the
-    output's cell count.
-    """
-    grid = scene.grid
-    if grid.dims != gout.dims:
-        return set()
-    held: set[int] = set()
-    wanted: set[int] = set()
-    for ra, rb in zip(grid.rows, gout.rows):
-        if ra != rb:
-            differs = list(map(ne, ra, rb))
-            held.update(compress(ra, differs))
-            wanted.update(compress(rb, differs))
-            if not held.isdisjoint(wanted):
-                return set()
-    return {"none"} if scene.background in wanted else {"none", "background"}
 
 
 @dataclass
@@ -305,9 +380,9 @@ def intersect_patterns(
     only as a backstop: once any exact pattern survives, the partials
     are pruned so they cannot outvote a rule that reproduces every
     training output. ``induce`` relies on that pruning: it holds back a
-    candidate kept as partial on the pairs verified after, and verifies
-    it there only when the lists without those verdicts give no exact
-    rule.
+    candidate kept as partial on the pairs verified after, and one that a
+    pair's diff shows cannot be exact from that pair on, and verifies it
+    there only when the lists without those verdicts give no exact rule.
     """
     if not per_pair:
         raise ValueError("intersect_patterns: no per-pair lists")
@@ -362,70 +437,83 @@ def induce(
     """Collect candidates on every train pair, verify, and intersect.
 
     Each train input gets one Scene, shared by collection, verification
-    and intersection, so it is segmented at most once. Every pair's
-    candidates are collected first, in pair order, through one memo of
-    the task's pattern lines, so each distinct line is parsed once (the
-    memo lives for this call only). The pairs are then verified from the
-    smallest input (fewest cells) up, ties in pair order. A candidate is
-    applied on a pair only if it is in that pair's list, so its support
-    can never exceed its support on the pairs verified so far plus the
-    pairs still to verify whose lists hold it. Each pair verifies only
-    the candidates for which that bound reaches ``threshold`` in
-    ``intersect_patterns``' test; the others would be dropped below
-    threshold anyway, so the rule set is the same as with every
-    candidate verified, in any order. Most candidates that fail
-    therefore fail on the cheapest grid.
+    and intersection, so it is segmented at most once, and each pair one
+    ``_Diff``, shared by both verification rounds below, so its differing
+    cells are read once. Every pair's candidates are collected first, in
+    pair order, through one memo of the task's pattern lines, so each
+    distinct line is parsed once (the memo lives for this call only).
+    The pairs are then verified from the smallest input (fewest cells)
+    up, ties in pair order. A candidate is applied on a pair only if it
+    is in that pair's list, so its support can never exceed its support
+    on the pairs verified so far plus the pairs still to verify whose
+    lists hold it. Each pair verifies only the candidates for which that
+    bound reaches ``threshold`` in ``intersect_patterns``' test; the
+    others would be dropped below threshold anyway, so the rule set is
+    the same as with every candidate verified, in any order. Most
+    candidates that fail therefore fail on the cheapest grid.
 
     Exact rules are looked for first. A candidate kept as partial on a
     pair can never be an exact rule, and ``intersect_patterns`` prunes
     every partial once an exact rule survives, so it is held back on the
-    later pairs rather than applied. If the rule set of the verdicts so
-    far holds an exact rule, it is the answer: the exact candidates were
-    verified exactly as without holding back. Otherwise the held-back
-    candidates are verified, pair by pair in the same order and under the
-    same bound on their real verdicts, and the verdicts intersected
-    again. No candidate is applied twice to one pair.
+    later pairs rather than applied. A candidate that a pair's diff shows
+    cannot be exact there (``_Diff.may_be_exact``) is held back from that
+    pair on, unapplied: it yields a grid that is not the output there, so
+    it is no exact rule either. It is left out of the first intersection,
+    where it could only be dropped, below threshold or contradicted on
+    that pair. If the rule set of the verdicts so far holds an exact
+    rule, it is the answer: the exact candidates were verified exactly as
+    without holding back. Otherwise the held-back candidates are
+    verified, pair by pair in the same order and under the same bound on
+    their real verdicts, and the verdicts intersected again. No candidate
+    is verified twice on one pair.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
     memo: dict[str, tuple[UnitPattern, PatternKey] | str] = {}  # this task's lines
     collected = [collect_candidates(p, proposer, budget, connectivity, memo) for p in pairs]
+    diffs = [_Diff(scene, gout) for scene, gout in pairs]
     cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
     order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
     per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
     support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
     held_from: dict[PatternKey, int] = {}  # key -> first position in ``order`` it skips
-    _verify(pairs, order, collected, support, per_pair, threshold, held_from)
-    rules = intersect_patterns(per_pair, pairs, threshold, connectivity)
+    untried = _verify(pairs, diffs, order, collected, support, per_pair, threshold, held_from)
+    first = per_pair
+    if untried:
+        first = [[sp for sp in sps if pattern_key(sp.pattern) not in untried] for sps in per_pair]
+    rules = intersect_patterns(first, pairs, threshold, connectivity)
     if any(sp.exact for sp in rules.patterns):
         return rules
     held: list[dict[PatternKey, UnitPattern | None]] = [{} for _ in pairs]
     for i, k in enumerate(order):
         held[k] = {key: p for key, p in collected[k].items() if held_from.get(key, n) <= i}
-    if not any(held):
+    if not any(held):  # so nothing is untried, and ``rules`` saw every verdict
         return rules
-    _verify(pairs, order, held, support, per_pair, threshold, None)
-    # The candidates never kept as partial have the same verdicts as
-    # above, so they die again; leaving them out spares their
-    # contradiction checks.
+    _verify(pairs, diffs, order, held, support, per_pair, threshold, None)
+    # The candidates never held back have the same verdicts as above, so
+    # they die again; leaving them out spares their contradiction checks.
     per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in held_from] for sps in per_pair]
     return intersect_patterns(per_pair, pairs, threshold, connectivity)
 
 
 def _verify(
     pairs: list[tuple[Scene, Grid]],
+    diffs: list[_Diff],
     order: list[int],
     lists: list[dict[PatternKey, UnitPattern | None]],
     support: Counter[PatternKey],
     per_pair: list[list[ScoredPattern]],
     threshold: float,
     held_from: dict[PatternKey, int] | None,
-) -> None:
+) -> set[PatternKey]:
     """Verify ``lists[k]`` on ``pairs[k]`` for k in ``order``, under
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
     and ``support``. Given ``held_from``, a candidate kept as partial
-    there is skipped from the next position in ``order`` on, and that
-    position is recorded.
+    there is skipped from the next position in ``order`` on, and one that
+    ``diffs[k]`` shows cannot be exact there is skipped from that position
+    on, unapplied (and unbuilt, so a key that names no valid pattern
+    raises only if it is verified later); the position is recorded, and
+    the keys skipped unapplied are returned.
 
     The bound is kept in integers. ``need`` is the least support m with
     ``m / n + 1e-9 >= threshold``, ``intersect_patterns``' test (n + 1
@@ -443,12 +531,21 @@ def _verify(
         if key in count:
             count[key] += s
     alive = {key for key, c in count.items() if c >= need}
+    untried: set[PatternKey] = set()
     for i, k in enumerate(order):
         candidates = lists[k]
         reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
+        diff = diffs[k]
+        if held_from is not None and reachable and diff.held:
+            barred = [key for key in reachable if not diff.may_be_exact(key)]
+            for key in barred:
+                del reachable[key]
+                held_from[key] = i
+            alive.difference_update(barred)
+            untried.update(barred)
         if not reachable:
             continue
-        detections = detect_unit_patterns(pairs[k], reachable)
+        detections = detect_unit_patterns(pairs[k], reachable, diff=diff)
         per_pair[k] += detections
         detected = [pattern_key(sp.pattern) for sp in detections]
         support.update(detected)
@@ -461,6 +558,7 @@ def _verify(
                 if not sp.exact:
                     held_from[key] = i + 1
                     alive.discard(key)
+    return untried
 
 
 def _contradicted(

@@ -13,9 +13,10 @@ segmentation is computed once and shared by every pattern applied to it.
 
 Each kind is one record of the ``_KINDS`` table at the end of this
 module: its parameter signature, whether it takes an object selector,
-its forward semantics, its hint template and which colors its result
-may hold more cells of than the input. ``KIND_ORDER``, ``OBJECT_KINDS``,
-``GROWS``, validation, serialization, ``apply_pattern`` and
+its forward semantics, its hint template, which colors its result may
+hold more cells of than the input, and which colors the cells it changes
+may hold. ``KIND_ORDER``, ``OBJECT_KINDS``, ``GROWS``,
+``changed_colors``, validation, serialization, ``apply_pattern`` and
 ``synthesize_hint`` all read that table. Each parameter type named in a
 signature (``int``, ``positive``, ``color``, ``factor``, ``axis``,
 ``direction``, ``colormap``) is one record of the ``_TAGS`` table: one
@@ -712,15 +713,37 @@ class _Kind:
     # an object color only loses cells where objects overlap; or "none",
     # for kinds that only move cells, so the result keeps the color counts.
     grows: str = "any"
-    # Derived from ``signature``:
+    # The colors a cell the result changes may hold in the input and in
+    # the result, as (held, wanted): each a tuple of names, or None for
+    # any color. "bg" names the background, "sel" the color of a
+    # ``color=c`` selector (a side naming it says nothing under another
+    # selector) and any other name a color parameter. A pair whose
+    # differing cells hold or want a color outside these cannot be exact
+    # (``induction._Diff``). None when the kind gives no such fact.
+    changes: tuple[tuple[str, ...] | None, tuple[str, ...] | None] | None = None
+    # Derived from ``signature`` (and ``changes``):
     names: tuple[str, ...] = field(init=False)
     checks: tuple[tuple[str, Callable[[object], str | None]], ...] = field(init=False)
+    # ``changes`` with each name as the index of its parameter value in a
+    # key, or ``_BG`` or ``_SEL``.
+    change_slots: tuple[tuple[int, ...] | None, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
         names = tuple(name for name, _ in self.signature)
         checks = tuple((name, _TAGS[tag].error) for name, tag in self.signature)
+        slots = None
+        if self.changes is not None:
+            index = {"bg": _BG, "sel": _SEL, **{name: i for i, name in enumerate(names)}}
+            slots = tuple(
+                None if side is None else tuple(index[name] for name in side)
+                for side in self.changes
+            )
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "change_slots", slots)
+
+
+_BG, _SEL = -1, -2  # ``_Kind.change_slots`` for "bg" and "sel"
 
 
 _AXIS = (("axis", "axis"),)
@@ -738,7 +761,7 @@ _KINDS: dict[str, _Kind] = {k.name: k for k in (
           grows="none"),
     _Kind("crop_to_content", (), False, _crop_to_content, "crop the grid to its content"),
     _Kind("symmetry_complete", _AXIS, False, _symmetry_complete,
-          "complete the grid symmetrically {axis}"),
+          "complete the grid symmetrically {axis}", changes=(("bg",), None)),
     _Kind("scale_up", _FACTOR, False, _scale_up, "scale the grid up by factor {factor}"),
     _Kind("scale_down", _FACTOR, False, _scale_down, "scale the grid down by factor {factor}"),
     _Kind("tile_grid", (("rows", "positive"), ("cols", "positive")), False, _tile_grid,
@@ -752,26 +775,60 @@ _KINDS: dict[str, _Kind] = {k.name: k for k in (
     _Kind("count_encode", _COLOR, True, _count_encode,
           "emit one color-{color} cell per object among {sel}"),
     _Kind("recolor", (("src", "color"), ("dst", "color")), False, _recolor,
-          "replace color {src} with color {dst}"),
+          "replace color {src} with color {dst}", changes=(("src",), ("dst",))),
     _Kind("palette_swap", (("map", "colormap"),), False, _palette_swap, "remap colors: {map}"),
     _Kind("translate", _OFFSET, True, _translate, "move {sel} by {dx} columns and {dy} rows"),
-    _Kind("delete_object", (), True, _delete_object, "delete {sel}"),
+    _Kind("delete_object", (), True, _delete_object, "delete {sel}", changes=(None, ("bg",))),
     _Kind("duplicate_object", _OFFSET, True, _duplicate_object,
           "duplicate {sel} offset by {dx} columns and {dy} rows"),
     _Kind("cavity_fill", _COLOR, True, _cavity_fill,
-          "fill the cavities of {sel} with color {color}"),
+          "fill the cavities of {sel} with color {color}", changes=(None, ("color",))),
     _Kind("gravity_shift", (("dir", "direction"),), True, _gravity_shift,
-          "slide {sel} {dir} until blocked", grows="background"),
+          "slide {sel} {dir} until blocked", grows="background",
+          changes=(("bg", "sel"), ("bg", "sel"))),
     _Kind("draw_bbox_border", _COLOR, True, _draw_bbox_border,
-          "draw the bounding box of {sel} in color {color}"),
+          "draw the bounding box of {sel} in color {color}", changes=(None, ("color",))),
     _Kind("connect_objects", _COLOR, True, _connect_objects,
-          "connect aligned pairs of {sel} with color {color}"),
+          "connect aligned pairs of {sel} with color {color}", changes=(("bg",), ("color",))),
 )}
 
 KIND_ORDER = tuple(_KINDS)
 OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
 GROWS = {name: k.grows for name, k in _KINDS.items()}  # see ``_Kind.grows``
 _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
+
+
+def changed_colors(
+    key: PatternKey, scene: Scene
+) -> tuple[set[int] | None, set[int] | None] | None:
+    """The colors a cell that ``key``'s result changes on ``scene`` may
+    hold in the input and in the result, by ``_Kind.changes`` (None for
+    a side that may be any color), or None when the kind gives no such
+    fact or the key has the wrong number of values for it."""
+    kind, values, sel = key
+    spec = _KINDS.get(kind)
+    if spec is None or spec.change_slots is None or len(values) != len(spec.names):
+        return None
+    held, wanted = spec.change_slots
+    return _colors(held, values, sel, scene), _colors(wanted, values, sel, scene)
+
+
+def _colors(
+    slots: tuple[int, ...] | None, values: tuple, sel: tuple[str, int | None], scene: Scene
+) -> set[int] | None:
+    if slots is None:
+        return None
+    colors = set()
+    for i in slots:
+        if i >= 0:
+            colors.add(values[i])
+        elif i == _BG:
+            colors.add(scene.background)
+        elif sel[0] == "color":
+            colors.add(sel[1])
+        else:
+            return None  # "sel" under another selector: any color
+    return colors
 
 
 def synthesize_hint(p: UnitPattern) -> str:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config plumbing, exit codes, output formats."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -66,6 +67,11 @@ class TestConfig:
             ({"timeout": True}, "timeout must be a number, got True"),
             ({"confidence_threshold": True}, "confidence_threshold must be a number, got True"),
             ({"confidence_threshold": "1"}, "confidence_threshold must be a number, got '1'"),
+            # json.loads reads NaN, Infinity and -Infinity as floats.
+            ({"timeout": float("nan")}, "timeout must be positive and finite, got nan"),
+            ({"timeout": float("inf")}, "timeout must be positive and finite, got inf"),
+            ({"timeout": float("-inf")}, "timeout must be positive and finite, got -inf"),
+            ({"timeout": 0}, "timeout must be positive and finite, got 0"),
         ],
     )
     def test_wrongly_typed_numbers_exit_2(self, rotate_task_file, tmp_path, capsys, doc, message):
@@ -78,6 +84,12 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_non_finite_timeouts_refused(self):
+        for timeout in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="timeout must be positive and finite"):
+                Config(timeout=timeout)
+        assert Config(timeout=1e-3).timeout == 1e-3
 
     def test_numbers_of_the_right_kind_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -356,6 +368,8 @@ class TestHostileInputs:
             ("config_deep", 2),
             ("config_float_budget", 2),
             ("config_bool_passes", 2),
+            ("config_nan_timeout", 2),
+            ("config_inf_timeout", 2),
             ("transcript_not_utf8", 2),
             ("transcript_deep_line", 2),
             ("transcript_is_a_directory", 2),
@@ -380,6 +394,10 @@ class TestHostileInputs:
         float_budget.write_text('{"search_budget": 1.5}')
         bool_passes = tmp_path / "bool_passes.json"
         bool_passes.write_text('{"passes": true}')
+        nan_timeout = tmp_path / "nan_timeout.json"
+        nan_timeout.write_text('{"timeout": NaN}')
+        inf_timeout = tmp_path / "inf_timeout.json"
+        inf_timeout.write_text('{"timeout": Infinity}')
         dead = ["--config", str(remote), "--backend-url", "http://127.0.0.1:1/"]
         argv = {
             "solve_deep_task": ["solve", str(deep)],
@@ -389,6 +407,12 @@ class TestHostileInputs:
             "config_deep": ["solve", str(task), "--config", str(deep)],
             "config_float_budget": ["induce", str(task), "--config", str(float_budget)],
             "config_bool_passes": ["eval", str(tasks), "--config", str(bool_passes)],
+            # With a dead backend, as the timeout would have reached it.
+            "config_nan_timeout": [
+                "solve", str(task), "--config", str(nan_timeout),
+                "--backend-url", "http://127.0.0.1:1/", "--samples", "1",
+            ],
+            "config_inf_timeout": ["induce", str(task), "--config", str(inf_timeout)],
             "transcript_not_utf8": ["solve", str(task), "--transcript", str(not_utf8)],
             "transcript_deep_line": ["solve", str(task), "--transcript", str(deep)],
             "transcript_is_a_directory": ["solve", str(task), "--transcript", str(tasks)],
@@ -416,6 +440,8 @@ class TestHostileInputs:
         assert result.returncode == code, result.stderr
         if code == 2:
             assert result.stderr.startswith("error: ")
+            if case.startswith("config_"):
+                assert len(result.stderr.splitlines()) == 1, result.stderr
         elif case == "eval_dir_with_deep_task":
             assert "skipping deep.json" in result.stderr
             assert "unreadable files: 1" in result.stdout

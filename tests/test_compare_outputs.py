@@ -31,7 +31,9 @@ def test_checkout_against_itself_is_identical():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("identical: 4-task suite")
-    assert "at connectivity 8" in result.stdout
+    assert "induce on 4 tasks at thresholds 1.0, 0.67, 0.5, 0.34, 0.0 at connectivity 4 and 8" in (
+        result.stdout
+    )
     assert "perceive on 4 tasks at connectivity 4 and 8" in result.stdout
     assert "generator seeds 1, 2, 3" in result.stdout
 

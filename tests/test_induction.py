@@ -33,8 +33,8 @@ from symgrid import (
     pixel_distance,
     segment,
 )
-from symgrid import background_color, induction
-from symgrid.patterns import GROWS
+from symgrid import PatternApplicationError, background_color, induction
+from symgrid.patterns import AXES, DIRECTIONS, GROWS, KEY_ALL, _KINDS
 from symgrid.induction import synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
 from conftest import detect, grids, replay_lines
@@ -440,6 +440,121 @@ class TestColorCountBound:
             ]
 
 
+def _fact_keys(colors=4):
+    """Every key, over colors below ``colors``, of the kinds that
+    ``_Diff.may_be_exact`` can mark: those with a ``changes`` record or
+    a ``GROWS`` class."""
+    values = {"color": range(colors), "direction": DIRECTIONS, "axis": AXES}
+    selectors = [KEY_ALL]
+    selectors += [("color", c) for c in range(colors)]
+    selectors += [("size_rank", r) for r in range(2)] + [("cavities", n) for n in range(2)]
+    keys = []
+    for kind, spec in _KINDS.items():
+        if spec.changes is None and spec.grows == "any":
+            continue
+        for params in itertools.product(*(values[tag] for _, tag in spec.signature)):
+            for sel in selectors if spec.takes_selector else [KEY_ALL]:
+                keys.append((kind, params, sel))
+    return keys
+
+
+_FACT_KEYS = _fact_keys()
+
+
+@st.composite
+def _fact_scenes(draw):
+    """A train pair for the exactness facts: the output is the input
+    itself, the input with a few cells recolored, or a fact kind's
+    result on the input (so exact keys are common), at connectivity 4 or
+    8. Three colors on small grids make tied backgrounds common."""
+    gin = draw(grids(max_side=6, colors=3))
+    connectivity = draw(st.sampled_from((4, 8)))
+    scene = Scene(gin, connectivity)
+    how = draw(st.sampled_from(("same", "edit", "apply")))
+    if how == "same":
+        gout = gin
+    elif how == "edit":
+        rows = [list(row) for row in gin.rows]
+        cell = st.tuples(
+            st.integers(0, gin.height - 1), st.integers(0, gin.width - 1), st.integers(0, 3)
+        )
+        for r, c, v in draw(st.lists(cell, min_size=1, max_size=4)):
+            rows[r][c] = v
+        gout = Grid.from_rows(rows)
+    else:
+        gout = apply_pattern(build_pattern(draw(st.sampled_from(_FACT_KEYS))), scene)
+    return scene, gout
+
+
+class TestExactnessFacts:
+    """``_Diff.may_be_exact`` never marks a key that is exact: a key it
+    marks as not exact on a pair, applied there, does not give the
+    output."""
+
+    @given(_fact_scenes())
+    # A tied background (three 0s, three 1s: 0 wins) under a recolor
+    # that moves the tie, and an input equal to its output.
+    @example(
+        (Scene(Grid.from_rows([[0, 1, 1], [1, 0, 0]])), Grid.from_rows([[0, 2, 2], [2, 0, 0]]))
+    )
+    @example((Scene(Grid.from_rows([[0, 1], [1, 0]]), 8), Grid.from_rows([[0, 1], [1, 0]])))
+    # gravity_shift(dir=down)@all paints the bar over the L that fell onto
+    # it: exact, with a background cell gained (tests/test_patterns.py,
+    # TestColorCountFact).
+    @example(
+        (
+            Scene(Grid.from_rows(
+                [[1, 1, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0], [3, 0, 0, 0, 0]]
+            )),
+            Grid.from_rows([[0, 0, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0], [3, 1, 0, 0, 0]]),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_marked_keys_are_never_exact(self, pair):
+        scene, gout = pair
+        diff = induction._Diff(scene, gout)
+        for key in _FACT_KEYS:
+            if not diff.may_be_exact(key):
+                assert apply_pattern(build_pattern(key), scene) != gout, key
+        if scene.grid == gout:
+            assert all(map(diff.may_be_exact, _FACT_KEYS))
+
+    def test_suite_marked_keys_are_never_exact(self):
+        # Every search candidate on every train pair of the suite.
+        proposer = SearchProposer()
+        marked = Counter()
+        for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
+            for gin, gout in task.train:
+                for connectivity in (4, 8):
+                    pair = (Scene(gin, connectivity), gout)
+                    diff = induction._Diff(*pair)
+                    for key in collect_candidates(pair, proposer, 2000, connectivity):
+                        if not diff.may_be_exact(key):
+                            marked[key[0]] += 1
+                            assert apply_pattern(build_pattern(key), pair[0]) != gout, key
+        # Each fact marks something: the kinds that grow no color, the
+        # gravity kind, and every ``changes`` record the search proposes.
+        assert {"reflect_h", "rotate180", "gravity_shift", "recolor", "draw_bbox_border",
+                "connect_objects", "symmetry_complete", "cavity_fill"} <= set(marked)
+
+    def test_diff_matches_pixel_distance(self):
+        for _, task, _ in generate_suite(seed=1007, n_planted=20, n_noise=5):
+            for gin, gout in task.train:
+                diff = induction._Diff(Scene(gin), gout)
+                assert diff.distance == pixel_distance(gin, gout)
+                if gin.dims == gout.dims:
+                    cells = [
+                        (a, b)
+                        for ra, rb in zip(gin.rows, gout.rows)
+                        for a, b in zip(ra, rb)
+                        if a != b
+                    ]
+                    assert diff.held == [a for a, _ in cells]
+                    assert diff.wanted == [b for _, b in cells]
+                else:
+                    assert diff.held is None and diff.wanted is None
+
+
 def _sp(pattern, exact=True):
     return ScoredPattern(pattern=pattern, support=1, confidence=1.0, exact=exact)
 
@@ -679,10 +794,10 @@ class TestLateBuilding:
             built += 1
             post_init(self)
 
-        def counting_detect(pair, candidates, connectivity=4):
+        def counting_detect(pair, candidates, connectivity=4, diff=None):
             nonlocal verified
             before = len(apply_calls)
-            out = detect_original(pair, candidates, connectivity)
+            out = detect_original(pair, candidates, connectivity, diff)
             verified += len(apply_calls) - before
             return out
 
@@ -753,11 +868,13 @@ class TestPruning:
         ]
 
     # Every application inside induce: verification plus the intersection's
-    # contradiction checks (none at 1.0). Before the color-count bound and
-    # the held-back partials it took 2,047, 4,218 and 9,730; verifying in
-    # pair order took 2,085 and 4,287 at 1.0 and 0.5; the unpruned
-    # verifier needs 4,189 and 7,424 verifications there.
-    @pytest.mark.parametrize("threshold, applies", [(1.0, 1335), (0.5, 2806), (0.0, 7845)])
+    # contradiction checks (none at 1.0). Before the candidates that a
+    # pair's diff shows cannot be exact were held back it took 1,335, 2,806
+    # and 7,845; before the color-count bound and the held-back partials,
+    # 2,047, 4,218 and 9,730; verifying in pair order took 2,085 and 4,287
+    # at 1.0 and 0.5; the unpruned verifier needs 4,189 and 7,424
+    # verifications there.
+    @pytest.mark.parametrize("threshold, applies", [(1.0, 967), (0.5, 1588), (0.0, 3554)])
     def test_suite_apply_counts(self, suite, apply_calls, threshold, applies):
         apply_calls.clear()
         proposer = SearchProposer()
@@ -778,9 +895,9 @@ class TestPruning:
         detect_original = induction.detect_unit_patterns
         intersect_original = induction.intersect_patterns
 
-        def recording_detect(pair, candidates, connectivity=4):
+        def recording_detect(pair, candidates, connectivity=4, diff=None):
             before = len(apply_calls)
-            out = detect_original(pair, candidates, connectivity)
+            out = detect_original(pair, candidates, connectivity, diff)
             keys = {format_pattern(build_pattern(key)) for key in candidates}
             for line, g in apply_calls[before:]:
                 assert line in keys and g == pair[0].grid
@@ -888,6 +1005,41 @@ class TestPruning:
         assert induce(task, proposer, threshold, budget) == expected
 
 
+# Lines of the kinds the diff test covers, and two it does not.
+_FACT_LINES = [
+    "recolor(src=1,dst=2)@all",
+    "recolor(src=2,dst=0)@all",
+    "delete_object()@color=1",
+    "delete_object()@all",
+    "cavity_fill(color=2)@all",
+    "gravity_shift(dir=down)@color=1",
+    "gravity_shift(dir=up)@all",
+    "draw_bbox_border(color=2)@size_rank=0",
+    "connect_objects(color=2)@all",
+    "symmetry_complete(axis=h)@all",
+    "reflect_h()@all",
+    "rotate180()@all",
+    "translate(dx=1,dy=0)@all",
+    "crop_to_content()@all",
+]
+
+
+def _count_marked(monkeypatch):
+    """Count, by kind, the keys ``_Diff.may_be_exact`` marks as not exact
+    while the test runs."""
+    marked = Counter()
+    original = induction._Diff.may_be_exact
+
+    def counting(self, key):
+        verdict = original(self, key)
+        if not verdict:
+            marked[key[0]] += 1
+        return verdict
+
+    monkeypatch.setattr(induction._Diff, "may_be_exact", counting)
+    return marked
+
+
 class TestExactFirst:
     """``induce`` holds back on later pairs a candidate kept as partial and
     verifies it there only when no exact rule survives. Its rule sets equal
@@ -937,12 +1089,16 @@ class TestExactFirst:
         return everything - applied - skipped
 
     @pytest.mark.parametrize("threshold", [1.0, 0.67, 0.5, 0.34, 0.0])
-    def test_suite_matches_reference(self, run, threshold):
+    def test_suite_matches_reference(self, run, monkeypatch, threshold):
+        # Both hold-backs run: candidates kept as partial, and candidates
+        # the pair's diff marks as not exact.
+        marked = _count_marked(monkeypatch)
         proposer = SearchProposer()
         held_back = 0
         for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
             held_back += sum(self._check(task, *run(task, proposer, threshold)).values())
         assert held_back > 0
+        assert marked
 
     def test_partial_on_smallest_pair_with_an_exact_rule(self, run):
         # reflect_h is partial on pair 0, the first verified (the inputs tie
@@ -1006,6 +1162,40 @@ class TestExactFirst:
         task = Task(train=pairs, test=((pairs[0][0], None),))
         proposer = _PerPairProposer({g: lines for (g, _), lines in zip(pairs, lists)})
         self._check(task, *run(task, proposer, threshold, budget))
+
+    @given(
+        data=st.data(),
+        planted=st.sampled_from(_FACT_LINES),
+        threshold=st.sampled_from([1.0, 0.67, 0.5, 0.34, 0.0]),
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fact_pool_tasks_match_reference(self, run, data, planted, threshold):
+        # Pool tasks whose pairs mostly follow one pattern of a kind the
+        # diff test covers, some pairs with a cell recolored, and whose
+        # per-pair lists draw on the same pool, so the test marks keys
+        # on some pairs and not on others.
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            gin = data.draw(grids(max_side=5, colors=3))
+            try:
+                gout = apply_pattern(parse_pattern(planted), gin)
+            except PatternApplicationError:
+                gout = gin  # crop_to_content on a grid without content
+            rows = [list(row) for row in gout.rows]
+            if data.draw(st.booleans()):
+                r, c = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 9))
+                rows[r][c % len(rows[r])] = data.draw(st.integers(0, 3))
+            pairs.append((gin, Grid.from_rows(rows)))
+        if len({gin for gin, _ in pairs}) != len(pairs):
+            return  # the stub proposer looks lists up by input grid
+        lists = [data.draw(st.lists(st.sampled_from(_FACT_LINES), max_size=8)) for _ in pairs]
+        task = Task(train=tuple(pairs), test=((pairs[0][0], None),))
+        proposer = _PerPairProposer({g: ls for (g, _), ls in zip(pairs, lists)})
+        self._check(task, *run(task, proposer, threshold))
 
     # With 3 train pairs, ``_verify``'s integer bound must agree with the
     # float test ``m / 3 + 1e-9 >= threshold`` where it changes: 1/3 and

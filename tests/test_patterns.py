@@ -1,5 +1,6 @@
 """Taxonomy semantics, group laws, serialization, error contracts."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -25,7 +26,7 @@ from symgrid import (
     pattern_key,
     segment,
 )
-from symgrid.patterns import AXES, DIRECTIONS, GROWS, OBJECT_KINDS
+from symgrid.patterns import AXES, DIRECTIONS, GROWS, OBJECT_KINDS, _KINDS, changed_colors
 from conftest import grids, random_grid
 
 
@@ -611,6 +612,103 @@ class TestColorCountFact:
                 [[0, 0, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0], [3, 1, 0, 0, 0]]
             )
             assert _counts(out) == _counts(g) - Counter({1: 1}) + Counter({0: 1})
+
+
+# The kinds verification holds back by a pair's differing colors
+# (``induction._Diff.may_be_exact``): those with a ``changes`` record or a
+# ``GROWS`` class.
+_FACT_KINDS = sorted(
+    kind for kind, spec in _KINDS.items() if spec.changes is not None or spec.grows != "any"
+)
+
+
+def _changed(before, after):
+    """The (input color, result color) of each cell that differs."""
+    return [
+        (a, b)
+        for ra, rb in zip(before.rows, after.rows)
+        for a, b in zip(ra, rb)
+        if a != b
+    ]
+
+
+class TestChangedColorsFact:
+    """``_Kind.changes`` bounds the colors of the cells a kind's result
+    changes; a kind with it or with a ``GROWS`` class never raises, so
+    a candidate verification holds back by them is never inapplicable."""
+
+    def test_recorded_kinds(self):
+        recorded = {kind: spec.changes for kind, spec in _KINDS.items() if spec.changes}
+        assert recorded == {
+            "symmetry_complete": (("bg",), None),
+            "recolor": (("src",), ("dst",)),
+            "delete_object": (None, ("bg",)),
+            "cavity_fill": (None, ("color",)),
+            "gravity_shift": (("bg", "sel"), ("bg", "sel")),
+            "draw_bbox_border": (None, ("color",)),
+            "connect_objects": (("bg",), ("color",)),
+        }
+
+    def test_resolution(self):
+        g = Grid.from_rows([[0, 0, 1], [0, 2, 2], [0, 0, 0]])
+        scene = Scene(g)
+        key = pattern_key(make_pattern("recolor", src=2, dst=5))
+        assert changed_colors(key, scene) == ({2}, {5})
+        key = pattern_key(make_pattern("gravity_shift", Selector("color", 2), dir="up"))
+        assert changed_colors(key, scene) == ({0, 2}, {0, 2})
+        # "sel" says nothing under a selector other than color=c.
+        key = pattern_key(make_pattern("gravity_shift", Selector("size_rank", 0), dir="up"))
+        assert changed_colors(key, scene) == (None, None)
+        key = pattern_key(make_pattern("connect_objects", color=7))
+        assert changed_colors(key, scene) == ({0}, {7})
+        assert changed_colors(pattern_key(make_pattern("translate", dx=1, dy=0)), scene) is None
+        assert changed_colors(pattern_key(make_pattern("rotate90")), scene) is None
+        # Keys that name no valid pattern of a recorded kind give no fact.
+        assert changed_colors(("recolor", (1,), ("all", None)), scene) is None
+        assert changed_colors(("no_such_kind", (), ("all", None)), scene) is None
+
+    @given(
+        grids(max_side=8, colors=4),
+        st.sampled_from((4, 8)),
+        valid_patterns(st.sampled_from(_FACT_KINDS)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_changed_cells_keep_to_the_record(self, g, connectivity, p):
+        # No exception is caught: a kind that may raise must not carry
+        # either fact.
+        scene = Scene(g, connectivity)
+        out = apply_pattern(p, scene)
+        colors = changed_colors(pattern_key(p), scene)
+        if colors is None or out.dims != g.dims:
+            return
+        held, wanted = colors
+        for a, b in _changed(g, out):
+            assert held is None or a in held
+            assert wanted is None or b in wanted
+
+    def test_degenerate_scenes_never_raise(self):
+        # The shapes and contents that make the other kinds raise: one
+        # cell, one row, an odd side, no content, no object of a color.
+        scenes = [
+            [[0]],
+            [[3]],
+            [[1, 0, 1, 0, 1]],
+            [[0], [2], [0]],
+            [[0, 0, 0], [0, 0, 0]],
+            [[1, 1], [2, 2], [1, 1]],
+        ]
+        values = {"color": (0, 1, 5), "direction": DIRECTIONS, "axis": AXES}
+        selectors = [Selector("all"), Selector("color", 1), Selector("color", 7),
+                     Selector("size_rank", 0), Selector("size_rank", 4), Selector("cavities", 1)]
+        for rows in scenes:
+            for connectivity in (4, 8):
+                scene = Scene(Grid.from_rows(rows), connectivity)
+                for kind in _FACT_KINDS:
+                    spec = _KINDS[kind]
+                    for params in itertools.product(*(values[tag] for _, tag in spec.signature)):
+                        for sel in selectors if spec.takes_selector else selectors[:1]:
+                            p = make_pattern(kind, sel, **dict(zip(spec.names, params)))
+                            assert isinstance(apply_pattern(p, scene), Grid)
 
 
 class TestSerialization:
