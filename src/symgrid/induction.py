@@ -233,6 +233,10 @@ class _Diff:
         self.distance = len(held)
 
     @lazy
+    def background(self) -> int:
+        return self.scene.background
+
+    @lazy
     def ruled_out(self) -> set[str]:
         """The ``GROWS`` classes whose candidates the color counts rule
         out: such a candidate can be neither exact nor partial.
@@ -257,7 +261,7 @@ class _Diff:
         wanted = self.wanted_colors
         if not wanted.isdisjoint(self.held_colors):
             return set()
-        return {"none"} if self.scene.background in wanted else {"none", "background"}
+        return {"none"} if self.background in wanted else {"none", "background"}
 
     @lazy
     def barred(self) -> set[str]:
@@ -276,7 +280,21 @@ class _Diff:
         gained = {c for c in self.wanted_colors if wanted.count(c) > held.count(c)}
         if not gained:
             return set()
-        return {"none"} if gained == {self.scene.background} else {"none", "background"}
+        return {"none"} if gained == {self.background} else {"none", "background"}
+
+    def cannot_be_exact(self, keys: Iterable[PatternKey]) -> list[PatternKey]:
+        """The keys that ``may_be_exact`` marks, in order, leaving out the
+        ones ``ruled_out`` covers: ``detect_unit_patterns`` drops those
+        unapplied, as neither exact nor partial."""
+        if not self.held:
+            return []
+        ruled_out = self.ruled_out
+        may_be_exact = self.may_be_exact
+        return [
+            key
+            for key in keys
+            if GROWS.get(key[0], "any") not in ruled_out and not may_be_exact(key)
+        ]
 
     def may_be_exact(self, key: PatternKey) -> bool:
         """False when the differing cells show that ``key`` cannot give
@@ -296,7 +314,7 @@ class _Diff:
         grows = GROWS.get(key[0], "any")
         if grows != "any" and grows in self.barred:
             return False
-        colors = changed_colors(key, self.scene)
+        colors = changed_colors(key, self.background)
         if colors is None:
             return True
         held, wanted = colors
@@ -510,8 +528,8 @@ def _verify(
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
     and ``support``. Given ``held_from``, a candidate kept as partial
     there is skipped from the next position in ``order`` on, and one that
-    ``diffs[k]`` shows cannot be exact there is skipped from that position
-    on, unapplied (and unbuilt, so a key that names no valid pattern
+    ``diffs[k]`` shows cannot be exact there (``_Diff.cannot_be_exact``)
+    is skipped from that position on, unapplied (and unbuilt, so a key that names no valid pattern
     raises only if it is verified later); the position is recorded, and
     the keys skipped unapplied are returned.
 
@@ -537,7 +555,7 @@ def _verify(
         reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
         diff = diffs[k]
         if held_from is not None and reachable and diff.held:
-            barred = [key for key in reachable if not diff.may_be_exact(key)]
+            barred = diff.cannot_be_exact(reachable)
             for key in barred:
                 del reachable[key]
                 held_from[key] = i

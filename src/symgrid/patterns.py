@@ -743,7 +743,7 @@ class _Kind:
         object.__setattr__(self, "change_slots", slots)
 
 
-_BG, _SEL = -1, -2  # ``_Kind.change_slots`` for "bg" and "sel"
+_BG, _SEL = -1, -2  # ``_Kind.change_slots`` for "bg" and "sel" (see ``changed_colors``)
 
 
 _AXIS = (("axis", "axis"),)
@@ -799,36 +799,29 @@ _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
 
 
 def changed_colors(
-    key: PatternKey, scene: Scene
+    key: PatternKey, background: int
 ) -> tuple[set[int] | None, set[int] | None] | None:
-    """The colors a cell that ``key``'s result changes on ``scene`` may
-    hold in the input and in the result, by ``_Kind.changes`` (None for
-    a side that may be any color), or None when the kind gives no such
-    fact or the key has the wrong number of values for it."""
-    kind, values, sel = key
+    """The colors a cell that ``key``'s result changes on a grid with
+    ``background`` may hold in the input and in the result, by
+    ``_Kind.changes`` (None for a side that may be any color), or None
+    when the kind gives no such fact or the key has the wrong number of
+    values for it."""
+    kind, values, (sel_kind, sel_value) = key
     spec = _KINDS.get(kind)
     if spec is None or spec.change_slots is None or len(values) != len(spec.names):
         return None
+    # ``_SEL`` and ``_BG`` index the last two entries.
+    pick = (*values, sel_value if sel_kind == "color" else None, background).__getitem__
     held, wanted = spec.change_slots
-    return _colors(held, values, sel, scene), _colors(wanted, values, sel, scene)
-
-
-def _colors(
-    slots: tuple[int, ...] | None, values: tuple, sel: tuple[str, int | None], scene: Scene
-) -> set[int] | None:
-    if slots is None:
-        return None
-    colors = set()
-    for i in slots:
-        if i >= 0:
-            colors.add(values[i])
-        elif i == _BG:
-            colors.add(scene.background)
-        elif sel[0] == "color":
-            colors.add(sel[1])
-        else:
-            return None  # "sel" under another selector: any color
-    return colors
+    if held is not None:
+        held = set(map(pick, held))
+        if None in held:  # "sel" under another selector: any color
+            held = None
+    if wanted is not None:
+        wanted = set(map(pick, wanted))
+        if None in wanted:
+            wanted = None
+    return held, wanted
 
 
 def synthesize_hint(p: UnitPattern) -> str:

@@ -537,6 +537,22 @@ class TestExactnessFacts:
         assert {"reflect_h", "rotate180", "gravity_shift", "recolor", "draw_bbox_border",
                 "connect_objects", "symmetry_complete", "cavity_fill"} <= set(marked)
 
+    def test_ruled_out_keys_are_left_to_detect(self):
+        # One cell turns 1 into 2: no color is both held and wanted, so the
+        # color counts rule reflect_h out (dropped unapplied, with a verdict
+        # of its own); recolor(1, 3) is only held back.
+        gin = Grid.from_rows([[1, 0], [0, 0]])
+        gout = Grid.from_rows([[2, 0], [0, 0]])
+        diff = induction._Diff(Scene(gin), gout)
+        keys = [
+            pattern_key(parse_pattern(line))
+            for line in ("reflect_h()@all", "recolor(src=1,dst=3)@all", "recolor(src=1,dst=2)@all")
+        ]
+        assert [diff.may_be_exact(key) for key in keys] == [False, False, True]
+        assert diff.ruled_out == {"none", "background"}
+        assert diff.cannot_be_exact(keys) == keys[1:2]
+        assert induction._Diff(Scene(gin), gin).cannot_be_exact(keys) == []
+
     def test_diff_matches_pixel_distance(self):
         for _, task, _ in generate_suite(seed=1007, n_planted=20, n_noise=5):
             for gin, gout in task.train:

@@ -653,19 +653,19 @@ class TestChangedColorsFact:
         g = Grid.from_rows([[0, 0, 1], [0, 2, 2], [0, 0, 0]])
         scene = Scene(g)
         key = pattern_key(make_pattern("recolor", src=2, dst=5))
-        assert changed_colors(key, scene) == ({2}, {5})
+        assert changed_colors(key, scene.background) == ({2}, {5})
         key = pattern_key(make_pattern("gravity_shift", Selector("color", 2), dir="up"))
-        assert changed_colors(key, scene) == ({0, 2}, {0, 2})
+        assert changed_colors(key, scene.background) == ({0, 2}, {0, 2})
         # "sel" says nothing under a selector other than color=c.
         key = pattern_key(make_pattern("gravity_shift", Selector("size_rank", 0), dir="up"))
-        assert changed_colors(key, scene) == (None, None)
+        assert changed_colors(key, scene.background) == (None, None)
         key = pattern_key(make_pattern("connect_objects", color=7))
-        assert changed_colors(key, scene) == ({0}, {7})
-        assert changed_colors(pattern_key(make_pattern("translate", dx=1, dy=0)), scene) is None
-        assert changed_colors(pattern_key(make_pattern("rotate90")), scene) is None
-        # Keys that name no valid pattern of a recorded kind give no fact.
-        assert changed_colors(("recolor", (1,), ("all", None)), scene) is None
-        assert changed_colors(("no_such_kind", (), ("all", None)), scene) is None
+        assert changed_colors(key, scene.background) == ({0}, {7})
+        assert changed_colors(pattern_key(make_pattern("translate", dx=1, dy=0)), 0) is None
+        assert changed_colors(pattern_key(make_pattern("rotate90")), 0) is None
+        # Keys of the wrong length for a recorded kind, or of no kind, give no fact.
+        assert changed_colors(("recolor", (1,), ("all", None)), 0) is None
+        assert changed_colors(("no_such_kind", (), ("all", None)), 0) is None
 
     @given(
         grids(max_side=8, colors=4),
@@ -678,7 +678,7 @@ class TestChangedColorsFact:
         # either fact.
         scene = Scene(g, connectivity)
         out = apply_pattern(p, scene)
-        colors = changed_colors(pattern_key(p), scene)
+        colors = changed_colors(pattern_key(p), scene.background)
         if colors is None or out.dims != g.dims:
             return
         held, wanted = colors
