@@ -35,7 +35,7 @@ from .patterns import (
     as_scene,
     build_pattern,
     canonical_key,
-    changed_colors,
+    may_change,
     parse_pattern,
     pattern_key,
     synthesize_hint,
@@ -232,14 +232,9 @@ class _Diff:
         self.held_colors, self.wanted_colors = set(held), set(wanted)
         self.distance = len(held)
 
-    @lazy
-    def background(self) -> int:
-        return self.scene.background
-
-    @lazy
-    def ruled_out(self) -> set[str]:
-        """The ``GROWS`` classes whose candidates the color counts rule
-        out: such a candidate can be neither exact nor partial.
+    def rules_out(self, grows: str) -> bool:
+        """Whether the color counts show that a candidate of a kind of
+        ``GROWS`` class ``grows`` can be neither exact nor partial here.
 
         When no color is both held and wanted, each differing cell turns
         a held color into a wanted one, so the output has as many more
@@ -256,52 +251,40 @@ class _Diff:
         candidate may still be exact, or when the shapes differ: the
         input's distance then exceeds the output's cell count.
         """
-        if not self.held:  # equal grids, or shapes that differ
-            return set()
-        wanted = self.wanted_colors
-        if not wanted.isdisjoint(self.held_colors):
-            return set()
-        return {"none"} if self.background in wanted else {"none", "background"}
+        if grows == "any" or not self.held or not self.held_colors.isdisjoint(self.wanted_colors):
+            return False
+        return grows == "none" or self.scene.background not in self.wanted_colors
 
     @lazy
-    def barred(self) -> set[str]:
-        """The ``GROWS`` classes whose candidates cannot be exact here.
-
-        A kind's result holds no more cells than the input of any color
-        outside its ``GROWS`` class, so it cannot be exact when the output
-        holds more cells of such a color. The cells that do not differ
-        cancel out, so counting the held and wanted colors is enough. On
-        a same-shape pair, a kind that grows no color (the reflections
-        and rotations) therefore needs the input's color counts.
-        """
-        if not self.held:  # equal grids, or shapes that differ
-            return set()
+    def gained(self) -> set[int]:
+        """The colors the output holds more cells of than the input. The
+        cells that do not differ cancel out, so counting the held and
+        wanted colors is enough."""
         held, wanted = self.held, self.wanted
-        gained = {c for c in self.wanted_colors if wanted.count(c) > held.count(c)}
-        if not gained:
-            return set()
-        return {"none"} if gained == {self.background} else {"none", "background"}
+        return {c for c in self.wanted_colors if wanted.count(c) > held.count(c)}
 
     def cannot_be_exact(self, keys: Iterable[PatternKey]) -> list[PatternKey]:
         """The keys that ``may_be_exact`` marks, in order, leaving out the
-        ones ``ruled_out`` covers: ``detect_unit_patterns`` drops those
+        ones ``rules_out`` covers: ``detect_unit_patterns`` drops those
         unapplied, as neither exact nor partial."""
         if not self.held:
             return []
-        ruled_out = self.ruled_out
-        may_be_exact = self.may_be_exact
         return [
             key
             for key in keys
-            if GROWS.get(key[0], "any") not in ruled_out and not may_be_exact(key)
+            if not self.may_be_exact(key) and not self.rules_out(GROWS.get(key[0], "any"))
         ]
 
     def may_be_exact(self, key: PatternKey) -> bool:
         """False when the differing cells show that ``key`` cannot give
-        the output on this pair, from facts of its kind's semantics: a
-        kind that only moves cells (``GROWS`` "none") keeps the color
-        counts, and ``patterns.changed_colors`` bounds the colors of the
-        cells a kind changes.
+        the output on this pair, from facts of its kind's semantics.
+
+        A kind's result holds no more cells than the input of any color
+        outside its ``GROWS`` class, so it cannot be exact when the output
+        holds more cells of such a color: a kind that grows no color (the
+        reflections and rotations) needs the input's color counts. And
+        ``patterns.may_change`` bounds the colors of the cells a kind
+        changes.
 
         None of the kinds either fact covers raises
         PatternApplicationError, so a key this marks applies without
@@ -312,15 +295,10 @@ class _Diff:
         if not self.held:  # equal grids, or shapes that differ
             return True
         grows = GROWS.get(key[0], "any")
-        if grows != "any" and grows in self.barred:
-            return False
-        colors = changed_colors(key, self.background)
-        if colors is None:
-            return True
-        held, wanted = colors
-        return (held is None or self.held_colors <= held) and (
-            wanted is None or self.wanted_colors <= wanted
-        )
+        if grows != "any" and self.gained:
+            if grows == "none" or self.gained - {self.scene.background}:
+                return False
+        return may_change(key, self.held_colors, self.wanted_colors, self.scene)
 
 
 def detect_unit_patterns(
@@ -342,7 +320,7 @@ def detect_unit_patterns(
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
     applied when the color counts show it can be neither exact nor
-    partial (``_Diff.ruled_out``). ``diff`` is the pair's ``_Diff``,
+    partial (``_Diff.rules_out``). ``diff`` is the pair's ``_Diff``,
     as ``induce`` shares it; without one, this call reads the pair.
     """
     gin, gout = pair
@@ -353,7 +331,7 @@ def detect_unit_patterns(
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
         grows = GROWS.get(key[0], "any")
-        if grows != "any" and grows in diff.ruled_out:
+        if grows != "any" and diff.rules_out(grows):
             continue
         if pattern is None:
             pattern = build_pattern(key)
@@ -456,10 +434,11 @@ def induce(
 
     Each train input gets one Scene, shared by collection, verification
     and intersection, so it is segmented at most once, and each pair one
-    ``_Diff``, shared by both verification rounds below, so its differing
-    cells are read once. Every pair's candidates are collected first, in
-    pair order, through one memo of the task's pattern lines, so each
-    distinct line is parsed once (the memo lives for this call only).
+    ``_Diff``, built when the pair is first verified and shared by both
+    verification rounds below, so its differing cells are read once.
+    Every pair's candidates are collected first, in pair order, through
+    one memo of the task's pattern lines, so each distinct line is parsed
+    once (the memo lives for this call only).
     The pairs are then verified from the smallest input (fewest cells)
     up, ties in pair order. A candidate is applied on a pair only if it
     is in that pair's list, so its support can never exceed its support
@@ -489,7 +468,7 @@ def induce(
     n = len(pairs)
     memo: dict[str, tuple[UnitPattern, PatternKey] | str] = {}  # this task's lines
     collected = [collect_candidates(p, proposer, budget, connectivity, memo) for p in pairs]
-    diffs = [_Diff(scene, gout) for scene, gout in pairs]
+    diffs: list[_Diff | None] = [None] * n  # built by ``_verify`` when first needed
     cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
     order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
     per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
@@ -516,7 +495,7 @@ def induce(
 
 def _verify(
     pairs: list[tuple[Scene, Grid]],
-    diffs: list[_Diff],
+    diffs: list[_Diff | None],
     order: list[int],
     lists: list[dict[PatternKey, UnitPattern | None]],
     support: Counter[PatternKey],
@@ -526,12 +505,13 @@ def _verify(
 ) -> set[PatternKey]:
     """Verify ``lists[k]`` on ``pairs[k]`` for k in ``order``, under
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
-    and ``support``. Given ``held_from``, a candidate kept as partial
+    and ``support``; ``diffs[k]`` is built when pair k first has a
+    candidate to verify. Given ``held_from``, a candidate kept as partial
     there is skipped from the next position in ``order`` on, and one that
     ``diffs[k]`` shows cannot be exact there (``_Diff.cannot_be_exact``)
-    is skipped from that position on, unapplied (and unbuilt, so a key that names no valid pattern
-    raises only if it is verified later); the position is recorded, and
-    the keys skipped unapplied are returned.
+    is skipped from that position on, unapplied (and unbuilt, so a key
+    that names no valid pattern raises only if it is verified later); the
+    position is recorded, and the keys skipped unapplied are returned.
 
     The bound is kept in integers. ``need`` is the least support m with
     ``m / n + 1e-9 >= threshold``, ``intersect_patterns``' test (n + 1
@@ -553,8 +533,12 @@ def _verify(
     for i, k in enumerate(order):
         candidates = lists[k]
         reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
+        if not reachable:
+            continue
         diff = diffs[k]
-        if held_from is not None and reachable and diff.held:
+        if diff is None:
+            diff = diffs[k] = _Diff(*pairs[k])
+        if held_from is not None and diff.held:
             barred = diff.cannot_be_exact(reachable)
             for key in barred:
                 del reachable[key]

@@ -16,7 +16,7 @@ module: its parameter signature, whether it takes an object selector,
 its forward semantics, its hint template, which colors its result may
 hold more cells of than the input, and which colors the cells it changes
 may hold. ``KIND_ORDER``, ``OBJECT_KINDS``, ``GROWS``,
-``changed_colors``, validation, serialization, ``apply_pattern`` and
+``may_change``, validation, serialization, ``apply_pattern`` and
 ``synthesize_hint`` all read that table. Each parameter type named in a
 signature (``int``, ``positive``, ``color``, ``factor``, ``axis``,
 ``direction``, ``colormap``) is one record of the ``_TAGS`` table: one
@@ -743,7 +743,7 @@ class _Kind:
         object.__setattr__(self, "change_slots", slots)
 
 
-_BG, _SEL = -1, -2  # ``_Kind.change_slots`` for "bg" and "sel" (see ``changed_colors``)
+_BG, _SEL = -1, -2  # ``_Kind.change_slots`` for "bg" and "sel"
 
 
 _AXIS = (("axis", "axis"),)
@@ -798,30 +798,30 @@ GROWS = {name: k.grows for name, k in _KINDS.items()}  # see ``_Kind.grows``
 _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
 
 
-def changed_colors(
-    key: PatternKey, background: int
-) -> tuple[set[int] | None, set[int] | None] | None:
-    """The colors a cell that ``key``'s result changes on a grid with
-    ``background`` may hold in the input and in the result, by
-    ``_Kind.changes`` (None for a side that may be any color), or None
-    when the kind gives no such fact or the key has the wrong number of
-    values for it."""
+def may_change(key: PatternKey, held: set[int], wanted: set[int], scene: Scene) -> bool:
+    """Whether ``key``'s result on ``scene`` may turn cells of the colors
+    ``held`` into cells of the colors ``wanted``, by ``_Kind.changes``:
+    False when a side of the record leaves out one of them; True when the
+    kind gives no such fact or the key has the wrong number of values for
+    it. The background is read only for a side naming it that has room
+    for every color. An object kind reads it off the scene's perception,
+    which applying the key would compute anyway, rather than counting the
+    grid's colors once more."""
     kind, values, (sel_kind, sel_value) = key
     spec = _KINDS.get(kind)
     if spec is None or spec.change_slots is None or len(values) != len(spec.names):
-        return None
-    # ``_SEL`` and ``_BG`` index the last two entries.
-    pick = (*values, sel_value if sel_kind == "color" else None, background).__getitem__
-    held, wanted = spec.change_slots
-    if held is not None:
-        held = set(map(pick, held))
-        if None in held:  # "sel" under another selector: any color
-            held = None
-    if wanted is not None:
-        wanted = set(map(pick, wanted))
-        if None in wanted:
-            wanted = None
-    return held, wanted
+        return True
+    for colors, slots in zip((held, wanted), spec.change_slots):
+        if slots is None or (_SEL in slots and sel_kind != "color"):
+            continue  # any color ("sel" under another selector names none)
+        if len(colors) > len(slots):
+            return False
+        if _BG in slots:
+            bg = scene.perception.background if spec.takes_selector else scene.background
+        allowed = [values[i] if i >= 0 else sel_value if i == _SEL else bg for i in slots]
+        if not colors.issubset(allowed):
+            return False
+    return True
 
 
 def synthesize_hint(p: UnitPattern) -> str:

@@ -549,7 +549,8 @@ class TestExactnessFacts:
             for line in ("reflect_h()@all", "recolor(src=1,dst=3)@all", "recolor(src=1,dst=2)@all")
         ]
         assert [diff.may_be_exact(key) for key in keys] == [False, False, True]
-        assert diff.ruled_out == {"none", "background"}
+        assert diff.rules_out("none") and diff.rules_out("background")
+        assert not diff.rules_out("any")
         assert diff.cannot_be_exact(keys) == keys[1:2]
         assert induction._Diff(Scene(gin), gin).cannot_be_exact(keys) == []
 

@@ -26,7 +26,7 @@ from symgrid import (
     pattern_key,
     segment,
 )
-from symgrid.patterns import AXES, DIRECTIONS, GROWS, OBJECT_KINDS, _KINDS, changed_colors
+from symgrid.patterns import AXES, DIRECTIONS, GROWS, OBJECT_KINDS, _KINDS, may_change
 from conftest import grids, random_grid
 
 
@@ -650,22 +650,51 @@ class TestChangedColorsFact:
         }
 
     def test_resolution(self):
-        g = Grid.from_rows([[0, 0, 1], [0, 2, 2], [0, 0, 0]])
+        g = Grid.from_rows([[0, 0, 1], [0, 2, 2], [0, 0, 0]])  # background 0
         scene = Scene(g)
-        key = pattern_key(make_pattern("recolor", src=2, dst=5))
-        assert changed_colors(key, scene.background) == ({2}, {5})
-        key = pattern_key(make_pattern("gravity_shift", Selector("color", 2), dir="up"))
-        assert changed_colors(key, scene.background) == ({0, 2}, {0, 2})
+        recolor = pattern_key(make_pattern("recolor", src=2, dst=5))
+        assert may_change(recolor, {2}, {5}, scene)
+        assert not may_change(recolor, {2, 1}, {5}, scene)
+        assert not may_change(recolor, {2}, {0}, scene)
+        gravity = pattern_key(make_pattern("gravity_shift", Selector("color", 2), dir="up"))
+        assert may_change(gravity, {0, 2}, {2, 0}, scene)
+        assert not may_change(gravity, {0, 1}, {2}, scene)
+        assert not may_change(gravity, {0, 1, 2}, {2}, scene)
         # "sel" says nothing under a selector other than color=c.
-        key = pattern_key(make_pattern("gravity_shift", Selector("size_rank", 0), dir="up"))
-        assert changed_colors(key, scene.background) == (None, None)
-        key = pattern_key(make_pattern("connect_objects", color=7))
-        assert changed_colors(key, scene.background) == ({0}, {7})
-        assert changed_colors(pattern_key(make_pattern("translate", dx=1, dy=0)), 0) is None
-        assert changed_colors(pattern_key(make_pattern("rotate90")), 0) is None
-        # Keys of the wrong length for a recorded kind, or of no kind, give no fact.
-        assert changed_colors(("recolor", (1,), ("all", None)), 0) is None
-        assert changed_colors(("no_such_kind", (), ("all", None)), 0) is None
+        gravity = pattern_key(make_pattern("gravity_shift", Selector("size_rank", 0), dir="up"))
+        assert may_change(gravity, {1, 3, 5}, {4, 6}, scene)
+        connect = pattern_key(make_pattern("connect_objects", color=7))
+        assert may_change(connect, {0}, {7}, scene)
+        assert not may_change(connect, {1}, {7}, scene)
+        assert not may_change(connect, {0}, {7, 0}, scene)
+        delete = pattern_key(make_pattern("delete_object", Selector("color", 1)))
+        assert may_change(delete, {1, 2}, {0}, scene)
+        assert not may_change(delete, {1}, {3}, scene)
+        # No fact: a kind without a record, a key of the wrong length for a
+        # recorded kind, or of no kind.
+        for key in (
+            pattern_key(make_pattern("translate", dx=1, dy=0)),
+            pattern_key(make_pattern("rotate90")),
+            ("recolor", (1,), ("all", None)),
+            ("no_such_kind", (), ("all", None)),
+        ):
+            assert may_change(key, {1, 2, 3}, {4, 5, 6}, scene)
+
+    def test_background_read_only_when_needed(self):
+        # delete_object wants one color, the background: two wanted colors
+        # settle it without reading the background, one does not. An
+        # object kind reads it off the perception, a whole-grid kind
+        # counts the colors.
+        scene = Scene(Grid.from_rows([[0, 1], [1, 0]]))
+        delete = pattern_key(make_pattern("delete_object"))
+        assert not may_change(delete, {1}, {0, 2}, scene)
+        assert scene._background is None and scene._perception is None
+        assert may_change(delete, {1}, {0}, scene)
+        assert scene._perception is not None and scene.background == 0
+        scene = Scene(Grid.from_rows([[0, 1], [1, 0]]))
+        symmetry = pattern_key(make_pattern("symmetry_complete", axis="h"))
+        assert may_change(symmetry, {0}, {1}, scene)
+        assert scene._background == 0 and scene._perception is None
 
     @given(
         grids(max_side=8, colors=4),
@@ -678,13 +707,11 @@ class TestChangedColorsFact:
         # either fact.
         scene = Scene(g, connectivity)
         out = apply_pattern(p, scene)
-        colors = changed_colors(pattern_key(p), scene.background)
-        if colors is None or out.dims != g.dims:
+        if out.dims != g.dims:
             return
-        held, wanted = colors
-        for a, b in _changed(g, out):
-            assert held is None or a in held
-            assert wanted is None or b in wanted
+        changed = _changed(g, out)
+        held, wanted = {a for a, _ in changed}, {b for _, b in changed}
+        assert may_change(pattern_key(p), held, wanted, scene)
 
     def test_degenerate_scenes_never_raise(self):
         # The shapes and contents that make the other kinds raise: one
@@ -698,14 +725,21 @@ class TestChangedColorsFact:
             [[1, 1], [2, 2], [1, 1]],
         ]
         values = {"color": (0, 1, 5), "direction": DIRECTIONS, "axis": AXES}
-        selectors = [Selector("all"), Selector("color", 1), Selector("color", 7),
-                     Selector("size_rank", 0), Selector("size_rank", 4), Selector("cavities", 1)]
+        selectors = [
+            Selector("all"),
+            Selector("color", 1),
+            Selector("color", 7),
+            Selector("size_rank", 0),
+            Selector("size_rank", 4),
+            Selector("cavities", 1),
+        ]
         for rows in scenes:
             for connectivity in (4, 8):
                 scene = Scene(Grid.from_rows(rows), connectivity)
                 for kind in _FACT_KINDS:
                     spec = _KINDS[kind]
-                    for params in itertools.product(*(values[tag] for _, tag in spec.signature)):
+                    tags = [tag for _, tag in spec.signature]
+                    for params in itertools.product(*(values[tag] for tag in tags)):
                         for sel in selectors if spec.takes_selector else selectors[:1]:
                             p = make_pattern(kind, sel, **dict(zip(spec.names, params)))
                             assert isinstance(apply_pattern(p, scene), Grid)
