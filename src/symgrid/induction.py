@@ -207,8 +207,9 @@ class _Diff:
     per differing cell). ``distance`` is their count, the input's
     ``pixel_distance`` from the output; when the shapes differ it is
     that function's shape-mismatch score, and held and wanted are None.
-    ``induce`` builds one per train pair and call, and both of its
-    verification rounds read it.
+    ``held_colors`` and ``wanted_colors`` are their sets. ``induce``
+    builds one per train pair and call, and both of its verification
+    rounds read it.
     """
 
     def __init__(self, scene: Scene, gout: Grid) -> None:
@@ -438,9 +439,9 @@ def induce(
     verification rounds below, so its differing cells are read once.
     Every pair's candidates are collected first, in pair order, through
     one memo of the task's pattern lines, so each distinct line is parsed
-    once (the memo lives for this call only).
-    The pairs are then verified from the smallest input (fewest cells)
-    up, ties in pair order. A candidate is applied on a pair only if it
+    once (the memo lives for this call only). The pairs are then
+    verified from the smallest input (fewest cells) up, ties in pair
+    order. A candidate is applied on a pair only if it
     is in that pair's list, so its support can never exceed its support
     on the pairs verified so far plus the pairs still to verify whose
     lists hold it. Each pair verifies only the candidates for which that
