@@ -35,14 +35,14 @@ from pathlib import Path
 
 from .config import MAX_SAMPLE_GRIDS
 from .errors import BackendError
+from .grid import encode_markdown
 
 # The largest response body read: room for thousands of pattern lines or
 # 30x30 sample grids. A longer body is a BackendError, like a bad one.
 MAX_BODY_BYTES = 4 << 20
 
-
-def _canonical(request: dict) -> str:
-    return json.dumps(request, sort_keys=True, separators=(",", ":"))
+# A request's replay key; one stateless encoder, not one per json.dumps call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -201,8 +201,6 @@ class RemotePatternProposer:
     backend: RemoteBackend
 
     def propose(self, scene, output, budget: int) -> list[str]:
-        from .grid import encode_markdown
-
         return self.backend.propose(
             encode_markdown(scene.grid), encode_markdown(output), budget
         )

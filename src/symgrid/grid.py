@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import operator
-import re
 from dataclasses import dataclass
 
 from .errors import GridValidationError, MarkdownError, TaskFormatError
@@ -236,16 +235,18 @@ def encode_markdown(g: Grid) -> str:
     """Render a grid as a markdown-style table, one row per line.
 
     Cells are single digits separated by `|`, with leading and trailing
-    `|` per row and no header. Deterministic; `\\n` joins rows.
+    `|` per row and no header. Deterministic; `\\n` joins rows. The rows,
+    joined as bytes and translated to digits, fill the odd bytes of one buffer.
     """
-    digits = _DIGITS
-    return "\n".join(["|" + "|".join([digits[v] for v in row]) + "|" for row in g.rows])
+    cells = b"\n".join(map(bytes, g.rows)).translate(_DIGIT_CHARS)
+    table = bytearray(b"|" * (2 * len(cells) + 1))
+    table[1::2] = cells
+    return table.decode()
 
 
 # The ten ASCII digits only: str.isdigit() is also true for "\u00b2" and "\u0663".
 _DIGITS = tuple(str(v) for v in range(NUM_COLORS))
-# Rows of one-digit cells, one a line; [0-9], since \d also matches other digits.
-_DIGIT_ROWS = re.compile(r"\|(?:[0-9]\|)+(?:\n\|(?:[0-9]\|)+)*")
+_DIGIT_CHARS = bytes.maketrans(bytes(range(NUM_COLORS)), b"0123456789")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(NUM_COLORS)))
 
 
@@ -256,30 +257,31 @@ def decode_markdown(text: str) -> Grid:
     Ragged rows raise MarkdownError (shape); a cell other than one of the
     ASCII digits 0-9 raises MarkdownError naming row and column.
 
-    A valid table is exactly one that ``_DIGIT_ROWS`` matches with every
-    line of the first line's length and both sides at most 30; it is
-    decoded a row at a time. Any other text is refused, with the error
-    ``_markdown_fault`` names.
+    A valid table is ASCII, its even bytes are `|`, its odd bytes digits
+    or the `\\n` ending a line, and its lines, at most 30, have one odd
+    length from 3 to 61. It is checked and decoded on the whole buffer;
+    any other text is refused, with the error ``_markdown_fault`` names.
     """
     if not isinstance(text, str):
         raise MarkdownError("expected text")
-    if text.endswith("\n"):
-        text = text[:-1]
+    text = text.removesuffix("\n")
     if not text:
         raise MarkdownError("empty table")
-    lines = text.split("\n")
-    if not (
-        len(lines) <= MAX_SIDE
-        and len(lines[0]) <= 2 * MAX_SIDE + 1
-        and _DIGIT_ROWS.fullmatch(text)
-        and len(set(map(len, lines))) == 1
-    ):
-        raise _markdown_fault(lines)
-    # The odd characters of each row are its cells; the checks above are
-    # Grid.__post_init__'s, so the rows need no second pass.
-    return Grid._trusted(
-        tuple([tuple(line[1::2].encode().translate(_DIGIT_VALUES)) for line in lines])
-    )
+    if text.isascii():
+        table = text.encode()
+        cells = table[1::2]
+        rows = cells.translate(_DIGIT_VALUES).split(b"\n")
+        # With no `|` among the odd bytes, one `|` more puts one at every even
+        # byte. Grid.__post_init__'s checks are here, so no second pass.
+        if (
+            len(rows) <= MAX_SIDE
+            and 0 < len(rows[0]) <= MAX_SIDE
+            and len(set(map(len, rows))) == 1
+            and not cells.translate(None, b"0123456789\n")
+            and table.count(b"|") == len(cells) + 1
+        ):
+            return Grid._trusted(tuple(map(tuple, rows)))
+    raise _markdown_fault(text.split("\n"))
 
 
 def _markdown_fault(lines: list[str]) -> MarkdownError:

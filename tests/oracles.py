@@ -225,8 +225,9 @@ def fraction_vote(cands):
 
 
 def str_encode_markdown(g):
-    """``grid.encode_markdown`` as it was before it mapped cells through a
-    digit table, with ``str(v)`` per cell: the reference for that fast path."""
+    """``grid.encode_markdown`` one cell at a time, with ``str(v)`` per
+    cell: the reference for the byte encoder, which translates all rows
+    at once and writes them between the `|` of one buffer."""
     return "\n".join("|" + "|".join(str(v) for v in row) + "|" for row in g.rows)
 
 
