@@ -271,8 +271,8 @@ def decode_markdown(text: str) -> Grid:
         table = text.encode()
         cells = table[1::2]
         rows = cells.translate(_DIGIT_VALUES).split(b"\n")
-        # With no `|` among the odd bytes, one `|` more puts one at every even
-        # byte. Grid.__post_init__'s checks are here, so no second pass.
+        # One `|` more than odd bytes, none of which is `|`, puts one at every
+        # even byte. These include Grid.__post_init__'s checks, so it is skipped.
         if (
             len(rows) <= MAX_SIDE
             and 0 < len(rows[0]) <= MAX_SIDE

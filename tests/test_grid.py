@@ -294,17 +294,9 @@ def _decode_outcome(decode, text):
 
 
 class TestDecodeAgainstReference:
-    @given(markdown_tables())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(markdown_tables(), near_miss_tables()))
+    @settings(max_examples=700, deadline=None)
     def test_generated_tables(self, text):
-        got = _decode_outcome(decode_markdown, text)
-        assert got == _decode_outcome(_reference_decode, text)
-        if isinstance(got, Grid):
-            assert Grid(got.rows) == got
-
-    @given(near_miss_tables())
-    @settings(max_examples=400, deadline=None)
-    def test_near_miss_tables(self, text):
         got = _decode_outcome(decode_markdown, text)
         assert got == _decode_outcome(_reference_decode, text)
         if isinstance(got, Grid):
