@@ -6,9 +6,9 @@ pluggable proposer: every train pair's candidates are collected first,
 keyed by value (``patterns.pattern_key``), then each one is applied at
 most once to a pair input, and only while the number of pairs that
 propose it can still carry it to the confidence threshold, while the
-input's color counts leave it a chance to match, and, once it has been
-kept as partial or a pair's differing cells show it cannot be exact,
-only if no exact rule survives. A candidate becomes a
+pair's differing cells leave it a chance to match (``_Diff.verdict``),
+and, once it has been kept as partial or that verdict shows it cannot be
+exact, only if no exact rule survives. A candidate becomes a
 (validated) UnitPattern only there, just before it is applied, so the
 many that are never verified are never built. The verdicts are
 intersected across pairs into a confidence-ranked rule set with rendered
@@ -40,7 +40,7 @@ from .patterns import (
     pattern_key,
     synthesize_hint,
 )
-from .perception import GridObject, Perception, lazy
+from .perception import GridObject, Perception
 
 log = logging.getLogger(__name__)
 
@@ -199,6 +199,10 @@ def collect_candidates(
     return candidates
 
 
+# ``_Diff.verdict``'s answers.
+_DROP, _HOLD, _APPLY = "drop", "hold", "apply"
+
+
 class _Diff:
     """What one train pair's differing cells show, read once.
 
@@ -217,6 +221,7 @@ class _Diff:
         grid = scene.grid
         self.held: list[int] | None = None
         self.wanted: list[int] | None = None
+        self.classes = {"any": _APPLY}  # ``by_class``'s verdicts, filled in when first read
         if grid.dims != gout.dims:
             self.distance = pixel_distance(grid, gout)
             return
@@ -233,73 +238,52 @@ class _Diff:
         self.held_colors, self.wanted_colors = set(held), set(wanted)
         self.distance = len(held)
 
-    def rules_out(self, grows: str) -> bool:
-        """Whether the color counts show that a candidate of a kind of
-        ``GROWS`` class ``grows`` can be neither exact nor partial here.
-
-        When no color is both held and wanted, each differing cell turns
-        a held color into a wanted one, so the output has as many more
-        cells of wanted colors than the input as the input's distance. A
-        result with no more cells of any wanted color than the input
-        misses at least that many output cells (or has another shape and
-        is never kept), so it can be neither exact nor partial. That
-        holds for kinds that grow no count, and for kinds that may grow
-        only the background's when the background is not wanted. These
-        are the cases where the color-count floor (the output's cells
-        beyond the input's count, summed over the colors the kind never
-        grows), which never exceeds the input's distance, reaches it.
-        Nothing is ruled out when the input equals the output, where any
-        candidate may still be exact, or when the shapes differ: the
-        input's distance then exceeds the output's cell count.
+    def verdict(self, key: PatternKey) -> str:
+        """``_DROP`` if ``key`` can be neither exact nor partial on this
+        pair, ``_HOLD`` if it cannot be exact, else ``_APPLY`` (always when
+        the input equals the output or the shapes differ): ``by_class``'s
+        verdict for its ``GROWS`` class, held when ``patterns.may_change``
+        shows that the kind cannot turn the held colors into the wanted
+        ones. None of the kinds these facts cover raises
+        PatternApplicationError, so a held key applies without error and
+        yields a grid that is not the output: where it was exact on other
+        pairs, the intersection contradicts it, just as it does a partial.
         """
-        if grows == "any" or not self.held or not self.held_colors.isdisjoint(self.wanted_colors):
-            return False
-        return grows == "none" or self.scene.background not in self.wanted_colors
-
-    @lazy
-    def gained(self) -> set[int]:
-        """The colors the output holds more cells of than the input. The
-        cells that do not differ cancel out, so counting the held and
-        wanted colors is enough."""
-        held, wanted = self.held, self.wanted
-        return {c for c in self.wanted_colors if wanted.count(c) > held.count(c)}
-
-    def cannot_be_exact(self, keys: Iterable[PatternKey]) -> list[PatternKey]:
-        """The keys that ``may_be_exact`` marks, in order, leaving out the
-        ones ``rules_out`` covers: ``detect_unit_patterns`` drops those
-        unapplied, as neither exact nor partial."""
         if not self.held:
-            return []
-        return [
-            key
-            for key in keys
-            if not self.may_be_exact(key) and not self.rules_out(GROWS.get(key[0], "any"))
-        ]
-
-    def may_be_exact(self, key: PatternKey) -> bool:
-        """False when the differing cells show that ``key`` cannot give
-        the output on this pair, from facts of its kind's semantics.
-
-        A kind's result holds no more cells than the input of any color
-        outside its ``GROWS`` class, so it cannot be exact when the output
-        holds more cells of such a color: a kind that grows no color (the
-        reflections and rotations) needs the input's color counts. And
-        ``patterns.may_change`` bounds the colors of the cells a kind
-        changes.
-
-        None of the kinds either fact covers raises
-        PatternApplicationError, so a key this marks applies without
-        error and yields a grid that is not the output: where it was
-        exact on other pairs, the intersection contradicts it, just as
-        it does a partial.
-        """
-        if not self.held:  # equal grids, or shapes that differ
-            return True
+            return _APPLY
         grows = GROWS.get(key[0], "any")
-        if grows != "any" and self.gained:
-            if grows == "none" or self.gained - {self.scene.background}:
-                return False
-        return may_change(key, self.held_colors, self.wanted_colors, self.scene)
+        verdict = _APPLY if grows == "any" else self.by_class(grows)
+        if verdict is _APPLY and not may_change(
+            key, self.held_colors, self.wanted_colors, self.scene
+        ):
+            return _HOLD
+        return verdict
+
+    def by_class(self, grows: str) -> str:
+        """``verdict`` for the keys of ``GROWS`` class ``grows``, before
+        ``may_change``; computed once per class. A kind's result holds no
+        more cells than the input of a color outside its class, so the
+        class is held when the output gained such a color (the cells that
+        do not differ cancel out, so the held and wanted colors are
+        counted). It is dropped when, besides, no color is both held and
+        wanted and the class grows no wanted color (for ``background``,
+        the background is not wanted): then the color-count floor (the
+        output's cells beyond the input's count, summed over the colors
+        the class never grows) reaches the input's distance, so a result
+        misses at least that many output cells (or has another shape).
+        """
+        verdict = self.classes.get(grows)
+        if verdict is None:
+            verdict = _APPLY
+            held, wanted = self.held, self.wanted
+            if held:
+                gained = {c for c in self.wanted_colors if wanted.count(c) > held.count(c)}
+                bg = self.scene.background if gained and grows == "background" else None
+                if gained - {bg}:
+                    disjoint = self.held_colors.isdisjoint(self.wanted_colors)
+                    verdict = _DROP if disjoint and bg not in self.wanted_colors else _HOLD
+            self.classes[grows] = verdict
+        return verdict
 
 
 def detect_unit_patterns(
@@ -321,8 +305,9 @@ def detect_unit_patterns(
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
     applied when the color counts show it can be neither exact nor
-    partial (``_Diff.rules_out``). ``diff`` is the pair's ``_Diff``,
-    as ``induce`` shares it; without one, this call reads the pair.
+    partial: its class's verdict, ``_Diff.by_class``, is ``_DROP``.
+    ``diff`` is the pair's ``_Diff``, as ``induce`` shares it; without
+    one, this call reads the pair.
     """
     gin, gout = pair
     scene = as_scene(gin, connectivity)
@@ -332,7 +317,7 @@ def detect_unit_patterns(
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
         grows = GROWS.get(key[0], "any")
-        if grows != "any" and diff.rules_out(grows):
+        if grows != "any" and diff.by_class(grows) is _DROP:
             continue
         if pattern is None:
             pattern = build_pattern(key)
@@ -453,17 +438,17 @@ def induce(
     Exact rules are looked for first. A candidate kept as partial on a
     pair can never be an exact rule, and ``intersect_patterns`` prunes
     every partial once an exact rule survives, so it is held back on the
-    later pairs rather than applied. A candidate that a pair's diff shows
-    cannot be exact there (``_Diff.may_be_exact``) is held back from that
-    pair on, unapplied: it yields a grid that is not the output there, so
-    it is no exact rule either. It is left out of the first intersection,
-    where it could only be dropped, below threshold or contradicted on
-    that pair. If the rule set of the verdicts so far holds an exact
-    rule, it is the answer: the exact candidates were verified exactly as
-    without holding back. Otherwise the held-back candidates are
-    verified, pair by pair in the same order and under the same bound on
-    their real verdicts, and the verdicts intersected again. No candidate
-    is verified twice on one pair.
+    later pairs rather than applied. A candidate whose ``_Diff.verdict``
+    on a pair is ``_HOLD`` (it cannot be exact there) is held back from
+    that pair on, unapplied: it yields a grid that is not the output
+    there, so it is no exact rule either. It is left out of the first
+    intersection, where it could only be dropped, below threshold or
+    contradicted on that pair. If the rule set of the verdicts so far
+    holds an exact rule, it is the answer: the exact candidates were
+    verified exactly as without holding back. Otherwise the held-back
+    candidates are verified, pair by pair in the same order and under the
+    same bound on their real verdicts, and the verdicts intersected
+    again. No candidate is verified twice on one pair.
     """
     pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
@@ -508,11 +493,11 @@ def _verify(
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
     and ``support``; ``diffs[k]`` is built when pair k first has a
     candidate to verify. Given ``held_from``, a candidate kept as partial
-    there is skipped from the next position in ``order`` on, and one that
-    ``diffs[k]`` shows cannot be exact there (``_Diff.cannot_be_exact``)
-    is skipped from that position on, unapplied (and unbuilt, so a key
-    that names no valid pattern raises only if it is verified later); the
-    position is recorded, and the keys skipped unapplied are returned.
+    there is skipped from the next position in ``order`` on, and one whose
+    ``diffs[k].verdict`` is ``_HOLD`` is skipped from that position on,
+    unapplied (and unbuilt, so a key that names no valid pattern raises
+    only if it is verified later); the position is recorded, and the keys
+    skipped unapplied are returned.
 
     The bound is kept in integers. ``need`` is the least support m with
     ``m / n + 1e-9 >= threshold``, ``intersect_patterns``' test (n + 1
@@ -540,7 +525,7 @@ def _verify(
         if diff is None:
             diff = diffs[k] = _Diff(*pairs[k])
         if held_from is not None and diff.held:
-            barred = diff.cannot_be_exact(reachable)
+            barred = [key for key in reachable if diff.verdict(key) is _HOLD]
             for key in barred:
                 del reachable[key]
                 held_from[key] = i

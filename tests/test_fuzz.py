@@ -6,6 +6,8 @@ each get a few hundred generated inputs, derandomized so that every run
 tries the same ones. Half of each strategy is near-valid input (a task
 with odd cells, a pattern line with a wrong value, a config with a wrong
 type, a table with one bad cell), where the parsers' checks sit.
+Replayed backend replies go the same way through ``induce_with_fallback``
+and ``solve_task``, where a refused reply must also leave its note.
 """
 
 import json
@@ -15,8 +17,20 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from symgrid import KIND_ORDER, SymgridError, decode_markdown, parse_pattern, parse_task
+from symgrid import (
+    KIND_ORDER,
+    BackendError,
+    Grid,
+    SymgridError,
+    decode_markdown,
+    encode_markdown,
+    parse_pattern,
+    parse_task,
+    solve_task,
+)
+from symgrid.backend import RemoteBackend, RemotePatternProposer
 from symgrid.config import load_config
+from symgrid.solver import induce_with_fallback
 
 FUZZ = settings(
     derandomize=True,
@@ -169,3 +183,91 @@ def _tables(draw):
 @FUZZ
 def test_decode_markdown(text):
     _refused_cleanly(decode_markdown, text)
+
+
+@pytest.fixture(scope="module")
+def replay_tasks(tmp_path_factory):
+    """Suite tasks (planted and noise) with their replayed propose lines,
+    and a transcript path."""
+    from conftest import replay_lines
+    from symgrid.taskgen import generate_suite
+
+    suite = generate_suite(seed=1007, n_planted=12, n_noise=4)
+    tasks = [(task, replay_lines(planted)) for _, task, planted in suite]
+    return tasks, tmp_path_factory.mktemp("replay") / "t.jsonl"
+
+
+_ABSENT = object()  # a reply without the field
+
+
+def _field(items):
+    """A reply field: most often a list of ``items``, else any JSON value
+    or absent."""
+    good = st.lists(items, max_size=6)
+    return st.one_of(good, good, good, _JSON, st.just(_ABSENT))
+
+
+_GRID_TEXT = st.one_of(
+    _tables(), _GRID.map(Grid.from_rows).map(encode_markdown), st.text(max_size=8)
+)
+_EXTRA = st.dictionaries(st.sampled_from(["note", "grid", "pattern"]), _JSON, max_size=1)
+
+
+def _replay(path, entries):
+    """A replaying backend answering each (request, (field, value, extra))
+    of ``entries``: ``extra`` with ``value`` under ``field`` unless absent."""
+    lines = [
+        {"request": q, "response": extra if value is _ABSENT else {**extra, field: value}}
+        for q, (field, value, extra) in entries
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return RemoteBackend(transcript_path=str(path))
+
+
+def _refused(value):
+    """Whether the backend refuses a reply holding ``value``: anything but
+    a list of strings (the lists drawn here stay below the sample cap)."""
+    return not (isinstance(value, list) and all(isinstance(v, str) for v in value))
+
+
+@given(data=st.data())
+@FUZZ
+def test_replayed_replies(replay_tasks, data):
+    # Replayed propose replies through ``induce_with_fallback``, then
+    # replayed sample and fallback replies through ``solve_task``: only a
+    # SymgridError may escape, and a reply the backend refuses degrades
+    # the run with its note.
+    tasks, path = replay_tasks
+    task, lines = data.draw(st.sampled_from(tasks))
+    train_md = [{"input": encode_markdown(a), "output": encode_markdown(b)} for a, b in task.train]
+    proposals = st.one_of(st.just(lines), _field(st.one_of(st.sampled_from(lines), _LINE)))
+    entries = [
+        ({"mode": "propose", **pair, "budget": 2000}, ("patterns", data.draw(proposals), e))
+        for pair, e in zip(train_md, [data.draw(_EXTRA) for _ in train_md])
+    ]
+    try:
+        rs, note = induce_with_fallback(task, RemotePatternProposer(_replay(path, entries)))
+        if any(_refused(value) for _, (_, value, _) in entries):
+            assert note.startswith("backend induction failed: ")
+        else:
+            assert note is None
+        entries, grids = [], []
+        for gin, _ in task.test:
+            request = {"mode": "sample", "train": train_md, "test_input": encode_markdown(gin)}
+            sample, fallback = data.draw(_field(_GRID_TEXT)), data.draw(_field(_GRID_TEXT))
+            entries.append(({**request, "hints": list(rs.hints), "samples": 2},
+                            ("grids", sample, data.draw(_EXTRA))))
+            entries.append(({**request, "hints": [], "samples": 1},
+                            ("grids", fallback, data.draw(_EXTRA))))
+            grids.append((sample, fallback))
+        preds = solve_task(task, rs, _replay(path, entries), passes=2, samples=2)
+        for pred, (sample, fallback) in zip(preds, grids):
+            notes = [note.split(":")[0] for note in pred.trace.notes]
+            assert pred.trace.degraded == bool(notes)
+            if _refused(sample):
+                assert notes == ["backend sampling failed"]
+            elif notes:
+                assert notes == ["backend fallback failed"] and _refused(fallback)
+    except SymgridError as e:
+        # A refused reply degrades the run; it never ends it.
+        assert not isinstance(e, BackendError), e

@@ -441,9 +441,9 @@ class TestColorCountBound:
 
 
 def _fact_keys(colors=4):
-    """Every key, over colors below ``colors``, of the kinds that
-    ``_Diff.may_be_exact`` can mark: those with a ``changes`` record or
-    a ``GROWS`` class."""
+    """Every key, over colors below ``colors``, of the kinds to which
+    ``_Diff.verdict`` can give a verdict other than apply: those with a
+    ``changes`` record or a ``GROWS`` class."""
     values = {"color": range(colors), "direction": DIRECTIONS, "axis": AXES}
     selectors = [KEY_ALL]
     selectors += [("color", c) for c in range(colors)]
@@ -486,9 +486,21 @@ def _fact_scenes(draw):
     return scene, gout
 
 
+# One line of each fact kind, for ``_bound_skips``, which reads only the kind.
+_KIND_LINES = {key[0]: format_pattern(build_pattern(key)) for key in reversed(_FACT_KEYS)}
+
+# One cell turns 1 into the background and one 1 into 2: no color is both
+# held and wanted, but the background is wanted, so gravity_shift, which
+# may grow the background, is held rather than dropped.
+_WANTED_BACKGROUND = (
+    Scene(Grid.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])),
+    Grid.from_rows([[0, 2, 0], [0, 0, 0], [0, 0, 0]]),
+)
+
+
 class TestExactnessFacts:
-    """``_Diff.may_be_exact`` never marks a key that is exact: a key it
-    marks as not exact on a pair, applied there, does not give the
+    """``_Diff.verdict`` never marks a key that is exact: a key whose
+    verdict on a pair is not apply, applied there, does not give the
     output."""
 
     @given(_fact_scenes())
@@ -514,10 +526,38 @@ class TestExactnessFacts:
         scene, gout = pair
         diff = induction._Diff(scene, gout)
         for key in _FACT_KEYS:
-            if not diff.may_be_exact(key):
+            if diff.verdict(key) is not induction._APPLY:
                 assert apply_pattern(build_pattern(key), scene) != gout, key
         if scene.grid == gout:
-            assert all(map(diff.may_be_exact, _FACT_KEYS))
+            assert all(diff.verdict(key) is induction._APPLY for key in _FACT_KEYS)
+
+    @given(_fact_scenes())
+    @example(_WANTED_BACKGROUND)
+    # A rotation of a non-square grid: no cell to compare, so every verdict
+    # is apply.
+    @example((Scene(Grid.from_rows([[1, 2, 0]])), Grid.from_rows([[1], [2], [0]])))
+    @settings(max_examples=300, deadline=None)
+    def test_drop_is_the_color_count_floor(self, pair):
+        # A key is dropped exactly when the floor, recomputed from Counters,
+        # reaches the input's distance; equal grids and pairs of other shapes
+        # leave every key to apply.
+        scene, gout = pair
+        gin = scene.grid
+        skips = {kind: _bound_skips(line, gin, gout) for kind, line in _KIND_LINES.items()}
+        diff = induction._Diff(scene, gout)
+        for key in _FACT_KEYS:
+            verdict = diff.verdict(key)
+            assert (verdict is induction._DROP) == skips[key[0]], key
+            if gin == gout or gin.dims != gout.dims:
+                assert verdict is induction._APPLY, key
+        other = induction._Diff(scene, Grid.from_rows([(*row, 0) for row in gout.rows]))
+        assert all(other.verdict(key) is induction._APPLY for key in _FACT_KEYS)
+
+    def test_wanted_background_holds_gravity(self):
+        diff = induction._Diff(*_WANTED_BACKGROUND)
+        gravity = [key for key in _FACT_KEYS if key[0] == "gravity_shift"]
+        assert {diff.verdict(key) for key in gravity} == {induction._HOLD}
+        assert diff.by_class("none") is induction._DROP
 
     def test_suite_marked_keys_are_never_exact(self):
         # Every search candidate on every train pair of the suite.
@@ -529,7 +569,7 @@ class TestExactnessFacts:
                     pair = (Scene(gin, connectivity), gout)
                     diff = induction._Diff(*pair)
                     for key in collect_candidates(pair, proposer, 2000, connectivity):
-                        if not diff.may_be_exact(key):
+                        if diff.verdict(key) is not induction._APPLY:
                             marked[key[0]] += 1
                             assert apply_pattern(build_pattern(key), pair[0]) != gout, key
         # Each fact marks something: the kinds that grow no color, the
@@ -548,11 +588,14 @@ class TestExactnessFacts:
             pattern_key(parse_pattern(line))
             for line in ("reflect_h()@all", "recolor(src=1,dst=3)@all", "recolor(src=1,dst=2)@all")
         ]
-        assert [diff.may_be_exact(key) for key in keys] == [False, False, True]
-        assert diff.rules_out("none") and diff.rules_out("background")
-        assert not diff.rules_out("any")
-        assert diff.cannot_be_exact(keys) == keys[1:2]
-        assert induction._Diff(Scene(gin), gin).cannot_be_exact(keys) == []
+        assert [diff.verdict(key) for key in keys] == [
+            induction._DROP, induction._HOLD, induction._APPLY
+        ]
+        assert diff.by_class("none") is diff.by_class("background") is induction._DROP
+        assert diff.by_class("any") is induction._APPLY
+        assert [key for key in keys if diff.verdict(key) is induction._HOLD] == keys[1:2]
+        same = induction._Diff(Scene(gin), gin)
+        assert all(same.verdict(key) is induction._APPLY for key in keys)
 
     def test_diff_matches_pixel_distance(self):
         for _, task, _ in generate_suite(seed=1007, n_planted=20, n_noise=5):
@@ -899,6 +942,37 @@ class TestPruning:
             induce(task, proposer, threshold, 2000)
         assert len(apply_calls) == applies
 
+    # Each key's verdict is read once per pair it reaches in the first
+    # round, and ``may_change`` only for keys whose class leaves them to
+    # apply: a key checked twice, or a changed fact, shows as a count.
+    @pytest.mark.parametrize(
+        "threshold, may_change_calls, verdicts",
+        [
+            (1.0, 1089, {"drop": 331, "hold": 368, "apply": 765}),
+            (0.5, 2215, {"drop": 714, "hold": 958, "apply": 1321}),
+            (0.0, 6475, {"drop": 1187, "hold": 3341, "apply": 3210}),
+        ],
+    )
+    def test_suite_verdict_counts(self, suite, monkeypatch, threshold, may_change_calls, verdicts):
+        calls = Counter()
+        may_change, verdict = induction.may_change, induction._Diff.verdict
+
+        def counting_may_change(*args):
+            calls["may_change"] += 1
+            return may_change(*args)
+
+        def counting_verdict(self, key):
+            answer = verdict(self, key)
+            calls[answer] += 1
+            return answer
+
+        monkeypatch.setattr(induction, "may_change", counting_may_change)
+        monkeypatch.setattr(induction._Diff, "verdict", counting_verdict)
+        proposer = SearchProposer()
+        for _, task, _ in suite:
+            induce(task, proposer, threshold, 2000)
+        assert calls == Counter(verdicts, may_change=may_change_calls)
+
     def test_verification_runs_through_detect_unit_patterns(self, monkeypatch, apply_calls):
         # Every application happens inside detect_unit_patterns, on keys
         # it was given, or in the intersection's contradiction checks,
@@ -1042,18 +1116,18 @@ _FACT_LINES = [
 
 
 def _count_marked(monkeypatch):
-    """Count, by kind, the keys ``_Diff.may_be_exact`` marks as not exact
+    """Count, by kind, the keys ``_Diff.verdict`` holds back as not exact
     while the test runs."""
     marked = Counter()
-    original = induction._Diff.may_be_exact
+    original = induction._Diff.verdict
 
     def counting(self, key):
         verdict = original(self, key)
-        if not verdict:
+        if verdict is induction._HOLD:
             marked[key[0]] += 1
         return verdict
 
-    monkeypatch.setattr(induction._Diff, "may_be_exact", counting)
+    monkeypatch.setattr(induction._Diff, "verdict", counting)
     return marked
 
 

@@ -27,7 +27,7 @@ from symgrid import (
     solve_task,
     vote_pixels,
 )
-from symgrid import solver
+from symgrid import BackendError, solver
 from symgrid.backend import RemoteBackend
 from symgrid.induction import synthesize_hint
 from symgrid.solver import SolveTrace, _vote, render_report, report_summary
@@ -36,7 +36,7 @@ from symgrid.taskgen import (
     generate_planted_task,
     generate_suite,
 )
-from conftest import random_grid
+from conftest import grids, random_grid
 from oracles import fraction_vote, vote_oracle
 
 
@@ -533,3 +533,103 @@ class TestMarkdownCount:
         assert [p.trace.fallback_source for p in preds] == ["remote", "remote"]
         assert not any(p.trace.degraded for p in preds)
         assert len(encoded) == 2 * len(task.train) + len(task.test)
+
+
+class _StubSampler:
+    """A backend whose ``sample`` answers each test input (as markdown)
+    with ``replies[input]``, or raises it when it is an exception."""
+
+    def __init__(self, replies):
+        self.replies = replies
+
+    def sample(self, train, test_input, hints, n):
+        reply = self.replies[test_input]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+def _near_miss(g):
+    """``g`` with its first cell recolored."""
+    rows = [list(row) for row in g.rows]
+    rows[0][0] = (rows[0][0] + 1) % 10
+    return Grid.from_rows(rows)
+
+
+def _replies(gin, expected):
+    """Sample replies to the test input ``gin``, by name, as markdown: k
+    agreeing wrong grids, grids of other dimensions, malformed grids, no
+    grid, and a failed call."""
+    wrong = gin if gin != expected else _near_miss(gin)
+    replies = {}
+    for k in (1, 2, 5):
+        replies[f"{k}_wrong_inputs"] = [encode_markdown(wrong)] * k
+        replies[f"{k}_near_misses"] = [encode_markdown(_near_miss(expected))] * k
+    other = Grid.from_rows([[1, 1]] if expected.dims == (1, 1) else [[1]])
+    replies["other_dims"] = [encode_markdown(other)] * 5
+    replies["malformed"] = ["|x|", "", "no table", "|1|2|\n|3|"]
+    replies["empty"] = []
+    replies["error"] = BackendError("response missing 'grids' list")
+    return replies
+
+
+_REPLY_NAMES = sorted(_replies(Grid.from_rows([[0]]), Grid.from_rows([[1]])))
+
+
+def _correct(task, rs, backend):
+    """Per test item of ``task``, whether ``solve_task`` at passes=2 gets it."""
+    preds = solve_task(task, rs, backend=backend, passes=2)
+    return [
+        any(grids_equal(a, expected) for a in pred.attempts)
+        for pred, (_, expected) in zip(preds, task.test)
+    ]
+
+
+class TestNoHarm:
+    """The paper's no-harm claim on the backend path: at passes=2, no
+    sample reply turns an item that is correct without the backend into
+    an incorrect one. Attempt 2 falls back to the top rule, which agreeing
+    wrong samples cannot outvote. (At passes=1 they can: two agreeing
+    wrong samples outweigh a lone rule of confidence 1.0.)"""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        """Each suite task, its rule set and its items' verdicts without
+        the backend."""
+        out = []
+        for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
+            rs = induce(task, SearchProposer())
+            out.append((task, rs, _correct(task, rs, None)))
+        return out
+
+    @pytest.mark.parametrize("reply", _REPLY_NAMES)
+    def test_suite_replies_do_no_harm(self, solved, reply):
+        kept = 0
+        for task, rs, alone in solved:
+            replies = {
+                encode_markdown(gin): _replies(gin, expected)[reply]
+                for gin, expected in task.test
+            }
+            with_backend = _correct(task, rs, _StubSampler(replies))
+            assert all(b for a, b in zip(alone, with_backend) if a)
+            kept += sum(alone)
+        assert kept == 100  # the planted tasks, each with one test item
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_drawn_replies_do_no_harm(self, solved, data):
+        task, rs, alone = data.draw(st.sampled_from([s for s in solved if any(s[2])]))
+        replies = {}
+        for gin, expected in task.test:
+            grid = st.one_of(
+                grids(max_side=8),
+                st.just(gin),
+                st.just(_near_miss(expected)),
+                st.just(Grid.from_rows([row[::-1] for row in expected.rows])),
+            )
+            text = st.one_of(
+                grid.map(encode_markdown), st.text("|0123456789\n x", max_size=20)
+            )
+            replies[encode_markdown(gin)] = data.draw(st.lists(text, max_size=8))
+        with_backend = _correct(task, rs, _StubSampler(replies))
+        assert all(b for a, b in zip(alone, with_backend) if a)
