@@ -32,6 +32,7 @@ from .induction import (
     ChangeTag,
     RuleSet,
     ScoredPattern,
+    TrainPair,
     collect_candidates,
     detect_unit_patterns,
     induce,
@@ -93,6 +94,7 @@ __all__ = [
     "SymgridError",
     "Task",
     "TaskFormatError",
+    "TrainPair",
     "UnitPattern",
     "apply_pattern",
     "apply_ruleset",

@@ -200,7 +200,7 @@ class RemotePatternProposer:
 
     backend: RemoteBackend
 
-    def propose(self, scene, output, budget: int) -> list[str]:
+    def propose(self, pair, budget: int) -> list[str]:
         return self.backend.propose(
-            encode_markdown(scene.grid), encode_markdown(output), budget
+            encode_markdown(pair.scene.grid), encode_markdown(pair.output), budget
         )

@@ -6,7 +6,7 @@ pluggable proposer: every train pair's candidates are collected first,
 keyed by value (``patterns.pattern_key``), then each one is applied at
 most once to a pair input, and only while the number of pairs that
 propose it can still carry it to the confidence threshold, while the
-pair's differing cells leave it a chance to match (``_Diff.verdict``),
+pair's differing cells leave it a chance to match (``TrainPair.verdict``),
 and, once it has been kept as partial or that verdict shows it cannot be
 exact, only if no exact rule survives. A candidate becomes a
 (validated) UnitPattern only there, just before it is applied, so the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, ne
 from typing import Iterable, Protocol
@@ -32,7 +33,6 @@ from .patterns import (
     Scene,
     UnitPattern,
     apply_pattern,
-    as_scene,
     build_pattern,
     canonical_key,
     may_change,
@@ -43,9 +43,6 @@ from .patterns import (
 from .perception import GridObject, Perception
 
 log = logging.getLogger(__name__)
-
-# A train pair; the input may be a Scene over the input grid.
-Pair = tuple[Grid | Scene, Grid]
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,9 @@ class RuleSet:
 class Proposer(Protocol):
     """Source of candidate patterns for one train pair.
 
-    ``propose`` gets the pair input as a Scene and the pair output. It
-    may yield value keys (``patterns.pattern_key``) or serialized pattern
-    lines, and verifies nothing:
+    ``propose`` gets the ``TrainPair``. It may yield value keys
+    (``patterns.pattern_key``) or serialized pattern lines, and verifies
+    nothing:
     ``collect_candidates`` parses the lines (dropping malformed ones with
     a warning), turns each item into its key, deduplicates on the key and
     stops after ``budget`` distinct candidates; ``detect_unit_patterns``
@@ -140,21 +137,17 @@ class Proposer(Protocol):
     each one at most once.
     """
 
-    def propose(
-        self, scene: Scene, output: Grid, budget: int
-    ) -> Iterable[PatternKey | str]: ...
+    def propose(self, pair: TrainPair, budget: int) -> Iterable[PatternKey | str]: ...
 
 
 def collect_candidates(
-    pair: Pair,
+    pair: TrainPair,
     proposer: Proposer,
     budget: int,
-    connectivity: int = 4,
     memo: dict[str, tuple[UnitPattern, PatternKey] | str] | None = None,
 ) -> dict[PatternKey, UnitPattern | None]:
     """One pair's first ``budget`` distinct candidates, by value key.
 
-    The pair input may be a Scene (its own connectivity then applies).
     Lines are parsed, malformed ones dropped with a warning, and
     duplicates skipped; the dict keeps proposer order. A key maps to its
     parsed pattern when the proposer gave a line, else to None: keys are
@@ -170,9 +163,8 @@ def collect_candidates(
         raise ValueError(f"budget must be positive, got {budget}")
     if memo is None:
         memo = {}
-    gin, gout = pair
     candidates: dict[PatternKey, UnitPattern | None] = {}
-    for item in proposer.propose(as_scene(gin, connectivity), gout, budget):
+    for item in proposer.propose(pair, budget):
         if isinstance(item, str):
             parsed = memo.get(item)
             if parsed is None:
@@ -199,36 +191,37 @@ def collect_candidates(
     return candidates
 
 
-# ``_Diff.verdict``'s answers.
+# ``TrainPair.verdict``'s answers.
 _DROP, _HOLD, _APPLY = "drop", "hold", "apply"
 
 
-class _Diff:
-    """What one train pair's differing cells show, read once.
+class TrainPair:
+    """One train pair: the input's Scene, the output grid, and what the
+    cells where they differ show, read once for proposal, verification
+    and intersection alike.
 
-    Call the input colors of the cells where the input and the output
-    differ *held*, and their output colors *wanted* (as lists, one color
-    per differing cell). ``distance`` is their count, the input's
-    ``pixel_distance`` from the output; when the shapes differ it is
-    that function's shape-mismatch score, and held and wanted are None.
-    ``held_colors`` and ``wanted_colors`` are their sets. ``induce``
-    builds one per train pair and call, and both of its verification
-    rounds read it.
+    Call the input colors of the differing cells *held*, and their output
+    colors *wanted* (as lists, one color per differing cell, in row-major
+    order); when the shapes differ both are None. ``held_colors`` and
+    ``wanted_colors`` are their sets. ``distance`` is the input's
+    ``pixel_distance`` from the output: the count of differing cells, or,
+    when the shapes differ, that function's shape-mismatch score,
+    computed when first read.
     """
 
-    def __init__(self, scene: Scene, gout: Grid) -> None:
+    def __init__(self, scene: Scene, output: Grid) -> None:
         self.scene = scene
+        self.output = output
         grid = scene.grid
         self.held: list[int] | None = None
         self.wanted: list[int] | None = None
         self.classes = {"any": _APPLY}  # ``by_class``'s verdicts, filled in when first read
-        if grid.dims != gout.dims:
-            self.distance = pixel_distance(grid, gout)
+        if grid.dims != output.dims:
             return
         # The differing rows, end to end, then their differing cells.
         rows_in: list[int] = []
         rows_out: list[int] = []
-        for ra, rb in zip(grid.rows, gout.rows):
+        for ra, rb in zip(grid.rows, output.rows):
             if ra != rb:
                 rows_in += ra
                 rows_out += rb
@@ -237,6 +230,10 @@ class _Diff:
         self.held, self.wanted = held, wanted
         self.held_colors, self.wanted_colors = set(held), set(wanted)
         self.distance = len(held)
+
+    @cached_property
+    def distance(self) -> int:
+        return pixel_distance(self.scene.grid, self.output)
 
     def verdict(self, key: PatternKey) -> str:
         """``_DROP`` if ``key`` can be neither exact nor partial on this
@@ -287,14 +284,10 @@ class _Diff:
 
 
 def detect_unit_patterns(
-    pair: Pair,
-    candidates: dict[PatternKey, UnitPattern | None],
-    connectivity: int = 4,
-    diff: _Diff | None = None,
+    pair: TrainPair, candidates: dict[PatternKey, UnitPattern | None]
 ) -> list[ScoredPattern]:
     """Verify candidates, as ``collect_candidates`` returns them, on one pair.
 
-    The pair input may be a Scene (its own connectivity then applies).
     A key without a pattern is built here before it is applied, which
     validates it (a key that names no valid pattern raises
     PatternContractError). Each candidate is applied at most once to the
@@ -305,19 +298,14 @@ def detect_unit_patterns(
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
     applied when the color counts show it can be neither exact nor
-    partial: its class's verdict, ``_Diff.by_class``, is ``_DROP``.
-    ``diff`` is the pair's ``_Diff``, as ``induce`` shares it; without
-    one, this call reads the pair.
+    partial: its class's verdict, ``TrainPair.by_class``, is ``_DROP``.
     """
-    gin, gout = pair
-    scene = as_scene(gin, connectivity)
-    if diff is None:
-        diff = _Diff(scene, gout)
-    baseline = diff.distance
+    scene, gout = pair.scene, pair.output
+    baseline = pair.distance
     out: list[ScoredPattern] = []
     for key, pattern in candidates.items():
         grows = GROWS.get(key[0], "any")
-        if grows != "any" and diff.by_class(grows) is _DROP:
+        if grows != "any" and pair.by_class(grows) is _DROP:
             continue
         if pattern is None:
             pattern = build_pattern(key)
@@ -340,16 +328,15 @@ class _Entry:
 
 def intersect_patterns(
     per_pair: list[list[ScoredPattern]],
-    train_pairs: list[Pair],
+    train_pairs: list[TrainPair],
     threshold: float = 1.0,
-    connectivity: int = 4,
 ) -> RuleSet:
     """Intersect per-pair detections into a ranked rule set.
 
     ``per_pair[i]`` must be the output of ``detect_unit_patterns`` for
-    ``train_pairs[i]`` (whose input may be a Scene): its flags are read
-    as verdicts on that pair. Support counts the pairs whose list
-    contains the pattern (duplicates within one pair count once).
+    ``train_pairs[i]``: its flags are read as verdicts on that pair.
+    Support counts the pairs whose list contains the pattern (duplicates
+    within one pair count once).
     Patterns below the confidence threshold are dropped, as is any
     pattern that was proposed exact somewhere but runs without error on
     some train pair and yields the wrong output. A partial flag says
@@ -363,8 +350,9 @@ def intersect_patterns(
     are pruned so they cannot outvote a rule that reproduces every
     training output. ``induce`` relies on that pruning: it holds back a
     candidate kept as partial on the pairs verified after, and one that a
-    pair's diff shows cannot be exact from that pair on, and verifies it
-    there only when the lists without those verdicts give no exact rule.
+    pair's differing cells show cannot be exact from that pair on, and
+    verifies it there only when the lists without those verdicts give no
+    exact rule.
     """
     if not per_pair:
         raise ValueError("intersect_patterns: no per-pair lists")
@@ -378,7 +366,6 @@ def intersect_patterns(
             entry = entries.setdefault(key, _Entry(pattern=sp.pattern))
             entry.exact_by_pair.setdefault(idx, sp.exact)
 
-    scenes = [(as_scene(gin, connectivity), gout) for gin, gout in train_pairs]
     survivors: list[ScoredPattern] = []
     for key in sorted(entries, key=lambda k: canonical_key(entries[k].pattern)):
         entry = entries[key]
@@ -387,7 +374,7 @@ def intersect_patterns(
         confidence = support / n
         if confidence + 1e-9 < threshold:
             continue
-        if any(flags.values()) and _contradicted(entry.pattern, flags, scenes):
+        if any(flags.values()) and _contradicted(entry.pattern, flags, train_pairs):
             continue
         survivors.append(
             ScoredPattern(
@@ -418,10 +405,9 @@ def induce(
 ) -> RuleSet:
     """Collect candidates on every train pair, verify, and intersect.
 
-    Each train input gets one Scene, shared by collection, verification
-    and intersection, so it is segmented at most once, and each pair one
-    ``_Diff``, built when the pair is first verified and shared by both
-    verification rounds below, so its differing cells are read once.
+    Each train pair becomes one ``TrainPair``, which proposal, both
+    verification rounds below and intersection share: its input has one
+    Scene, segmented at most once, and its differing cells are read once.
     Every pair's candidates are collected first, in pair order, through
     one memo of the task's pattern lines, so each distinct line is parsed
     once (the memo lives for this call only). The pairs are then
@@ -438,7 +424,7 @@ def induce(
     Exact rules are looked for first. A candidate kept as partial on a
     pair can never be an exact rule, and ``intersect_patterns`` prunes
     every partial once an exact rule survives, so it is held back on the
-    later pairs rather than applied. A candidate whose ``_Diff.verdict``
+    later pairs rather than applied. A candidate whose ``TrainPair.verdict``
     on a pair is ``_HOLD`` (it cannot be exact there) is held back from
     that pair on, unapplied: it yields a grid that is not the output
     there, so it is no exact rule either. It is left out of the first
@@ -450,21 +436,20 @@ def induce(
     same bound on their real verdicts, and the verdicts intersected
     again. No candidate is verified twice on one pair.
     """
-    pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
+    pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
     memo: dict[str, tuple[UnitPattern, PatternKey] | str] = {}  # this task's lines
-    collected = [collect_candidates(p, proposer, budget, connectivity, memo) for p in pairs]
-    diffs: list[_Diff | None] = [None] * n  # built by ``_verify`` when first needed
-    cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
+    collected = [collect_candidates(p, proposer, budget, memo) for p in pairs]
+    cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]
     order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
     per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
     support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
     held_from: dict[PatternKey, int] = {}  # key -> first position in ``order`` it skips
-    untried = _verify(pairs, diffs, order, collected, support, per_pair, threshold, held_from)
+    untried = _verify(pairs, order, collected, support, per_pair, threshold, held_from)
     first = per_pair
     if untried:
         first = [[sp for sp in sps if pattern_key(sp.pattern) not in untried] for sps in per_pair]
-    rules = intersect_patterns(first, pairs, threshold, connectivity)
+    rules = intersect_patterns(first, pairs, threshold)
     if any(sp.exact for sp in rules.patterns):
         return rules
     held: list[dict[PatternKey, UnitPattern | None]] = [{} for _ in pairs]
@@ -472,16 +457,15 @@ def induce(
         held[k] = {key: p for key, p in collected[k].items() if held_from.get(key, n) <= i}
     if not any(held):  # so nothing is untried, and ``rules`` saw every verdict
         return rules
-    _verify(pairs, diffs, order, held, support, per_pair, threshold, None)
+    _verify(pairs, order, held, support, per_pair, threshold, None)
     # The candidates never held back have the same verdicts as above, so
     # they die again; leaving them out spares their contradiction checks.
     per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in held_from] for sps in per_pair]
-    return intersect_patterns(per_pair, pairs, threshold, connectivity)
+    return intersect_patterns(per_pair, pairs, threshold)
 
 
 def _verify(
-    pairs: list[tuple[Scene, Grid]],
-    diffs: list[_Diff | None],
+    pairs: list[TrainPair],
     order: list[int],
     lists: list[dict[PatternKey, UnitPattern | None]],
     support: Counter[PatternKey],
@@ -491,10 +475,9 @@ def _verify(
 ) -> set[PatternKey]:
     """Verify ``lists[k]`` on ``pairs[k]`` for k in ``order``, under
     ``induce``'s reachability bound, adding the verdicts to ``per_pair``
-    and ``support``; ``diffs[k]`` is built when pair k first has a
-    candidate to verify. Given ``held_from``, a candidate kept as partial
+    and ``support``. Given ``held_from``, a candidate kept as partial
     there is skipped from the next position in ``order`` on, and one whose
-    ``diffs[k].verdict`` is ``_HOLD`` is skipped from that position on,
+    ``pairs[k].verdict`` is ``_HOLD`` is skipped from that position on,
     unapplied (and unbuilt, so a key that names no valid pattern raises
     only if it is verified later); the position is recorded, and the keys
     skipped unapplied are returned.
@@ -521,11 +504,9 @@ def _verify(
         reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
         if not reachable:
             continue
-        diff = diffs[k]
-        if diff is None:
-            diff = diffs[k] = _Diff(*pairs[k])
-        if held_from is not None and diff.held:
-            barred = [key for key in reachable if diff.verdict(key) is _HOLD]
+        pair = pairs[k]
+        if held_from is not None and pair.held:
+            barred = [key for key in reachable if pair.verdict(key) is _HOLD]
             for key in barred:
                 del reachable[key]
                 held_from[key] = i
@@ -533,7 +514,7 @@ def _verify(
             untried.update(barred)
         if not reachable:
             continue
-        detections = detect_unit_patterns(pairs[k], reachable, diff=diff)
+        detections = detect_unit_patterns(pair, reachable)
         per_pair[k] += detections
         detected = [pattern_key(sp.pattern) for sp in detections]
         support.update(detected)
@@ -552,17 +533,17 @@ def _verify(
 def _contradicted(
     pattern: UnitPattern,
     exact_by_pair: dict[int, bool],
-    scenes: list[tuple[Scene, Grid]],
+    train_pairs: list[TrainPair],
 ) -> bool:
     if not all(exact_by_pair.values()):
         return True  # a partial applied without error and missed the output
-    for idx, (scene, gout) in enumerate(scenes):
+    for idx, pair in enumerate(train_pairs):
         if idx in exact_by_pair:
             continue
         try:
-            result = apply_pattern(pattern, scene)
+            result = apply_pattern(pattern, pair.scene)
         except (PatternApplicationError, PatternContractError):
             continue  # inapplicable is not a contradiction
-        if not grids_equal(result, gout):
+        if not grids_equal(result, pair.output):
             return True
     return False

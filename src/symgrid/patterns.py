@@ -719,7 +719,7 @@ class _Kind:
     # ``color=c`` selector (a side naming it says nothing under another
     # selector) and any other name a color parameter. A pair whose
     # differing cells hold or want a color outside these cannot be exact
-    # (``induction._Diff``). None when the kind gives no such fact.
+    # (``induction.TrainPair.verdict``). None when the kind gives no such fact.
     changes: tuple[tuple[str, ...] | None, tuple[str, ...] | None] | None = None
     # Derived from ``signature`` (and ``changes``):
     names: tuple[str, ...] = field(init=False)

@@ -19,32 +19,32 @@ from typing import Iterator
 
 from .grid import Grid
 from .induction import (
-    Pair,
     ScoredPattern,
+    TrainPair,
     collect_candidates,
     detect_unit_patterns,
     match_objects,
 )
-from .patterns import DIRECTIONS, KEY_ALL as ALL, PatternKey, Scene, as_scene
+from .patterns import DIRECTIONS, KEY_ALL as ALL, PatternKey, Scene
 from .perception import segment
 
 
 def enumerate_candidates(
-    pair: Pair, budget: int, connectivity: int = 4
+    pair: tuple[Grid, Grid], budget: int, connectivity: int = 4
 ) -> list[ScoredPattern]:
-    """The search's consistent candidates for one pair: up to ``budget``
-    distinct ones are collected, then verified by ``detect_unit_patterns``."""
+    """The search's consistent candidates for one (input, output) grid
+    pair: up to ``budget`` distinct ones are collected, then verified by
+    ``detect_unit_patterns``."""
     gin, gout = pair
-    pair = (as_scene(gin, connectivity), gout)
-    candidates = collect_candidates(pair, SearchProposer(), budget, connectivity)
-    return detect_unit_patterns(pair, candidates, connectivity)
+    pair = TrainPair(Scene(gin, connectivity), gout)
+    return detect_unit_patterns(pair, collect_candidates(pair, SearchProposer(), budget))
 
 
 class SearchProposer:
     """The default proposer: the search's candidates as value keys, unverified."""
 
-    def propose(self, scene: Scene, output: Grid, budget: int) -> Iterator[PatternKey]:
-        return _proposals(scene, output)
+    def propose(self, pair: TrainPair, budget: int) -> Iterator[PatternKey]:
+        return _proposals(pair)
 
 
 def _uniform_color(g: Grid) -> int | None:
@@ -52,16 +52,17 @@ def _uniform_color(g: Grid) -> int | None:
     return colors.pop() if len(colors) == 1 else None
 
 
-def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
+def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
     """Yield pattern keys in the canonical cheapest-first order.
 
-    Parameters are read off the pair (the Scene's grid is its input):
-    dimension ratios drive the scaling kinds, the cell diff drives the
-    color kinds, and the object matching drives moves, deletions, and
-    duplications. Identity parameterizations (translate(0,0),
-    recolor(c,c), ...) are never generated. The input is segmented only
-    where its objects are read: the count branch and same-dims pairs.
+    Parameters are read off the pair: dimension ratios drive the scaling
+    kinds, its differing cells drive the color kinds, and the object
+    matching drives moves, deletions, and duplications. Identity
+    parameterizations (translate(0,0), recolor(c,c), ...) are never
+    generated. The input is segmented only where its objects are read:
+    the count branch and same-dims pairs.
     """
+    scene, gout = pair.scene, pair.output
     gin = scene.grid
     hi, wi = gin.dims
     ho, wo = gout.dims
@@ -116,14 +117,8 @@ def _proposals(scene: Scene, gout: Grid) -> Iterator[PatternKey]:
     pin = scene.perception
 
     # (input color, output color) of each differing cell, first seen first.
-    color_moves = dict.fromkeys(
-        (a, b)
-        for row_in, row_out in zip(gin.rows, gout.rows)
-        if row_in != row_out
-        for a, b in zip(row_in, row_out)
-        if a != b
-    )
-    new_colors = dict.fromkeys(b for _, b in color_moves)
+    color_moves = dict.fromkeys(zip(pair.held, pair.wanted))
+    new_colors = dict.fromkeys(pair.wanted)
 
     for src, dst in color_moves:
         yield ("recolor", (src, dst), ALL)

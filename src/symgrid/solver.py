@@ -222,7 +222,7 @@ def solve_task(
     for test_input, _expected in task.test:
         trace = SolveTrace()
         scene = Scene(test_input, connectivity)
-        candidates = apply_ruleset(rs, scene, connectivity, trace)
+        candidates = apply_ruleset(rs, scene, trace=trace)
 
         backend_ok = backend is not None
         test_md = None if backend is None else encode_markdown(test_input)

@@ -8,13 +8,13 @@ import pytest
 from symgrid import (
     Grid,
     Scene,
+    TrainPair,
     collect_candidates,
     detect_unit_patterns,
     format_pattern,
     patterns,
     perception,
 )
-from symgrid.patterns import as_scene
 
 
 @st.composite
@@ -55,11 +55,15 @@ def replay_lines(planted):
 
 def detect(pair, proposer, budget, connectivity=4):
     """One pair's verified candidates: ``collect_candidates`` then
-    ``detect_unit_patterns``, sharing one Scene over the pair input."""
+    ``detect_unit_patterns``, sharing one TrainPair over the grid pair."""
     gin, gout = pair
-    pair = (as_scene(gin, connectivity), gout)
-    candidates = collect_candidates(pair, proposer, budget, connectivity)
-    return detect_unit_patterns(pair, candidates, connectivity)
+    pair = TrainPair(Scene(gin, connectivity), gout)
+    return detect_unit_patterns(pair, collect_candidates(pair, proposer, budget))
+
+
+def train_pairs(pairs, connectivity=4):
+    """A TrainPair over each (input grid, output grid) pair."""
+    return [TrainPair(Scene(gin, connectivity), gout) for gin, gout in pairs]
 
 
 def _rebind(monkeypatch, original, replacement):

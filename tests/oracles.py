@@ -21,6 +21,7 @@ from symgrid import (
     Grid,
     ScoredPattern,
     Scene,
+    TrainPair,
     background_color,
     build_pattern,
     collect_candidates,
@@ -38,7 +39,6 @@ from symgrid.patterns import (
     SELECT_ALL,
     _bbox_border,
     _gravity_order,
-    as_scene,
 )
 from symgrid.perception import GridObject, Perception
 
@@ -613,13 +613,12 @@ def scan_match_objects(pin, pout):
     return tags
 
 
-def reference_detect_unit_patterns(pair, candidates, connectivity=4):
+def reference_detect_unit_patterns(pair, candidates):
     """``induction.detect_unit_patterns`` as it was before the color-count
-    bound: every candidate is built and applied. It applies through the
-    ``patterns`` module attribute, so the ``apply_calls`` fixture sees
-    its applications."""
-    gin, gout = pair
-    scene = as_scene(gin, connectivity)
+    bound: every candidate is built and applied on the TrainPair ``pair``.
+    It applies through the ``patterns`` module attribute, so the
+    ``apply_calls`` fixture sees its applications."""
+    scene, gout = pair.scene, pair.output
     baseline = pixel_distance(scene.grid, gout)
     out = []
     for key, pattern in candidates.items():
@@ -642,13 +641,13 @@ def reference_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4)
     each pair, from the smallest input up, applies every candidate whose
     support so far plus the later pairs proposing it can still reach the
     threshold, and the verdicts are intersected once."""
-    pairs = [(Scene(gin, connectivity), gout) for gin, gout in task.train]
+    pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
-    collected = [collect_candidates(p, proposer, budget, connectivity) for p in pairs]
+    collected = [collect_candidates(p, proposer, budget) for p in pairs]
     support = Counter()
     proposed = Counter(key for candidates in collected for key in candidates)
     per_pair = [[] for _ in pairs]
-    cells = [scene.grid.height * scene.grid.width for scene, _ in pairs]
+    cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]
     for k in sorted(range(n), key=cells.__getitem__):
         candidates = collected[k]
         reachable = {
@@ -657,7 +656,7 @@ def reference_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4)
             if (support[key] + proposed[key]) / n + 1e-9 >= threshold
         }
         proposed.subtract(candidates.keys())
-        detections = reference_detect_unit_patterns(pairs[k], reachable, connectivity)
+        detections = reference_detect_unit_patterns(pairs[k], reachable)
         support.update(pattern_key(sp.pattern) for sp in detections)
         per_pair[k] = detections
-    return intersect_patterns(per_pair, pairs, threshold, connectivity)
+    return intersect_patterns(per_pair, pairs, threshold)

@@ -37,7 +37,7 @@ from symgrid import (
     vote_pixels,
 )
 from symgrid.taskgen import generate_planted_task, generate_suite
-from conftest import detect, random_grid
+from conftest import detect, random_grid, train_pairs
 from oracles import cavity_oracle, segmentation_oracle, vote_oracle
 
 
@@ -151,7 +151,7 @@ def test_04_plant_and_recover():
             per_pair = [
                 detect(pair, proposer, 2000) for pair in pt.task.train
             ]
-            rs = intersect_patterns(per_pair, list(pt.task.train))
+            rs = intersect_patterns(per_pair, train_pairs(pt.task.train))
             if rs.patterns and format_pattern(rs.patterns[0].pattern) == want:
                 rank_one += 1
         details["recovered"] = f"{recovered}/{n}"
@@ -190,7 +190,7 @@ def test_05_spurious_rule_rejection():
             fixtures += 1
             for threshold in thresholds:
                 rs = intersect_patterns(
-                    per_pair, [pair1, pair2], threshold=threshold
+                    per_pair, train_pairs([pair1, pair2]), threshold=threshold
                 )
                 assert all(
                     format_pattern(sp.pattern) != key for sp in rs.patterns

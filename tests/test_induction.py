@@ -16,6 +16,7 @@ from symgrid import (
     SearchProposer,
     Selector,
     Task,
+    TrainPair,
     UnitPattern,
     apply_pattern,
     build_pattern,
@@ -37,7 +38,7 @@ from symgrid import PatternApplicationError, background_color, induction
 from symgrid.patterns import AXES, DIRECTIONS, GROWS, KEY_ALL, _KINDS
 from symgrid.induction import synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
-from conftest import detect, grids, replay_lines
+from conftest import _rebind, detect, grids, replay_lines, train_pairs
 
 
 def scene(rows):
@@ -209,7 +210,7 @@ class _ListProposer:
     def __init__(self, items):
         self.items = items
 
-    def propose(self, scene, output, budget):
+    def propose(self, pair, budget):
         return list(self.items)
 
 
@@ -315,8 +316,8 @@ class TestParseMemo:
         with_memo = [induce(task, proposer) for task, proposer in suite]
         collect = induction.collect_candidates
 
-        def without_memo(pair, proposer, budget, connectivity=4, memo=None):
-            return collect(pair, proposer, budget, connectivity)
+        def without_memo(pair, proposer, budget, memo=None):
+            return collect(pair, proposer, budget)
 
         monkeypatch.setattr(induction, "collect_candidates", without_memo)
         assert [induce(task, proposer) for task, proposer in suite] == with_memo
@@ -363,7 +364,7 @@ class TestColorCountBound:
         skipped = 0
         for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
             for gin, gout in task.train:
-                pair = (Scene(gin), gout)
+                pair = TrainPair(Scene(gin), gout)
                 candidates = collect_candidates(pair, proposer, 2000)
                 apply_calls.clear()
                 reference = reference_detect_unit_patterns(pair, candidates)
@@ -401,7 +402,7 @@ class TestColorCountBound:
             rows[r][c] = v
         gout = Grid.from_rows(rows)
         candidates = {pattern_key(parse_pattern(line)): None for line in _BOUNDED_LINES}
-        pair = (Scene(gin, connectivity), gout)
+        pair = TrainPair(Scene(gin, connectivity), gout)
         assert detect_unit_patterns(pair, candidates) == reference_detect_unit_patterns(
             pair, candidates
         )
@@ -430,8 +431,8 @@ class TestColorCountBound:
         gout = Grid.from_rows([[0] * 5] * 4)
         lines = ["gravity_shift(dir=down)@all", "reflect_h()@all"]
         for connectivity in (4, 8):
-            pair = (Scene(gin, connectivity), gout)
-            found = detect(pair, _ListProposer(lines), 10, connectivity)
+            pair = TrainPair(Scene(gin, connectivity), gout)
+            found = detect((gin, gout), _ListProposer(lines), 10, connectivity)
             assert found == reference_detect_unit_patterns(
                 pair, {pattern_key(parse_pattern(line)): None for line in lines}
             )
@@ -442,7 +443,7 @@ class TestColorCountBound:
 
 def _fact_keys(colors=4):
     """Every key, over colors below ``colors``, of the kinds to which
-    ``_Diff.verdict`` can give a verdict other than apply: those with a
+    ``TrainPair.verdict`` can give a verdict other than apply: those with a
     ``changes`` record or a ``GROWS`` class."""
     values = {"color": range(colors), "direction": DIRECTIONS, "axis": AXES}
     selectors = [KEY_ALL]
@@ -499,7 +500,7 @@ _WANTED_BACKGROUND = (
 
 
 class TestExactnessFacts:
-    """``_Diff.verdict`` never marks a key that is exact: a key whose
+    """``TrainPair.verdict`` never marks a key that is exact: a key whose
     verdict on a pair is not apply, applied there, does not give the
     output."""
 
@@ -524,7 +525,7 @@ class TestExactnessFacts:
     @settings(max_examples=300, deadline=None)
     def test_marked_keys_are_never_exact(self, pair):
         scene, gout = pair
-        diff = induction._Diff(scene, gout)
+        diff = TrainPair(scene, gout)
         for key in _FACT_KEYS:
             if diff.verdict(key) is not induction._APPLY:
                 assert apply_pattern(build_pattern(key), scene) != gout, key
@@ -544,17 +545,17 @@ class TestExactnessFacts:
         scene, gout = pair
         gin = scene.grid
         skips = {kind: _bound_skips(line, gin, gout) for kind, line in _KIND_LINES.items()}
-        diff = induction._Diff(scene, gout)
+        diff = TrainPair(scene, gout)
         for key in _FACT_KEYS:
             verdict = diff.verdict(key)
             assert (verdict is induction._DROP) == skips[key[0]], key
             if gin == gout or gin.dims != gout.dims:
                 assert verdict is induction._APPLY, key
-        other = induction._Diff(scene, Grid.from_rows([(*row, 0) for row in gout.rows]))
+        other = TrainPair(scene, Grid.from_rows([(*row, 0) for row in gout.rows]))
         assert all(other.verdict(key) is induction._APPLY for key in _FACT_KEYS)
 
     def test_wanted_background_holds_gravity(self):
-        diff = induction._Diff(*_WANTED_BACKGROUND)
+        diff = TrainPair(*_WANTED_BACKGROUND)
         gravity = [key for key in _FACT_KEYS if key[0] == "gravity_shift"]
         assert {diff.verdict(key) for key in gravity} == {induction._HOLD}
         assert diff.by_class("none") is induction._DROP
@@ -566,12 +567,11 @@ class TestExactnessFacts:
         for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
             for gin, gout in task.train:
                 for connectivity in (4, 8):
-                    pair = (Scene(gin, connectivity), gout)
-                    diff = induction._Diff(*pair)
-                    for key in collect_candidates(pair, proposer, 2000, connectivity):
-                        if diff.verdict(key) is not induction._APPLY:
+                    pair = TrainPair(Scene(gin, connectivity), gout)
+                    for key in collect_candidates(pair, proposer, 2000):
+                        if pair.verdict(key) is not induction._APPLY:
                             marked[key[0]] += 1
-                            assert apply_pattern(build_pattern(key), pair[0]) != gout, key
+                            assert apply_pattern(build_pattern(key), pair.scene) != gout, key
         # Each fact marks something: the kinds that grow no color, the
         # gravity kind, and every ``changes`` record the search proposes.
         assert {"reflect_h", "rotate180", "gravity_shift", "recolor", "draw_bbox_border",
@@ -583,7 +583,7 @@ class TestExactnessFacts:
         # of its own); recolor(1, 3) is only held back.
         gin = Grid.from_rows([[1, 0], [0, 0]])
         gout = Grid.from_rows([[2, 0], [0, 0]])
-        diff = induction._Diff(Scene(gin), gout)
+        diff = TrainPair(Scene(gin), gout)
         keys = [
             pattern_key(parse_pattern(line))
             for line in ("reflect_h()@all", "recolor(src=1,dst=3)@all", "recolor(src=1,dst=2)@all")
@@ -594,13 +594,13 @@ class TestExactnessFacts:
         assert diff.by_class("none") is diff.by_class("background") is induction._DROP
         assert diff.by_class("any") is induction._APPLY
         assert [key for key in keys if diff.verdict(key) is induction._HOLD] == keys[1:2]
-        same = induction._Diff(Scene(gin), gin)
+        same = TrainPair(Scene(gin), gin)
         assert all(same.verdict(key) is induction._APPLY for key in keys)
 
     def test_diff_matches_pixel_distance(self):
         for _, task, _ in generate_suite(seed=1007, n_planted=20, n_noise=5):
             for gin, gout in task.train:
-                diff = induction._Diff(Scene(gin), gout)
+                diff = TrainPair(Scene(gin), gout)
                 assert diff.distance == pixel_distance(gin, gout)
                 if gin.dims == gout.dims:
                     cells = [
@@ -627,7 +627,7 @@ class TestIntersect:
         rot = make_pattern("rotate90")
         pairs = [(g, apply_pattern(rot, g)) for g in (g1, g2, g3)]
         per_pair = [[_sp(rot)] for _ in pairs]
-        rs = intersect_patterns(per_pair, pairs)
+        rs = intersect_patterns(per_pair, train_pairs(pairs))
         assert [format_pattern(sp.pattern) for sp in rs.patterns] == ["rotate90()@all"]
         assert rs.patterns[0].confidence == 1.0
         assert rs.patterns[0].support == 3
@@ -640,9 +640,9 @@ class TestIntersect:
         pairs = [(g, apply_pattern(rot, g)) for g in (g1, g2, g3)]
         # Present in 2 of 3 pair lists.
         per_pair = [[_sp(rot)], [_sp(rot)], []]
-        rs_strict = intersect_patterns(per_pair, pairs, threshold=1.0)
+        rs_strict = intersect_patterns(per_pair, train_pairs(pairs), threshold=1.0)
         assert rs_strict.patterns == ()
-        rs_loose = intersect_patterns(per_pair, pairs, threshold=0.6)
+        rs_loose = intersect_patterns(per_pair, train_pairs(pairs), threshold=0.6)
         assert len(rs_loose.patterns) == 1
         assert rs_loose.patterns[0].support == 2
         assert abs(rs_loose.patterns[0].confidence - 2 / 3) < 1e-12
@@ -656,7 +656,7 @@ class TestIntersect:
         pair2 = (g2, Grid.from_rows([[0, 0], [0, 0]]))
         per_pair = [[_sp(rot)], []]
         for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rs = intersect_patterns(per_pair, [pair1, pair2], threshold=threshold)
+            rs = intersect_patterns(per_pair, train_pairs([pair1, pair2]), threshold=threshold)
             assert all(
                 format_pattern(sp.pattern) != "rotate90()@all" for sp in rs.patterns
             )
@@ -671,7 +671,7 @@ class TestIntersect:
         odd = Grid.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         pair2 = (odd, odd)
         per_pair = [[_sp(down)], []]
-        rs = intersect_patterns(per_pair, [pair1, pair2], threshold=0.5)
+        rs = intersect_patterns(per_pair, train_pairs([pair1, pair2]), threshold=0.5)
         assert [format_pattern(sp.pattern) for sp in rs.patterns] == [
             "scale_down(factor=2)@all"
         ]
@@ -682,7 +682,7 @@ class TestIntersect:
         pairs = [(g, apply_pattern(rot, g))]
         partial = make_pattern("rotate270")
         per_pair = [[_sp(rot, exact=True), _sp(partial, exact=False)]]
-        rs = intersect_patterns(per_pair, pairs)
+        rs = intersect_patterns(per_pair, train_pairs(pairs))
         assert [format_pattern(sp.pattern) for sp in rs.patterns] == ["rotate90()@all"]
 
     def test_partials_survive_without_exacts(self):
@@ -691,7 +691,7 @@ class TestIntersect:
         pairs = [(g, apply_pattern(rot, g))]
         partial = make_pattern("rotate270")
         per_pair = [[_sp(partial, exact=False)]]
-        rs = intersect_patterns(per_pair, pairs)
+        rs = intersect_patterns(per_pair, train_pairs(pairs))
         assert [sp.exact for sp in rs.patterns] == [False]
 
     def test_empty_input_is_a_contract_error(self):
@@ -708,7 +708,7 @@ class TestIntersect:
         pairs = list(pt.task.train)
         previous = None
         for threshold in (0.0, 0.34, 0.67, 1.0):
-            rs = intersect_patterns(per_pair, pairs, threshold=threshold)
+            rs = intersect_patterns(per_pair, train_pairs(pairs), threshold=threshold)
             keys = {format_pattern(sp.pattern) for sp in rs.patterns}
             if previous is not None:
                 assert keys <= previous
@@ -722,10 +722,10 @@ class TestIntersect:
             detect(pair, proposer, 2000) for pair in pt.task.train
         ]
         pairs = list(pt.task.train)
-        rs = intersect_patterns(per_pair, pairs)
+        rs = intersect_patterns(per_pair, train_pairs(pairs))
         order = [2, 0, 1]
         rs_shuffled = intersect_patterns(
-            [per_pair[i] for i in order], [pairs[i] for i in order]
+            [per_pair[i] for i in order], train_pairs([pairs[i] for i in order])
         )
         assert rs == rs_shuffled
 
@@ -734,7 +734,7 @@ class TestIntersect:
         rot = make_pattern("rotate90")
         pairs = [(g, apply_pattern(rot, g))] * 2
         per_pair = [[_sp(rot), _sp(rot)], [_sp(rot)]]
-        rs = intersect_patterns(per_pair, pairs)
+        rs = intersect_patterns(per_pair, train_pairs(pairs))
         assert rs.patterns[0].support == 2
 
 
@@ -782,7 +782,8 @@ class TestVerifyOnce:
                 for p in task.train
             ]
             unpruned = len(apply_calls)
-            proposed = [set(collect_candidates(p, proposer, 2000)) for p in task.train]
+            pairs = train_pairs(task.train)
+            proposed = [set(collect_candidates(p, proposer, 2000)) for p in pairs]
             order = sorted(range(len(task.train)), key=lambda k: _cells(task.train[k][0]))
             reordered += order != sorted(order)
             position = {}
@@ -854,10 +855,10 @@ class TestLateBuilding:
             built += 1
             post_init(self)
 
-        def counting_detect(pair, candidates, connectivity=4, diff=None):
+        def counting_detect(pair, candidates):
             nonlocal verified
             before = len(apply_calls)
-            out = detect_original(pair, candidates, connectivity, diff)
+            out = detect_original(pair, candidates)
             verified += len(apply_calls) - before
             return out
 
@@ -871,7 +872,7 @@ def _unpruned(task, proposer, threshold, budget):
     """The reference ``induce``: every pair verifies every candidate."""
     pairs = list(task.train)
     per_pair = [detect(p, proposer, budget) for p in pairs]
-    return intersect_patterns(per_pair, pairs, threshold)
+    return intersect_patterns(per_pair, train_pairs(pairs), threshold)
 
 
 class _PerPairProposer:
@@ -880,8 +881,8 @@ class _PerPairProposer:
     def __init__(self, lines_by_input):
         self.lines_by_input = lines_by_input
 
-    def propose(self, scene, output, budget):
-        return list(self.lines_by_input[scene.grid])
+    def propose(self, pair, budget):
+        return list(self.lines_by_input[pair.scene.grid])
 
 
 def _pool_task():
@@ -942,6 +943,30 @@ class TestPruning:
             induce(task, proposer, threshold, 2000)
         assert len(apply_calls) == applies
 
+    # Segmentations and pixel distances inside induce: each train grid is
+    # segmented at most once, and a pair whose shapes match reads its
+    # distance off its differing cells, while one whose shapes differ
+    # computes it only when first verified.
+    @pytest.mark.parametrize(
+        "threshold, segments, distances", [(1.0, 397, 733), (0.5, 410, 1344), (0.0, 423, 3287)]
+    )
+    def test_suite_segment_and_distance_counts(
+        self, suite, monkeypatch, segment_calls, threshold, segments, distances
+    ):
+        distance_calls = 0
+
+        def counting(a, b):
+            nonlocal distance_calls
+            distance_calls += 1
+            return pixel_distance(a, b)
+
+        _rebind(monkeypatch, pixel_distance, counting)
+        segment_calls.clear()
+        proposer = SearchProposer()
+        for _, task, _ in suite:
+            induce(task, proposer, threshold, 2000)
+        assert (len(segment_calls), distance_calls) == (segments, distances)
+
     # Each key's verdict is read once per pair it reaches in the first
     # round, and ``may_change`` only for keys whose class leaves them to
     # apply: a key checked twice, or a changed fact, shows as a count.
@@ -955,7 +980,7 @@ class TestPruning:
     )
     def test_suite_verdict_counts(self, suite, monkeypatch, threshold, may_change_calls, verdicts):
         calls = Counter()
-        may_change, verdict = induction.may_change, induction._Diff.verdict
+        may_change, verdict = induction.may_change, TrainPair.verdict
 
         def counting_may_change(*args):
             calls["may_change"] += 1
@@ -967,7 +992,7 @@ class TestPruning:
             return answer
 
         monkeypatch.setattr(induction, "may_change", counting_may_change)
-        monkeypatch.setattr(induction._Diff, "verdict", counting_verdict)
+        monkeypatch.setattr(TrainPair, "verdict", counting_verdict)
         proposer = SearchProposer()
         for _, task, _ in suite:
             induce(task, proposer, threshold, 2000)
@@ -986,12 +1011,12 @@ class TestPruning:
         detect_original = induction.detect_unit_patterns
         intersect_original = induction.intersect_patterns
 
-        def recording_detect(pair, candidates, connectivity=4, diff=None):
+        def recording_detect(pair, candidates):
             before = len(apply_calls)
-            out = detect_original(pair, candidates, connectivity, diff)
+            out = detect_original(pair, candidates)
             keys = {format_pattern(build_pattern(key)) for key in candidates}
             for line, g in apply_calls[before:]:
-                assert line in keys and g == pair[0].grid
+                assert line in keys and g == pair.scene.grid
             verified.extend(apply_calls[before:])
             return out
 
@@ -1038,7 +1063,7 @@ class TestPruning:
     def test_suite_matches_unpruned(self, suite_detections, threshold):
         proposer = SearchProposer()
         for task, per_pair in suite_detections:
-            reference = intersect_patterns(per_pair, list(task.train), threshold)
+            reference = intersect_patterns(per_pair, train_pairs(task.train), threshold)
             assert induce(task, proposer, threshold, 2000) == reference
 
     @pytest.mark.parametrize("threshold", [1.0, 0.5, 0.0])
@@ -1050,7 +1075,7 @@ class TestPruning:
             for order in itertools.permutations(range(len(task.train))):
                 pairs = tuple(task.train[k] for k in order)
                 reference = intersect_patterns(
-                    [per_pair[k] for k in order], list(pairs), threshold
+                    [per_pair[k] for k in order], train_pairs(pairs), threshold
                 )
                 permuted = Task(train=pairs, test=task.test)
                 assert induce(permuted, proposer, threshold, 2000) == reference, order
@@ -1116,10 +1141,10 @@ _FACT_LINES = [
 
 
 def _count_marked(monkeypatch):
-    """Count, by kind, the keys ``_Diff.verdict`` holds back as not exact
+    """Count, by kind, the keys ``TrainPair.verdict`` holds back as not exact
     while the test runs."""
     marked = Counter()
-    original = induction._Diff.verdict
+    original = TrainPair.verdict
 
     def counting(self, key):
         verdict = original(self, key)
@@ -1127,7 +1152,7 @@ def _count_marked(monkeypatch):
             marked[key[0]] += 1
         return verdict
 
-    monkeypatch.setattr(induction._Diff, "verdict", counting)
+    monkeypatch.setattr(TrainPair, "verdict", counting)
     return marked
 
 
@@ -1147,9 +1172,9 @@ class TestExactFirst:
         verified = []
         reference_detect = oracles.reference_detect_unit_patterns
 
-        def recording(pair, candidates, connectivity=4):
+        def recording(pair, candidates):
             before = len(apply_calls)
-            out = reference_detect(pair, candidates, connectivity)
+            out = reference_detect(pair, candidates)
             verified.extend(apply_calls[before:])
             return out
 

@@ -615,7 +615,7 @@ class TestColorCountFact:
 
 
 # The kinds verification holds back by a pair's differing colors
-# (``induction._Diff.verdict``): those with a ``changes`` record or a
+# (``induction.TrainPair.verdict``): those with a ``changes`` record or a
 # ``GROWS`` class.
 _FACT_KINDS = sorted(
     kind for kind, spec in _KINDS.items() if spec.changes is not None or spec.grows != "any"

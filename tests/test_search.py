@@ -11,6 +11,7 @@ from symgrid import (
     KIND_ORDER,
     Scene,
     SearchProposer,
+    TrainPair,
     apply_pattern,
     build_pattern,
     enumerate_candidates,
@@ -125,7 +126,7 @@ class TestPerceptionCount:
         g = Grid.from_rows([[1, 0], [0, 2]])
         out = apply_pattern(make_pattern("scale_up", factor=2), g)
         segment_calls.clear()
-        keys = list(SearchProposer().propose(Scene(g), out, 2000))
+        keys = list(SearchProposer().propose(TrainPair(Scene(g), out), 2000))
         assert ("scale_up", (2,), ("all", None)) in keys
         assert segment_calls == []
 
@@ -144,7 +145,8 @@ class TestValueKeys:
         for connectivity in (4, 8):
             for _, task, _ in suite:
                 for gin, gout in task.train:
-                    for key in proposer.propose(Scene(gin, connectivity), gout, 2000):
+                    pair = TrainPair(Scene(gin, connectivity), gout)
+                    for key in proposer.propose(pair, 2000):
                         assert pattern_key(build_pattern(key)) == key
                         digest.update(repr(key).encode("utf-8") + b"\n")
                         keys += 1
