@@ -19,23 +19,29 @@ path alone it replays, matching requests by their canonical JSON form
 callers treat like any transport failure; so does a live response body
 longer than ``MAX_BODY_BYTES`` or still arriving when the call's timeout
 has passed, and a sample response with more than ``MAX_SAMPLE_GRIDS``
-grids.
+grids. A recorded exchange that cannot be appended to the transcript
+raises a plain SymgridError instead, which callers do not degrade on.
+
+The HTTP client modules load on the first live call, and a replayed
+transcript is read a line at a time.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING, TextIO
 
 from .config import MAX_SAMPLE_GRIDS
-from .errors import BackendError
+from .errors import BackendError, SymgridError
 from .grid import encode_markdown
+
+if TYPE_CHECKING:
+    import http.client
 
 # The largest response body read: room for thousands of pattern lines or
 # 30x30 sample grids. A longer body is a BackendError, like a bad one.
@@ -43,6 +49,52 @@ MAX_BODY_BYTES = 4 << 20
 
 # A request's replay key; one stateless encoder, not one per json.dumps call.
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _load_transcript(fh: TextIO) -> dict[str, deque[dict]]:
+    """Each transcript line's response, queued under its request's key.
+
+    The file is read a line at a time, never whole. Each line the file
+    object yields is split again with ``str.splitlines``, so line numbers
+    and the lines themselves are those of ``read_text().splitlines()``,
+    U+2028 and the other separators it knows included.
+    """
+    replay: dict[str, deque[dict]] = {}
+    lines = chain.from_iterable(map(str.splitlines, fh))
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            key = _canonical(entry["request"])
+            response = entry["response"]
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise BackendError(f"bad transcript line {line_no}: {e}") from e
+        except RecursionError:
+            raise BackendError(
+                f"bad transcript line {line_no}: nested too deeply"
+            ) from None
+        if not isinstance(response, dict):
+            raise BackendError(
+                f"bad transcript line {line_no}: response is not a JSON object"
+            )
+        replay.setdefault(key, deque()).append(response)
+    return replay
+
+
+def _file_offset(path: Path, error: UnicodeDecodeError) -> UnicodeDecodeError:
+    """``error`` with its position counted from the start of the file.
+
+    A streaming decoder counts from the chunk it was decoding; the error
+    path alone decodes the whole file again to name the byte's offset.
+    """
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        return whole
+    except OSError:
+        pass
+    return error
 
 
 @dataclass
@@ -64,36 +116,18 @@ class RemoteBackend:
             raise BackendError("backend needs a URL, a transcript, or both")
         self._replay: dict[str, deque[dict]] | None = None
         if self.url is None and self.transcript_path is not None:
-            self._replay = {}
             path = Path(self.transcript_path)
             if not path.exists():
                 raise BackendError(f"transcript not found: {self.transcript_path}")
             try:
-                text = path.read_text(encoding="utf-8")
+                with path.open(encoding="utf-8") as fh:
+                    self._replay = _load_transcript(fh)
             except OSError as e:
                 raise BackendError(f"cannot read transcript: {e}") from e
             except UnicodeDecodeError as e:
-                raise BackendError(f"transcript is not valid UTF-8: {e}") from e
-            for line_no, line in enumerate(text.splitlines(), 1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = _canonical(entry["request"])
-                    response = entry["response"]
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise BackendError(
-                        f"bad transcript line {line_no}: {e}"
-                    ) from e
-                except RecursionError:
-                    raise BackendError(
-                        f"bad transcript line {line_no}: nested too deeply"
-                    ) from None
-                if not isinstance(response, dict):
-                    raise BackendError(
-                        f"bad transcript line {line_no}: response is not a JSON object"
-                    )
-                self._replay.setdefault(key, deque()).append(response)
+                raise BackendError(
+                    f"transcript is not valid UTF-8: {_file_offset(path, e)}"
+                ) from e
 
     def _call(self, request: dict) -> dict:
         if self._replay is not None:
@@ -101,6 +135,12 @@ class RemoteBackend:
             if not queue:
                 raise BackendError("no recorded response for this request")
             return queue.popleft()
+
+        # The HTTP stack loads here, on the first live call: a replayed or
+        # backend-less run never pays for http.client, ssl and email.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         assert self.url is not None
         body = json.dumps(request).encode("utf-8")
@@ -132,10 +172,15 @@ class RemoteBackend:
         if not isinstance(response, dict):
             raise BackendError("response is not a JSON object")
         if self.transcript_path is not None:
-            with open(self.transcript_path, "a") as fh:
-                fh.write(
-                    json.dumps({"request": request, "response": response}) + "\n"
-                )
+            # Not a BackendError: the backend answered, and a recording run
+            # that cannot record stops with exit 2 instead of degrading.
+            try:
+                with open(self.transcript_path, "a") as fh:
+                    fh.write(
+                        json.dumps({"request": request, "response": response}) + "\n"
+                    )
+            except OSError as e:
+                raise SymgridError(f"cannot write transcript: {e}") from e
         return response
 
     def _read_body(self, resp: http.client.HTTPResponse, deadline: float) -> bytes:

@@ -330,15 +330,17 @@ def _rotate270(p: UnitPattern, s: Scene) -> Grid:
 
 
 def _crop_to_content(p: UnitPattern, s: Scene) -> Grid:
+    """The box from the first to the last row, then column, that is not
+    all background."""
     g, bg = s.grid, s.background
-    cells = [(r, c) for r in range(g.height) for c in range(g.width) if g.rows[r][c] != bg]
-    if not cells:
+    blank = (bg,) * g.width
+    filled = [r for r, row in enumerate(g.rows) if row != blank]
+    if not filled:
         raise PatternApplicationError("crop_to_content: grid has no content")
-    top = min(r for r, _ in cells)
-    bottom = max(r for r, _ in cells)
-    left = min(c for _, c in cells)
-    right = max(c for _, c in cells)
-    return Grid._trusted(tuple(row[left : right + 1] for row in g.rows[top : bottom + 1]))
+    band = g.rows[filled[0] : filled[-1] + 1]
+    blank = (bg,) * len(band)
+    used = [c for c, column in enumerate(zip(*band)) if column != blank]
+    return Grid._trusted(tuple(row[used[0] : used[-1] + 1] for row in band))
 
 
 def _symmetry_complete(p: UnitPattern, s: Scene) -> Grid:
@@ -369,7 +371,13 @@ def _scale_up(p: UnitPattern, s: Scene) -> Grid:
 
 
 def _scale_down(p: UnitPattern, s: Scene) -> Grid:
-    """Inverse of scale_up; the grid must be an exact k-blowup."""
+    """Inverse of scale_up; the grid must be an exact k-blowup.
+
+    A band of ``factor`` rows is uniform blocks when each row equals the
+    band's first and each of that row's ``row[j::factor]`` slices equals
+    its ``row[::factor]``; only a failing band is scanned block by block,
+    to name its first non-uniform block.
+    """
     g, factor = s.grid, p["factor"]
     h, w = g.height, g.width
     if h % factor or w % factor:
@@ -378,19 +386,21 @@ def _scale_down(p: UnitPattern, s: Scene) -> Grid:
         )
     rows = []
     for br in range(h // factor):
-        out_row = []
-        for bc in range(w // factor):
-            block = {
-                g.rows[br * factor + i][bc * factor + j]
-                for i in range(factor)
-                for j in range(factor)
-            }
-            if len(block) != 1:
-                raise PatternApplicationError(
-                    f"scale_down({factor}): block ({br},{bc}) is not uniform"
-                )
-            out_row.append(block.pop())
-        rows.append(tuple(out_row))
+        band = g.rows[br * factor : (br + 1) * factor]
+        top = band[0]
+        out_row = top[::factor]
+        if any(row != top for row in band) or any(
+            top[j::factor] != out_row for j in range(1, factor)
+        ):
+            blocks = (
+                {v for row in band for v in row[bc * factor : (bc + 1) * factor]}
+                for bc in range(w // factor)
+            )
+            bc = next(bc for bc, block in enumerate(blocks) if len(block) != 1)
+            raise PatternApplicationError(
+                f"scale_down({factor}): block ({br},{bc}) is not uniform"
+            )
+        rows.append(out_row)
     return Grid._trusted(tuple(rows))
 
 

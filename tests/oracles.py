@@ -9,13 +9,16 @@ The exception is the references kept for fast paths (``fraction_vote``,
 ``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``,
 ``genexpr_pixel_distance``, ``render_reference``, ``scan_match_objects``,
 ``reference_detect_unit_patterns``, ``reference_induce``,
-``two_flood_cavity_regions``): each is the
+``two_flood_cavity_regions``, ``cell_scale_down``,
+``cell_crop_to_content``, ``whole_text_transcript``): each is the
 code a fast path replaced, kept so differential tests can require the
 same results from both.
 """
 
+import json
 from collections import Counter, deque
 from fractions import Fraction
+from pathlib import Path
 
 from symgrid import (
     Grid,
@@ -31,7 +34,7 @@ from symgrid import (
     pattern_key,
     pixel_distance,
 )
-from symgrid.errors import PatternApplicationError, PatternContractError
+from symgrid.errors import BackendError, PatternApplicationError, PatternContractError
 from symgrid.patterns import (
     _KINDS,
     AXES,
@@ -660,3 +663,75 @@ def reference_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4)
         support.update(pattern_key(sp.pattern) for sp in detections)
         per_pair[k] = detections
     return intersect_patterns(per_pair, pairs, threshold)
+
+
+def cell_scale_down(p, scene):
+    """``scale_down`` as it was before it compared whole rows: every block
+    gathered cell by cell into a set. Kept as the reference for that fast
+    path."""
+    g, factor = scene.grid, p["factor"]
+    h, w = g.height, g.width
+    if h % factor or w % factor:
+        raise PatternApplicationError(
+            f"scale_down({factor}): dimensions {h}x{w} not divisible"
+        )
+    rows = []
+    for br in range(h // factor):
+        out_row = []
+        for bc in range(w // factor):
+            block = {
+                g.rows[br * factor + i][bc * factor + j]
+                for i in range(factor)
+                for j in range(factor)
+            }
+            if len(block) != 1:
+                raise PatternApplicationError(
+                    f"scale_down({factor}): block ({br},{bc}) is not uniform"
+                )
+            out_row.append(block.pop())
+        rows.append(tuple(out_row))
+    return Grid(tuple(rows))
+
+
+def cell_crop_to_content(p, scene):
+    """``crop_to_content`` as it was before it took its box from the blank
+    rows and columns: every non-background cell listed. Kept as the
+    reference for that fast path."""
+    g, bg = scene.grid, scene.background
+    cells = [(r, c) for r in range(g.height) for c in range(g.width) if g.rows[r][c] != bg]
+    if not cells:
+        raise PatternApplicationError("crop_to_content: grid has no content")
+    top = min(r for r, _ in cells)
+    bottom = max(r for r, _ in cells)
+    left = min(c for _, c in cells)
+    right = max(c for _, c in cells)
+    return Grid(tuple(row[left : right + 1] for row in g.rows[top : bottom + 1]))
+
+
+def whole_text_transcript(path):
+    """``RemoteBackend``'s transcript load as it was before it read the
+    file a line at a time: the whole text decoded, then split with
+    ``str.splitlines``. Returns each request key's responses in file order,
+    or raises BackendError with the message the loader gave."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise BackendError(f"cannot read transcript: {e}") from e
+    except UnicodeDecodeError as e:
+        raise BackendError(f"transcript is not valid UTF-8: {e}") from e
+    replay = {}
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            key = json.dumps(entry["request"], sort_keys=True, separators=(",", ":"))
+            response = entry["response"]
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise BackendError(f"bad transcript line {line_no}: {e}") from e
+        if not isinstance(response, dict):
+            raise BackendError(
+                f"bad transcript line {line_no}: response is not a JSON object"
+            )
+        replay.setdefault(key, []).append(response)
+    return replay

@@ -3,14 +3,19 @@
 import hashlib
 import http.client
 import json
+import os
 import socketserver
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import symgrid
 from symgrid import (
     BackendError,
     Grid,
@@ -265,6 +270,143 @@ class TestRecordReplay:
     def test_url_or_transcript_required(self):
         with pytest.raises(BackendError):
             RemoteBackend()
+
+
+def _entry(i, text="rotate90()@all"):
+    """One transcript line's JSON, before its line ending."""
+    request = {"mode": "propose", "input": f"|{i}|", "output": "|2|", "budget": 1}
+    return json.dumps(
+        {"request": request, "response": {"patterns": [text]}}, ensure_ascii=False
+    )
+
+
+def _replay_or_message(path):
+    """The loaded replay table as lists, or the load's error message."""
+    try:
+        backend = RemoteBackend(transcript_path=str(path))
+    except BackendError as e:
+        return str(e)
+    return {key: list(queue) for key, queue in backend._replay.items()}
+
+
+def _whole_text_or_message(path):
+    from oracles import whole_text_transcript
+
+    try:
+        return whole_text_transcript(path)
+    except BackendError as e:
+        return str(e)
+
+
+class TestStreamedTranscript:
+    """A replay transcript is read a line at a time; lines, line numbers
+    and load errors are those of ``read_text().splitlines()``, kept as
+    ``oracles.whole_text_transcript``."""
+
+    def test_crlf_and_blank_lines_replay_in_order(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(
+            "\r\n".join(["", _entry(1, "a"), "", "  ", _entry(1, "b"), _entry(2, "c"), ""])
+            .encode("utf-8")
+        )
+        backend = RemoteBackend(transcript_path=str(transcript))
+        assert backend.propose("|1|", "|2|", budget=1) == ["a"]
+        assert backend.propose("|1|", "|2|", budget=1) == ["b"]
+        assert backend.propose("|2|", "|2|", budget=1) == ["c"]
+        assert _replay_or_message(transcript) == _whole_text_or_message(transcript)
+
+    def test_raw_line_separator_in_a_string_breaks_its_line(self, tmp_path):
+        # U+2028 is a line boundary to str.splitlines, though json.dumps
+        # leaves it raw in a string: the third line splits there.
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(
+            "\n".join([_entry(1), _entry(2), _entry(3, "a\u2028b"), _entry(4)]) + "\n",
+            encoding="utf-8",
+        )
+        message = _replay_or_message(transcript)
+        assert message.startswith("bad transcript line 3: ")
+        assert message == _whole_text_or_message(transcript)
+
+    def test_every_separator_matches_the_whole_text_split(self, tmp_path):
+        separators = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                      "\x85", "\u2028", "\u2029"]
+        rng = random.Random(2403)
+        transcript = tmp_path / "t.jsonl"
+        outcomes = set()
+        for _ in range(120):
+            parts = []
+            for _ in range(rng.randint(1, 6)):
+                text = "p" if rng.random() < 0.8 else f"p{rng.choice(separators)}q"
+                parts.append(_entry(rng.randrange(3), text))
+                parts.append(rng.choice(separators) * rng.randint(1, 2))
+            transcript.write_text("".join(parts), encoding="utf-8", newline="")
+            got = _replay_or_message(transcript)
+            assert got == _whole_text_or_message(transcript), repr("".join(parts))
+            outcomes.add(isinstance(got, str))
+        assert outcomes == {True, False}
+
+    def test_bad_byte_after_the_first_read_buffer(self, rotate_task, tmp_path, capsys):
+        lines = []
+        size = 0
+        while size < 120_000:
+            lines.append(_entry(len(lines)).encode("utf-8") + b"\n")
+            size += len(lines[-1])
+        data = bytearray(b"".join(lines))
+        at = data.index(b"rotate90", 100_000)
+        data[at] = 0xFF
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(bytes(data))
+        message = _replay_or_message(transcript)
+        assert message.startswith("transcript is not valid UTF-8: ")
+        assert message == _whole_text_or_message(transcript)
+        task_path = tmp_path / "task.json"
+        task_path.write_bytes(serialize_task(rotate_task))
+        assert main(["solve", str(task_path), "--transcript", str(transcript)]) == 2
+        assert capsys.readouterr().err.startswith("error: transcript is not valid UTF-8")
+
+    def test_directory_is_not_readable(self, tmp_path):
+        assert _replay_or_message(tmp_path).startswith("cannot read transcript: ")
+
+
+# A fresh interpreter: import the package, solve without a backend, then
+# replay a transcript, listing after each step the HTTP modules loaded.
+_FOOTPRINT = """
+import json, sys
+HTTP = ("http.client", "urllib.request", "ssl")
+def loaded():
+    return [m for m in HTTP if m in sys.modules]
+seen = {"start": loaded()}
+import symgrid, symgrid.cli
+seen["import"] = loaded()
+task, transcript = sys.argv[1:]
+codes = [symgrid.cli.main(["solve", task])]
+seen["solve"] = loaded()
+codes.append(symgrid.cli.main(["solve", task, "--samples", "3", "--transcript", transcript]))
+seen["replay"] = loaded()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+class TestImportFootprint:
+    def test_no_http_stack_without_a_live_call(self, stub_task_and_transcript, tmp_path):
+        task, transcript = stub_task_and_transcript
+        task_path = tmp_path / "task.json"
+        task_path.write_bytes(serialize_task(task))
+        import_root = str(Path(symgrid.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=import_root)
+        result = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, str(task_path), str(transcript)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0]
+        assert "degraded" not in result.stderr
+        assert report["seen"] == {"start": [], "import": [], "solve": [], "replay": []}
 
 
 class TestDegradation:

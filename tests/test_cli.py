@@ -164,52 +164,57 @@ class TestInduce:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.fixture()
+def propose_server():
+    """A local stub that answers every request with one rotate90 line and
+    no grids; returns its URL and the list of requests it saw."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            n = int(self.headers.get("Content-Length", 0))
+            seen.append(json.loads(self.rfile.read(n)))
+            payload = json.dumps({"patterns": ["rotate90()@all"], "grids": []}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestRemoteProposerConfig:
     def test_induce_with_replayed_remote_proposer(
-        self, rotate_task_file, tmp_path, capsys
+        self, rotate_task_file, propose_server, tmp_path, capsys
     ):
         # Record a propose conversation, then drive `induce` through the
         # remote proposer from a config file, replaying the transcript.
-        import json as _json
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-
         from symgrid.backend import RemoteBackend, RemotePatternProposer
         from symgrid import induce, parse_task
 
         path, pt = rotate_task_file
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                n = int(self.headers.get("Content-Length", 0))
-                _json.loads(self.rfile.read(n))
-                payload = _json.dumps({"patterns": ["rotate90()@all"]}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        url, _ = propose_server
         transcript = tmp_path / "remote.jsonl"
-        try:
-            recorder = RemoteBackend(
-                url=f"http://127.0.0.1:{server.server_port}/",
-                timeout=5,
-                transcript_path=str(transcript),
-            )
-            induce(parse_task(path.read_bytes()), RemotePatternProposer(recorder))
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
+        recorder = RemoteBackend(url=url, timeout=5, transcript_path=str(transcript))
+        induce(parse_task(path.read_bytes()), RemotePatternProposer(recorder))
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            _json.dumps(
+            json.dumps(
                 {"proposer": "remote", "transcript_path": str(transcript)}
             )
         )
@@ -223,6 +228,44 @@ class TestRemoteProposerConfig:
         cfg.write_text('{"proposer": "remote"}')
         assert main(["induce", str(path), "--config", str(cfg)]) != 0
         assert "remote" in capsys.readouterr().err
+
+
+class TestRecordMode:
+    """Recording (a backend URL and a transcript path) that cannot append
+    to the transcript stops with exit 2 and ``error: cannot write
+    transcript``, not a traceback and not a silently unrecorded run."""
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_transcript_exits_2(
+        self, rotate_task_file, propose_server, tmp_path, capsys, where
+    ):
+        path, _ = rotate_task_file
+        url, seen = propose_server
+        transcript = {
+            "directory": tmp_path,
+            "missing_parent": tmp_path / "absent" / "t.jsonl",
+        }[where]
+        argv = ["solve", str(path), "--backend-url", url, "--transcript", str(transcript)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write transcript: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert len(seen) == 1  # the backend answered; the record failed
+        assert not (tmp_path / "absent").exists()
+
+    def test_writable_transcript_records_and_replays(
+        self, rotate_task_file, propose_server, tmp_path, capsys
+    ):
+        path, _ = rotate_task_file
+        url, seen = propose_server
+        transcript = tmp_path / "t.jsonl"
+        argv = ["solve", str(path), "--transcript", str(transcript)]
+        assert main([*argv, "--backend-url", url]) == 0
+        recorded = capsys.readouterr().out
+        assert len(transcript.read_text().splitlines()) == len(seen) == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().out == recorded
 
 
 class TestSolve:

@@ -368,6 +368,120 @@ class TestRepaint:
         assert out == Grid.from_rows([[0, 1, 2, 0], [0, 0, 0, 0]])
 
 
+def _result_or_message(fn, p, scene):
+    """``fn(p, scene)``'s grid, or the message of its PatternApplicationError."""
+    try:
+        return fn(p, scene)
+    except PatternApplicationError as e:
+        return f"error: {e}"
+
+
+class TestRowKernels:
+    """``scale_down`` and ``crop_to_content`` work on whole rows and
+    columns; ``oracles.cell_scale_down`` and ``oracles.cell_crop_to_content``
+    are the per-cell versions they replaced. Both must give the same grid
+    or the same error message."""
+
+    def _blowup(self, rng, factor):
+        h = rng.randint(1, 30 // factor)
+        w = rng.randint(1, 30 // factor)
+        base = Grid.from_rows([[rng.randrange(3) for _ in range(w)] for _ in range(h)])
+        rows = [list(row) for row in apply("scale_up", base, factor=factor).rows]
+        if rng.random() < 0.5:
+            # One changed cell makes exactly one block not uniform.
+            r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+            rows[r][c] = (rows[r][c] + 1) % 10
+        return Grid.from_rows(rows)
+
+    def test_scale_down_matches_cell_reference_on_random_grids(self):
+        from oracles import cell_scale_down
+
+        rng = random.Random(2401)
+        outcomes = Counter()
+        for i in range(600):
+            factor = rng.choice((2, 3, 4, 5))
+            if i % 4 == 0:
+                g = random_grid(rng, colors=2)
+            elif i % 4 == 1:
+                # Each row repeated factor times: only the slice compares
+                # within a row can find the block that is not uniform.
+                h, w = rng.randint(1, 30 // factor), factor * rng.randint(1, 30 // factor)
+                rows = [[rng.randrange(2) for _ in range(w)] for _ in range(h)]
+                g = Grid.from_rows([row for row in rows for _ in range(factor)])
+            else:
+                g = self._blowup(rng, factor)
+            p = make_pattern("scale_down", factor=factor)
+            scene = Scene(g)
+            got = _result_or_message(apply_pattern, p, scene)
+            assert got == _result_or_message(cell_scale_down, p, scene), (factor, g)
+            # "error: scale_down(k): dimensions ..." or "... block (br,bc) ..."
+            outcomes["grid" if isinstance(got, Grid) else got.split()[2]] += 1
+        assert outcomes["grid"] > 100
+        assert outcomes["dimensions"] > 50
+        assert outcomes["block"] > 100
+
+    def test_crop_to_content_matches_cell_reference_on_random_grids(self):
+        from oracles import cell_crop_to_content
+
+        rng = random.Random(2402)
+        p = make_pattern("crop_to_content")
+        empties = 0
+        for _ in range(600):
+            h, w = rng.randint(1, 30), rng.randint(1, 30)
+            bg = rng.randrange(10)
+            rows = [[bg] * w for _ in range(h)]
+            for _ in range(rng.choice((0, 1, 2, 5, h * w))):
+                rows[rng.randrange(h)][rng.randrange(w)] = rng.randrange(10)
+            scene = Scene(Grid.from_rows(rows))
+            got = _result_or_message(apply_pattern, p, scene)
+            assert got == _result_or_message(cell_crop_to_content, p, scene), scene.grid
+            empties += isinstance(got, str)
+        assert empties > 50
+
+    def test_scale_down_names_the_first_non_uniform_block(self):
+        from oracles import cell_scale_down
+
+        rows = [[1] * 6 for _ in range(6)]
+        rows[3][5] = 2  # block (1,2)
+        rows[5][2] = 2  # block (2,1), later in row-major order
+        p = make_pattern("scale_down", factor=2)
+        scene = Scene(Grid.from_rows(rows))
+        message = "scale_down(2): block (1,2) is not uniform"
+        with pytest.raises(PatternApplicationError) as fast:
+            apply_pattern(p, scene)
+        with pytest.raises(PatternApplicationError) as cell:
+            cell_scale_down(p, scene)
+        assert str(fast.value) == str(cell.value) == message
+
+    def test_scale_down_rejects_a_size_not_divisible_by_the_factor(self):
+        from oracles import cell_scale_down
+
+        p = make_pattern("scale_down", factor=3)
+        scene = Scene(Grid.from_rows([[4] * 6] * 4))
+        message = "scale_down(3): dimensions 4x6 not divisible"
+        assert _result_or_message(apply_pattern, p, scene) == f"error: {message}"
+        assert _result_or_message(cell_scale_down, p, scene) == f"error: {message}"
+
+    def test_grid_with_no_content_and_one_cell_grid(self):
+        from oracles import cell_crop_to_content, cell_scale_down
+
+        crop = make_pattern("crop_to_content")
+        blank = Scene(Grid.from_rows([[7] * 5] * 3))
+        assert _result_or_message(apply_pattern, crop, blank) == (
+            "error: crop_to_content: grid has no content"
+        )
+        assert _result_or_message(cell_crop_to_content, crop, blank) == (
+            "error: crop_to_content: grid has no content"
+        )
+        one = Scene(Grid.from_rows([[6]]))
+        down = make_pattern("scale_down", factor=2)
+        for p, fn in ((crop, cell_crop_to_content), (down, cell_scale_down)):
+            assert _result_or_message(apply_pattern, p, one) == _result_or_message(fn, p, one)
+        assert _result_or_message(apply_pattern, crop, one) == (
+            "error: crop_to_content: grid has no content"
+        )
+
+
 class TestGroupLaws:
     @given(grids(max_side=8))
     @settings(max_examples=60)
