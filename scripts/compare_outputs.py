@@ -13,7 +13,9 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
 3. ``symgrid solve TASK --passes 2`` stdout for every task;
 4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
    every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0, at connectivity
-   4 and at ``--connectivity 8``;
+   4 and at ``--connectivity 8``, and with ``--budget B`` for B in 1 and 3
+   at thresholds 1.0 and 0.5 (the default budget of 2000 never binds on
+   the suite, so these catch a change in where the budget cuts);
 5. ``symgrid perceive TASK --connectivity C`` stdout (objects, bboxes and
    cavity counts of every grid) for every task at connectivity 4 and 8;
 6. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
@@ -42,6 +44,8 @@ from pathlib import Path
 SEED = 1007
 GENERATOR_SEEDS = (1, 2, 3)
 THRESHOLDS = ("1.0", "0.67", "0.5", "0.34", "0.0")
+BUDGETS = ("1", "3")
+BUDGET_THRESHOLDS = ("1.0", "0.5")
 
 
 def _env(checkout: Path) -> dict:
@@ -129,6 +133,11 @@ def _worker(checkout: Path, suite: Path) -> int:
         commands.extend(
             ["induce", str(task), "--connectivity", "8", "--threshold", t] for t in THRESHOLDS
         )
+        commands.extend(
+            ["induce", str(task), "--budget", b, "--threshold", t]
+            for b in BUDGETS
+            for t in BUDGET_THRESHOLDS
+        )
         commands.extend(["perceive", str(task), "--connectivity", c] for c in ("4", "8"))
     lines = []
     for argv in commands:
@@ -189,6 +198,8 @@ def main() -> int:
         f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout and "
         f"eval_summary.json), solve --passes 2 on {tasks} tasks, induce on "
         f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} at connectivity 4 and 8, "
+        f"and at budgets {' and '.join(BUDGETS)} at thresholds "
+        f"{' and '.join(BUDGET_THRESHOLDS)}, "
         f"perceive on {tasks} tasks at connectivity 4 and 8, and the suites of "
         f"generator seeds {', '.join(map(str, GENERATOR_SEEDS))}"
     )

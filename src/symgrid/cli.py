@@ -206,7 +206,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"unreadable files: {unreadable}")
     summary = report_summary(report)
     summary["unreadable_files"] = unreadable
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    except OSError as e:
+        raise SymgridError(f"cannot write summary: {e}") from e
     print(f"summary written to {summary_path}")
     return 0
 

@@ -3,26 +3,25 @@
 Objects in an input/output scene pair are tagged added, removed, or
 retained by greedy matching. Candidate unit patterns come from a
 pluggable proposer: every train pair's candidates are collected first,
-keyed by value (``patterns.pattern_key``), then each one is applied at
-most once to a pair input, and only while the number of pairs that
-propose it can still carry it to the confidence threshold, while the
-pair's differing cells leave it a chance to match (``TrainPair.verdict``),
-and, once it has been kept as partial or that verdict shows it cannot be
-exact, only if no exact rule survives. A candidate becomes a
-(validated) UnitPattern only there, just before it is applied, so the
-many that are never verified are never built. The verdicts are
-intersected across pairs into a confidence-ranked rule set with rendered
-hint sentences.
+each distinct value key (``patterns.pattern_key``) numbered once in the
+task's ``CandidateTable``, then each one is applied at most once to a
+pair input, and only while the number of pairs that propose it can still
+carry it to the confidence threshold, while the pair's differing cells
+leave it a chance to match (``TrainPair.verdict``), and, once it has been
+kept as partial or that verdict shows it cannot be exact, only if no
+exact rule survives. A candidate becomes a (validated) UnitPattern only
+there, so the many that are never verified are never built. The verdicts
+are intersected across pairs into a confidence-ranked rule set with
+rendered hint sentences.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import deque
+from dataclasses import dataclass
 from itertools import chain, compress
-from operator import attrgetter, ne
+from operator import attrgetter, itemgetter, ne
 from typing import Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
@@ -40,7 +39,7 @@ from .patterns import (
     pattern_key,
     synthesize_hint,
 )
-from .perception import GridObject, Perception
+from .perception import GridObject, Perception, lazy
 
 log = logging.getLogger(__name__)
 
@@ -129,66 +128,85 @@ class Proposer(Protocol):
 
     ``propose`` gets the ``TrainPair``. It may yield value keys
     (``patterns.pattern_key``) or serialized pattern lines, and verifies
-    nothing:
-    ``collect_candidates`` parses the lines (dropping malformed ones with
-    a warning), turns each item into its key, deduplicates on the key and
-    stops after ``budget`` distinct candidates; ``detect_unit_patterns``
-    builds a pattern from a key only when it verifies it, and applies
-    each one at most once.
+    nothing: ``collect_candidates`` numbers them, parsing the lines, and
+    stops after ``budget`` distinct candidates.
     """
 
     def propose(self, pair: TrainPair, budget: int) -> Iterable[PatternKey | str]: ...
 
 
+class CandidateTable:
+    """One task's candidates, numbered once each in the order first
+    proposed: candidate ``i`` has the value key ``keys[i]`` and the pattern
+    ``patterns[i]``, as parsed from a line, or None until ``pattern``
+    builds it. ``ids`` maps a key to its number, and ``lines`` each line
+    seen to its candidate's number, or a malformed line to its error text.
+    """
+
+    __slots__ = ("keys", "patterns", "ids", "lines")
+
+    def __init__(self) -> None:
+        self.keys: list[PatternKey] = []
+        self.patterns: list[UnitPattern | None] = []
+        self.ids: dict[PatternKey, int] = {}
+        self.lines: dict[str, int | str] = {}
+
+    def number(self, key: PatternKey, pattern: UnitPattern | None = None) -> int:
+        """``key``'s number, the next one when it is new."""
+        cid = self.ids.setdefault(key, len(self.keys))
+        if cid == len(self.keys):
+            self.keys.append(key)
+            self.patterns.append(pattern)
+        return cid
+
+    def pattern(self, cid: int) -> UnitPattern:
+        """Candidate ``cid``'s pattern, built (and so validated) on first
+        use: a key that names no valid pattern raises PatternContractError."""
+        pattern = self.patterns[cid]
+        if pattern is None:
+            pattern = self.patterns[cid] = build_pattern(self.keys[cid])
+        return pattern
+
+
 def collect_candidates(
-    pair: TrainPair,
-    proposer: Proposer,
-    budget: int,
-    memo: dict[str, tuple[UnitPattern, PatternKey] | str] | None = None,
-) -> dict[PatternKey, UnitPattern | None]:
-    """One pair's first ``budget`` distinct candidates, by value key.
+    pair: TrainPair, proposer: Proposer, budget: int, table: CandidateTable
+) -> list[int]:
+    """The numbers in ``table`` of one pair's first ``budget`` distinct
+    candidates, in proposer order.
 
     Lines are parsed, malformed ones dropped with a warning, and
-    duplicates skipped; the dict keeps proposer order. A key maps to its
-    parsed pattern when the proposer gave a line, else to None: keys are
-    built only when verified. Nothing is applied.
-
-    ``memo`` maps each line already parsed to its pattern and key, or to
-    the error text of a malformed line; a line found there is not parsed
-    again, and a malformed one still warns at every occurrence. ``induce``
-    shares one memo across the pairs of one task; without one, this call
-    keeps its own.
+    duplicates skipped. A line found in ``table.lines`` is not parsed
+    again, and a malformed one still warns at every occurrence. Nothing
+    is built or applied.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    if memo is None:
-        memo = {}
-    candidates: dict[PatternKey, UnitPattern | None] = {}
+    lines = table.lines
+    ids: dict[int, None] = {}
     for item in proposer.propose(pair, budget):
         if isinstance(item, str):
-            parsed = memo.get(item)
-            if parsed is None:
+            cid = lines.get(item)
+            if cid is None:
                 try:
                     pattern = parse_pattern(item)
                 except PatternContractError as e:
                     # The text, not the exception: its traceback would hold
-                    # this frame, and so the memo, in a reference cycle.
-                    parsed = str(e)
+                    # this frame, and so the table, in a reference cycle.
+                    cid = str(e)
                 else:
-                    parsed = (pattern, pattern_key(pattern))
-                memo[item] = parsed
-            if isinstance(parsed, str):
-                log.warning("dropping malformed pattern line %r: %s", item, parsed)
+                    cid = table.number(pattern_key(pattern), pattern)
+                lines[item] = cid
+            if isinstance(cid, str):
+                log.warning("dropping malformed pattern line %r: %s", item, cid)
                 continue
-            pattern, key = parsed
         else:
-            key, pattern = item, None
-        if key in candidates:
+            cid = table.number(item)
+        if cid in ids:
             continue
-        if len(candidates) == budget:
+        if len(ids) == budget:
             break
-        candidates[key] = pattern
-    return candidates
+        ids[cid] = None
+    return list(ids)
 
 
 # ``TrainPair.verdict``'s answers.
@@ -231,7 +249,7 @@ class TrainPair:
         self.held_colors, self.wanted_colors = set(held), set(wanted)
         self.distance = len(held)
 
-    @cached_property
+    @lazy
     def distance(self) -> int:
         return pixel_distance(self.scene.grid, self.output)
 
@@ -284,16 +302,12 @@ class TrainPair:
 
 
 def detect_unit_patterns(
-    pair: TrainPair, candidates: dict[PatternKey, UnitPattern | None]
-) -> list[ScoredPattern]:
-    """Verify candidates, as ``collect_candidates`` returns them, on one pair.
-
-    A key without a pattern is built here before it is applied, which
-    validates it (a key that names no valid pattern raises
-    PatternContractError). Each candidate is applied at most once to the
-    pair input, in dict order: exact matches are flagged exact, strict
-    reductions of pixel distance are kept as partial, everything else is
-    dropped.
+    pair: TrainPair, table: CandidateTable, ids: list[int]
+) -> dict[int, bool]:
+    """Verify the candidates ``ids`` of ``table`` on one pair, each built
+    (``CandidateTable.pattern``) and applied at most once, in list order;
+    returns the kept ones' verdicts by number: exact matches True, strict
+    reductions of pixel distance (partial) False, everything else dropped.
 
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
@@ -302,94 +316,75 @@ def detect_unit_patterns(
     """
     scene, gout = pair.scene, pair.output
     baseline = pair.distance
-    out: list[ScoredPattern] = []
-    for key, pattern in candidates.items():
-        grows = GROWS.get(key[0], "any")
+    keys = table.keys
+    found: dict[int, bool] = {}
+    for cid in ids:
+        grows = GROWS.get(keys[cid][0], "any")
         if grows != "any" and pair.by_class(grows) is _DROP:
             continue
-        if pattern is None:
-            pattern = build_pattern(key)
+        pattern = table.pattern(cid)
         try:
             result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):
             continue
         if grids_equal(result, gout):
-            out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=True))
+            found[cid] = True
         elif pixel_distance(result, gout) < baseline:
-            out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=False))
-    return out
-
-
-@dataclass
-class _Entry:
-    pattern: UnitPattern
-    exact_by_pair: dict[int, bool] = field(default_factory=dict)
+            found[cid] = False
+    return found
 
 
 def intersect_patterns(
-    per_pair: list[list[ScoredPattern]],
+    table: CandidateTable,
+    per_pair: list[dict[int, bool]],
     train_pairs: list[TrainPair],
     threshold: float = 1.0,
 ) -> RuleSet:
-    """Intersect per-pair detections into a ranked rule set.
+    """Intersect per-pair verdicts into a ranked rule set.
 
-    ``per_pair[i]`` must be the output of ``detect_unit_patterns`` for
-    ``train_pairs[i]``: its flags are read as verdicts on that pair.
-    Support counts the pairs whose list contains the pattern (duplicates
-    within one pair count once).
+    ``per_pair[i]`` holds verdicts of ``detect_unit_patterns`` on
+    ``train_pairs[i]``, by candidate number in ``table``. Support counts
+    the pairs whose verdicts hold the candidate.
     Patterns below the confidence threshold are dropped, as is any
     pattern that was proposed exact somewhere but runs without error on
     some train pair and yields the wrong output. A partial flag says
-    exactly that; only pairs whose list lacks the pattern (possible
-    below threshold 1.0) have it applied here. ``induce`` leaves out of
-    pair k's list the candidates that could no longer reach the
-    threshold (it skips applying them there); this test drops them
-    either way, so the lists it builds give the same rule set as lists
-    with every candidate verified. Partial patterns are kept
-    only as a backstop: once any exact pattern survives, the partials
-    are pruned so they cannot outvote a rule that reproduces every
-    training output. ``induce`` relies on that pruning: it holds back a
-    candidate kept as partial on the pairs verified after, and one that a
-    pair's differing cells show cannot be exact from that pair on, and
-    verifies it there only when the lists without those verdicts give no
-    exact rule.
+    exactly that; only pairs without a verdict on the pattern (possible
+    below threshold 1.0) have it applied here, the patterns in canonical
+    order. ``induce`` leaves out of pair k's verdicts the candidates that
+    could no longer reach the threshold; this test drops them either way.
+    Partial patterns are kept only as a backstop: once any exact pattern
+    survives, the partials are pruned so they cannot outvote a rule that
+    reproduces every training output, which ``induce``'s held-back
+    candidates rely on.
     """
     if not per_pair:
         raise ValueError("intersect_patterns: no per-pair lists")
     if len(per_pair) != len(train_pairs):
         raise ValueError("intersect_patterns: per-pair lists do not match pairs")
     n = len(per_pair)
-    entries: dict[PatternKey, _Entry] = {}
-    for idx, detections in enumerate(per_pair):
-        for sp in detections:
-            key = pattern_key(sp.pattern)
-            entry = entries.setdefault(key, _Entry(pattern=sp.pattern))
-            entry.exact_by_pair.setdefault(idx, sp.exact)
+    flags_by_id: dict[int, dict[int, bool]] = {}
+    for idx, found in enumerate(per_pair):
+        for cid, exact in found.items():
+            flags_by_id.setdefault(cid, {})[idx] = exact
 
+    ranked = []
+    for cid, flags in flags_by_id.items():
+        if len(flags) / n + 1e-9 < threshold:
+            continue
+        pattern = table.pattern(cid)
+        ranked.append((canonical_key(pattern), pattern, flags))
+    ranked.sort(key=itemgetter(0))  # distinct candidates have distinct canonical keys
     survivors: list[ScoredPattern] = []
-    for key in sorted(entries, key=lambda k: canonical_key(entries[k].pattern)):
-        entry = entries[key]
-        flags = entry.exact_by_pair
-        support = len(flags)
-        confidence = support / n
-        if confidence + 1e-9 < threshold:
+    for _, pattern, flags in ranked:
+        exact = all(flags.values())
+        # A partial flag: the pattern applied without error and missed the output.
+        if any(flags.values()) and (not exact or _contradicted(pattern, flags, train_pairs)):
             continue
-        if any(flags.values()) and _contradicted(entry.pattern, flags, train_pairs):
-            continue
-        survivors.append(
-            ScoredPattern(
-                pattern=entry.pattern,
-                support=support,
-                confidence=confidence,
-                exact=all(flags.values()),
-            )
-        )
+        survivors.append(ScoredPattern(pattern, len(flags), len(flags) / n, exact))
 
     if any(sp.exact for sp in survivors):
         survivors = [sp for sp in survivors if sp.exact]
-    survivors.sort(
-        key=lambda sp: (-sp.confidence, not sp.exact, canonical_key(sp.pattern))
-    )
+    survivors.sort(key=lambda sp: (-sp.confidence, not sp.exact))  # stable: ties stay canonical
     return RuleSet(
         patterns=tuple(survivors),
         hints=tuple(synthesize_hint(sp.pattern) for sp in survivors),
@@ -408,9 +403,10 @@ def induce(
     Each train pair becomes one ``TrainPair``, which proposal, both
     verification rounds below and intersection share: its input has one
     Scene, segmented at most once, and its differing cells are read once.
-    Every pair's candidates are collected first, in pair order, through
-    one memo of the task's pattern lines, so each distinct line is parsed
-    once (the memo lives for this call only). The pairs are then
+    Every pair's candidates are collected first, in pair order, into one
+    ``CandidateTable`` for this call, so each distinct key is numbered
+    once and each distinct line parsed once, and every later stage works
+    on the numbers. The pairs are then
     verified from the smallest input (fewest cells) up, ties in pair
     order. A candidate is applied on a pair only if it
     is in that pair's list, so its support can never exceed its support
@@ -438,105 +434,102 @@ def induce(
     """
     pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
-    memo: dict[str, tuple[UnitPattern, PatternKey] | str] = {}  # this task's lines
-    collected = [collect_candidates(p, proposer, budget, memo) for p in pairs]
+    table = CandidateTable()
+    lists = [collect_candidates(p, proposer, budget, table) for p in pairs]
     cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]
     order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
-    per_pair: list[list[ScoredPattern]] = [[] for _ in pairs]
-    support: Counter[PatternKey] = Counter()  # verified pairs whose list holds the key
-    held_from: dict[PatternKey, int] = {}  # key -> first position in ``order`` it skips
-    untried = _verify(pairs, order, collected, support, per_pair, threshold, held_from)
-    first = per_pair
-    if untried:
-        first = [[sp for sp in sps if pattern_key(sp.pattern) not in untried] for sps in per_pair]
-    rules = intersect_patterns(first, pairs, threshold)
+    per_pair: list[dict[int, bool]] = [{} for _ in pairs]
+    support = [0] * len(table.keys)  # verified pairs whose list holds the candidate
+    # The first position in ``order`` a candidate skips; one kept as partial
+    # on the last pair skips from n, no pair. n + 1: never held back.
+    held_from = [n + 1] * len(table.keys)
+    untried = _verify(pairs, order, table, lists, support, per_pair, threshold, held_from)
+    first = [{c: e for c, e in found.items() if c not in untried} for found in per_pair]
+    rules = intersect_patterns(table, first, pairs, threshold)
     if any(sp.exact for sp in rules.patterns):
         return rules
-    held: list[dict[PatternKey, UnitPattern | None]] = [{} for _ in pairs]
+    held: list[list[int]] = [[] for _ in pairs]
     for i, k in enumerate(order):
-        held[k] = {key: p for key, p in collected[k].items() if held_from.get(key, n) <= i}
+        held[k] = [cid for cid in lists[k] if held_from[cid] <= i]
     if not any(held):  # so nothing is untried, and ``rules`` saw every verdict
         return rules
-    _verify(pairs, order, held, support, per_pair, threshold, None)
+    _verify(pairs, order, table, held, support, per_pair, threshold, None)
     # The candidates never held back have the same verdicts as above, so
     # they die again; leaving them out spares their contradiction checks.
-    per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in held_from] for sps in per_pair]
-    return intersect_patterns(per_pair, pairs, threshold)
+    per_pair = [{c: e for c, e in found.items() if held_from[c] <= n} for found in per_pair]
+    return intersect_patterns(table, per_pair, pairs, threshold)
 
 
 def _verify(
     pairs: list[TrainPair],
     order: list[int],
-    lists: list[dict[PatternKey, UnitPattern | None]],
-    support: Counter[PatternKey],
-    per_pair: list[list[ScoredPattern]],
+    table: CandidateTable,
+    lists: list[list[int]],
+    support: list[int],
+    per_pair: list[dict[int, bool]],
     threshold: float,
-    held_from: dict[PatternKey, int] | None,
-) -> set[PatternKey]:
-    """Verify ``lists[k]`` on ``pairs[k]`` for k in ``order``, under
-    ``induce``'s reachability bound, adding the verdicts to ``per_pair``
-    and ``support``. Given ``held_from``, a candidate kept as partial
-    there is skipped from the next position in ``order`` on, and one whose
-    ``pairs[k].verdict`` is ``_HOLD`` is skipped from that position on,
-    unapplied (and unbuilt, so a key that names no valid pattern raises
-    only if it is verified later); the position is recorded, and the keys
-    skipped unapplied are returned.
+    held_from: list[int] | None,
+) -> set[int]:
+    """Verify the candidates ``lists[k]`` of ``table`` on ``pairs[k]`` for
+    k in ``order``, under ``induce``'s reachability bound, adding the
+    verdicts to ``per_pair`` and ``support`` (both by candidate number).
+    Given ``held_from``, a candidate kept as partial there is skipped from
+    the next position in ``order`` on, and one whose ``pairs[k].verdict``
+    is ``_HOLD`` is skipped from that position on, unapplied (and unbuilt,
+    so a key that names no valid pattern raises only if it is verified
+    later); the position is recorded, and the candidates skipped
+    unapplied are returned.
 
     The bound is kept in integers. ``need`` is the least support m with
     ``m / n + 1e-9 >= threshold``, ``intersect_patterns``' test (n + 1
     when no m up to n passes it, as for a threshold above 1 or NaN).
-    ``count[key]`` is the key's support plus the pairs not yet verified
-    whose lists hold it; ``alive`` holds the keys whose count reaches
-    ``need`` and that are not held back. A count falls only when a pair
-    that applied the key did not keep it, and never rises, so a key that
-    leaves ``alive`` never returns and its count is no longer kept.
+    ``count[cid]`` is the candidate's support plus the pairs not yet
+    verified whose lists hold it; ``alive[cid]`` says whether that count
+    reaches ``need`` and the candidate is not held back (it is read only
+    for candidates in ``lists``). A count falls only when a pair that
+    applied the candidate did not keep it, and never rises, so a candidate
+    that leaves ``alive`` never returns.
     """
     n = len(pairs)
     need = next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
-    count = Counter(chain.from_iterable(lists))
-    for key, s in support.items():
-        if key in count:
-            count[key] += s
-    alive = {key for key, c in count.items() if c >= need}
-    untried: set[PatternKey] = set()
+    count = support.copy()
+    for cid in chain.from_iterable(lists):
+        count[cid] += 1
+    alive = [c >= need for c in count]
+    untried: set[int] = set()
     for i, k in enumerate(order):
-        candidates = lists[k]
-        reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
-        if not reachable:
-            continue
         pair = pairs[k]
+        reachable = list(compress(lists[k], map(alive.__getitem__, lists[k])))
         if held_from is not None and pair.held:
-            barred = [key for key in reachable if pair.verdict(key) is _HOLD]
-            for key in barred:
-                del reachable[key]
-                held_from[key] = i
-            alive.difference_update(barred)
-            untried.update(barred)
+            for cid in reachable:
+                if pair.verdict(table.keys[cid]) is _HOLD:
+                    held_from[cid] = i
+                    alive[cid] = False
+                    untried.add(cid)
+            reachable = [cid for cid in reachable if alive[cid]]
         if not reachable:
             continue
-        detections = detect_unit_patterns(pair, reachable)
-        per_pair[k] += detections
-        detected = [pattern_key(sp.pattern) for sp in detections]
-        support.update(detected)
-        for key in reachable.keys() - detected:
-            count[key] -= 1
-            if count[key] < need:
-                alive.discard(key)
-        if held_from is not None:
-            for key, sp in zip(detected, detections):
-                if not sp.exact:
-                    held_from[key] = i + 1
-                    alive.discard(key)
+        found = detect_unit_patterns(pair, table, reachable)
+        per_pair[k].update(found)
+        for cid in reachable:
+            exact = found.get(cid)
+            if exact is None:
+                count[cid] -= 1
+                if count[cid] < need:
+                    alive[cid] = False
+            else:
+                support[cid] += 1
+                if held_from is not None and not exact:
+                    held_from[cid] = i + 1
+                    alive[cid] = False
     return untried
 
 
 def _contradicted(
-    pattern: UnitPattern,
-    exact_by_pair: dict[int, bool],
-    train_pairs: list[TrainPair],
+    pattern: UnitPattern, exact_by_pair: dict[int, bool], train_pairs: list[TrainPair]
 ) -> bool:
-    if not all(exact_by_pair.values()):
-        return True  # a partial applied without error and missed the output
+    """Whether ``pattern`` runs without error on a pair it has no verdict
+    on and misses that pair's output."""
     for idx, pair in enumerate(train_pairs):
         if idx in exact_by_pair:
             continue

@@ -5,7 +5,7 @@ kinds with parameters read off the scene diff), lazily and without being
 applied or built: the search yields value keys ``(kind, parameter values
 in signature order, (selector kind, selector value))``, the
 ``patterns.pattern_key`` form. ``induction.collect_candidates``
-deduplicates them on the key and stops at the budget;
+numbers them once each and stops at the budget;
 ``induction.detect_unit_patterns`` builds (and so validates) a
 UnitPattern only for a key it verifies, then applies it once to the
 pair. Generation order is deterministic, so repeated runs return
@@ -19,6 +19,7 @@ from typing import Iterator
 
 from .grid import Grid
 from .induction import (
+    CandidateTable,
     ScoredPattern,
     TrainPair,
     collect_candidates,
@@ -37,7 +38,10 @@ def enumerate_candidates(
     ``detect_unit_patterns``."""
     gin, gout = pair
     pair = TrainPair(Scene(gin, connectivity), gout)
-    return detect_unit_patterns(pair, collect_candidates(pair, SearchProposer(), budget))
+    table = CandidateTable()
+    ids = collect_candidates(pair, SearchProposer(), budget, table)
+    found = detect_unit_patterns(pair, table, ids)
+    return [ScoredPattern(table.pattern(c), 1, 1.0, exact) for c, exact in found.items()]
 
 
 class SearchProposer:

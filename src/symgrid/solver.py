@@ -74,19 +74,17 @@ class Prediction:
 
 
 def apply_ruleset(
-    rs: RuleSet,
-    test_input: Grid | Scene,
-    connectivity: int = 4,
-    trace: SolveTrace | None = None,
+    rs: RuleSet, test_input: Grid | Scene, trace: SolveTrace | None = None
 ) -> list[Candidate]:
     """Run every surviving pattern on the test input, in rule-set order.
 
     Each successful application becomes a candidate weighted by the
     pattern's confidence; failures are skipped with a trace note. A Scene
-    may stand in for the test input, as in ``apply_pattern``; either way
-    every rule shares one segmentation of it.
+    may stand in for the test input, as in ``apply_pattern``, and brings
+    its connectivity (a bare grid is read at 4); either way every rule
+    shares one segmentation of it.
     """
-    scene = as_scene(test_input, connectivity)
+    scene = as_scene(test_input)
     candidates: list[Candidate] = []
     for sp in rs.patterns:
         try:

@@ -8,13 +8,17 @@ import pytest
 from symgrid import (
     Grid,
     Scene,
+    ScoredPattern,
     TrainPair,
     collect_candidates,
     detect_unit_patterns,
     format_pattern,
+    intersect_patterns,
+    pattern_key,
     patterns,
     perception,
 )
+from symgrid.induction import CandidateTable
 
 
 @st.composite
@@ -53,12 +57,42 @@ def replay_lines(planted):
     )
 
 
+def scored(table, found):
+    """``detect_unit_patterns``' verdicts on candidates of ``table`` as
+    ScoredPatterns of support 1, in verification order."""
+    return [ScoredPattern(table.pattern(c), 1, 1.0, exact) for c, exact in found.items()]
+
+
 def detect(pair, proposer, budget, connectivity=4):
     """One pair's verified candidates: ``collect_candidates`` then
-    ``detect_unit_patterns``, sharing one TrainPair over the grid pair."""
+    ``detect_unit_patterns``, sharing one TrainPair over the grid pair and
+    one fresh CandidateTable."""
     gin, gout = pair
     pair = TrainPair(Scene(gin, connectivity), gout)
-    return detect_unit_patterns(pair, collect_candidates(pair, proposer, budget))
+    table = CandidateTable()
+    ids = collect_candidates(pair, proposer, budget, table)
+    return scored(table, detect_unit_patterns(pair, table, ids))
+
+
+def collect_keys(pair, proposer, budget):
+    """The value keys of one TrainPair's candidates, as ``collect_candidates``
+    numbers them in a fresh CandidateTable."""
+    table = CandidateTable()
+    return [table.keys[c] for c in collect_candidates(pair, proposer, budget, table)]
+
+
+def intersect(per_pair, pairs, threshold=1.0):
+    """``intersect_patterns`` over per-pair ScoredPattern lists: each
+    distinct pattern is numbered once in a fresh CandidateTable, and a
+    pair's first flag for it is its verdict there."""
+    table = CandidateTable()
+    verdicts = []
+    for detections in per_pair:
+        found = {}
+        for sp in detections:
+            found.setdefault(table.number(pattern_key(sp.pattern), sp.pattern), sp.exact)
+        verdicts.append(found)
+    return intersect_patterns(table, verdicts, pairs, threshold)
 
 
 def train_pairs(pairs, connectivity=4):

@@ -8,7 +8,10 @@ stay free of package internals beyond public value types.
 The exception is the references kept for fast paths (``fraction_vote``,
 ``str_encode_markdown``, ``bfs_segment``, ``reference_pattern``,
 ``genexpr_pixel_distance``, ``render_reference``, ``scan_match_objects``,
-``reference_detect_unit_patterns``, ``reference_induce``,
+``reference_detect_unit_patterns``, ``reference_induce``, the
+per-pair dict pipeline (``dict_collect_candidates``,
+``dict_detect_unit_patterns``, ``dict_intersect_patterns``,
+``dict_induce``),
 ``two_flood_cavity_regions``, ``cell_scale_down``,
 ``cell_crop_to_content``, ``whole_text_transcript``): each is the
 code a fast path replaced, kept so differential tests can require the
@@ -18,23 +21,25 @@ same results from both.
 import json
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import chain, compress
 from pathlib import Path
 
 from symgrid import (
     Grid,
+    RuleSet,
     ScoredPattern,
     Scene,
     TrainPair,
     background_color,
     build_pattern,
-    collect_candidates,
     grids_equal,
-    intersect_patterns,
+    parse_pattern,
     patterns,
     pattern_key,
     pixel_distance,
 )
 from symgrid.errors import BackendError, PatternApplicationError, PatternContractError
+from symgrid.induction import _DROP, _HOLD, log
 from symgrid.patterns import (
     _KINDS,
     AXES,
@@ -42,6 +47,8 @@ from symgrid.patterns import (
     SELECT_ALL,
     _bbox_border,
     _gravity_order,
+    canonical_key,
+    synthesize_hint,
 )
 from symgrid.perception import GridObject, Perception
 
@@ -646,7 +653,7 @@ def reference_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4)
     threshold, and the verdicts are intersected once."""
     pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
-    collected = [collect_candidates(p, proposer, budget) for p in pairs]
+    collected = [dict_collect_candidates(p, proposer, budget) for p in pairs]
     support = Counter()
     proposed = Counter(key for candidates in collected for key in candidates)
     per_pair = [[] for _ in pairs]
@@ -662,7 +669,197 @@ def reference_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4)
         detections = reference_detect_unit_patterns(pairs[k], reachable)
         support.update(pattern_key(sp.pattern) for sp in detections)
         per_pair[k] = detections
-    return intersect_patterns(per_pair, pairs, threshold)
+    return dict_intersect_patterns(per_pair, pairs, threshold)
+
+
+# The per-pair dict pipeline: ``induction``'s collection, verification and
+# intersection as they were before one ``CandidateTable`` per task numbered
+# the candidates. Each pair's candidates are a dict from value key to the
+# parsed pattern (None for a key), and every stage looks keys up again.
+# Applications go through the ``patterns`` module attribute and warnings
+# through the ``symgrid.induction`` logger, so the ``apply_calls`` fixture
+# and ``caplog`` see both pipelines alike.
+
+
+def dict_collect_candidates(pair, proposer, budget, memo=None):
+    """One pair's first ``budget`` distinct candidates, by value key;
+    ``memo`` maps each line already parsed to its pattern and key, or to
+    the error text of a malformed line."""
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    if memo is None:
+        memo = {}
+    candidates = {}
+    for item in proposer.propose(pair, budget):
+        if isinstance(item, str):
+            parsed = memo.get(item)
+            if parsed is None:
+                try:
+                    pattern = parse_pattern(item)
+                except PatternContractError as e:
+                    parsed = str(e)
+                else:
+                    parsed = (pattern, pattern_key(pattern))
+                memo[item] = parsed
+            if isinstance(parsed, str):
+                log.warning("dropping malformed pattern line %r: %s", item, parsed)
+                continue
+            pattern, key = parsed
+        else:
+            key, pattern = item, None
+        if key in candidates:
+            continue
+        if len(candidates) == budget:
+            break
+        candidates[key] = pattern
+    return candidates
+
+
+def dict_detect_unit_patterns(pair, candidates):
+    """Verify a dict of candidates on one pair, dropping unapplied those
+    whose ``GROWS`` class the pair's color counts rule out."""
+    scene, gout = pair.scene, pair.output
+    baseline = pair.distance
+    out = []
+    for key, pattern in candidates.items():
+        grows = patterns.GROWS.get(key[0], "any")
+        if grows != "any" and pair.by_class(grows) is _DROP:
+            continue
+        if pattern is None:
+            pattern = build_pattern(key)
+        try:
+            result = patterns.apply_pattern(pattern, scene)
+        except (PatternApplicationError, PatternContractError):
+            continue
+        if grids_equal(result, gout):
+            out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=True))
+        elif pixel_distance(result, gout) < baseline:
+            out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=False))
+    return out
+
+
+def dict_intersect_patterns(per_pair, train_pairs, threshold=1.0):
+    """Intersect per-pair ScoredPattern lists into a ranked rule set."""
+    if not per_pair:
+        raise ValueError("intersect_patterns: no per-pair lists")
+    if len(per_pair) != len(train_pairs):
+        raise ValueError("intersect_patterns: per-pair lists do not match pairs")
+    n = len(per_pair)
+    entries = {}  # key -> (first pattern, {pair index: exact})
+    for idx, detections in enumerate(per_pair):
+        for sp in detections:
+            entry = entries.setdefault(pattern_key(sp.pattern), (sp.pattern, {}))
+            entry[1].setdefault(idx, sp.exact)
+
+    survivors = []
+    for key in sorted(entries, key=lambda k: canonical_key(entries[k][0])):
+        pattern, flags = entries[key]
+        support = len(flags)
+        confidence = support / n
+        if confidence + 1e-9 < threshold:
+            continue
+        if any(flags.values()) and _dict_contradicted(pattern, flags, train_pairs):
+            continue
+        survivors.append(
+            ScoredPattern(
+                pattern=pattern,
+                support=support,
+                confidence=confidence,
+                exact=all(flags.values()),
+            )
+        )
+
+    if any(sp.exact for sp in survivors):
+        survivors = [sp for sp in survivors if sp.exact]
+    survivors.sort(key=lambda sp: (-sp.confidence, not sp.exact, canonical_key(sp.pattern)))
+    return RuleSet(
+        patterns=tuple(survivors),
+        hints=tuple(synthesize_hint(sp.pattern) for sp in survivors),
+    )
+
+
+def _dict_contradicted(pattern, exact_by_pair, train_pairs):
+    if not all(exact_by_pair.values()):
+        return True
+    for idx, pair in enumerate(train_pairs):
+        if idx in exact_by_pair:
+            continue
+        try:
+            result = patterns.apply_pattern(pattern, pair.scene)
+        except (PatternApplicationError, PatternContractError):
+            continue
+        if not grids_equal(result, pair.output):
+            return True
+    return False
+
+
+def dict_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4):
+    """``induction.induce`` on per-pair dicts: one line memo per task, the
+    reachability bound on key Counters, and both held-back rounds."""
+    pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
+    n = len(pairs)
+    memo = {}
+    collected = [dict_collect_candidates(p, proposer, budget, memo) for p in pairs]
+    cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]
+    order = sorted(range(n), key=cells.__getitem__)
+    per_pair = [[] for _ in pairs]
+    support = Counter()
+    held_from = {}
+    untried = _dict_verify(pairs, order, collected, support, per_pair, threshold, held_from)
+    first = per_pair
+    if untried:
+        first = [[sp for sp in sps if pattern_key(sp.pattern) not in untried] for sps in per_pair]
+    rules = dict_intersect_patterns(first, pairs, threshold)
+    if any(sp.exact for sp in rules.patterns):
+        return rules
+    held = [{} for _ in pairs]
+    for i, k in enumerate(order):
+        held[k] = {key: p for key, p in collected[k].items() if held_from.get(key, n) <= i}
+    if not any(held):
+        return rules
+    _dict_verify(pairs, order, held, support, per_pair, threshold, None)
+    per_pair = [[sp for sp in sps if pattern_key(sp.pattern) in held_from] for sps in per_pair]
+    return dict_intersect_patterns(per_pair, pairs, threshold)
+
+
+def _dict_verify(pairs, order, lists, support, per_pair, threshold, held_from):
+    n = len(pairs)
+    need = next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
+    count = Counter(chain.from_iterable(lists))
+    for key, s in support.items():
+        if key in count:
+            count[key] += s
+    alive = {key for key, c in count.items() if c >= need}
+    untried = set()
+    for i, k in enumerate(order):
+        candidates = lists[k]
+        reachable = dict(compress(candidates.items(), map(alive.__contains__, candidates)))
+        if not reachable:
+            continue
+        pair = pairs[k]
+        if held_from is not None and pair.held:
+            barred = [key for key in reachable if pair.verdict(key) is _HOLD]
+            for key in barred:
+                del reachable[key]
+                held_from[key] = i
+            alive.difference_update(barred)
+            untried.update(barred)
+        if not reachable:
+            continue
+        detections = dict_detect_unit_patterns(pair, reachable)
+        per_pair[k] += detections
+        detected = [pattern_key(sp.pattern) for sp in detections]
+        support.update(detected)
+        for key in reachable.keys() - detected:
+            count[key] -= 1
+            if count[key] < need:
+                alive.discard(key)
+        if held_from is not None:
+            for key, sp in zip(detected, detections):
+                if not sp.exact:
+                    held_from[key] = i + 1
+                    alive.discard(key)
+    return untried
 
 
 def cell_scale_down(p, scene):

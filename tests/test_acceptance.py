@@ -30,14 +30,13 @@ from symgrid import (
     evaluate,
     format_pattern,
     grids_equal,
-    intersect_patterns,
     make_pattern,
     segment,
     serialize_task,
     vote_pixels,
 )
 from symgrid.taskgen import generate_planted_task, generate_suite
-from conftest import detect, random_grid, train_pairs
+from conftest import detect, intersect, random_grid, train_pairs
 from oracles import cavity_oracle, segmentation_oracle, vote_oracle
 
 
@@ -151,7 +150,7 @@ def test_04_plant_and_recover():
             per_pair = [
                 detect(pair, proposer, 2000) for pair in pt.task.train
             ]
-            rs = intersect_patterns(per_pair, train_pairs(pt.task.train))
+            rs = intersect(per_pair, train_pairs(pt.task.train))
             if rs.patterns and format_pattern(rs.patterns[0].pattern) == want:
                 rank_one += 1
         details["recovered"] = f"{recovered}/{n}"
@@ -189,7 +188,7 @@ def test_05_spurious_rule_rejection():
                 continue  # the draw was degenerate for this isometry
             fixtures += 1
             for threshold in thresholds:
-                rs = intersect_patterns(
+                rs = intersect(
                     per_pair, train_pairs([pair1, pair2]), threshold=threshold
                 )
                 assert all(

@@ -343,6 +343,23 @@ class TestEval:
         assert "unreadable files" not in outputs[1]
         assert json.loads((tmp_path / "eval_summary.json").read_text())["scored"] == 3
 
+    def test_unwritable_summary_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A directory holds the summary's name: the report is printed, then
+        # one error line and exit 2, not a traceback.
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "tasks"
+        data.mkdir()
+        for tid, task, _ in generate_suite(seed=31, n_planted=2, n_noise=1):
+            (data / f"{tid}.json").write_bytes(serialize_task(task))
+        (tmp_path / "eval_summary.json").mkdir()
+        assert main(["eval", str(data), "--passes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write summary: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "accuracy: 2/3" in captured.out
+        assert "summary written" not in captured.out
+        assert (tmp_path / "eval_summary.json").is_dir()
+
     def test_dead_backend_warns_once_per_item(self, tmp_path, capsys, monkeypatch):
         # Sampling fails on every item; each says so on stderr, while stdout
         # and the summary read as a run without a backend.

@@ -34,6 +34,7 @@ def test_checkout_against_itself_is_identical():
     assert "induce on 4 tasks at thresholds 1.0, 0.67, 0.5, 0.34, 0.0 at connectivity 4 and 8" in (
         result.stdout
     )
+    assert "and at budgets 1 and 3 at thresholds 1.0 and 0.5" in result.stdout
     assert "perceive on 4 tasks at connectivity 4 and 8" in result.stdout
     assert "generator seeds 1, 2, 3" in result.stdout
 
@@ -62,3 +63,18 @@ def test_first_difference_is_named(tmp_path, old, new, named):
     assert result.returncode == 1
     assert result.stderr.startswith(f"first difference: {named} ")
     assert "Traceback" not in result.stderr
+
+
+def test_changed_budget_cut_is_named(tmp_path):
+    # The default budget of 2000 never binds on the suite, so only the
+    # ``--budget`` runs of step 4 see a cut that keeps one candidate more.
+    change = _copy_checkout(tmp_path / "change")
+    path = change / "src" / "symgrid" / "induction.py"
+    text = path.read_text()
+    old = "if len(ids) == budget:"
+    assert old in text
+    path.write_text(text.replace(old, "if len(ids) > budget:"))
+    result = _compare(ROOT, change)
+    assert result.returncode == 1
+    first = result.stderr.splitlines()[0]
+    assert first.startswith("first difference: induce ") and " --budget " in first

@@ -36,9 +36,18 @@ from symgrid import (
 )
 from symgrid import PatternApplicationError, background_color, induction
 from symgrid.patterns import AXES, DIRECTIONS, GROWS, KEY_ALL, _KINDS
-from symgrid.induction import synthesize_hint
+from symgrid.induction import CandidateTable, synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
-from conftest import _rebind, detect, grids, replay_lines, train_pairs
+from conftest import (
+    _rebind,
+    collect_keys,
+    detect,
+    grids,
+    intersect,
+    replay_lines,
+    scored,
+    train_pairs,
+)
 
 
 def scene(rows):
@@ -273,7 +282,7 @@ class TestDetectUnitPatterns:
 
 class TestParseMemo:
     """``induce`` parses each distinct pattern line once per call, through
-    one memo shared by the task's pairs and dropped when it returns."""
+    the line memo of the task's CandidateTable, dropped when it returns."""
 
     @staticmethod
     def _task():
@@ -316,8 +325,9 @@ class TestParseMemo:
         with_memo = [induce(task, proposer) for task, proposer in suite]
         collect = induction.collect_candidates
 
-        def without_memo(pair, proposer, budget, memo=None):
-            return collect(pair, proposer, budget)
+        def without_memo(pair, proposer, budget, table):
+            table.lines.clear()
+            return collect(pair, proposer, budget, table)
 
         monkeypatch.setattr(induction, "collect_candidates", without_memo)
         assert [induce(task, proposer) for task, proposer in suite] == with_memo
@@ -365,12 +375,14 @@ class TestColorCountBound:
         for _, task, _ in generate_suite(seed=1007, n_planted=100, n_noise=20):
             for gin, gout in task.train:
                 pair = TrainPair(Scene(gin), gout)
-                candidates = collect_candidates(pair, proposer, 2000)
+                table = CandidateTable()
+                ids = collect_candidates(pair, proposer, 2000, table)
+                candidates = dict.fromkeys(table.keys[c] for c in ids)
                 apply_calls.clear()
                 reference = reference_detect_unit_patterns(pair, candidates)
                 everything = Counter(apply_calls)
                 apply_calls.clear()
-                assert detect_unit_patterns(pair, candidates) == reference
+                assert scored(table, detect_unit_patterns(pair, table, ids)) == reference
                 applied = Counter(apply_calls)
                 bound = Counter(a for a in everything if _bound_skips(*a, gout))
                 assert applied == everything - bound
@@ -403,8 +415,10 @@ class TestColorCountBound:
         gout = Grid.from_rows(rows)
         candidates = {pattern_key(parse_pattern(line)): None for line in _BOUNDED_LINES}
         pair = TrainPair(Scene(gin, connectivity), gout)
-        assert detect_unit_patterns(pair, candidates) == reference_detect_unit_patterns(
-            pair, candidates
+        table = CandidateTable()
+        ids = [table.number(key) for key in candidates]
+        assert scored(table, detect_unit_patterns(pair, table, ids)) == (
+            reference_detect_unit_patterns(pair, candidates)
         )
 
     def test_bound_skips_without_applying(self, apply_calls):
@@ -568,7 +582,7 @@ class TestExactnessFacts:
             for gin, gout in task.train:
                 for connectivity in (4, 8):
                     pair = TrainPair(Scene(gin, connectivity), gout)
-                    for key in collect_candidates(pair, proposer, 2000):
+                    for key in collect_keys(pair, proposer, 2000):
                         if pair.verdict(key) is not induction._APPLY:
                             marked[key[0]] += 1
                             assert apply_pattern(build_pattern(key), pair.scene) != gout, key
@@ -627,7 +641,7 @@ class TestIntersect:
         rot = make_pattern("rotate90")
         pairs = [(g, apply_pattern(rot, g)) for g in (g1, g2, g3)]
         per_pair = [[_sp(rot)] for _ in pairs]
-        rs = intersect_patterns(per_pair, train_pairs(pairs))
+        rs = intersect(per_pair, train_pairs(pairs))
         assert [format_pattern(sp.pattern) for sp in rs.patterns] == ["rotate90()@all"]
         assert rs.patterns[0].confidence == 1.0
         assert rs.patterns[0].support == 3
@@ -640,9 +654,9 @@ class TestIntersect:
         pairs = [(g, apply_pattern(rot, g)) for g in (g1, g2, g3)]
         # Present in 2 of 3 pair lists.
         per_pair = [[_sp(rot)], [_sp(rot)], []]
-        rs_strict = intersect_patterns(per_pair, train_pairs(pairs), threshold=1.0)
+        rs_strict = intersect(per_pair, train_pairs(pairs), threshold=1.0)
         assert rs_strict.patterns == ()
-        rs_loose = intersect_patterns(per_pair, train_pairs(pairs), threshold=0.6)
+        rs_loose = intersect(per_pair, train_pairs(pairs), threshold=0.6)
         assert len(rs_loose.patterns) == 1
         assert rs_loose.patterns[0].support == 2
         assert abs(rs_loose.patterns[0].confidence - 2 / 3) < 1e-12
@@ -656,7 +670,7 @@ class TestIntersect:
         pair2 = (g2, Grid.from_rows([[0, 0], [0, 0]]))
         per_pair = [[_sp(rot)], []]
         for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rs = intersect_patterns(per_pair, train_pairs([pair1, pair2]), threshold=threshold)
+            rs = intersect(per_pair, train_pairs([pair1, pair2]), threshold=threshold)
             assert all(
                 format_pattern(sp.pattern) != "rotate90()@all" for sp in rs.patterns
             )
@@ -671,7 +685,7 @@ class TestIntersect:
         odd = Grid.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         pair2 = (odd, odd)
         per_pair = [[_sp(down)], []]
-        rs = intersect_patterns(per_pair, train_pairs([pair1, pair2]), threshold=0.5)
+        rs = intersect(per_pair, train_pairs([pair1, pair2]), threshold=0.5)
         assert [format_pattern(sp.pattern) for sp in rs.patterns] == [
             "scale_down(factor=2)@all"
         ]
@@ -682,7 +696,7 @@ class TestIntersect:
         pairs = [(g, apply_pattern(rot, g))]
         partial = make_pattern("rotate270")
         per_pair = [[_sp(rot, exact=True), _sp(partial, exact=False)]]
-        rs = intersect_patterns(per_pair, train_pairs(pairs))
+        rs = intersect(per_pair, train_pairs(pairs))
         assert [format_pattern(sp.pattern) for sp in rs.patterns] == ["rotate90()@all"]
 
     def test_partials_survive_without_exacts(self):
@@ -691,12 +705,12 @@ class TestIntersect:
         pairs = [(g, apply_pattern(rot, g))]
         partial = make_pattern("rotate270")
         per_pair = [[_sp(partial, exact=False)]]
-        rs = intersect_patterns(per_pair, train_pairs(pairs))
+        rs = intersect(per_pair, train_pairs(pairs))
         assert [sp.exact for sp in rs.patterns] == [False]
 
     def test_empty_input_is_a_contract_error(self):
         with pytest.raises(ValueError):
-            intersect_patterns([], [])
+            intersect_patterns(CandidateTable(), [], [])
 
     def test_monotone_in_threshold(self):
         rng = random.Random(19)
@@ -708,7 +722,7 @@ class TestIntersect:
         pairs = list(pt.task.train)
         previous = None
         for threshold in (0.0, 0.34, 0.67, 1.0):
-            rs = intersect_patterns(per_pair, train_pairs(pairs), threshold=threshold)
+            rs = intersect(per_pair, train_pairs(pairs), threshold=threshold)
             keys = {format_pattern(sp.pattern) for sp in rs.patterns}
             if previous is not None:
                 assert keys <= previous
@@ -722,9 +736,9 @@ class TestIntersect:
             detect(pair, proposer, 2000) for pair in pt.task.train
         ]
         pairs = list(pt.task.train)
-        rs = intersect_patterns(per_pair, train_pairs(pairs))
+        rs = intersect(per_pair, train_pairs(pairs))
         order = [2, 0, 1]
-        rs_shuffled = intersect_patterns(
+        rs_shuffled = intersect(
             [per_pair[i] for i in order], train_pairs([pairs[i] for i in order])
         )
         assert rs == rs_shuffled
@@ -734,7 +748,7 @@ class TestIntersect:
         rot = make_pattern("rotate90")
         pairs = [(g, apply_pattern(rot, g))] * 2
         per_pair = [[_sp(rot), _sp(rot)], [_sp(rot)]]
-        rs = intersect_patterns(per_pair, train_pairs(pairs))
+        rs = intersect(per_pair, train_pairs(pairs))
         assert rs.patterns[0].support == 2
 
 
@@ -783,7 +797,7 @@ class TestVerifyOnce:
             ]
             unpruned = len(apply_calls)
             pairs = train_pairs(task.train)
-            proposed = [set(collect_candidates(p, proposer, 2000)) for p in pairs]
+            proposed = [set(collect_keys(p, proposer, 2000)) for p in pairs]
             order = sorted(range(len(task.train)), key=lambda k: _cells(task.train[k][0]))
             reordered += order != sorted(order)
             position = {}
@@ -855,10 +869,10 @@ class TestLateBuilding:
             built += 1
             post_init(self)
 
-        def counting_detect(pair, candidates):
+        def counting_detect(pair, table, ids):
             nonlocal verified
             before = len(apply_calls)
-            out = detect_original(pair, candidates)
+            out = detect_original(pair, table, ids)
             verified += len(apply_calls) - before
             return out
 
@@ -872,7 +886,7 @@ def _unpruned(task, proposer, threshold, budget):
     """The reference ``induce``: every pair verifies every candidate."""
     pairs = list(task.train)
     per_pair = [detect(p, proposer, budget) for p in pairs]
-    return intersect_patterns(per_pair, train_pairs(pairs), threshold)
+    return intersect(per_pair, train_pairs(pairs), threshold)
 
 
 class _PerPairProposer:
@@ -1011,10 +1025,10 @@ class TestPruning:
         detect_original = induction.detect_unit_patterns
         intersect_original = induction.intersect_patterns
 
-        def recording_detect(pair, candidates):
+        def recording_detect(pair, table, ids):
             before = len(apply_calls)
-            out = detect_original(pair, candidates)
-            keys = {format_pattern(build_pattern(key)) for key in candidates}
+            out = detect_original(pair, table, ids)
+            keys = {format_pattern(build_pattern(table.keys[c])) for c in ids}
             for line, g in apply_calls[before:]:
                 assert line in keys and g == pair.scene.grid
             verified.extend(apply_calls[before:])
@@ -1063,7 +1077,7 @@ class TestPruning:
     def test_suite_matches_unpruned(self, suite_detections, threshold):
         proposer = SearchProposer()
         for task, per_pair in suite_detections:
-            reference = intersect_patterns(per_pair, train_pairs(task.train), threshold)
+            reference = intersect(per_pair, train_pairs(task.train), threshold)
             assert induce(task, proposer, threshold, 2000) == reference
 
     @pytest.mark.parametrize("threshold", [1.0, 0.5, 0.0])
@@ -1074,7 +1088,7 @@ class TestPruning:
         for task, per_pair in suite_detections:
             for order in itertools.permutations(range(len(task.train))):
                 pairs = tuple(task.train[k] for k in order)
-                reference = intersect_patterns(
+                reference = intersect(
                     [per_pair[k] for k in order], train_pairs(pairs), threshold
                 )
                 permuted = Task(train=pairs, test=task.test)
@@ -1362,6 +1376,59 @@ class TestExactFirst:
         rs, reference, applied, everything, verified = run(task, proposer, threshold)
         assert rs == reference
         assert rs.patterns == () and applied == everything == Counter()
+
+
+class _MixedLineProposer:
+    """Per pair: the search's keys as pattern lines, each followed by a
+    repeat, some by the same key as another line (a leading space) and
+    some by a malformed line, and then the replay transcript's distractor
+    lines, which every pair repeats."""
+
+    def propose(self, pair, budget):
+        keys = SearchProposer().propose(pair, budget)
+        lines = [format_pattern(build_pattern(key)) for key in keys]
+        for i, line in enumerate(lines):
+            yield line
+            yield lines[i // 2]  # a repeat, of this very line while i < 2
+            if i % 4 == 1:
+                yield " " + line
+            if i % 3 == 0:  # after a repeat: a budget cut at a repeat skips it
+                yield "not a pattern line"
+        yield from replay_lines(None)
+
+
+class TestCandidateTable:
+    """``induce`` numbers each candidate once per task and verifies and
+    intersects by number. The per-pair dict pipeline it replaced,
+    ``oracles.dict_induce``, gives equal rule sets, the same applications
+    in the same order and as many malformed-line warnings."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 1007])
+    def test_matches_dict_pipeline(self, seed, apply_calls, caplog):
+        from oracles import dict_induce
+
+        caplog.set_level("WARNING", logger="symgrid.induction")
+        suite = generate_suite(seed=seed, n_planted=100, n_noise=20)
+        totals = Counter()
+        for proposer in (SearchProposer(), _MixedLineProposer()):
+            for _, task, _ in suite:
+                for threshold in (1.0, 0.67, 0.5, 0.34, 0.0):
+                    rules = {}
+                    for budget in (1, 3, 2000):
+                        runs = []
+                        for run in (dict_induce, induce):
+                            apply_calls.clear()
+                            caplog.clear()
+                            rs = run(task, proposer, threshold, budget)
+                            runs.append((rs, list(apply_calls), len(caplog.records)))
+                        assert runs[1] == runs[0], (task, threshold, budget)
+                        rs, applied, warned = runs[1]
+                        rules[budget] = rs
+                        totals["applied"] += len(applied)
+                        totals["warned"] += warned
+                    totals["cut"] += rules[1] != rules[2000]
+                    totals["rules"] += len(rules[2000].patterns)
+        assert all(totals[k] for k in ("applied", "warned", "cut", "rules")), totals
 
 
 class TestRank:
