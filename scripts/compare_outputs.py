@@ -8,8 +8,8 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
 
 1. the seed-1007 suite that ``gen_tasks.py`` writes (task files and
    ``MANIFEST.tsv``);
-2. ``symgrid eval SUITE --passes 1`` and ``--passes 2``: stdout and
-   ``eval_summary.json``;
+2. ``symgrid eval SUITE --passes 1`` and ``--passes 2``: stdout,
+   ``eval_summary.json`` and stderr;
 3. ``symgrid solve TASK --passes 2`` stdout for every task;
 4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
    every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0, at connectivity
@@ -18,11 +18,19 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    the suite, so these catch a change in where the budget cuts);
 5. ``symgrid perceive TASK --connectivity C`` stdout (objects, bboxes and
    cavity counts of every grid) for every task at connectivity 4 and 8;
-6. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
+6. ``symgrid eval SUITE --config CFG --transcript T --passes 2``, the
+   suite answered by a replayed remote proposer and sampler (CFG holds
+   ``{"proposer": "remote"}``): stdout, ``eval_summary.json`` and stderr,
+   which carries the malformed-line warnings. T is written once, by
+   ``perfbench/workloads.write_transcript`` under the parent's
+   ``src/symgrid`` with RNG seed 5, and both checkouts replay it. The
+   sample requests carry the hints, so a changed hint is a replay miss
+   here, after step 4 has named it;
+7. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
    generator keeps a draw only if ``induce`` passes its closure check,
    so these catch a change in ``induce`` that the seed-1007 suite misses.
 
-Steps 2 to 5 read the parent's suite, so both sides answer the same files.
+Steps 2 to 6 read the parent's suite, so both sides answer the same files.
 Steps 3 to 5 call the CLI's ``main`` in one worker process per checkout
 rather than one process per command. The exit code is 0 when everything
 matches and 1 at the first difference, which is named on stderr.
@@ -36,6 +44,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -46,13 +55,15 @@ GENERATOR_SEEDS = (1, 2, 3)
 THRESHOLDS = ("1.0", "0.67", "0.5", "0.34", "0.0")
 BUDGETS = ("1", "3")
 BUDGET_THRESHOLDS = ("1.0", "0.5")
+REPLAY_SEED = 5  # the RNG seed of the replay transcript's sampled grids
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _env(checkout: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(checkout / "src"))
 
 
-def _run(checkout: Path, argv: list[str], cwd: Path) -> str:
+def _run(checkout: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
     result = subprocess.run(
         [sys.executable, *argv], cwd=cwd, env=_env(checkout), capture_output=True, text=True
     )
@@ -60,7 +71,7 @@ def _run(checkout: Path, argv: list[str], cwd: Path) -> str:
         raise SystemExit(
             f"{checkout}: {' '.join(argv)} exited {result.returncode}\n{result.stderr}"
         )
-    return result.stdout
+    return result
 
 
 def _first_difference(a: str, b: str) -> str:
@@ -102,30 +113,56 @@ def _compare_suites(seed: int, parent: dict[str, bytes], change: dict[str, bytes
         _compare(f"{what} file {name}", data, change[name])
 
 
-def _eval(checkout: Path, suite: Path, passes: int, work: Path) -> tuple[str, bytes]:
-    stdout = _run(
-        checkout, ["-m", "symgrid.cli", "eval", str(suite), "--passes", str(passes)], cwd=work
-    )
+def _eval(checkout: Path, argv: list[str], work: Path) -> tuple[str, bytes, str]:
+    """stdout, ``eval_summary.json`` and stderr of ``symgrid eval`` + ``argv``."""
+    result = _run(checkout, ["-m", "symgrid.cli", "eval", *argv], cwd=work)
     summary = work / "eval_summary.json"
     data = summary.read_bytes()
     summary.unlink()
-    return stdout, data
+    return result.stdout, data, result.stderr
+
+
+def _compare_evals(what: str, argv: list[str], parent: Path, change: Path, work: Path) -> None:
+    """Compare ``symgrid eval`` + ``argv`` between the checkouts."""
+    p_run, c_run = (_eval(checkout, argv, work) for checkout in (parent, change))
+    for part, p_part, c_part in zip(("stdout", "eval_summary.json", "stderr"), p_run, c_run):
+        _compare(f"{what} {part}", p_part, c_part)
 
 
 def _cli_outputs(checkout: Path, suite: Path, work: Path) -> list[dict]:
-    stdout = _run(checkout, [__file__, "--worker", str(checkout), str(suite)], cwd=work)
+    stdout = _run(checkout, [__file__, "--worker", str(checkout), str(suite)], cwd=work).stdout
     return [json.loads(line) for line in stdout.splitlines()]
+
+
+def _imported_from(checkout: Path) -> bool:
+    """Whether ``symgrid`` imports from ``checkout``; says so on stderr if not."""
+    import symgrid
+
+    expected = (checkout / "src" / "symgrid").resolve()
+    if Path(symgrid.__file__).resolve().parent == expected:
+        return True
+    print(f"imported symgrid from {symgrid.__file__}, not {expected}", file=sys.stderr)
+    return False
+
+
+def _transcript_worker(checkout: Path, path: Path, planted: int, noise: int) -> int:
+    """Write the replay transcript of the seed-``SEED`` suite to ``path``."""
+    if not _imported_from(checkout):
+        return 2
+    sys.path.append(str(PERFBENCH))
+    from symgrid.taskgen import generate_suite
+    from workloads import write_transcript
+
+    write_transcript(random.Random(REPLAY_SEED), generate_suite(SEED, planted, noise), path)
+    return 0
 
 
 def _worker(checkout: Path, suite: Path) -> int:
     """Print one JSON line per solve/induce/perceive command, run through ``main``."""
-    import symgrid
+    if not _imported_from(checkout):
+        return 2
     from symgrid.cli import main
 
-    expected = (checkout / "src" / "symgrid").resolve()
-    if Path(symgrid.__file__).resolve().parent != expected:
-        print(f"imported symgrid from {symgrid.__file__}, not {expected}", file=sys.stderr)
-        return 2
     commands = []
     for task in sorted(suite.glob("*.json")):
         commands.append(["solve", str(task), "--passes", "2"])
@@ -156,9 +193,14 @@ def main() -> int:
     parser.add_argument("--planted", type=int, default=100)
     parser.add_argument("--noise", type=int, default=20)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--transcript-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:  # PARENT is the checkout, CHANGE the suite directory
         return _worker(args.parent.resolve(), args.change.resolve())
+    if args.transcript_worker:  # PARENT is the checkout, CHANGE the transcript
+        return _transcript_worker(
+            args.parent.resolve(), args.change.resolve(), args.planted, args.noise
+        )
 
     parent, change = args.parent.resolve(), args.change.resolve()
     with tempfile.TemporaryDirectory() as tmp:
@@ -172,11 +214,8 @@ def main() -> int:
         suite = root / "suite_parent"
 
         for passes in (1, 2):
-            (p_out, p_sum), (c_out, c_sum) = (
-                _eval(checkout, suite, passes, work) for checkout in (parent, change)
-            )
-            _compare(f"eval --passes {passes} stdout", p_out, c_out)
-            _compare(f"eval --passes {passes} eval_summary.json", p_sum, c_sum)
+            argv = [str(suite), "--passes", str(passes)]
+            _compare_evals(f"eval --passes {passes}", argv, parent, change, work)
 
         p_runs, c_runs = (_cli_outputs(checkout, suite, work) for checkout in (parent, change))
         _compare("solve/induce/perceive command list", str([r["argv"] for r in p_runs]),
@@ -185,6 +224,22 @@ def main() -> int:
             what = " ".join([p_run["argv"][0], Path(p_run["argv"][1]).name, *p_run["argv"][2:]])
             _compare(f"{what} exit code", str(p_run["code"]), str(c_run["code"]))
             _compare(f"{what} stdout", p_run["stdout"], c_run["stdout"])
+
+        transcript, config = root / "replay.jsonl", root / "remote.json"
+        _run(
+            parent,
+            [__file__, "--transcript-worker", str(parent), str(transcript),
+             "--planted", str(args.planted), "--noise", str(args.noise)],
+            cwd=work,
+        )
+        config.write_text(json.dumps({"proposer": "remote"}))
+        _compare_evals(
+            "eval --passes 2 with a replayed remote proposer",
+            [str(suite), "--config", str(config), "--transcript", str(transcript), "--passes", "2"],
+            parent,
+            change,
+            work,
+        )
 
         for seed in GENERATOR_SEEDS:
             parent_suite, change_suite = (
@@ -195,12 +250,13 @@ def main() -> int:
 
     tasks = len(suites["parent"]) - 1  # MANIFEST.tsv
     print(
-        f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout and "
-        f"eval_summary.json), solve --passes 2 on {tasks} tasks, induce on "
+        f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout, "
+        f"eval_summary.json and stderr), solve --passes 2 on {tasks} tasks, induce on "
         f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} at connectivity 4 and 8, "
         f"and at budgets {' and '.join(BUDGETS)} at thresholds "
         f"{' and '.join(BUDGET_THRESHOLDS)}, "
-        f"perceive on {tasks} tasks at connectivity 4 and 8, and the suites of "
+        f"perceive on {tasks} tasks at connectivity 4 and 8, eval --passes 2 with a "
+        f"replayed remote proposer (stdout, eval_summary.json and stderr), and the suites of "
         f"generator seeds {', '.join(map(str, GENERATOR_SEEDS))}"
     )
     return 0

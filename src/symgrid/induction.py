@@ -7,7 +7,8 @@ each distinct value key (``patterns.pattern_key``) numbered once in the
 task's ``CandidateTable``, then each one is applied at most once to a
 pair input, and only while the number of pairs that propose it can still
 carry it to the confidence threshold, while the pair's differing cells
-leave it a chance to match (``TrainPair.verdict``), and, once it has been
+leave it a chance to match (``TrainPair.verdict``), if its result can
+have the output's dims (``patterns.RESULT_DIMS``), and, once it has been
 kept as partial or that verdict shows it cannot be exact, only if no
 exact rule survives. A candidate becomes a (validated) UnitPattern only
 there, so the many that are never verified are never built. The verdicts
@@ -28,6 +29,7 @@ from .errors import PatternApplicationError, PatternContractError
 from .grid import Grid, grids_equal, pixel_distance
 from .patterns import (
     GROWS,
+    RESULT_DIMS,
     PatternKey,
     Scene,
     UnitPattern,
@@ -313,16 +315,27 @@ def detect_unit_patterns(
     except perhaps the background) is dropped without being built or
     applied when the color counts show it can be neither exact nor
     partial: its class's verdict, ``TrainPair.by_class``, is ``_DROP``.
+    A candidate whose result dims (``RESULT_DIMS``, read off its
+    parameter values and the input's dims) differ from the output's is
+    dropped once built, unapplied: ``pixel_distance`` scores a result of
+    another shape above any baseline, so it could only be dropped. A key
+    that names no valid pattern still raises when it is built.
     """
     scene, gout = pair.scene, pair.output
     baseline = pair.distance
+    height, width = scene.grid.dims
+    out_dims = gout.dims
     keys = table.keys
     found: dict[int, bool] = {}
     for cid in ids:
-        grows = GROWS.get(keys[cid][0], "any")
+        key = keys[cid]
+        grows = GROWS.get(key[0], "any")
         if grows != "any" and pair.by_class(grows) is _DROP:
             continue
         pattern = table.pattern(cid)
+        dims = RESULT_DIMS[key[0]]
+        if dims is not None and dims(key[1], height, width) != out_dims:
+            continue
         try:
             result = apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):

@@ -14,14 +14,17 @@ segmentation is computed once and shared by every pattern applied to it.
 Each kind is one record of the ``_KINDS`` table at the end of this
 module: its parameter signature, whether it takes an object selector,
 its forward semantics, its hint template, which colors its result may
-hold more cells of than the input, and which colors the cells it changes
-may hold. ``KIND_ORDER``, ``OBJECT_KINDS``, ``GROWS``,
-``may_change``, validation, serialization, ``apply_pattern`` and
-``synthesize_hint`` all read that table. Each parameter type named in a
-signature (``int``, ``positive``, ``color``, ``factor``, ``axis``,
-``direction``, ``colormap``) is one record of the ``_TAGS`` table: one
-check function that gives both the verdict and the error message, the
-parser of its serialized form, and the words a hint renders it as.
+hold more cells of than the input, which colors the cells it changes
+may hold, and the dims of its result as a function of its parameter
+values and the input's dims (None for the four kinds whose result dims
+depend on the grid's content). ``KIND_ORDER``, ``OBJECT_KINDS``,
+``GROWS``, ``RESULT_DIMS``, ``may_change``, validation, serialization,
+``apply_pattern`` and ``synthesize_hint`` all read that table. Each
+parameter type named in a signature (``int``, ``positive``, ``color``,
+``factor``, ``axis``, ``direction``, ``colormap``) is one record of the
+``_TAGS`` table: one check function that gives both the verdict and the
+error message, the parser of its serialized form, and the words a hint
+renders it as.
 
 Selectors pick the objects a pattern applies to: ``all``, ``color=c``,
 ``size_rank=k`` (k-th largest; size desc, id asc), ``cavities=n``.
@@ -731,6 +734,12 @@ class _Kind:
     # differing cells hold or want a color outside these cannot be exact
     # (``induction.TrainPair.verdict``). None when the kind gives no such fact.
     changes: tuple[tuple[str, ...] | None, tuple[str, ...] | None] | None = None
+    # The result's (height, width) from the parameter values, in signature
+    # order, and the input's height and width, wherever the kind applies
+    # without raising (by default the input's own); None when it depends
+    # on the grid's content. A result of other dims than a pair's output
+    # can be neither exact nor partial there (``grid.pixel_distance``).
+    dims: Callable[[tuple, int, int], tuple[int, int]] | None = lambda v, h, w: (h, w)
     # Derived from ``signature`` (and ``changes``):
     names: tuple[str, ...] = field(init=False)
     checks: tuple[tuple[str, Callable[[object], str | None]], ...] = field(init=False)
@@ -756,6 +765,10 @@ class _Kind:
 _BG, _SEL = -1, -2  # ``_Kind.change_slots`` for "bg" and "sel"
 
 
+def _transposed(values: tuple, h: int, w: int) -> tuple[int, int]:
+    return (w, h)
+
+
 _AXIS = (("axis", "axis"),)
 _FACTOR = (("factor", "factor"),)
 _COLOR = (("color", "color"),)
@@ -765,25 +778,31 @@ _OFFSET = (("dx", "int"), ("dy", "int"))
 _KINDS: dict[str, _Kind] = {k.name: k for k in (
     _Kind("reflect_h", (), False, _reflect_h, "reflect the grid left-right", grows="none"),
     _Kind("reflect_v", (), False, _reflect_v, "reflect the grid top-bottom", grows="none"),
-    _Kind("rotate90", (), False, _rotate90, "rotate the grid 90 degrees clockwise", grows="none"),
+    _Kind("rotate90", (), False, _rotate90, "rotate the grid 90 degrees clockwise", grows="none",
+          dims=_transposed),
     _Kind("rotate180", (), False, _rotate180, "rotate the grid 180 degrees", grows="none"),
     _Kind("rotate270", (), False, _rotate270, "rotate the grid 270 degrees clockwise",
-          grows="none"),
-    _Kind("crop_to_content", (), False, _crop_to_content, "crop the grid to its content"),
+          grows="none", dims=_transposed),
+    _Kind("crop_to_content", (), False, _crop_to_content, "crop the grid to its content",
+          dims=None),
     _Kind("symmetry_complete", _AXIS, False, _symmetry_complete,
           "complete the grid symmetrically {axis}", changes=(("bg",), None)),
-    _Kind("scale_up", _FACTOR, False, _scale_up, "scale the grid up by factor {factor}"),
-    _Kind("scale_down", _FACTOR, False, _scale_down, "scale the grid down by factor {factor}"),
+    _Kind("scale_up", _FACTOR, False, _scale_up, "scale the grid up by factor {factor}",
+          dims=lambda v, h, w: (h * v[0], w * v[0])),
+    _Kind("scale_down", _FACTOR, False, _scale_down, "scale the grid down by factor {factor}",
+          dims=lambda v, h, w: (h // v[0], w // v[0])),
     _Kind("tile_grid", (("rows", "positive"), ("cols", "positive")), False, _tile_grid,
-          "tile the grid {rows} times down and {cols} times across"),
+          "tile the grid {rows} times down and {cols} times across",
+          dims=lambda v, h, w: (h * v[0], w * v[1])),
     _Kind("overlay_pairs", _AXIS, False, _overlay_pairs,
-          "overlay the two halves of the grid split {axis}"),
+          "overlay the two halves of the grid split {axis}",
+          dims=lambda v, h, w: (h, w // 2) if v[0] == "h" else (h // 2, w)),
     _Kind("select_largest", (), False, lambda p, s: _select_extreme(s.perception, True),
-          "keep only the largest object, cropped to its box"),
+          "keep only the largest object, cropped to its box", dims=None),
     _Kind("select_smallest", (), False, lambda p, s: _select_extreme(s.perception, False),
-          "keep only the smallest object, cropped to its box"),
+          "keep only the smallest object, cropped to its box", dims=None),
     _Kind("count_encode", _COLOR, True, _count_encode,
-          "emit one color-{color} cell per object among {sel}"),
+          "emit one color-{color} cell per object among {sel}", dims=None),
     _Kind("recolor", (("src", "color"), ("dst", "color")), False, _recolor,
           "replace color {src} with color {dst}", changes=(("src",), ("dst",))),
     _Kind("palette_swap", (("map", "colormap"),), False, _palette_swap, "remap colors: {map}"),
@@ -805,6 +824,7 @@ _KINDS: dict[str, _Kind] = {k.name: k for k in (
 KIND_ORDER = tuple(_KINDS)
 OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
 GROWS = {name: k.grows for name, k in _KINDS.items()}  # see ``_Kind.grows``
+RESULT_DIMS = {name: k.dims for name, k in _KINDS.items()}  # see ``_Kind.dims``
 _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
 
 

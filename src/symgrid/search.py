@@ -26,8 +26,12 @@ from .induction import (
     detect_unit_patterns,
     match_objects,
 )
-from .patterns import DIRECTIONS, KEY_ALL as ALL, PatternKey, Scene
+from .patterns import AXES, DIRECTIONS, KEY_ALL as ALL, RESULT_DIMS, PatternKey, Scene
 from .perception import segment
+
+# The parameterless whole-grid kinds whose result dims the input's fix, in
+# canonical order; each is proposed where those dims are the output's.
+_ISOMETRIES = ("reflect_h", "reflect_v", "rotate90", "rotate180", "rotate270")
 
 
 def enumerate_candidates(
@@ -59,9 +63,11 @@ def _uniform_color(g: Grid) -> int | None:
 def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
     """Yield pattern keys in the canonical cheapest-first order.
 
-    Parameters are read off the pair: dimension ratios drive the scaling
-    kinds, its differing cells drive the color kinds, and the object
-    matching drives moves, deletions, and duplications. Identity
+    Parameters are read off the pair: the reflections, rotations and
+    symmetry completions are proposed where their result dims
+    (``patterns.RESULT_DIMS``) are the output's, dimension ratios drive
+    the scaling kinds, its differing cells drive the color kinds, and
+    the object matching drives moves, deletions, and duplications. Identity
     parameterizations (translate(0,0), recolor(c,c), ...) are never
     generated. The input is segmented only where its objects are read:
     the count branch and same-dims pairs.
@@ -70,23 +76,17 @@ def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
     gin = scene.grid
     hi, wi = gin.dims
     ho, wo = gout.dims
-    same_dims = gin.dims == gout.dims
-    transposed = (wi, hi) == (ho, wo)
+    out = (ho, wo)
+    same_dims = (hi, wi) == out
 
-    if same_dims:
-        yield ("reflect_h", (), ALL)
-        yield ("reflect_v", (), ALL)
-    if transposed:
-        yield ("rotate90", (), ALL)
-    if same_dims:
-        yield ("rotate180", (), ALL)
-    if transposed:
-        yield ("rotate270", (), ALL)
+    for kind in _ISOMETRIES:
+        if RESULT_DIMS[kind]((), hi, wi) == out:
+            yield (kind, (), ALL)
     if ho <= hi and wo <= wi:
         yield ("crop_to_content", (), ALL)
-    if same_dims:
-        yield ("symmetry_complete", ("h",), ALL)
-        yield ("symmetry_complete", ("v",), ALL)
+    for axis in AXES:
+        if RESULT_DIMS["symmetry_complete"]((axis,), hi, wi) == out:
+            yield ("symmetry_complete", (axis,), ALL)
     if ho % hi == 0 and wo % wi == 0:
         f = ho // hi
         if f >= 2 and f == wo // wi:

@@ -717,7 +717,8 @@ def dict_collect_candidates(pair, proposer, budget, memo=None):
 
 def dict_detect_unit_patterns(pair, candidates):
     """Verify a dict of candidates on one pair, dropping unapplied those
-    whose ``GROWS`` class the pair's color counts rule out."""
+    whose ``GROWS`` class the pair's color counts rule out and, once
+    built, those whose ``RESULT_DIMS`` are not the output's."""
     scene, gout = pair.scene, pair.output
     baseline = pair.distance
     out = []
@@ -727,6 +728,9 @@ def dict_detect_unit_patterns(pair, candidates):
             continue
         if pattern is None:
             pattern = build_pattern(key)
+        dims = patterns.RESULT_DIMS[key[0]]
+        if dims is not None and dims(key[1], *scene.grid.dims) != gout.dims:
+            continue
         try:
             result = patterns.apply_pattern(pattern, scene)
         except (PatternApplicationError, PatternContractError):

@@ -31,6 +31,11 @@ def test_checkout_against_itself_is_identical():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("identical: 4-task suite")
+    assert "eval --passes 1 and 2 (stdout, eval_summary.json and stderr)" in result.stdout
+    assert (
+        "eval --passes 2 with a replayed remote proposer (stdout, eval_summary.json and stderr)"
+        in result.stdout
+    )
     assert "induce on 4 tasks at thresholds 1.0, 0.67, 0.5, 0.34, 0.0 at connectivity 4 and 8" in (
         result.stdout
     )
@@ -78,3 +83,20 @@ def test_changed_budget_cut_is_named(tmp_path):
     assert result.returncode == 1
     first = result.stderr.splitlines()[0]
     assert first.startswith("first difference: induce ") and " --budget " in first
+
+
+def test_replayed_proposer_difference_is_named(tmp_path):
+    # Only a remote proposer yields malformed lines, so only the replayed
+    # eval of step 6 warns about them, on stderr.
+    change = _copy_checkout(tmp_path / "change")
+    path = change / "src" / "symgrid" / "induction.py"
+    text = path.read_text()
+    old = '"dropping malformed pattern line'
+    assert old in text
+    path.write_text(text.replace(old, '"skipping malformed pattern line'))
+    result = _compare(ROOT, change)
+    assert result.returncode == 1
+    assert result.stderr.startswith(
+        "first difference: eval --passes 2 with a replayed remote proposer stderr: line 1:"
+    )
+    assert "Traceback" not in result.stderr

@@ -35,7 +35,7 @@ from symgrid import (
     segment,
 )
 from symgrid import PatternApplicationError, background_color, induction
-from symgrid.patterns import AXES, DIRECTIONS, GROWS, KEY_ALL, _KINDS
+from symgrid.patterns import AXES, DIRECTIONS, GROWS, KEY_ALL, RESULT_DIMS, _KINDS
 from symgrid.induction import CandidateTable, synthesize_hint
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
 from conftest import (
@@ -349,6 +349,15 @@ def _bound_skips(line, gin, gout):
     if grows == "background":
         colors.discard(background_color(gin))
     return sum(max(0, counts_out[c] - counts_in[c]) for c in colors) >= baseline
+
+
+def _dims_skips(line, gin, gout):
+    """Whether the result-dims fact rules ``line`` out on (gin, gout): its
+    kind has a ``RESULT_DIMS`` function, and the dims it gives for gin are
+    not gout's."""
+    kind, values, _ = pattern_key(parse_pattern(line))
+    dims = RESULT_DIMS[kind]
+    return dims is not None and dims(values, *gin.dims) != gout.dims
 
 
 _BOUNDED_LINES = [
@@ -817,7 +826,10 @@ class TestVerifyOnce:
     def test_noise_task_applied_on_smallest_input_only(self, apply_calls):
         # The search proposes nothing for a noise pair, so the lines come
         # from a stub; none of them explains a noise pair even partially,
-        # so each dies on the first pair verified: the smallest input.
+        # so each dies on the first pair verified: the smallest input. A
+        # noise output is one row and one column larger than its input, so
+        # the result-dims fact drops the other lines there unapplied: only
+        # the kinds whose result dims depend on content are applied.
         proposer = _ListProposer(
             [
                 "reflect_h()@all",
@@ -839,7 +851,10 @@ class TestVerifyOnce:
             apply_calls.clear()
             rs = induce(task, proposer)
             assert rs.patterns == ()
-            assert len(apply_calls) == len(proposer.items)
+            assert [line for line, _ in apply_calls] == [
+                "crop_to_content()@all",
+                "select_largest()@all",
+            ]
             assert {g for _, g in apply_calls} == {smallest}
         assert not_first > 0
 
@@ -980,6 +995,28 @@ class TestPruning:
         for _, task, _ in suite:
             induce(task, proposer, threshold, 2000)
         assert (len(segment_calls), distance_calls) == (segments, distances)
+
+    # The replayed backend's lines (perfbench's backend_replay) at 1.0.
+    # The result-dims fact drops the distractors rotate180 and
+    # delete_object@color=3 unapplied on the shape-changing pairs, so that
+    # delete_object no longer segments their inputs. Before it: 448
+    # applications, 174 segmentations and 294 distances, for 100 rules.
+    def test_replay_line_counts(self, suite, monkeypatch, apply_calls, segment_calls):
+        distance_calls = 0
+
+        def counting(a, b):
+            nonlocal distance_calls
+            distance_calls += 1
+            return pixel_distance(a, b)
+
+        _rebind(monkeypatch, pixel_distance, counting)
+        apply_calls.clear()
+        segment_calls.clear()
+        rules = 0
+        for _, task, planted in suite:
+            rules += len(induce(task, _ListProposer(replay_lines(planted)), 1.0).patterns)
+        counts = (len(apply_calls), len(segment_calls), distance_calls, rules)
+        assert counts == (324, 124, 170, 100)
 
     # Each key's verdict is read once per pair it reaches in the first
     # round, and ``may_change`` only for keys whose class leaves them to
@@ -1175,7 +1212,8 @@ class TestExactFirst:
     verifies it there only when no exact rule survives. Its rule sets equal
     ``oracles.reference_induce``'s; it applies a subset of what the
     reference applies and, when no exact rule survives, exactly that
-    minus the verifications the color-count bound skips."""
+    minus the verifications the color-count bound and the result-dims
+    fact skip."""
 
     @pytest.fixture()
     def run(self, monkeypatch, apply_calls):
@@ -1212,7 +1250,11 @@ class TestExactFirst:
         outputs = dict(task.train)
         assert len(outputs) == len(task.train)  # an application names its input only
         skipped = Counter(
-            {a: n for a, n in verified.items() if _bound_skips(*a, outputs[a[1]])}
+            {
+                a: n
+                for a, n in verified.items()
+                if _bound_skips(*a, outputs[a[1]]) or _dims_skips(*a, outputs[a[1]])
+            }
         )
         if not any(sp.exact for sp in rs.patterns):
             assert everything - applied == skipped

@@ -16,17 +16,28 @@ from symgrid import (
     PatternContractError,
     Scene,
     Selector,
+    Task,
     apply_pattern,
     background_color,
     build_pattern,
     format_pattern,
     grids_equal,
+    induce,
     make_pattern,
     parse_pattern,
     pattern_key,
     segment,
 )
-from symgrid.patterns import AXES, DIRECTIONS, GROWS, OBJECT_KINDS, _KINDS, may_change
+from symgrid.patterns import (
+    AXES,
+    DIRECTIONS,
+    GROWS,
+    KEY_ALL,
+    OBJECT_KINDS,
+    RESULT_DIMS,
+    _KINDS,
+    may_change,
+)
 from conftest import grids, random_grid
 
 
@@ -857,6 +868,80 @@ class TestChangedColorsFact:
                         for sel in selectors if spec.takes_selector else selectors[:1]:
                             p = make_pattern(kind, sel, **dict(zip(spec.names, params)))
                             assert isinstance(apply_pattern(p, scene), Grid)
+
+
+# A random valid value of each parameter type, and a random selector.
+_RANDOM_VALUE = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "positive": lambda rng: rng.randint(1, 4),
+    "color": lambda rng: rng.randrange(10),
+    "factor": lambda rng: rng.randint(2, 5),
+    "axis": lambda rng: rng.choice(AXES),
+    "direction": lambda rng: rng.choice(DIRECTIONS),
+    "colormap": lambda rng: tuple(
+        sorted({rng.randrange(10): rng.randrange(10) for _ in range(rng.randint(1, 4))}.items())
+    ),
+}
+
+
+def _random_selector(rng):
+    kind = rng.choice(("all", "color", "size_rank", "cavities"))
+    return KEY_ALL if kind == "all" else (kind, rng.randrange(10 if kind == "color" else 3))
+
+
+class TestResultDimsFact:
+    """``RESULT_DIMS`` gives a kind's result dims from its parameter values
+    and the input's dims; verification drops, unapplied, a candidate whose
+    result dims are not the pair output's."""
+
+    def test_content_kinds_have_none(self):
+        assert set(RESULT_DIMS) == set(KIND_ORDER)
+        assert {kind for kind, dims in RESULT_DIMS.items() if dims is None} == {
+            "crop_to_content",
+            "select_largest",
+            "select_smallest",
+            "count_encode",
+        }
+
+    @pytest.mark.parametrize("kind", [k for k in KIND_ORDER if RESULT_DIMS[k] is not None])
+    def test_dims_match_application(self, kind):
+        # Random grids of sides 1-30 and random valid parameters: wherever
+        # the application does not raise, its dims are the predicted ones.
+        # Half the grids have sides of at most 6, so that the kinds that
+        # grow the grid fit in 30x30, and half the scale_down inputs are
+        # blow-ups, so that it applies.
+        rng = random.Random(f"dims {kind}")
+        spec = _KINDS[kind]
+        applied = 0
+        for _ in range(150):
+            values = tuple(_RANDOM_VALUE[tag](rng) for _, tag in spec.signature)
+            sel = _random_selector(rng) if spec.takes_selector else KEY_ALL
+            p = build_pattern((kind, values, sel))
+            g = _scene_grid(rng) if rng.random() < 0.5 else random_grid(rng, max_side=6)
+            if kind == "scale_down" and rng.random() < 0.5:
+                f = values[0]
+                small = random_grid(rng, max_side=30 // f, colors=rng.randint(1, 10))
+                g = apply("scale_up", small, factor=f)
+            try:
+                out = apply_pattern(p, Scene(g, rng.choice((4, 8))))
+            except (PatternApplicationError, PatternContractError):
+                continue
+            assert RESULT_DIMS[kind](values, g.height, g.width) == out.dims, format_pattern(p)
+            applied += 1
+        assert applied >= 20
+
+    def test_invalid_key_still_raises_on_a_shape_changing_pair(self):
+        # scale_up(1) breaks the parameter contract. Its predicted dims
+        # (the input's) are not the output's, but the key is built before
+        # the dims are compared, so induce raises as before.
+        class KeyProposer:
+            def propose(self, pair, budget):
+                return [("scale_up", (1,), KEY_ALL)]
+
+        gin = Grid.from_rows([[1, 2], [3, 4]])
+        task = Task(train=((gin, Grid.from_rows([[1, 2, 3]])),), test=((gin, None),))
+        with pytest.raises(PatternContractError, match="factor"):
+            induce(task, KeyProposer())
 
 
 class TestSerialization:
