@@ -131,7 +131,10 @@ class Proposer(Protocol):
     ``propose`` gets the ``TrainPair``. It may yield value keys
     (``patterns.pattern_key``) or serialized pattern lines, and verifies
     nothing: ``collect_candidates`` numbers them, parsing the lines, and
-    stops after ``budget`` distinct candidates.
+    stops after ``budget`` distinct candidates. Where the pair's
+    ``same_dims_reachable`` is False, a proposer may leave out the
+    candidates whose result keeps the input's dims, but only at the end
+    of its list, so that what it does yield keeps its position.
     """
 
     def propose(self, pair: TrainPair, budget: int) -> Iterable[PatternKey | str]: ...
@@ -227,11 +230,18 @@ class TrainPair:
     ``pixel_distance`` from the output: the count of differing cells, or,
     when the shapes differ, that function's shape-mismatch score,
     computed when first read.
+
+    ``same_dims_reachable`` says whether a candidate whose result keeps
+    the input's dims can still reach the support that ``induce`` needs:
+    such a candidate can be kept only on the pairs whose shapes match.
+    It is True here; ``induce`` sets it for its pairs, and a proposer may
+    then leave out every such candidate where it is False.
     """
 
     def __init__(self, scene: Scene, output: Grid) -> None:
         self.scene = scene
         self.output = output
+        self.same_dims_reachable = True
         grid = scene.grid
         self.held: list[int] | None = None
         self.wanted: list[int] | None = None
@@ -444,9 +454,22 @@ def induce(
     candidates are verified, pair by pair in the same order and under the
     same bound on their real verdicts, and the verdicts intersected
     again. No candidate is verified twice on one pair.
+
+    ``need`` is the least support m with ``m / n + 1e-9 >= threshold``,
+    ``intersect_patterns``' test over n pairs (n + 1 when no m up to n
+    passes it, as for a threshold above 1 or NaN); both rounds bound by
+    it. A candidate whose result keeps the input's dims can be kept only
+    on the pairs whose shapes match, so when fewer than ``need`` of them
+    do, no such candidate can become a rule: every pair's
+    ``same_dims_reachable`` is set False before collection, and the
+    search leaves those candidates out (``search._proposals``).
     """
     pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
+    need = next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
+    if sum(p.held is not None for p in pairs) < need:
+        for p in pairs:
+            p.same_dims_reachable = False
     table = CandidateTable()
     lists = [collect_candidates(p, proposer, budget, table) for p in pairs]
     cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]
@@ -456,7 +479,7 @@ def induce(
     # The first position in ``order`` a candidate skips; one kept as partial
     # on the last pair skips from n, no pair. n + 1: never held back.
     held_from = [n + 1] * len(table.keys)
-    untried = _verify(pairs, order, table, lists, support, per_pair, threshold, held_from)
+    untried = _verify(pairs, order, table, lists, support, per_pair, need, held_from)
     first = [{c: e for c, e in found.items() if c not in untried} for found in per_pair]
     rules = intersect_patterns(table, first, pairs, threshold)
     if any(sp.exact for sp in rules.patterns):
@@ -466,7 +489,7 @@ def induce(
         held[k] = [cid for cid in lists[k] if held_from[cid] <= i]
     if not any(held):  # so nothing is untried, and ``rules`` saw every verdict
         return rules
-    _verify(pairs, order, table, held, support, per_pair, threshold, None)
+    _verify(pairs, order, table, held, support, per_pair, need, None)
     # The candidates never held back have the same verdicts as above, so
     # they die again; leaving them out spares their contradiction checks.
     per_pair = [{c: e for c, e in found.items() if held_from[c] <= n} for found in per_pair]
@@ -480,7 +503,7 @@ def _verify(
     lists: list[list[int]],
     support: list[int],
     per_pair: list[dict[int, bool]],
-    threshold: float,
+    need: int,
     held_from: list[int] | None,
 ) -> set[int]:
     """Verify the candidates ``lists[k]`` of ``table`` on ``pairs[k]`` for
@@ -493,9 +516,7 @@ def _verify(
     later); the position is recorded, and the candidates skipped
     unapplied are returned.
 
-    The bound is kept in integers. ``need`` is the least support m with
-    ``m / n + 1e-9 >= threshold``, ``intersect_patterns``' test (n + 1
-    when no m up to n passes it, as for a threshold above 1 or NaN).
+    The bound is kept in integers, against ``induce``'s ``need``.
     ``count[cid]`` is the candidate's support plus the pairs not yet
     verified whose lists hold it; ``alive[cid]`` says whether that count
     reaches ``need`` and the candidate is not held back (it is read only
@@ -503,8 +524,6 @@ def _verify(
     applied the candidate did not keep it, and never rises, so a candidate
     that leaves ``alive`` never returns.
     """
-    n = len(pairs)
-    need = next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
     count = support.copy()
     for cid in chain.from_iterable(lists):
         count[cid] += 1

@@ -71,6 +71,13 @@ def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
     parameterizations (translate(0,0), recolor(c,c), ...) are never
     generated. The input is segmented only where its objects are read:
     the count branch and same-dims pairs.
+
+    The same-dims branch (the color kinds and every object kind, whose
+    results all keep the input's dims) comes last. It is skipped, and the
+    output never segmented, where the pair's ``same_dims_reachable`` is
+    False: ``induce`` found too few pairs keeping their dims for any of
+    its keys to reach the threshold. What is yielded before it is the
+    same either way.
     """
     scene, gout = pair.scene, pair.output
     gin = scene.grid
@@ -116,7 +123,7 @@ def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
             if sum(1 for o in pin.objects if o.color == color) == wo:
                 yield ("count_encode", (target,), ("color", color))
 
-    if not same_dims:
+    if not same_dims or not pair.same_dims_reachable:
         return
     pin = scene.perception
 

@@ -799,9 +799,15 @@ def _dict_contradicted(pattern, exact_by_pair, train_pairs):
 
 def dict_induce(task, proposer, threshold=1.0, budget=2000, connectivity=4):
     """``induction.induce`` on per-pair dicts: one line memo per task, the
-    reachability bound on key Counters, and both held-back rounds."""
+    reachability bound on key Counters, and both held-back rounds. Its
+    pairs carry ``induce``'s same-dims fact, so that a search-based
+    proposer yields the same lists to both pipelines."""
     pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
+    kept = sum(gin.dims == gout.dims for gin, gout in task.train)
+    if not kept / n + 1e-9 >= threshold:  # the threshold test, NaN failing it
+        for pair in pairs:
+            pair.same_dims_reachable = False
     memo = {}
     collected = [dict_collect_candidates(p, proposer, budget, memo) for p in pairs]
     cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]

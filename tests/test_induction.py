@@ -975,9 +975,13 @@ class TestPruning:
     # Segmentations and pixel distances inside induce: each train grid is
     # segmented at most once, and a pair whose shapes match reads its
     # distance off its differing cells, while one whose shapes differ
-    # computes it only when first verified.
+    # computes it only when first verified. The search's same-dims branch,
+    # which segments both grids of a pair, is skipped on the square pairs
+    # of the four rotation tasks whose other pairs change dims, where too
+    # few pairs keep their dims for its keys to reach the threshold: 6
+    # pairs at 1.0 and 2 at 0.5. Before that: 397 and 410 segmentations.
     @pytest.mark.parametrize(
-        "threshold, segments, distances", [(1.0, 397, 733), (0.5, 410, 1344), (0.0, 423, 3287)]
+        "threshold, segments, distances", [(1.0, 385, 733), (0.5, 406, 1344), (0.0, 423, 3287)]
     )
     def test_suite_segment_and_distance_counts(
         self, suite, monkeypatch, segment_calls, threshold, segments, distances
@@ -1439,22 +1443,45 @@ class _MixedLineProposer:
         yield from replay_lines(None)
 
 
+class _OpenPair(TrainPair):
+    """A TrainPair whose ``same_dims_reachable`` stays True, as every pair
+    was before ``induce`` set it: the search's same-dims branch is open."""
+
+    same_dims_reachable = property(lambda self: True, lambda self, value: None)
+
+
+# The tasks of each suite whose train pairs mix kept and changed dims.
+_MIXED_DIMS_TASKS = {1: 4, 2: 4, 3: 1, 1007: 4}
+
+
 class TestCandidateTable:
     """``induce`` numbers each candidate once per task and verifies and
     intersects by number. The per-pair dict pipeline it replaced,
     ``oracles.dict_induce``, gives equal rule sets, the same applications
-    in the same order and as many malformed-line warnings."""
+    in the same order and as many malformed-line warnings.
+
+    On a task whose train pairs mix kept and changed dims, ``induce`` is
+    also run with the search's same-dims branch held open (``_OpenPair``),
+    at two unreachable thresholds besides: the rule sets and the ordered
+    applications are the same, and only the warnings of the line proposer,
+    which follow the search's keys, may be fewer with the branch closed."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 1007])
-    def test_matches_dict_pipeline(self, seed, apply_calls, caplog):
+    def test_matches_dict_pipeline(self, seed, apply_calls, caplog, monkeypatch):
         from oracles import dict_induce
 
         caplog.set_level("WARNING", logger="symgrid.induction")
         suite = generate_suite(seed=seed, n_planted=100, n_noise=20)
         totals = Counter()
+        mixed = set()
         for proposer in (SearchProposer(), _MixedLineProposer()):
-            for _, task, _ in suite:
-                for threshold in (1.0, 0.67, 0.5, 0.34, 0.0):
+            for task_id, task, _ in suite:
+                mixes = len({gin.dims == gout.dims for gin, gout in task.train}) == 2
+                thresholds = (1.0, 0.67, 0.5, 0.34, 0.0)
+                if mixes:
+                    mixed.add(task_id)
+                    thresholds += (1.5, float("nan"))
+                for threshold in thresholds:
                     rules = {}
                     for budget in (1, 3, 2000):
                         runs = []
@@ -1465,12 +1492,22 @@ class TestCandidateTable:
                             runs.append((rs, list(apply_calls), len(caplog.records)))
                         assert runs[1] == runs[0], (task, threshold, budget)
                         rs, applied, warned = runs[1]
+                        if mixes:
+                            apply_calls.clear()
+                            caplog.clear()
+                            with monkeypatch.context() as m:
+                                m.setattr(induction, "TrainPair", _OpenPair)
+                                opened = induce(task, proposer, threshold, budget)
+                            assert (opened, apply_calls) == (rs, applied), (task, threshold)
+                            assert len(caplog.records) >= warned
+                            totals["gated"] += len(caplog.records) > warned
                         rules[budget] = rs
                         totals["applied"] += len(applied)
                         totals["warned"] += warned
                     totals["cut"] += rules[1] != rules[2000]
                     totals["rules"] += len(rules[2000].patterns)
-        assert all(totals[k] for k in ("applied", "warned", "cut", "rules")), totals
+        assert all(totals[k] for k in ("applied", "warned", "cut", "rules", "gated")), totals
+        assert len(mixed) == _MIXED_DIMS_TASKS[seed]
 
 
 class TestRank:

@@ -11,14 +11,17 @@ from symgrid import (
     KIND_ORDER,
     Scene,
     SearchProposer,
+    Task,
     TrainPair,
     apply_pattern,
     build_pattern,
     enumerate_candidates,
     format_pattern,
     grids_equal,
+    induce,
     make_pattern,
     pattern_key,
+    search,
 )
 from symgrid.taskgen import generate_planted_task, generate_suite
 
@@ -129,6 +132,44 @@ class TestPerceptionCount:
         keys = list(SearchProposer().propose(TrainPair(Scene(g), out), 2000))
         assert ("scale_up", (2,), ("all", None)) in keys
         assert segment_calls == []
+
+    def test_same_dims_branch_skipped_when_too_few_pairs_keep_dims(
+        self, monkeypatch, segment_calls
+    ):
+        # rotate90 on two 2x3 inputs and one 3x3 input: only the square
+        # pair keeps its dims, so at 1.0 (3 of 3 pairs needed) and 0.5
+        # (2 of 3) no key of the same-dims branch can become a rule, and
+        # the search skips it there; at 0.0 it runs as on any pair.
+        matches = []
+        match_objects = search.match_objects
+
+        def counting(pin, pout):
+            matches.append((pin, pout))
+            return match_objects(pin, pout)
+
+        monkeypatch.setattr(search, "match_objects", counting)
+        rotate = make_pattern("rotate90")
+        inputs = [
+            Grid.from_rows([[1, 2, 0], [0, 3, 0]]),
+            Grid.from_rows([[0, 4, 4], [5, 0, 0]]),
+            Grid.from_rows([[1, 0, 0], [1, 0, 2], [1, 1, 0]]),
+        ]
+        train = tuple((g, apply_pattern(rotate, g)) for g in inputs)
+        square_out = train[2][1]
+        task = Task(train=train, test=((inputs[0], None),))
+        for threshold, branch in ((1.0, False), (0.5, False), (0.0, True)):
+            segment_calls.clear()
+            matches.clear()
+            rules = induce(task, SearchProposer(), threshold)
+            assert format_pattern(rules.patterns[0].pattern) == "rotate90()@all"
+            assert ((square_out, 4) in segment_calls) is branch, threshold
+            assert len(matches) == branch, threshold
+        # A pair built outside ``induce`` keeps the branch open.
+        segment_calls.clear()
+        matches.clear()
+        enumerate_candidates(train[2], 2000)
+        assert (square_out, 4) in segment_calls
+        assert len(matches) == 1
 
 
 class TestValueKeys:
