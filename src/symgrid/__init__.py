@@ -29,7 +29,6 @@ from .grid import (
     serialize_task,
 )
 from .induction import (
-    ChangeTag,
     RuleSet,
     ScoredPattern,
     TrainPair,
@@ -73,7 +72,6 @@ __all__ = [
     "BackendError",
     "BoundsError",
     "Candidate",
-    "ChangeTag",
     "Config",
     "ConfigError",
     "EvalReport",

@@ -1,7 +1,7 @@
-"""Change tagging, per-pair pattern detection, and cross-pair intersection.
+"""Object matching, per-pair pattern detection, and cross-pair intersection.
 
-Objects in an input/output scene pair are tagged added, removed, or
-retained by greedy matching. Candidate unit patterns come from a
+Objects in an input/output scene pair are matched greedily: retained,
+removed or added. Candidate unit patterns come from a
 pluggable proposer: every train pair's candidates are collected first,
 each distinct value key (``patterns.pattern_key``) numbered once in the
 task's ``CandidateTable``, then each one is applied at most once to a
@@ -46,23 +46,6 @@ from .perception import GridObject, Perception, lazy
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ChangeTag:
-    """One object's fate across an input/output pair."""
-
-    tag: str  # added | removed | retained
-    input_id: int | None = None
-    output_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.tag == "added" and (self.input_id is not None or self.output_id is None):
-            raise ValueError("added tags carry an output ref only")
-        if self.tag == "removed" and (self.input_id is None or self.output_id is not None):
-            raise ValueError("removed tags carry an input ref only")
-        if self.tag == "retained" and (self.input_id is None or self.output_id is None):
-            raise ValueError("retained tags carry both refs")
-
-
 # The greedy passes' features, in priority order.
 _MATCH_FEATURES = (
     attrgetter("mask", "color"),
@@ -71,20 +54,26 @@ _MATCH_FEATURES = (
 )
 
 
-def match_objects(pin: Perception, pout: Perception) -> list[ChangeTag]:
+def match_objects(
+    pin: Perception, pout: Perception
+) -> tuple[list[tuple[GridObject, GridObject]], list[GridObject], list[GridObject]]:
     """Greedy object correspondence between two perceptions.
 
     Matching passes, in priority order: identical mask and color; same
     shape translated with the same color; same shape with a different
-    color. Each object matches at most once; leftovers become removed
+    color. Each object matches at most once; leftovers are removed
     (input side) or added (output side). Deterministic given scan-order
     ids: in each pass an input object, in id order, takes the first
     unmatched output object in id order with its feature, which is the
     head of that feature's queue.
+
+    Returns the retained (input, output) object pairs in input id order,
+    then the removed input objects and the added output objects, each in
+    id order.
     """
     unmatched_in = list(pin.objects)
     unmatched_out = {o.id: o for o in pout.objects}
-    pairs: list[tuple[int, int]] = []
+    retained: list[tuple[GridObject, GridObject]] = []
     for feature in _MATCH_FEATURES:
         queues: dict[object, deque[GridObject]] = {}
         for o in unmatched_out.values():
@@ -94,16 +83,13 @@ def match_objects(pin: Perception, pout: Perception) -> list[ChangeTag]:
             queue = queues.get(feature(obj))
             if queue:
                 hit = queue.popleft()
-                pairs.append((obj.id, hit.id))
+                retained.append((obj, hit))
                 del unmatched_out[hit.id]
             else:
                 still_in.append(obj)
         unmatched_in = still_in
-
-    tags = [ChangeTag("retained", input_id=i, output_id=o) for i, o in sorted(pairs)]
-    tags.extend(ChangeTag("removed", input_id=o.id) for o in unmatched_in)
-    tags.extend(ChangeTag("added", output_id=o.id) for o in unmatched_out.values())
-    return tags
+    retained.sort(key=lambda pair: pair[0].id)
+    return retained, unmatched_in, list(unmatched_out.values())
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from .perception import (
     GridObject,
     Perception,
     background_color,
-    cavity_regions,
     segment,
 )
 
@@ -548,7 +547,8 @@ def _cavity_fill(p: UnitPattern, s: Scene) -> Grid:
     fills = [
         (region, color)
         for o in p.selector.resolve(perception)
-        for region in cavity_regions(o.mask, o.bbox)
+        if o.cavity_count  # a stored 0 saves the labelling pass
+        for region in o.cavities
     ]
     return _repaint(s.grid, fills)
 

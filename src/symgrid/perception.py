@@ -40,7 +40,10 @@ class lazy:
 
 @dataclass(frozen=True)
 class GridObject:
-    """One connected component: monochrome pixel set plus derived features."""
+    """One connected component: monochrome pixel set plus derived features.
+
+    ``segment`` leaves ``cavity_count`` out where a cavity can exist; it is
+    then read off ``cavities`` on first use."""
 
     id: int
     color: int
@@ -49,14 +52,7 @@ class GridObject:
     cavity_count: int
 
     @classmethod
-    def _trusted(
-        cls,
-        id: int,
-        color: int,
-        mask: frozenset[Coord],
-        bbox: tuple[int, int, int, int],
-        cavity_count: int,
-    ) -> GridObject:
+    def _trusted(cls, **fields) -> GridObject:
         """Build an object without the dataclass ``__init__``.
 
         ``GridObject`` checks nothing, so this is the same object: one
@@ -64,7 +60,7 @@ class GridObject:
         For ``segment``, which builds thousands of them.
         """
         obj = object.__new__(cls)
-        obj.__dict__.update(id=id, color=color, mask=mask, bbox=bbox, cavity_count=cavity_count)
+        obj.__dict__.update(fields)
         return obj
 
     @property
@@ -76,6 +72,20 @@ class GridObject:
         """Mask normalized to its bounding-box origin, computed on first use."""
         top, left, _, _ = self.bbox
         return frozenset((r - top, c - left) for r, c in self.mask)
+
+    @lazy
+    def cavities(self) -> tuple[frozenset[Coord], ...]:
+        """The enclosed regions, as ``cavity_regions`` gives them, on first use."""
+        return tuple(cavity_regions(self.mask, self.bbox))
+
+
+def cavity_count(obj: GridObject) -> int:
+    return len(obj.cavities)
+
+
+# A field's count where ``segment`` left it out. Not in the class body,
+# where the descriptor would become the field's default in ``__init__``.
+GridObject.cavity_count = lazy(cavity_count)
 
 
 # The shape of every one-cell object, shared by all of them.
@@ -106,9 +116,14 @@ class Perception:
 def background_color(g: Grid) -> int:
     """Most frequent color; ties broken by the lowest color value."""
     counts = [0] * 10
+    width = g.width
     for row in g.rows:
-        for v in row:
-            counts[v] += 1
+        first = row[0]
+        if row.count(first) == width:  # a uniform row, counted whole
+            counts[first] += width
+        else:
+            for v in row:
+                counts[v] += 1
     best = 0
     for color in range(1, 10):
         if counts[color] > counts[best]:
@@ -155,7 +170,7 @@ def detect_cavities(obj: GridObject, dims: tuple[int, int]) -> int:
     for r, c in obj.mask:
         if not (0 <= r < h and 0 <= c < w):
             raise ValueError(f"mask cell ({r},{c}) outside grid {h}x{w}")
-    return len(cavity_regions(obj.mask, obj.bbox))
+    return len(obj.cavities)
 
 
 def segment(g: Grid, connectivity: int = 4) -> Perception:
@@ -202,7 +217,10 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
                     members.append(j)
         if len(members) == 1:
             r, c = divmod(start - origin, w)
-            obj = trusted(len(objects), color, frozenset(((r, c),)), (r, c, r, c), 0)
+            mask = frozenset(((r, c),))
+            obj = trusted(
+                id=len(objects), color=color, mask=mask, bbox=(r, c, r, c), cavity_count=0
+            )
             obj.__dict__["shape"] = UNIT_SHAPE
             objects.append(obj)
             continue
@@ -212,12 +230,10 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
         top, left = start // w - 1, min(cols) - 1
         bottom, right = max(members) // w - 1, max(cols) - 1
         height, width = bottom - top + 1, right - left + 1
+        obj = trusted(id=len(objects), color=color, mask=mask, bbox=(top, left, bottom, right))
         if height <= 2 or width <= 2 or len(members) == height * width:
-            # Every bbox cell off the mask lies on the bbox border.
-            cavity_count = 0
-        else:
-            cavity_count = len(cavity_regions(mask, (top, left, bottom, right)))
-        objects.append(
-            trusted(len(objects), color, mask, (top, left, bottom, right), cavity_count)
-        )
+            # Every bbox cell off the mask lies on the bbox border. Elsewhere
+            # the count is left to its first read.
+            obj.__dict__["cavity_count"] = 0
+        objects.append(obj)
     return Perception(objects=tuple(objects), background=bg)

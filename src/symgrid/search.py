@@ -142,15 +142,7 @@ def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
 
     pout = segment(gout, scene.connectivity)
     rank = pin.size_ranks
-    tags = match_objects(pin, pout)
-    # ``segment`` numbers objects by position, so an id indexes ``objects``.
-    retained = [
-        (pin.objects[t.input_id], pout.objects[t.output_id])
-        for t in tags
-        if t.tag == "retained"
-    ]
-    removed = [pin.objects[t.input_id] for t in tags if t.tag == "removed"]
-    added = [pout.objects[t.output_id] for t in tags if t.tag == "added"]
+    retained, removed, added = match_objects(pin, pout)
 
     moved = []
     for a, b in retained:

@@ -395,7 +395,8 @@ def render_report(report: EvalReport) -> str:
 
 
 def report_summary(report: EvalReport) -> dict:
-    """Machine-readable summary document for the report."""
+    """Machine-readable summary document for the report. An item that ran
+    without its backend also lists why, under ``degraded``."""
     return {
         "accuracy": report.accuracy,
         "correct": report.correct,
@@ -410,6 +411,7 @@ def report_summary(report: EvalReport) -> dict:
                 "correct": i.correct,
                 "attempts_used": i.attempts_used,
                 "kinds_fired": list(i.fired_kinds),
+                **({"degraded": list(i.degraded)} if i.degraded else {}),
             }
             for i in report.items
         ],

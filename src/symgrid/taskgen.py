@@ -171,8 +171,8 @@ def _same_dims_competitors(exclude_kind: str) -> list[UnitPattern]:
 # ---------------------------------------------------------------------------
 # Per-kind planters: (pattern, input sampler, competitors). A sampler
 # returns None for a draw it rejects itself; one that segments its draw
-# returns it as a Scene, so that perception is reused. _sample_pair does
-# the rest.
+# returns it as a Scene, and one that applies the pattern to vet it returns
+# (Scene, output), so that both are reused. _sample_pair does the rest.
 # ---------------------------------------------------------------------------
 
 
@@ -386,7 +386,7 @@ def _plant_translate(rng, kind):
         out = apply_pattern(pattern, scene)
         if len(segment(out).objects) != len(scene.perception.objects):
             return None  # a move merged or clipped something
-        return scene
+        return scene, out
 
     return pattern, sample, competitors
 
@@ -427,10 +427,11 @@ def _plant_duplicate(rng, kind):
         if g is None:
             return None
         scene = Scene(g)
-        objs = segment(apply_pattern(pattern, scene)).objects
+        out = apply_pattern(pattern, scene)
+        objs = segment(out).objects
         if len(objs) != 2 or objs[0].shape != objs[1].shape:
             return None  # copy clipped, or merged with the original
-        return scene
+        return scene, out
 
     return pattern, sample, competitors
 
@@ -585,10 +586,11 @@ def _sample_pair(rng, pattern, sampler, competitors) -> tuple[Grid, Grid] | None
         draw = sampler(rng)
         if draw is None:
             continue
-        scene = as_scene(draw)
+        scene, out = draw if isinstance(draw, tuple) else (as_scene(draw), None)
         g = scene.grid
         try:
-            out = apply_pattern(pattern, scene)
+            if out is None:  # not applied by the sampler
+                out = apply_pattern(pattern, scene)
         except SymgridError:
             continue
         if grids_equal(out, g):

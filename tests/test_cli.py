@@ -361,8 +361,10 @@ class TestEval:
         assert (tmp_path / "eval_summary.json").is_dir()
 
     def test_dead_backend_warns_once_per_item(self, tmp_path, capsys, monkeypatch):
-        # Sampling fails on every item; each says so on stderr, while stdout
-        # and the summary read as a run without a backend.
+        # Sampling fails on every item (the port refuses the connection
+        # locally); each says so on stderr and lists the same reasons under
+        # ``degraded`` in the summary, while stdout and the rest of the
+        # summary read as a run without a backend, which has no such key.
         data = tmp_path / "tasks"
         data.mkdir()
         for tid, task, _ in generate_suite(seed=31, n_planted=2, n_noise=1):
@@ -375,9 +377,9 @@ class TestEval:
             runs.append((captured, (tmp_path / "eval_summary.json").read_text()))
         (plain, plain_summary), (dead, dead_summary) = runs
         assert dead.out == plain.out
-        assert dead_summary == plain_summary
         assert plain.err == ""
-        items = json.loads(dead_summary)["items"]
+        summary = json.loads(dead_summary)
+        items = summary["items"]
         warnings = dead.err.splitlines()
         assert len(items) == len(warnings) == 3
         for item, line in zip(items, warnings):
@@ -385,6 +387,10 @@ class TestEval:
                 f"warning: task {item['task_id']} test {item['test_index']} "
                 "ran without its backend: backend sampling failed: "
             )
+            reasons = item.pop("degraded")
+            assert line.endswith(f"ran without its backend: {'; '.join(reasons)}")
+        assert summary == json.loads(plain_summary)
+        assert "degraded" not in plain_summary
 
     def test_empty_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

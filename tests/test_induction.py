@@ -1,4 +1,4 @@
-"""Change tagging, per-pair detection, cross-pair intersection, hints."""
+"""Object matching, per-pair detection, cross-pair intersection, hints."""
 
 import itertools
 import random
@@ -57,8 +57,7 @@ def scene(rows):
 class TestMatchObjects:
     def test_identical_scenes_all_retained(self):
         g = Grid.from_rows([[1, 0, 2], [0, 0, 0], [3, 0, 0]])
-        tags = match_objects(segment(g), segment(g))
-        assert [(t.tag, t.input_id, t.output_id) for t in tags] == [
+        assert _tag_triples(match_objects(segment(g), segment(g))) == [
             ("retained", 0, 0),
             ("retained", 1, 1),
             ("retained", 2, 2),
@@ -67,32 +66,25 @@ class TestMatchObjects:
     def test_deleted_object_tagged_removed(self):
         pin = scene([[1, 0, 2], [0, 0, 0]])
         pout = scene([[1, 0, 0], [0, 0, 0]])
-        tags = match_objects(pin, pout)
-        by_tag = {}
-        for t in tags:
-            by_tag.setdefault(t.tag, []).append(t)
-        assert len(by_tag["retained"]) == 1
-        assert len(by_tag["removed"]) == 1
-        assert by_tag["removed"][0].input_id == 1
-        assert "added" not in by_tag
+        retained, removed, added = match_objects(pin, pout)
+        assert len(retained) == 1
+        assert [o.id for o in removed] == [1]
+        assert added == []
 
     def test_translation_matched_by_shape(self):
         pin = scene([[4, 4, 0, 0], [0, 0, 0, 0]])
         pout = scene([[0, 0, 4, 4], [0, 0, 0, 0]])
-        tags = match_objects(pin, pout)
-        assert [t.tag for t in tags] == ["retained"]
+        assert match_objects(pin, pout) == ([(pin.objects[0], pout.objects[0])], [], [])
 
     def test_recolored_object_matched_by_shape(self):
         pin = scene([[4, 4], [0, 0]])
         pout = scene([[6, 6], [0, 0]])
-        tags = match_objects(pin, pout)
-        assert [t.tag for t in tags] == ["retained"]
+        assert match_objects(pin, pout) == ([(pin.objects[0], pout.objects[0])], [], [])
 
     def test_added_object(self):
         pin = scene([[1, 0, 0], [0, 0, 0]])
         pout = scene([[1, 0, 0], [0, 0, 7]])
-        tags = match_objects(pin, pout)
-        assert sorted(t.tag for t in tags) == ["added", "retained"]
+        assert _tag_triples(match_objects(pin, pout)) == [("retained", 0, 0), ("added", None, 1)]
 
     def test_planted_edit_harness(self):
         # 100 random scenes with one planted edit: delete, add, or move.
@@ -116,10 +108,9 @@ class TestMatchObjects:
                     ),
                     g,
                 )
-                tags = match_objects(pin, segment(out))
-                removed = [t for t in tags if t.tag == "removed"]
-                assert [t.input_id for t in removed] == [victim.id]
-                assert not [t for t in tags if t.tag == "added"]
+                _, removed, added = match_objects(pin, segment(out))
+                assert [o.id for o in removed] == [victim.id]
+                assert not added
             elif edit == "move":
                 victim = rng.choice(pin.objects)
                 out = apply_pattern(
@@ -130,8 +121,8 @@ class TestMatchObjects:
                 )
                 if len(segment(out).objects) != len(pin.objects):
                     continue  # the move merged or clipped; not a clean edit
-                tags = match_objects(pin, segment(out))
-                assert all(t.tag == "retained" for t in tags)
+                _, removed, added = match_objects(pin, segment(out))
+                assert not removed and not added
             else:
                 rows = g.to_lists()
                 free = [
@@ -149,14 +140,20 @@ class TestMatchObjects:
                 r, c = rng.choice(free)
                 new_color = rng.choice([x for x in range(1, 10) if x not in colors])
                 rows[r][c] = new_color
-                tags = match_objects(pin, segment(Grid.from_rows(rows)))
-                added = [t for t in tags if t.tag == "added"]
+                _, removed, added = match_objects(pin, segment(Grid.from_rows(rows)))
                 assert len(added) == 1
-                assert not [t for t in tags if t.tag == "removed"]
+                assert not removed
 
 
-def _tag_triples(tags):
-    return [(t.tag, t.input_id, t.output_id) for t in tags]
+def _tag_triples(matched):
+    """``match_objects``' three lists as ``(tag, input_id, output_id)``
+    triples, in the order ``oracles.scan_match_objects`` lists them."""
+    retained, removed, added = matched
+    return (
+        [("retained", a.id, b.id) for a, b in retained]
+        + [("removed", o.id, None) for o in removed]
+        + [("added", None, o.id) for o in added]
+    )
 
 
 class TestMatchObjectsIndex:
@@ -199,18 +196,6 @@ class TestMatchObjectsIndex:
             connectivity = (4, 8)[i % 2]
             pin, pout = segment(gin, connectivity), segment(gout, connectivity)
             assert _tag_triples(match_objects(pin, pout)) == scan_match_objects(pin, pout)
-
-
-class TestChangeTagInvariants:
-    def test_ref_rules(self):
-        from symgrid import ChangeTag
-
-        with pytest.raises(ValueError):
-            ChangeTag("added", input_id=1, output_id=2)
-        with pytest.raises(ValueError):
-            ChangeTag("removed", output_id=2, input_id=None)
-        with pytest.raises(ValueError):
-            ChangeTag("retained", input_id=1)
 
 
 class _ListProposer:

@@ -7,7 +7,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from symgrid import Grid, background_color, detect_cavities, segment
+from symgrid import (
+    Grid,
+    Scene,
+    apply_pattern,
+    background_color,
+    detect_cavities,
+    make_pattern,
+    segment,
+)
+from symgrid import perception
+from symgrid.patterns import Selector
 from symgrid.perception import UNIT_SHAPE, cavity_regions
 from conftest import grids, random_grid
 from oracles import (
@@ -30,6 +40,15 @@ class TestBackground:
         for _ in range(1000):
             g = random_grid(rng, max_side=12)
             assert background_color(g) == background_oracle(g.rows)
+        # Rows of one color, some with one cell changed: a uniform row is
+        # counted in one step, any other cell by cell.
+        for _ in range(1000):
+            w = rng.randint(1, 12)
+            rows = [[rng.randrange(4)] * w for _ in range(rng.randint(1, 12))]
+            for row in rows:
+                if rng.random() < 0.5:
+                    row[rng.randrange(w)] = rng.randrange(4)
+            assert background_color(Grid.from_rows(rows)) == background_oracle(rows)
 
 
 class TestSegment:
@@ -276,6 +295,102 @@ class TestFlatIndexSegment:
         p = segment(g)
         assert [o.cavity_count for o in p.objects if o.color == 1] == [cavities]
         assert p == bfs_segment(g)
+
+
+def _holed_grid(rng: random.Random) -> Grid:
+    """A grid of rectangle rings, some split into several holes by inner
+    walls, some broken open, over sparse noise: objects whose cavity
+    count is rarely ruled out by their bbox alone."""
+    h, w = rng.randint(4, 16), rng.randint(4, 16)
+    rows = [[0 if rng.random() < 0.9 else rng.randrange(1, 4) for _ in range(w)] for _ in range(h)]
+    for _ in range(rng.randint(1, 4)):
+        top, left = rng.randrange(h - 2), rng.randrange(w - 2)
+        bottom, right = rng.randint(top + 2, h - 1), rng.randint(left + 2, w - 1)
+        color = rng.randint(1, 3)
+        for r in range(top, bottom + 1):
+            for c in range(left, right + 1):
+                if r in (top, bottom) or c in (left, right):
+                    rows[r][c] = color
+        if right - left >= 4 and rng.random() < 0.5:  # an inner wall
+            wall = rng.randint(left + 2, right - 2)
+            for r in range(top, bottom + 1):
+                rows[r][wall] = color
+        if rng.random() < 0.3:  # a gap in the ring
+            rows[top][rng.randint(left, right)] = 0
+    return Grid.from_rows(rows)
+
+
+class TestCavitiesOnDemand:
+    """``segment`` stores ``cavity_count`` only where the bbox rules a
+    cavity out; every other object labels its ``cavities`` on first read,
+    once. Counts and regions must equal the references that labelled
+    every object up front: ``oracles.bfs_segment`` and
+    ``oracles.two_flood_cavity_regions``."""
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_counts_and_regions_match_references(self, connectivity):
+        from oracles import bfs_segment
+
+        rng = random.Random(2801 + connectivity)
+        holed = 0
+        for i in range(400):
+            g = _holed_grid(rng) if i % 4 else random_grid(rng, max_side=12, colors=3)
+            p = segment(g, connectivity)
+            ref = bfs_segment(g, connectivity)
+            for obj, ref_obj in zip(p.objects, ref.objects, strict=True):
+                assert obj.cavities == tuple(two_flood_cavity_regions(obj.mask, obj.bbox))
+                assert obj.cavity_count == len(obj.cavities) == ref_obj.cavity_count
+                holed += obj.cavity_count > 0
+            assert p == ref
+        assert holed > 200  # the rings did enclose holes
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_segment_labels_no_cavity(self, monkeypatch, connectivity):
+        calls = []
+        regions = perception.cavity_regions
+
+        def counting(mask, bbox):
+            calls.append(bbox)
+            return regions(mask, bbox)
+
+        monkeypatch.setattr(perception, "cavity_regions", counting)
+        rng = random.Random(2811)
+        perceptions = [segment(_holed_grid(rng), connectivity) for _ in range(100)]
+        assert calls == []
+        counts = [o.cavity_count for p in perceptions for o in p.objects]
+        labelled = len(calls)
+        assert any(counts) and 0 < labelled < len(counts)
+        # A second read labels nothing again.
+        assert [o.cavity_count for p in perceptions for o in p.objects] == counts
+        assert len(calls) == labelled
+
+    def test_cavity_fill_labels_each_object_at_most_once(self, monkeypatch):
+        calls = []
+        regions = perception.cavity_regions
+
+        def counting(mask, bbox):
+            calls.append((mask, bbox))
+            return regions(mask, bbox)
+
+        monkeypatch.setattr(perception, "cavity_regions", counting)
+        rng = random.Random(2821)
+        fills = [
+            make_pattern("cavity_fill", color=c, selector=sel)
+            for c in (4, 5)
+            for sel in (Selector("all"), Selector("color", 1), Selector("cavities", 1))
+        ]
+        filled = 0
+        for _ in range(60):
+            scene = Scene(_holed_grid(rng))
+            first = [apply_pattern(f, scene) for f in fills]
+            again = [apply_pattern(f, scene) for f in fills]
+            assert first == again
+            filled += first[0] != scene.grid
+            objects = scene.perception.objects
+            assert len(calls) <= len(objects)
+            assert len(set(calls)) == len(calls)  # no object labelled twice
+            calls.clear()
+        assert filled > 30
 
 
 def _check_trusted_objects(g, connectivity):
