@@ -86,6 +86,7 @@ def cavity_count(obj: GridObject) -> int:
 # A field's count where ``segment`` left it out. Not in the class body,
 # where the descriptor would become the field's default in ``__init__``.
 GridObject.cavity_count = lazy(cavity_count)
+del cavity_count
 
 
 # The shape of every one-cell object, shared by all of them.
@@ -116,14 +117,9 @@ class Perception:
 def background_color(g: Grid) -> int:
     """Most frequent color; ties broken by the lowest color value."""
     counts = [0] * 10
-    width = g.width
     for row in g.rows:
-        first = row[0]
-        if row.count(first) == width:  # a uniform row, counted whole
-            counts[first] += width
-        else:
-            for v in row:
-                counts[v] += 1
+        for v in row:
+            counts[v] += 1
     best = 0
     for color in range(1, 10):
         if counts[color] > counts[best]:
