@@ -297,9 +297,10 @@ class Scene:
         return hash((self.grid, self.connectivity))
 
 
-def as_scene(g: Grid | Scene, connectivity: int = 4) -> Scene:
-    """``g`` itself when it is a Scene, else a fresh Scene over ``g``."""
-    return g if isinstance(g, Scene) else Scene(g, connectivity)
+def as_scene(g: Grid | Scene) -> Scene:
+    """``g`` itself when it is a Scene, else a fresh Scene over ``g`` at
+    connectivity 4."""
+    return g if isinstance(g, Scene) else Scene(g)
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +865,7 @@ def synthesize_hint(p: UnitPattern) -> str:
     return kind.hint.format(sel=p.selector.describe(), **words)
 
 
-def apply_pattern(p: UnitPattern, g: Grid | Scene, connectivity: int = 4) -> Grid:
+def apply_pattern(p: UnitPattern, g: Grid | Scene) -> Grid:
     """Apply one unit pattern; always returns a valid grid or raises.
 
     Whole-grid kinds transform the full grid. Object kinds segment the
@@ -872,12 +873,12 @@ def apply_pattern(p: UnitPattern, g: Grid | Scene, connectivity: int = 4) -> Gri
     copy of the input grid; the result is the same as re-rendering every
     object onto a background canvas in ascending id order.
 
-    ``g`` may be a Scene instead of a grid; the Scene's own connectivity
-    then applies and ``connectivity`` is ignored. Callers that apply many
+    A bare grid is perceived at connectivity 4. ``g`` may be a Scene
+    instead, which brings its own connectivity; callers that apply many
     patterns to one grid pass one Scene, so the grid is segmented at most
     once. The input grid is trusted to be valid (every ``Grid(...)`` is
     checked when built); the result is derived from it without checking
     it again, which is sound because each kind only rearranges its cells
     or paints validated parameter colors within the 30x30 bound.
     """
-    return _KINDS[p.kind].apply(p, as_scene(g, connectivity))
+    return _KINDS[p.kind].apply(p, as_scene(g))

@@ -42,8 +42,11 @@ class lazy:
 class GridObject:
     """One connected component: monochrome pixel set plus derived features.
 
-    ``segment`` leaves ``cavity_count`` out where a cavity can exist; it is
-    then read off ``cavities`` on first use."""
+    ``segment`` stores a multi-cell object's ``id``, ``color``, ``size``
+    and flat cell indices; ``mask`` and ``bbox`` are built together on the
+    first read of either, and ``cavity_count`` on its first read. An object
+    built through ``__init__`` holds every field and reads ``size`` off its
+    mask."""
 
     id: int
     color: int
@@ -63,7 +66,7 @@ class GridObject:
         obj.__dict__.update(fields)
         return obj
 
-    @property
+    @lazy
     def size(self) -> int:
         return len(self.mask)
 
@@ -79,14 +82,42 @@ class GridObject:
         return tuple(cavity_regions(self.mask, self.bbox))
 
 
+def _geometry(obj: GridObject) -> None:
+    """Store ``mask`` and ``bbox`` built from the cells ``segment`` kept:
+    indices into its padded flat grid of row length ``w``."""
+    members, w = obj.__dict__.pop("_cells")
+    origin = w + 1  # padded index of cell (0, 0)
+    cols = [i % w for i in members]
+    # ``members[0]`` is the object's first cell in row-major order.
+    top, bottom = members[0] // w - 1, max(members) // w - 1
+    obj.__dict__["bbox"] = (top, min(cols) - 1, bottom, max(cols) - 1)
+    obj.__dict__["mask"] = frozenset([divmod(i - origin, w) for i in members])
+
+
+def mask(obj: GridObject) -> frozenset[Coord]:
+    _geometry(obj)
+    return obj.mask
+
+
+def bbox(obj: GridObject) -> tuple[int, int, int, int]:
+    _geometry(obj)
+    return obj.bbox
+
+
 def cavity_count(obj: GridObject) -> int:
+    top, left, bottom, right = obj.bbox
+    height, width = bottom - top + 1, right - left + 1
+    if height <= 2 or width <= 2 or obj.size == height * width:
+        return 0  # every bbox cell off the mask lies on the bbox border
     return len(obj.cavities)
 
 
-# A field's count where ``segment`` left it out. Not in the class body,
-# where the descriptor would become the field's default in ``__init__``.
+# Fields ``segment`` leaves to their first read. Not in the class body,
+# where a descriptor would become the field's default in ``__init__``.
+GridObject.mask = lazy(mask)
+GridObject.bbox = lazy(bbox)
 GridObject.cavity_count = lazy(cavity_count)
-del cavity_count
+del mask, bbox, cavity_count
 
 
 # The shape of every one-cell object, shared by all of them.
@@ -178,10 +209,12 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
 
     The fill runs over flat indices into a copy of the grid padded with a
     -1 border, so every neighbor index is in range, and a reached cell is
-    overwritten with -1 so it never matches again. An object's cell order
-    does not matter: its mask is a set and its bbox a min/max. A one-cell
-    object, the most common kind, is built directly from its cell, with
-    the shared ``UNIT_SHAPE`` as its shape.
+    overwritten with -1 so it never matches again. A multi-cell object
+    keeps its cell indices and size; its mask and bbox are built from
+    them on first read, where the cell order does not matter (the mask is
+    a set, the bbox a min/max). A one-cell object, the most common kind,
+    is built directly from its cell, with the shared ``UNIT_SHAPE`` as its
+    shape.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
@@ -215,21 +248,10 @@ def segment(g: Grid, connectivity: int = 4) -> Perception:
             r, c = divmod(start - origin, w)
             mask = frozenset(((r, c),))
             obj = trusted(
-                id=len(objects), color=color, mask=mask, bbox=(r, c, r, c), cavity_count=0
+                id=len(objects), color=color, mask=mask, bbox=(r, c, r, c), cavity_count=0, size=1
             )
             obj.__dict__["shape"] = UNIT_SHAPE
-            objects.append(obj)
-            continue
-        mask = frozenset([divmod(i - origin, w) for i in members])
-        cols = [i % w for i in members]
-        # ``start`` is the object's first cell in row-major order.
-        top, left = start // w - 1, min(cols) - 1
-        bottom, right = max(members) // w - 1, max(cols) - 1
-        height, width = bottom - top + 1, right - left + 1
-        obj = trusted(id=len(objects), color=color, mask=mask, bbox=(top, left, bottom, right))
-        if height <= 2 or width <= 2 or len(members) == height * width:
-            # Every bbox cell off the mask lies on the bbox border. Elsewhere
-            # the count is left to its first read.
-            obj.__dict__["cavity_count"] = 0
+        else:
+            obj = trusted(id=len(objects), color=color, size=len(members), _cells=(members, w))
         objects.append(obj)
     return Perception(objects=tuple(objects), background=bg)

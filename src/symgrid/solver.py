@@ -126,8 +126,14 @@ def _vote(cands: list[Candidate]) -> tuple[Grid, int, int]:
     ties = 0
     rows = []
     for r in range(win[0]):
+        voter_rows = [g[r] for g in grids]
+        first_row = voter_rows[0]
+        if voter_rows.count(first_row) == n:
+            # Every voter agrees on the whole row.
+            rows.append(first_row)
+            continue
         row = []
-        for cell in zip(*[g[r] for g in grids]):
+        for cell in zip(*voter_rows):
             first = cell[0]
             if cell.count(first) == n:
                 row.append(first)

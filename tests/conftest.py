@@ -135,9 +135,9 @@ def apply_calls(monkeypatch):
     original = patterns.apply_pattern
     calls = []
 
-    def counting(p, g, connectivity=4):
+    def counting(p, g):
         calls.append((format_pattern(p), g.grid if isinstance(g, Scene) else g))
-        return original(p, g, connectivity)
+        return original(p, g)
 
     _rebind(monkeypatch, original, counting)
     return calls

@@ -382,12 +382,14 @@ def test_09_markdown_round_trip_and_fuzz():
 def _segment_steps(grids) -> int:
     """The line events ``sys.settrace`` reports inside the functions of
     ``symgrid.perception`` (``segment`` and the ``background_color`` it
-    calls, then the ``cavity_regions`` labelling behind each object's
-    ``cavity_count``) while ``segment`` runs on each grid and every
-    object's ``cavity_count`` is read: a count of the interpreted steps
-    segmentation takes, cavity counts included, the same on every run and
-    on any machine load. ``segment`` leaves the counts it cannot rule out
-    to their first read, so reading them here keeps that work fitted."""
+    calls, then the mask and bbox build and the ``cavity_regions``
+    labelling behind each object's first reads) while ``segment`` runs on
+    each grid and every object's ``mask``, ``bbox`` and ``cavity_count``
+    are read: a count of the interpreted steps segmentation takes,
+    geometry and cavity counts included, the same on every run and on any
+    machine load. ``segment`` leaves each object's geometry and the counts
+    it cannot rule out to their first read, so reading them here keeps
+    that work fitted."""
     filename = symgrid.perception.__file__
     steps = 0
 
@@ -405,7 +407,7 @@ def _segment_steps(grids) -> int:
     try:
         for g in grids:
             for obj in segment(g).objects:
-                obj.cavity_count
+                obj.mask, obj.bbox, obj.cavity_count
     finally:
         sys.settrace(previous)
     return steps

@@ -624,9 +624,9 @@ def valid_patterns(draw, kinds=st.sampled_from(KIND_ORDER)):
     return make_pattern(kind, selector=selector, **params)
 
 
-def _outcome(p, g, connectivity=4):
+def _outcome(p, g):
     try:
-        return apply_pattern(p, g, connectivity)
+        return apply_pattern(p, g)
     except Exception as e:  # the exception type is the outcome compared
         return type(e)
 
@@ -640,11 +640,14 @@ class TestScene:
     def test_shared_scene_matches_bare_grid(self, g, connectivity, patterns):
         # Differential: a Scene shared by all 23 kinds (so the perception
         # and background one kind computed are reused by the next) against
-        # the bare grid. Totality: a valid grid or an inapplicable pattern.
+        # a fresh Scene per pattern, and at connectivity 4 against the bare
+        # grid. Totality: a valid grid or an inapplicable pattern.
         scene = Scene(g, connectivity)
         for p in patterns:
             shared = _outcome(p, scene)
-            assert shared == _outcome(p, g, connectivity), format_pattern(p)
+            assert shared == _outcome(p, Scene(g, connectivity)), format_pattern(p)
+            if connectivity == 4:
+                assert shared == _outcome(p, g), format_pattern(p)
             if isinstance(shared, Grid):
                 assert Grid(shared.rows) == shared
                 hash(shared)
@@ -676,10 +679,14 @@ class TestScene:
         assert len({Scene(g), Scene(same), Scene(g, 8)}) == 2
 
     def test_connectivity_checked_for_every_kind(self):
+        # A connectivity reaches ``apply_pattern`` only inside a Scene,
+        # which refuses any value but 4 and 8 before a kind can run.
         g = Grid.from_rows([[1, 0]])
+        with pytest.raises(ValueError, match="connectivity"):
+            Scene(g, 6)
         for kind in ("reflect_h", "crop_to_content", "delete_object"):
-            with pytest.raises(ValueError, match="connectivity"):
-                apply_pattern(make_pattern(kind), g, connectivity=6)
+            for connectivity in (4, 8):
+                assert isinstance(apply_pattern(make_pattern(kind), Scene(g, connectivity)), Grid)
 
 
 def _counts(g):

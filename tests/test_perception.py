@@ -444,3 +444,135 @@ class TestTrustedObjects:
         assert [o.shape for o in a.objects] == [UNIT_SHAPE, {(0, 0), (0, 1)}, UNIT_SHAPE]
         assert a == b and hash(a) == hash(b)
         assert [o.shape for o in a.objects] == [o.shape for o in b.objects]
+
+
+def _noise_grid(rng: random.Random) -> Grid:
+    """Sparse cells of nine colors on background 0: mostly one-cell
+    objects, with the odd pair or bar where cells touch."""
+    h, w = rng.randint(1, 16), rng.randint(1, 16)
+    return Grid.from_rows(
+        [[rng.randint(1, 9) if rng.random() < 0.15 else 0 for _ in range(w)] for _ in range(h)]
+    )
+
+
+def _deferred_inputs(seed: int):
+    """Rings with inner walls and gaps, one-cell noise, and dense 30x30
+    grids of ten colors."""
+    rng = random.Random(seed)
+    for i in range(200):
+        if i % 10 == 9:
+            yield random_grid(rng, max_side=30, min_side=30, colors=10)
+        else:
+            yield (_holed_grid, _noise_grid)[i % 2](rng)
+
+
+_OBJECT_FIELDS = ("id", "color", "mask", "bbox", "size", "cavity_count", "shape", "cavities")
+
+
+def _reference_fields(obj) -> dict:
+    """Every feature of an ``oracles.bfs_segment`` object, recomputed from
+    its mask and bbox where ``GridObject`` would derive it."""
+    top, left, _, _ = obj.bbox
+    return {
+        "id": obj.id,
+        "color": obj.color,
+        "mask": obj.mask,
+        "bbox": obj.bbox,
+        "size": len(obj.mask),
+        "cavity_count": obj.cavity_count,
+        "shape": frozenset((r - top, c - left) for r, c in obj.mask),
+        "cavities": tuple(two_flood_cavity_regions(obj.mask, obj.bbox)),
+    }
+
+
+def _needs_labelling(obj) -> bool:
+    """Whether the bbox leaves room for a cavity: both sides above 2 and
+    some bbox cell off the mask."""
+    top, left, bottom, right = obj.bbox
+    height, width = bottom - top + 1, right - left + 1
+    return height > 2 and width > 2 and len(obj.mask) < height * width
+
+
+class TestDeferredGeometry:
+    """``segment`` keeps a multi-cell object's id, color, size and cell
+    indices and builds ``mask`` and ``bbox`` together on the first read of
+    either; ``cavity_count`` applies the bbox rule on its first read. Read
+    in any order, every feature must equal ``oracles.bfs_segment``'s,
+    which builds every object whole through ``__init__``."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        geometry = perception._geometry
+
+        def counting(obj):
+            calls.append(obj.id)
+            geometry(obj)
+
+        monkeypatch.setattr(perception, "_geometry", counting)
+        return calls
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_fields_match_reference_in_any_read_order(self, connectivity):
+        from oracles import bfs_segment
+
+        rng = random.Random(4101 + connectivity)
+        multi = holed = 0
+        for g in _deferred_inputs(4111 + connectivity):
+            ref = bfs_segment(g, connectivity)
+            wanted = [_reference_fields(o) for o in ref.objects]
+            for _ in range(3):
+                p = segment(g, connectivity)
+                assert len(p.objects) == len(wanted)
+                for obj, want in zip(p.objects, wanted):
+                    order = rng.sample(_OBJECT_FIELDS, len(_OBJECT_FIELDS))
+                    for name in order:
+                        assert getattr(obj, name) == want[name], (name, order)
+                assert p == ref and hash(p) == hash(ref)
+            multi += sum(o.size > 1 for o in p.objects)
+            holed += sum(o.cavity_count > 0 for o in p.objects)
+        assert multi > 2000 and holed > 50
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_id_color_size_and_size_order_build_no_geometry(self, builds, connectivity):
+        from oracles import bfs_segment
+
+        for g in _deferred_inputs(4121 + connectivity):
+            p, ref = segment(g, connectivity), bfs_segment(g, connectivity)
+            assert [(o.id, o.color, o.size) for o in p.objects] == [
+                (o.id, o.color, len(o.mask)) for o in ref.objects
+            ]
+            assert [o.id for o in p.by_size] == [o.id for o in ref.by_size]
+            assert p.size_ranks == ref.size_ranks
+        assert builds == []
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_geometry_built_once_per_object(self, builds, monkeypatch, connectivity):
+        from oracles import bfs_segment
+
+        labelled = []
+        regions = perception.cavity_regions
+
+        def counting(mask, bbox):
+            labelled.append(bbox)
+            return regions(mask, bbox)
+
+        monkeypatch.setattr(perception, "cavity_regions", counting)
+        total = 0
+        for i, g in enumerate(_deferred_inputs(4131 + connectivity)):
+            p, ref = segment(g, connectivity), bfs_segment(g, connectivity)
+            multi = [o.id for o in p.objects if o.size > 1]
+            first, second = ("mask", "bbox") if i % 2 else ("bbox", "mask")
+            for obj in p.objects:
+                getattr(obj, first)
+            assert builds == multi  # one-cell objects hold their geometry
+            for obj, want in zip(p.objects, ref.objects):
+                assert getattr(obj, second) == getattr(want, second)
+                assert obj.shape == obj.shape and obj.cavity_count == want.cavity_count
+            assert builds == multi
+            # Only a bbox that leaves room for a cavity is labelled.
+            assert labelled == [o.bbox for o in ref.objects if _needs_labelling(o)]
+            total += len(builds)
+            builds.clear()
+            labelled.clear()
+        assert total > 2000

@@ -56,6 +56,31 @@ _VOTE_WEIGHTS = (1.0, 1 / 3, 2 / 3, 0.5, 0.25, 0.1, 0.7, 3, 5e-324, 1e300)
 
 
 @st.composite
+def near_copy_candidates(draw):
+    """2-7 copies of one grid, each with 0-3 cells repainted, as a sampled
+    backend returns them: most rows are unanimous, and the rest hold one
+    or two disputed cells, tied or not. Now and then a candidate of other
+    dims joins, to be excluded or to win the dims vote."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    base = [[draw(st.integers(0, 3)) for _ in range(w)] for _ in range(h)]
+    cands = []
+    for _ in range(draw(st.integers(2, 7))):
+        rows = [row[:] for row in base]
+        for _ in range(draw(st.integers(0, 3))):
+            rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] = draw(
+                st.integers(0, 3)
+            )
+        weight = draw(st.sampled_from(_VOTE_WEIGHTS))
+        cands.append(Candidate(Grid.from_rows(rows), "rule_exec", weight))
+    if draw(st.booleans()):
+        other = [[draw(st.integers(0, 3))] * (w + 1) for _ in range(h)]
+        at = draw(st.integers(0, len(cands)))
+        weight = draw(st.sampled_from(_VOTE_WEIGHTS))
+        cands.insert(at, Candidate(Grid.from_rows(other), "rule_exec", weight))
+    return cands
+
+
+@st.composite
 def vote_candidates(draw):
     """1-8 candidates over up to three dimension pairs. Each candidate
     copies a per-dims base grid and repaints some cells from three
@@ -172,6 +197,12 @@ class TestVote:
     @given(vote_candidates())
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_vote(self, cands):
+        assert _vote(cands) == fraction_vote(cands)
+
+    @given(near_copy_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_near_copies_match_fraction_vote(self, cands):
+        # Unanimous rows are taken whole; the disputed ones cell by cell.
         assert _vote(cands) == fraction_vote(cands)
 
     def test_three_way_tie_counted(self):
