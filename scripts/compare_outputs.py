@@ -18,7 +18,13 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    the suite, so these catch a change in where the budget cuts);
 5. ``symgrid perceive TASK --connectivity C`` stdout (objects, bboxes and
    cavity counts of every grid) for every task at connectivity 4 and 8;
-6. ``symgrid eval SUITE --config CFG --transcript T --passes 2``, the
+6. ``symgrid induce TASK --threshold T`` stdout at thresholds 1.0, 0.5
+   and 0.0 for every planted task with one cell of one train output
+   repainted another color (an RNG of fixed seed picks the pair, cell
+   and color). No pattern is then exact on every pair, so ``induce``
+   goes on to verify the candidates it held back, which it never does
+   on the unperturbed suite;
+7. ``symgrid eval SUITE --config CFG --transcript T --passes 2``, the
    suite answered by a replayed remote proposer and sampler (CFG holds
    ``{"proposer": "remote"}``): stdout, ``eval_summary.json`` and stderr,
    which carries the malformed-line warnings. T is written once, by
@@ -26,13 +32,13 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    ``src/symgrid`` with RNG seed 5, and both checkouts replay it. The
    sample requests carry the hints, so a changed hint is a replay miss
    here, after step 4 has named it;
-7. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
+8. the suites ``gen_tasks.py`` writes for seeds 1, 2 and 3. The task
    generator keeps a draw only if ``induce`` passes its closure check,
    so these catch a change in ``induce`` that the seed-1007 suite misses.
 
-Steps 2 to 6 read the parent's suite, so both sides answer the same files.
-Steps 3 to 5 call the CLI's ``main`` in one worker process per checkout
-rather than one process per command. The exit code is 0 when everything
+Steps 2 to 7 read the parent's suite, so both sides answer the same files.
+Steps 3 to 6 call the CLI's ``main`` in one worker process per checkout
+and step rather than one process per command. The exit code is 0 when everything
 matches and 1 at the first difference, which is named on stderr.
 ``--planted`` and ``--noise`` size every suite as in ``run_benchmark.py``.
 """
@@ -56,6 +62,8 @@ THRESHOLDS = ("1.0", "0.67", "0.5", "0.34", "0.0")
 BUDGETS = ("1", "3")
 BUDGET_THRESHOLDS = ("1.0", "0.5")
 REPLAY_SEED = 5  # the RNG seed of the replay transcript's sampled grids
+PERTURB_SEED = 0  # the RNG seed that picks each perturbed task's cell and color
+PERTURBED_THRESHOLDS = ("1.0", "0.5", "0.0")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -129,9 +137,40 @@ def _compare_evals(what: str, argv: list[str], parent: Path, change: Path, work:
         _compare(f"{what} {part}", p_part, c_part)
 
 
-def _cli_outputs(checkout: Path, suite: Path, work: Path) -> list[dict]:
-    stdout = _run(checkout, [__file__, "--worker", str(checkout), str(suite)], cwd=work).stdout
-    return [json.loads(line) for line in stdout.splitlines()]
+def _perturb(suite: Path, out: Path) -> None:
+    """Write each planted task of ``suite`` to ``out``, with one cell of one
+    train output repainted another color."""
+    rng = random.Random(PERTURB_SEED)
+    out.mkdir()
+    for path in sorted(suite.glob("plant_*.json")):
+        doc = json.loads(path.read_bytes())
+        rows = doc["train"][rng.randrange(len(doc["train"]))]["output"]
+        r = rng.randrange(len(rows))
+        c = rng.randrange(len(rows[r]))
+        rows[r][c] = (rows[r][c] + rng.randint(1, 9)) % 10
+        (out / path.name).write_text(json.dumps(doc, separators=(",", ":")))
+
+
+def _cli_outputs(checkout: Path, suite: Path, work: Path, perturbed: bool) -> list[dict]:
+    argv = [__file__, "--worker", str(checkout), str(suite)] + ["--perturbed"] * perturbed
+    return [json.loads(line) for line in _run(checkout, argv, cwd=work).stdout.splitlines()]
+
+
+def _compare_cli(parent: Path, change: Path, suite: Path, work: Path, perturbed: bool) -> None:
+    """Compare the exit code and stdout of every worker command between the
+    checkouts."""
+    p_runs, c_runs = (
+        _cli_outputs(checkout, suite, work, perturbed) for checkout in (parent, change)
+    )
+    listed = "perturbed induce" if perturbed else "solve/induce/perceive"
+    _compare(f"{listed} command list", str([r["argv"] for r in p_runs]),
+             str([r["argv"] for r in c_runs]))
+    prefix = "perturbed " if perturbed else ""
+    for p_run, c_run in zip(p_runs, c_runs):
+        argv = p_run["argv"]
+        command = prefix + " ".join([argv[0], Path(argv[1]).name, *argv[2:]])
+        _compare(f"{command} exit code", str(p_run["code"]), str(c_run["code"]))
+        _compare(f"{command} stdout", p_run["stdout"], c_run["stdout"])
 
 
 def _imported_from(checkout: Path) -> bool:
@@ -157,14 +196,18 @@ def _transcript_worker(checkout: Path, path: Path, planted: int, noise: int) -> 
     return 0
 
 
-def _worker(checkout: Path, suite: Path) -> int:
-    """Print one JSON line per solve/induce/perceive command, run through ``main``."""
+def _worker(checkout: Path, suite: Path, perturbed: bool) -> int:
+    """Print one JSON line per solve/induce/perceive command (induce at
+    ``PERTURBED_THRESHOLDS`` only, on a perturbed suite), run through ``main``."""
     if not _imported_from(checkout):
         return 2
     from symgrid.cli import main
 
     commands = []
     for task in sorted(suite.glob("*.json")):
+        if perturbed:
+            commands.extend(["induce", str(task), "--threshold", t] for t in PERTURBED_THRESHOLDS)
+            continue
         commands.append(["solve", str(task), "--passes", "2"])
         commands.extend(["induce", str(task), "--threshold", t] for t in THRESHOLDS)
         commands.extend(
@@ -193,10 +236,11 @@ def main() -> int:
     parser.add_argument("--planted", type=int, default=100)
     parser.add_argument("--noise", type=int, default=20)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--perturbed", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--transcript-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:  # PARENT is the checkout, CHANGE the suite directory
-        return _worker(args.parent.resolve(), args.change.resolve())
+        return _worker(args.parent.resolve(), args.change.resolve(), args.perturbed)
     if args.transcript_worker:  # PARENT is the checkout, CHANGE the transcript
         return _transcript_worker(
             args.parent.resolve(), args.change.resolve(), args.planted, args.noise
@@ -217,13 +261,9 @@ def main() -> int:
             argv = [str(suite), "--passes", str(passes)]
             _compare_evals(f"eval --passes {passes}", argv, parent, change, work)
 
-        p_runs, c_runs = (_cli_outputs(checkout, suite, work) for checkout in (parent, change))
-        _compare("solve/induce/perceive command list", str([r["argv"] for r in p_runs]),
-                 str([r["argv"] for r in c_runs]))
-        for p_run, c_run in zip(p_runs, c_runs):
-            what = " ".join([p_run["argv"][0], Path(p_run["argv"][1]).name, *p_run["argv"][2:]])
-            _compare(f"{what} exit code", str(p_run["code"]), str(c_run["code"]))
-            _compare(f"{what} stdout", p_run["stdout"], c_run["stdout"])
+        _compare_cli(parent, change, suite, work, perturbed=False)
+        _perturb(suite, root / "perturbed")
+        _compare_cli(parent, change, root / "perturbed", work, perturbed=True)
 
         transcript, config = root / "replay.jsonl", root / "remote.json"
         _run(
@@ -249,13 +289,15 @@ def main() -> int:
             _compare_suites(seed, parent_suite, change_suite)
 
     tasks = len(suites["parent"]) - 1  # MANIFEST.tsv
+    planted = sum(name.startswith("plant_") for name in suites["parent"])
     print(
         f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout, "
         f"eval_summary.json and stderr), solve --passes 2 on {tasks} tasks, induce on "
         f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} at connectivity 4 and 8, "
         f"and at budgets {' and '.join(BUDGETS)} at thresholds "
         f"{' and '.join(BUDGET_THRESHOLDS)}, "
-        f"perceive on {tasks} tasks at connectivity 4 and 8, eval --passes 2 with a "
+        f"perceive on {tasks} tasks at connectivity 4 and 8, induce on {planted} perturbed "
+        f"tasks at thresholds {', '.join(PERTURBED_THRESHOLDS)}, eval --passes 2 with a "
         f"replayed remote proposer (stdout, eval_summary.json and stderr), and the suites of "
         f"generator seeds {', '.join(map(str, GENERATOR_SEEDS))}"
     )

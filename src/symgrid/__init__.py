@@ -50,13 +50,7 @@ from .patterns import (
     parse_pattern,
     pattern_key,
 )
-from .perception import (
-    GridObject,
-    Perception,
-    background_color,
-    detect_cavities,
-    segment,
-)
+from .perception import GridObject, Perception, background_color, segment
 from .search import SearchProposer, enumerate_candidates
 from .solver import (
     Candidate,
@@ -100,7 +94,6 @@ __all__ = [
     "build_pattern",
     "collect_candidates",
     "decode_markdown",
-    "detect_cavities",
     "detect_unit_patterns",
     "encode_markdown",
     "enumerate_candidates",

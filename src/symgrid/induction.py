@@ -228,6 +228,9 @@ class TrainPair:
         self.scene = scene
         self.output = output
         self.same_dims_reachable = True
+        # The keys ``detect_unit_patterns`` applied here without error and
+        # dropped: their results are not the output.
+        self.missed: set[PatternKey] = set()
         grid = scene.grid
         self.held: list[int] | None = None
         self.wanted: list[int] | None = None
@@ -305,7 +308,8 @@ def detect_unit_patterns(
     """Verify the candidates ``ids`` of ``table`` on one pair, each built
     (``CandidateTable.pattern``) and applied at most once, in list order;
     returns the kept ones' verdicts by number: exact matches True, strict
-    reductions of pixel distance (partial) False, everything else dropped.
+    reductions of pixel distance (partial) False, everything else dropped
+    (the key of one that applied without error into ``pair.missed``).
 
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
@@ -340,6 +344,8 @@ def detect_unit_patterns(
             found[cid] = True
         elif pixel_distance(result, gout) < baseline:
             found[cid] = False
+        else:
+            pair.missed.add(key)
     return found
 
 
@@ -358,9 +364,12 @@ def intersect_patterns(
     pattern that was proposed exact somewhere but runs without error on
     some train pair and yields the wrong output. A partial flag says
     exactly that; only pairs without a verdict on the pattern (possible
-    below threshold 1.0) have it applied here, the patterns in canonical
-    order. ``induce`` leaves out of pair k's verdicts the candidates that
-    could no longer reach the threshold; this test drops them either way.
+    below threshold 1.0) are checked, the patterns in canonical order. A
+    pair where verification applied it without error and dropped it
+    (``TrainPair.missed``) contradicts it unapplied; the others have it
+    applied here. ``induce`` leaves out of pair k's verdicts the
+    candidates that could no longer reach the threshold; this test drops
+    them either way.
     Partial patterns are kept only as a backstop: once any exact pattern
     survives, the partials are pruned so they cannot outvote a rule that
     reproduces every training output, which ``induce``'s held-back
@@ -547,10 +556,13 @@ def _contradicted(
     pattern: UnitPattern, exact_by_pair: dict[int, bool], train_pairs: list[TrainPair]
 ) -> bool:
     """Whether ``pattern`` runs without error on a pair it has no verdict
-    on and misses that pair's output."""
+    on and misses that pair's output; not applied again where verification
+    already saw it do so (``TrainPair.missed``)."""
     for idx, pair in enumerate(train_pairs):
         if idx in exact_by_pair:
             continue
+        if pattern_key(pattern) in pair.missed:
+            return True
         try:
             result = apply_pattern(pattern, pair.scene)
         except (PatternApplicationError, PatternContractError):

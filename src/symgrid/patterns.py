@@ -51,6 +51,7 @@ from .perception import (
     GridObject,
     Perception,
     background_color,
+    lazy,
     segment,
 )
 
@@ -263,30 +264,20 @@ class Scene:
     ``(grid, connectivity)``, like the grids they wrap.
     """
 
-    __slots__ = ("grid", "connectivity", "_perception", "_background")
-
     def __init__(self, grid: Grid, connectivity: int = 4) -> None:
         if connectivity not in (4, 8):
             raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
         self.grid = grid
         self.connectivity = connectivity
-        self._perception: Perception | None = None
-        self._background: int | None = None
 
-    @property
+    @lazy
     def perception(self) -> Perception:
-        if self._perception is None:
-            self._perception = segment(self.grid, self.connectivity)
-        return self._perception
+        return segment(self.grid, self.connectivity)
 
-    @property
+    @lazy
     def background(self) -> int:
-        if self._background is None:
-            if self._perception is not None:
-                self._background = self._perception.background
-            else:
-                self._background = background_color(self.grid)
-        return self._background
+        perception = self.__dict__.get("perception")
+        return background_color(self.grid) if perception is None else perception.background
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scene):
@@ -826,6 +817,8 @@ KIND_ORDER = tuple(_KINDS)
 OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
 GROWS = {name: k.grows for name, k in _KINDS.items()}  # see ``_Kind.grows``
 RESULT_DIMS = {name: k.dims for name, k in _KINDS.items()}  # see ``_Kind.dims``
+# The kinds that only rearrange the grid's cells, the reflections and rotations.
+ISOMETRIES = tuple(name for name, k in _KINDS.items() if k.grows == "none")
 _KIND_INDEX = {name: i for i, name in enumerate(KIND_ORDER)}
 
 

@@ -191,15 +191,6 @@ def cavity_regions(
     return regions
 
 
-def detect_cavities(obj: GridObject, dims: tuple[int, int]) -> int:
-    """Number of enclosed complement regions inside the object's bbox."""
-    h, w = dims
-    for r, c in obj.mask:
-        if not (0 <= r < h and 0 <= c < w):
-            raise ValueError(f"mask cell ({r},{c}) outside grid {h}x{w}")
-    return len(obj.cavities)
-
-
 def segment(g: Grid, connectivity: int = 4) -> Perception:
     """Decompose a grid into monochrome connected components.
 

@@ -26,12 +26,8 @@ from .induction import (
     detect_unit_patterns,
     match_objects,
 )
-from .patterns import AXES, DIRECTIONS, KEY_ALL as ALL, RESULT_DIMS, PatternKey, Scene
+from .patterns import AXES, DIRECTIONS, ISOMETRIES, KEY_ALL as ALL, RESULT_DIMS, PatternKey, Scene
 from .perception import segment
-
-# The parameterless whole-grid kinds whose result dims the input's fix, in
-# canonical order; each is proposed where those dims are the output's.
-_ISOMETRIES = ("reflect_h", "reflect_v", "rotate90", "rotate180", "rotate270")
 
 
 def enumerate_candidates(
@@ -86,7 +82,7 @@ def _proposals(pair: TrainPair) -> Iterator[PatternKey]:
     out = (ho, wo)
     same_dims = (hi, wi) == out
 
-    for kind in _ISOMETRIES:
+    for kind in ISOMETRIES:
         if RESULT_DIMS[kind]((), hi, wi) == out:
             yield (kind, (), ALL)
     if ho <= hi and wo <= wi:

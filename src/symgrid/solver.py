@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .errors import BackendError, MarkdownError, PatternApplicationError
@@ -187,15 +186,15 @@ def induce_with_fallback(
 ) -> tuple[RuleSet, str | None]:
     """``induce``, under the one backend-failure policy of every command.
 
-    When the proposer's backend fails, a warning goes to stderr and the
-    whole task is induced again with the search proposer. Returns the rule
-    set and a note on the failure for the task's traces, or None when the
-    proposer did not fail.
+    When the proposer's backend fails, a warning goes to this module's
+    logger and the whole task is induced again with the search proposer.
+    Returns the rule set and a note on the failure for the task's traces,
+    or None when the proposer did not fail.
     """
     try:
         return induce(task, proposer, threshold, budget, connectivity), None
     except BackendError as e:
-        print(f"warning: backend unavailable for induction ({e})", file=sys.stderr)
+        log.warning("warning: backend unavailable for induction (%s)", e)
         rs = induce(task, SearchProposer(), threshold, budget, connectivity)
         return rs, f"backend induction failed: {e}"
 
@@ -326,20 +325,21 @@ def evaluate(
     if proposer is None:
         proposer = SearchProposer()
 
-    def run_one(entry: tuple[str, Task]):
-        task_id, task = entry
+    # Tasks run in input order: a replayed backend answers identical
+    # requests first in, first out.
+    in_order: list[ItemResult] = []
+    candidate_total = 0
+    for task_id, task in items:
         rs, failure = induce_with_fallback(task, proposer, threshold, budget, connectivity)
         preds = solve_task(task, rs, backend, passes, samples, connectivity)
         induction = () if failure is None else (failure,)
-        results = []
-        cand_count = 0
         for idx, ((_, expected), pred) in enumerate(zip(task.test, preds)):
-            cand_count += pred.trace.candidate_count
+            candidate_total += pred.trace.candidate_count
             if expected is None:
                 correct: bool | None = None
             else:
                 correct = any(grids_equal(a, expected) for a in pred.attempts)
-            results.append(
+            in_order.append(
                 ItemResult(
                     task_id=task_id,
                     test_index=idx,
@@ -349,21 +349,14 @@ def evaluate(
                     degraded=induction + tuple(pred.trace.notes),
                 )
             )
-        return results, cand_count
 
-    runs = [(entry[0], run_one(entry)) for entry in items]
-
-    all_items: list[ItemResult] = []
-    candidate_total = 0
-    kind_counts: dict[str, int] = {}
     # A stable sort: items that share a task id keep their input order.
-    for _, (results, cand_count) in sorted(runs, key=lambda r: r[0]):
-        candidate_total += cand_count
-        for item in results:
-            all_items.append(item)
-            if item.correct:
-                for kind in item.fired_kinds:
-                    kind_counts[kind] = kind_counts.get(kind, 0) + 1
+    all_items = sorted(in_order, key=lambda i: i.task_id)
+    kind_counts: dict[str, int] = {}
+    for item in all_items:
+        if item.correct:
+            for kind in item.fired_kinds:
+                kind_counts[kind] = kind_counts.get(kind, 0) + 1
 
     scored = sum(1 for i in all_items if i.correct is not None)
     correct = sum(1 for i in all_items if i.correct)

@@ -28,6 +28,7 @@ from .induction import induce
 from .patterns import (
     AXES,
     DIRECTIONS,
+    ISOMETRIES,
     KIND_ORDER,
     _DELTAS,
     Scene,
@@ -42,7 +43,7 @@ from .search import SearchProposer
 
 Cells = set[tuple[int, int]]
 
-_ISOMETRY_KINDS = ("reflect_h", "reflect_v", "rotate90", "rotate180", "rotate270")
+_TRAIN_PAIRS = 3  # per task, planted and noise
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def _colors(rng: random.Random, n: int, exclude: set[int] = frozenset()) -> list
 
 
 def _same_dims_competitors(exclude_kind: str) -> list[UnitPattern]:
-    pats = [make_pattern(k) for k in _ISOMETRY_KINDS if k != exclude_kind]
+    pats = [make_pattern(k) for k in ISOMETRIES if k != exclude_kind]
     if exclude_kind != "symmetry_complete":
         pats.append(make_pattern("symmetry_complete", axis="h"))
         pats.append(make_pattern("symmetry_complete", axis="v"))
@@ -202,7 +203,7 @@ def _plant_crop(rng, kind):
 def _plant_symmetry(rng, kind):
     axis = rng.choice(AXES)
     pattern = make_pattern("symmetry_complete", axis=axis)
-    competitors = [make_pattern(k) for k in _ISOMETRY_KINDS]
+    competitors = [make_pattern(k) for k in ISOMETRIES]
     competitors.append(
         make_pattern("symmetry_complete", axis="v" if axis == "h" else "h")
     )
@@ -551,7 +552,7 @@ _PLANTERS = {
 }
 
 
-def _in_closure(task: Task, budget: int = 2000) -> bool:
+def _in_closure(task: Task) -> bool:
     """Closure membership: exactly-one-rule solvability.
 
     Every pattern that is exact on all train pairs (an exact rule of
@@ -560,7 +561,7 @@ def _in_closure(task: Task, budget: int = 2000) -> bool:
     no candidate). Otherwise the train pairs do not determine the test
     answer and the task is ambiguous.
     """
-    rs = induce(task, SearchProposer(), budget=budget)
+    rs = induce(task, SearchProposer())
     for sp in rs.patterns:
         if not sp.exact:
             continue
@@ -606,32 +607,26 @@ def _sample_pair(rng, pattern, sampler, competitors) -> tuple[Grid, Grid] | None
     return None
 
 
-def generate_planted_task(
-    rng: random.Random,
-    kind: str | None = None,
-    train_pairs: int = 3,
-    n_test: int = 1,
-) -> PlantedTask:
+def generate_planted_task(rng: random.Random, kind: str, n_test: int = 1) -> PlantedTask:
     """One task whose every pair is explained by a single planted pattern."""
     for _ in range(100):
-        k = kind if kind is not None else rng.choice(KIND_ORDER)
-        pattern, sampler, competitors = _PLANTERS[k](rng, k)
+        pattern, sampler, competitors = _PLANTERS[kind](rng, kind)
         pairs = []
-        for _ in range(train_pairs + n_test):
+        for _ in range(_TRAIN_PAIRS + n_test):
             pair = _sample_pair(rng, pattern, sampler, competitors)
             if pair is None:
                 break
             pairs.append(pair)
-        if len(pairs) < train_pairs + n_test:
+        if len(pairs) < _TRAIN_PAIRS + n_test:
             continue
-        task = Task(train=tuple(pairs[:train_pairs]), test=tuple(pairs[train_pairs:]))
+        task = Task(train=tuple(pairs[:_TRAIN_PAIRS]), test=tuple(pairs[_TRAIN_PAIRS:]))
         if not _in_closure(task):
             continue
         return PlantedTask(task=task, pattern=pattern)
     raise RuntimeError(f"could not generate a planted task for kind {kind!r}")
 
 
-def generate_noise_task(rng: random.Random, train_pairs: int = 3) -> Task:
+def generate_noise_task(rng: random.Random) -> Task:
     """A task no unit pattern can explain, even partially.
 
     Outputs are one row and one column larger than their inputs (for
@@ -653,23 +648,20 @@ def generate_noise_task(rng: random.Random, train_pairs: int = 3) -> Task:
             if len({v for row in rows for v in row}) >= 2:
                 return gin, Grid.from_rows(rows)
 
-    train = tuple(pair() for _ in range(train_pairs))
+    train = tuple(pair() for _ in range(_TRAIN_PAIRS))
     test = (pair(),)
     return Task(train=train, test=test)
 
 
 def generate_suite(
-    seed: int,
-    n_planted: int,
-    n_noise: int = 0,
-    kinds: tuple[str, ...] | None = None,
+    seed: int, n_planted: int, n_noise: int = 0
 ) -> list[tuple[str, Task, UnitPattern | None]]:
-    """Deterministic benchmark suite: (task_id, task, planted_or_None)."""
+    """Deterministic benchmark suite: (task_id, task, planted_or_None),
+    the planted kinds taken round-robin in ``KIND_ORDER``."""
     rng = random.Random(seed)
     out: list[tuple[str, Task, UnitPattern | None]] = []
-    pool = kinds if kinds is not None else KIND_ORDER
     for i in range(n_planted):
-        kind = pool[i % len(pool)]
+        kind = KIND_ORDER[i % len(KIND_ORDER)]
         planted = generate_planted_task(rng, kind=kind)
         out.append((f"plant_{i:04d}_{kind}", planted.task, planted.pattern))
     for i in range(n_noise):

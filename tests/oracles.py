@@ -718,7 +718,9 @@ def dict_collect_candidates(pair, proposer, budget, memo=None):
 def dict_detect_unit_patterns(pair, candidates):
     """Verify a dict of candidates on one pair, dropping unapplied those
     whose ``GROWS`` class the pair's color counts rule out and, once
-    built, those whose ``RESULT_DIMS`` are not the output's."""
+    built, those whose ``RESULT_DIMS`` are not the output's. The key of
+    a candidate dropped after applying without error goes into
+    ``pair.missed``."""
     scene, gout = pair.scene, pair.output
     baseline = pair.distance
     out = []
@@ -739,6 +741,8 @@ def dict_detect_unit_patterns(pair, candidates):
             out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=True))
         elif pixel_distance(result, gout) < baseline:
             out.append(ScoredPattern(pattern, support=1, confidence=1.0, exact=False))
+        else:
+            pair.missed.add(key)
     return out
 
 
@@ -783,11 +787,16 @@ def dict_intersect_patterns(per_pair, train_pairs, threshold=1.0):
 
 
 def _dict_contradicted(pattern, exact_by_pair, train_pairs):
+    """Whether ``pattern`` has a partial flag, or misses the output of a
+    pair it has no flag on: as ``pair.missed`` says (filled only by
+    ``dict_detect_unit_patterns``), else by applying it there."""
     if not all(exact_by_pair.values()):
         return True
     for idx, pair in enumerate(train_pairs):
         if idx in exact_by_pair:
             continue
+        if pattern_key(pattern) in pair.missed:
+            return True
         try:
             result = patterns.apply_pattern(pattern, pair.scene)
         except (PatternApplicationError, PatternContractError):

@@ -138,7 +138,7 @@ def test_04_plant_and_recover():
         proposer = SearchProposer()
         for i in range(n):
             kind = KIND_ORDER[i % len(KIND_ORDER)]
-            pt = generate_planted_task(rng, kind=kind, train_pairs=3)
+            pt = generate_planted_task(rng, kind=kind)
             want = format_pattern(pt.pattern)
             cands = enumerate_candidates(pt.task.train[0], budget=2000)
             hit = any(

@@ -41,6 +41,7 @@ def test_checkout_against_itself_is_identical():
     )
     assert "and at budgets 1 and 3 at thresholds 1.0 and 0.5" in result.stdout
     assert "perceive on 4 tasks at connectivity 4 and 8" in result.stdout
+    assert "induce on 3 perturbed tasks at thresholds 1.0, 0.5, 0.0" in result.stdout
     assert "generator seeds 1, 2, 3" in result.stdout
 
 
@@ -83,6 +84,23 @@ def test_changed_budget_cut_is_named(tmp_path):
     assert result.returncode == 1
     first = result.stderr.splitlines()[0]
     assert first.startswith("first difference: induce ") and " --budget " in first
+
+
+def test_held_back_round_difference_is_named(tmp_path):
+    # Every unperturbed planted task has an exact rule, so ``induce`` verifies
+    # its held-back candidates only on the perturbed tasks of step 6; leaving
+    # the candidates kept as partial on the last pair out of the final
+    # intersection changes no other step's output.
+    change = _copy_checkout(tmp_path / "change")
+    path = change / "src" / "symgrid" / "induction.py"
+    text = path.read_text()
+    old = "if held_from[c] <= n}"
+    assert old in text
+    path.write_text(text.replace(old, "if held_from[c] < n}"))
+    result = _compare(ROOT, change)
+    assert result.returncode == 1
+    assert result.stderr.startswith("first difference: perturbed induce ")
+    assert "Traceback" not in result.stderr
 
 
 def test_replayed_proposer_difference_is_named(tmp_path):

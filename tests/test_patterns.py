@@ -820,13 +820,13 @@ class TestChangedColorsFact:
         scene = Scene(Grid.from_rows([[0, 1], [1, 0]]))
         delete = pattern_key(make_pattern("delete_object"))
         assert not may_change(delete, {1}, {0, 2}, scene)
-        assert scene._background is None and scene._perception is None
+        assert "background" not in vars(scene) and "perception" not in vars(scene)
         assert may_change(delete, {1}, {0}, scene)
-        assert scene._perception is not None and scene.background == 0
+        assert "perception" in vars(scene) and scene.background == 0
         scene = Scene(Grid.from_rows([[0, 1], [1, 0]]))
         symmetry = pattern_key(make_pattern("symmetry_complete", axis="h"))
         assert may_change(symmetry, {0}, {1}, scene)
-        assert scene._background == 0 and scene._perception is None
+        assert vars(scene).get("background") == 0 and "perception" not in vars(scene)
 
     @given(
         grids(max_side=8, colors=4),

@@ -12,7 +12,6 @@ from symgrid import (
     Scene,
     apply_pattern,
     background_color,
-    detect_cavities,
     make_pattern,
     segment,
 )
@@ -179,13 +178,6 @@ class TestCavities:
             p = segment(g)
             for obj in p.objects:
                 assert obj.cavity_count == cavity_oracle(obj.mask, obj.bbox)
-
-    def test_detect_cavities_validates_dims(self):
-        g = Grid.from_rows([[0, 1], [1, 0]])
-        obj = segment(g).objects[0]
-        assert detect_cavities(obj, (2, 2)) == 0
-        with pytest.raises(ValueError):
-            detect_cavities(obj, (1, 1))
 
     def test_adding_a_hole_raises_count_by_one(self):
         solid = Grid.from_rows(

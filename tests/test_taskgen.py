@@ -135,9 +135,9 @@ class TestClosure:
         drawn = []
         original = taskgen._in_closure
 
-        def recording(task, budget=2000):
+        def recording(task):
             drawn.append(task)
-            return original(task, budget)
+            return original(task)
 
         monkeypatch.setattr(taskgen, "_in_closure", recording)
         suite = generate_suite(seed=1007, n_planted=100, n_noise=20)
