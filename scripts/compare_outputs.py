@@ -38,8 +38,9 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
 
 Steps 2 to 7 read the parent's suite, so both sides answer the same files.
 Steps 3 to 6 call the CLI's ``main`` in one worker process per checkout
-and step rather than one process per command. The exit code is 0 when everything
-matches and 1 at the first difference, which is named on stderr.
+and suite rather than one process per command. The exit code is 0 when
+everything matches and 1 at the first difference, which is named on
+stderr.
 ``--planted`` and ``--noise`` size every suite as in ``run_benchmark.py``.
 """
 
@@ -152,7 +153,9 @@ def _perturb(suite: Path, out: Path) -> None:
 
 
 def _cli_outputs(checkout: Path, suite: Path, work: Path, perturbed: bool) -> list[dict]:
-    argv = [__file__, "--worker", str(checkout), str(suite)] + ["--perturbed"] * perturbed
+    argv = [__file__, "--worker", str(checkout), str(suite)]
+    if perturbed:
+        argv.append("--perturbed")
     return [json.loads(line) for line in _run(checkout, argv, cwd=work).stdout.splitlines()]
 
 

@@ -105,7 +105,7 @@ def test_held_back_round_difference_is_named(tmp_path):
 
 def test_replayed_proposer_difference_is_named(tmp_path):
     # Only a remote proposer yields malformed lines, so only the replayed
-    # eval of step 6 warns about them, on stderr.
+    # eval of step 7 warns about them, on stderr.
     change = _copy_checkout(tmp_path / "change")
     path = change / "src" / "symgrid" / "induction.py"
     text = path.read_text()
