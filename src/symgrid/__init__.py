@@ -28,16 +28,7 @@ from .grid import (
     pixel_distance,
     serialize_task,
 )
-from .induction import (
-    RuleSet,
-    ScoredPattern,
-    TrainPair,
-    collect_candidates,
-    detect_unit_patterns,
-    induce,
-    intersect_patterns,
-    match_objects,
-)
+from .induction import RuleSet, ScoredPattern, TrainPair, induce
 from .patterns import (
     KIND_ORDER,
     Scene,
@@ -59,7 +50,6 @@ from .solver import (
     apply_ruleset,
     evaluate,
     solve_task,
-    vote_pixels,
 )
 
 __all__ = [
@@ -92,19 +82,15 @@ __all__ = [
     "apply_ruleset",
     "background_color",
     "build_pattern",
-    "collect_candidates",
     "decode_markdown",
-    "detect_unit_patterns",
     "encode_markdown",
     "enumerate_candidates",
     "evaluate",
     "format_pattern",
     "grids_equal",
     "induce",
-    "intersect_patterns",
     "load_config",
     "make_pattern",
-    "match_objects",
     "parse_pattern",
     "parse_task",
     "pattern_key",
@@ -112,5 +98,4 @@ __all__ = [
     "segment",
     "serialize_task",
     "solve_task",
-    "vote_pixels",
 ]

@@ -338,7 +338,7 @@ def detect_unit_patterns(
             continue
         try:
             result = apply_pattern(pattern, scene)
-        except (PatternApplicationError, PatternContractError):
+        except PatternApplicationError:
             continue
         if grids_equal(result, gout):
             found[cid] = True
@@ -565,7 +565,7 @@ def _contradicted(
             return True
         try:
             result = apply_pattern(pattern, pair.scene)
-        except (PatternApplicationError, PatternContractError):
+        except PatternApplicationError:
             continue  # inapplicable is not a contradiction
         if not grids_equal(result, pair.output):
             return True

@@ -99,9 +99,14 @@ def apply_ruleset(
 
 
 def _vote(cands: list[Candidate]) -> tuple[Grid, int, int]:
-    """Weighted per-pixel majority; returns (grid, ties, dims_excluded)."""
+    """Weighted per-pixel majority; returns (grid, ties, dims_excluded).
+
+    The dims with the greatest total weight win, and candidates of other
+    dims are excluded; a tie, of dims or of a cell's colors, goes to the
+    earliest candidate holding a tied value.
+    """
     if not cands:
-        raise ValueError("vote_pixels: no candidates")
+        raise ValueError("no candidates to vote on")
     # A finite float is a dyadic rational: scaled by the common denominator,
     # every weight is an exact integer, so sums and comparisons are exact.
     ratios = [c.weight.as_integer_ratio() for c in cands]
@@ -150,18 +155,6 @@ def _vote(cands: list[Candidate]) -> tuple[Grid, int, int]:
         rows.append(tuple(row))
     # Every cell is a color taken from a candidate of the winning dims.
     return Grid._trusted(tuple(rows)), ties, len(cands) - n
-
-
-def vote_pixels(cands: list[Candidate]) -> Grid:
-    """Resolve candidates into one grid by weighted per-pixel majority.
-
-    Mixed dimensions are settled first: the dimension pair with the
-    greatest total weight wins (ties go to the earliest candidate), and
-    candidates of other dimensions are excluded. Per-cell ties go to the
-    earliest candidate in list order holding a tied color.
-    """
-    grid, _, _ = _vote(cands)
-    return grid
 
 
 def _backend_sample(

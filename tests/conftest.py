@@ -10,15 +10,17 @@ from symgrid import (
     Scene,
     ScoredPattern,
     TrainPair,
-    collect_candidates,
-    detect_unit_patterns,
     format_pattern,
-    intersect_patterns,
     pattern_key,
     patterns,
     perception,
 )
-from symgrid.induction import CandidateTable
+from symgrid.induction import (
+    CandidateTable,
+    collect_candidates,
+    detect_unit_patterns,
+    intersect_patterns,
+)
 
 
 @st.composite

@@ -196,7 +196,7 @@ def fraction_vote(cands):
     Returns (grid, ties, dims_excluded).
     """
     if not cands:
-        raise ValueError("vote_pixels: no candidates")
+        raise ValueError("no candidates to vote on")
     weights = [Fraction(c.weight) for c in cands]
 
     dim_weight = {}

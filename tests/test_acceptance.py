@@ -33,8 +33,8 @@ from symgrid import (
     make_pattern,
     segment,
     serialize_task,
-    vote_pixels,
 )
+from symgrid.solver import _vote
 from symgrid.taskgen import generate_planted_task, generate_suite
 from conftest import detect, intersect, random_grid, train_pairs
 from oracles import cavity_oracle, segmentation_oracle, vote_oracle
@@ -220,12 +220,12 @@ def test_06_vote_matches_weighted_histogram_oracle():
             if len({c.grid.dims for c in cands}) > 1:
                 mixed += 1
             want = vote_oracle([(c.grid.to_lists(), c.weight) for c in cands])
-            assert vote_pixels(cands).to_lists() == want
+            assert _vote(cands)[0].to_lists() == want
             # Unanimity: replicating one candidate returns its grid exactly.
-            assert vote_pixels([cands[0]] * 3) == cands[0].grid
+            assert _vote([cands[0]] * 3)[0] == cands[0].grid
             # Weight scaling by an exactly-representable factor.
             scaled = [Candidate(c.grid, c.source, c.weight * 8.0) for c in cands]
-            assert vote_pixels(scaled) == vote_pixels(cands)
+            assert _vote(scaled)[0] == _vote(cands)[0]
         details["multisets"] = 200
         details["mixed_dims"] = mixed
         assert mixed >= 20

@@ -14,6 +14,7 @@ import symgrid
 from symgrid import serialize_task
 from symgrid.cli import main
 from symgrid.config import MAX_SAMPLE_GRIDS, Config, ConfigError, load_config
+from symgrid.grid import MAX_PAIRS
 from symgrid.taskgen import generate_planted_task, generate_suite
 
 
@@ -430,6 +431,10 @@ class TestHostileInputs:
             ("solve_deep_task", 2),
             ("perceive_deep_task", 2),
             ("eval_dir_with_deep_task", 0),
+            ("perceive_too_many_pairs", 2),
+            ("induce_too_many_pairs", 2),
+            ("solve_too_many_pairs", 2),
+            ("eval_dir_with_too_many_pairs", 0),
             ("config_not_utf8", 2),
             ("config_deep", 2),
             ("config_float_budget", 2),
@@ -454,6 +459,15 @@ class TestHostileInputs:
         tasks.mkdir()
         (tasks / "deep.json").write_text(_DEEP)
         (tasks / "ok.json").write_bytes(task.read_bytes())
+        # One train pair past the cap, each a copy of the task's first.
+        doc = json.loads(task.read_bytes())
+        doc["train"] = doc["train"][:1] * (MAX_PAIRS + 1)
+        too_many = tmp_path / "too_many.json"
+        too_many.write_text(json.dumps(doc))
+        crowded = tmp_path / "crowded"
+        crowded.mkdir()
+        (crowded / "too_many.json").write_text(json.dumps(doc))
+        (crowded / "ok.json").write_bytes(task.read_bytes())
         remote = tmp_path / "remote.json"
         remote.write_text('{"proposer": "remote"}')
         float_budget = tmp_path / "float_budget.json"
@@ -469,6 +483,10 @@ class TestHostileInputs:
             "solve_deep_task": ["solve", str(deep)],
             "perceive_deep_task": ["perceive", str(deep)],
             "eval_dir_with_deep_task": ["eval", str(tasks), "--passes", "1"],
+            "perceive_too_many_pairs": ["perceive", str(too_many)],
+            "induce_too_many_pairs": ["induce", str(too_many)],
+            "solve_too_many_pairs": ["solve", str(too_many)],
+            "eval_dir_with_too_many_pairs": ["eval", str(crowded), "--passes", "1"],
             "config_not_utf8": ["solve", str(task), "--config", str(not_utf8)],
             "config_deep": ["solve", str(task), "--config", str(deep)],
             "config_float_budget": ["induce", str(task), "--config", str(float_budget)],
@@ -508,8 +526,20 @@ class TestHostileInputs:
             assert result.stderr.startswith("error: ")
             if case.startswith("config_"):
                 assert len(result.stderr.splitlines()) == 1, result.stderr
+            if case.endswith("_too_many_pairs"):
+                assert result.stderr == (
+                    f"error: {too_many}: train: {MAX_PAIRS + 1} pairs exceed "
+                    f"the cap of {MAX_PAIRS}\n"
+                )
         elif case == "eval_dir_with_deep_task":
             assert "skipping deep.json" in result.stderr
+            assert "unreadable files: 1" in result.stdout
+        elif case == "eval_dir_with_too_many_pairs":
+            assert result.stderr == (
+                f"warning: skipping too_many.json: train: {MAX_PAIRS + 1} pairs "
+                f"exceed the cap of {MAX_PAIRS}\n"
+            )
+            assert "accuracy: 1/1" in result.stdout
             assert "unreadable files: 1" in result.stdout
         elif case == "eval_dead_backend_remote_proposer":
             assert "warning: backend unavailable for induction" in result.stderr

@@ -20,6 +20,7 @@ from symgrid import (
     pixel_distance,
     serialize_task,
 )
+from symgrid.grid import MAX_PAIRS
 from conftest import grids, random_grid
 from oracles import genexpr_pixel_distance, str_encode_markdown
 
@@ -28,7 +29,7 @@ class TestGridInvariants:
     def test_valid(self):
         g = Grid.from_rows([[0, 9], [5, 3]])
         assert g.dims == (2, 2)
-        assert g.cell(1, 0) == 5
+        assert g.rows[1][0] == 5
 
     def test_out_of_range_cell(self):
         with pytest.raises(GridValidationError, match=r"\(0,1\)"):
@@ -72,8 +73,28 @@ class TestParseTask:
         doc = b'{"train":[{"input":[[0]],"output":[[10]]}],"test":[{"input":[[0]]}]}'
         with pytest.raises(GridValidationError) as exc:
             parse_task(doc)
-        assert "train[0].output" in str(exc.value)
-        assert "10" in str(exc.value)
+        assert str(exc.value) == "train[0].output: cell (0,0): cell value 10 out of range 0..9"
+
+    def test_bad_cell_or_side_names_path_then_grid_fault(self):
+        # The path prefixes Grid's own message, which names the cell.
+        doc = b'{"train":[{"input":[[0,1],[2,true]],"output":[[1]]}],"test":[{"input":[[0]]}]}'
+        with pytest.raises(GridValidationError) as exc:
+            parse_task(doc)
+        assert str(exc.value) == "train[0].input: cell (1,1): cell value True is not an integer"
+        doc = b'{"train":[{"input":[[0]],"output":[[1]]}],"test":[{"input":[' + b"[0]," * 30 + b"[0]]}]}"
+        with pytest.raises(GridValidationError, match=r"^test\[0\]\.input: height 31 exceeds 30$"):
+            parse_task(doc)
+
+    @pytest.mark.parametrize("key", ["train", "test"])
+    def test_pair_cap(self, key):
+        pair = {"input": [[0]], "output": [[1]]}
+        doc = {"train": [pair], "test": [pair]}
+        doc[key] = [pair] * MAX_PAIRS
+        assert len(getattr(parse_task(json.dumps(doc)), key)) == MAX_PAIRS
+        doc[key] = [pair] * (MAX_PAIRS + 1)
+        with pytest.raises(TaskFormatError) as exc:
+            parse_task(json.dumps(doc))
+        assert str(exc.value) == f"{key}: {MAX_PAIRS + 1} pairs exceed the cap of {MAX_PAIRS}"
 
     def test_malformed_names_path(self):
         doc = b'{"train":[{"input":[[0]]}],"test":[{"input":[[0]]}]}'

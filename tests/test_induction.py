@@ -20,23 +20,27 @@ from symgrid import (
     UnitPattern,
     apply_pattern,
     build_pattern,
-    collect_candidates,
-    detect_unit_patterns,
     evaluate,
     format_pattern,
     grids_equal,
     induce,
-    intersect_patterns,
     make_pattern,
-    match_objects,
     parse_pattern,
     pattern_key,
     pixel_distance,
     segment,
 )
 from symgrid import PatternApplicationError, background_color, induction
+from symgrid.grid import MAX_PAIRS
 from symgrid.patterns import AXES, DIRECTIONS, GROWS, KEY_ALL, RESULT_DIMS, _KINDS
-from symgrid.induction import CandidateTable, synthesize_hint
+from symgrid.induction import (
+    CandidateTable,
+    collect_candidates,
+    detect_unit_patterns,
+    intersect_patterns,
+    match_objects,
+    synthesize_hint,
+)
 from symgrid.taskgen import generate_noise_task, generate_planted_task, generate_suite
 from conftest import (
     _rebind,
@@ -44,6 +48,7 @@ from conftest import (
     detect,
     grids,
     intersect,
+    random_grid,
     replay_lines,
     scored,
     train_pairs,
@@ -1192,6 +1197,34 @@ _FACT_LINES = [
     "translate(dx=1,dy=0)@all",
     "crop_to_content()@all",
 ]
+
+
+class TestPairScaling:
+    """``induce``'s work per train pair stays flat up to the pair cap of
+    ``parse_task``, in counts rather than time. Each dense 6x6 pair recolors
+    one color of its own, so every pair has an exact rule that the others
+    contradict, and at threshold 0.0 the intersection checks them all."""
+
+    def test_counts_per_pair_stay_flat_up_to_the_cap(self, apply_calls, segment_calls):
+        rng = random.Random(15)
+        pairs = []
+        for _ in range(MAX_PAIRS):
+            gin = random_grid(rng, max_side=6, min_side=6)
+            src, dst = rng.sample(range(10), 2)
+            out = [[dst if v == src else v for v in row] for row in gin.rows]
+            pairs.append((gin, Grid.from_rows(out)))
+        per_pair = {}
+        for n in (4, MAX_PAIRS):
+            apply_calls.clear()
+            segment_calls.clear()
+            task = Task(train=tuple(pairs[:n]), test=((pairs[0][0], None),))
+            induce(task, SearchProposer(), 0.0, 2000)
+            assert len(segment_calls) == 2 * n
+            per_pair[n] = len(apply_calls) / n
+        # 38.75 applications per pair at 4 pairs and 40.7 at 32. A
+        # contradiction check that applied each rule on every pair, not
+        # stopping at its first miss, took 119.25 per pair at 32.
+        assert per_pair[MAX_PAIRS] <= 1.1 * per_pair[4], per_pair
 
 
 def _count_marked(monkeypatch):

@@ -652,7 +652,7 @@ class TestScene:
                 assert Grid(shared.rows) == shared
                 hash(shared)
             else:
-                assert issubclass(shared, (PatternApplicationError, PatternContractError))
+                assert issubclass(shared, PatternApplicationError)
         assert scene.perception == segment(g, connectivity)
         assert scene.background == background_color(g)
 
