@@ -11,9 +11,9 @@ leave it a chance to match (``TrainPair.verdict``), if its result can
 have the output's dims (``patterns.RESULT_DIMS``), and, once it has been
 kept as partial or that verdict shows it cannot be exact, only if no
 exact rule survives. A candidate becomes a (validated) UnitPattern only
-there, so the many that are never verified are never built. The verdicts
-are intersected across pairs into a confidence-ranked rule set with
-rendered hint sentences.
+there, so the many that are never verified are never built. Each
+candidate's verdicts, one record by its number, are intersected across
+pairs into a confidence-ranked rule set with rendered hint sentences.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import attrgetter, itemgetter, ne
+from operator import attrgetter, ne
 from typing import Iterable, Protocol
 
 from .errors import PatternApplicationError, PatternContractError
@@ -228,9 +228,9 @@ class TrainPair:
         self.scene = scene
         self.output = output
         self.same_dims_reachable = True
-        # The keys ``detect_unit_patterns`` applied here without error and
-        # dropped: their results are not the output.
-        self.missed: set[PatternKey] = set()
+        # The candidate numbers ``detect_unit_patterns`` applied here without
+        # error and dropped: their results are not the output.
+        self.missed: set[int] = set()
         grid = scene.grid
         self.held: list[int] | None = None
         self.wanted: list[int] | None = None
@@ -309,7 +309,7 @@ def detect_unit_patterns(
     (``CandidateTable.pattern``) and applied at most once, in list order;
     returns the kept ones' verdicts by number: exact matches True, strict
     reductions of pixel distance (partial) False, everything else dropped
-    (the key of one that applied without error into ``pair.missed``).
+    (the number of one that applied without error into ``pair.missed``).
 
     A candidate whose kind never adds cells of a color (``GROWS``,
     except perhaps the background) is dropped without being built or
@@ -345,60 +345,56 @@ def detect_unit_patterns(
         elif pixel_distance(result, gout) < baseline:
             found[cid] = False
         else:
-            pair.missed.add(key)
+            pair.missed.add(cid)
     return found
+
+
+def _need(n: int, threshold: float) -> int:
+    """The least support m that passes ``m / n + 1e-9 >= threshold`` over
+    ``n`` pairs; n + 1 when none up to n does (a threshold above 1, NaN)."""
+    return next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
 
 
 def intersect_patterns(
     table: CandidateTable,
-    per_pair: list[dict[int, bool]],
+    flags: dict[int, dict[int, bool]],
     train_pairs: list[TrainPair],
     threshold: float = 1.0,
 ) -> RuleSet:
-    """Intersect per-pair verdicts into a ranked rule set.
+    """Intersect per-candidate verdicts into a ranked rule set.
 
-    ``per_pair[i]`` holds verdicts of ``detect_unit_patterns`` on
-    ``train_pairs[i]``, by candidate number in ``table``. Support counts
-    the pairs whose verdicts hold the candidate.
-    Patterns below the confidence threshold are dropped, as is any
-    pattern that was proposed exact somewhere but runs without error on
-    some train pair and yields the wrong output. A partial flag says
+    ``flags[cid]`` maps the index in ``train_pairs`` of each pair where
+    ``detect_unit_patterns`` kept candidate ``cid`` of ``table`` to whether
+    it was exact there; the candidate's support is the number of those
+    pairs. A candidate whose support is below ``_need`` is dropped, as is
+    any pattern that was proposed exact somewhere but runs without error
+    on some train pair and yields the wrong output. A partial flag says
     exactly that; only pairs without a verdict on the pattern (possible
     below threshold 1.0) are checked, the patterns in canonical order. A
     pair where verification applied it without error and dropped it
     (``TrainPair.missed``) contradicts it unapplied; the others have it
     applied here. ``induce`` leaves out of pair k's verdicts the
-    candidates that could no longer reach the threshold; this test drops
-    them either way.
+    candidates that could no longer reach ``_need``; this test drops them
+    either way.
     Partial patterns are kept only as a backstop: once any exact pattern
     survives, the partials are pruned so they cannot outvote a rule that
     reproduces every training output, which ``induce``'s held-back
     candidates rely on.
     """
-    if not per_pair:
-        raise ValueError("intersect_patterns: no per-pair lists")
-    if len(per_pair) != len(train_pairs):
-        raise ValueError("intersect_patterns: per-pair lists do not match pairs")
-    n = len(per_pair)
-    flags_by_id: dict[int, dict[int, bool]] = {}
-    for idx, found in enumerate(per_pair):
-        for cid, exact in found.items():
-            flags_by_id.setdefault(cid, {})[idx] = exact
-
-    ranked = []
-    for cid, flags in flags_by_id.items():
-        if len(flags) / n + 1e-9 < threshold:
-            continue
-        pattern = table.pattern(cid)
-        ranked.append((canonical_key(pattern), pattern, flags))
-    ranked.sort(key=itemgetter(0))  # distinct candidates have distinct canonical keys
+    n = len(train_pairs)
+    if not n:
+        raise ValueError("intersect_patterns: no train pairs")
+    need = _need(n, threshold)
+    ranked = [cid for cid, by_pair in flags.items() if len(by_pair) >= need]
+    ranked.sort(key=lambda cid: canonical_key(table.pattern(cid)))  # distinct candidates never tie
     survivors: list[ScoredPattern] = []
-    for _, pattern, flags in ranked:
-        exact = all(flags.values())
+    for cid in ranked:
+        by_pair = flags[cid]
+        exact = all(by_pair.values())
         # A partial flag: the pattern applied without error and missed the output.
-        if any(flags.values()) and (not exact or _contradicted(pattern, flags, train_pairs)):
+        if any(by_pair.values()) and (not exact or _contradicted(table, cid, by_pair, train_pairs)):
             continue
-        survivors.append(ScoredPattern(pattern, len(flags), len(flags) / n, exact))
+        survivors.append(ScoredPattern(table.pattern(cid), len(by_pair), len(by_pair) / n, exact))
 
     if any(sp.exact for sp in survivors):
         survivors = [sp for sp in survivors if sp.exact]
@@ -424,14 +420,16 @@ def induce(
     Every pair's candidates are collected first, in pair order, into one
     ``CandidateTable`` for this call, so each distinct key is numbered
     once and each distinct line parsed once, and every later stage works
-    on the numbers. The pairs are then
+    on the numbers: each candidate's verdicts are one record,
+    ``flags[cid]`` (pair index to exactness), that both verification
+    rounds fill in and ``intersect_patterns`` reads. The pairs are then
     verified from the smallest input (fewest cells) up, ties in pair
     order. A candidate is applied on a pair only if it
     is in that pair's list, so its support can never exceed its support
     on the pairs verified so far plus the pairs still to verify whose
     lists hold it. Each pair verifies only the candidates for which that
-    bound reaches ``threshold`` in ``intersect_patterns``' test; the
-    others would be dropped below threshold anyway, so the rule set is
+    bound reaches ``_need``, the support ``intersect_patterns`` requires;
+    the others would be dropped below threshold anyway, so the rule set is
     the same as with every candidate verified, in any order. Most
     candidates that fail therefore fail on the cheapest grid.
 
@@ -450,18 +448,15 @@ def induce(
     same bound on their real verdicts, and the verdicts intersected
     again. No candidate is verified twice on one pair.
 
-    ``need`` is the least support m with ``m / n + 1e-9 >= threshold``,
-    ``intersect_patterns``' test over n pairs (n + 1 when no m up to n
-    passes it, as for a threshold above 1 or NaN); both rounds bound by
-    it. A candidate whose result keeps the input's dims can be kept only
-    on the pairs whose shapes match, so when fewer than ``need`` of them
+    A candidate whose result keeps the input's dims can be kept only on
+    the pairs whose shapes match, so when fewer than ``_need`` of them
     do, no such candidate can become a rule: every pair's
     ``same_dims_reachable`` is set False before collection, and the
     search leaves those candidates out (``search._proposals``).
     """
     pairs = [TrainPair(Scene(gin, connectivity), gout) for gin, gout in task.train]
     n = len(pairs)
-    need = next((m for m in range(n + 1) if m / n + 1e-9 >= threshold), n + 1)
+    need = _need(n, threshold)
     if sum(p.held is not None for p in pairs) < need:
         for p in pairs:
             p.same_dims_reachable = False
@@ -469,13 +464,12 @@ def induce(
     lists = [collect_candidates(p, proposer, budget, table) for p in pairs]
     cells = [p.scene.grid.height * p.scene.grid.width for p in pairs]
     order = sorted(range(n), key=cells.__getitem__)  # stable: ties keep pair order
-    per_pair: list[dict[int, bool]] = [{} for _ in pairs]
-    support = [0] * len(table.keys)  # verified pairs whose list holds the candidate
+    flags: dict[int, dict[int, bool]] = {}
     # The first position in ``order`` a candidate skips; one kept as partial
     # on the last pair skips from n, no pair. n + 1: never held back.
     held_from = [n + 1] * len(table.keys)
-    untried = _verify(pairs, order, table, lists, support, per_pair, need, held_from)
-    first = [{c: e for c, e in found.items() if c not in untried} for found in per_pair]
+    untried = _verify(pairs, order, table, lists, flags, need, held_from)
+    first = {c: by_pair for c, by_pair in flags.items() if c not in untried}
     rules = intersect_patterns(table, first, pairs, threshold)
     if any(sp.exact for sp in rules.patterns):
         return rules
@@ -484,11 +478,11 @@ def induce(
         held[k] = [cid for cid in lists[k] if held_from[cid] <= i]
     if not any(held):  # so nothing is untried, and ``rules`` saw every verdict
         return rules
-    _verify(pairs, order, table, held, support, per_pair, need, None)
+    _verify(pairs, order, table, held, flags, need, None)
     # The candidates never held back have the same verdicts as above, so
     # they die again; leaving them out spares their contradiction checks.
-    per_pair = [{c: e for c, e in found.items() if held_from[c] <= n} for found in per_pair]
-    return intersect_patterns(table, per_pair, pairs, threshold)
+    final = {c: by_pair for c, by_pair in flags.items() if held_from[c] <= n}
+    return intersect_patterns(table, final, pairs, threshold)
 
 
 def _verify(
@@ -496,14 +490,13 @@ def _verify(
     order: list[int],
     table: CandidateTable,
     lists: list[list[int]],
-    support: list[int],
-    per_pair: list[dict[int, bool]],
+    flags: dict[int, dict[int, bool]],
     need: int,
     held_from: list[int] | None,
 ) -> set[int]:
     """Verify the candidates ``lists[k]`` of ``table`` on ``pairs[k]`` for
-    k in ``order``, under ``induce``'s reachability bound, adding the
-    verdicts to ``per_pair`` and ``support`` (both by candidate number).
+    k in ``order``, under ``induce``'s reachability bound, recording each
+    kept candidate's verdict on pair k as ``flags[cid][k]``.
     Given ``held_from``, a candidate kept as partial there is skipped from
     the next position in ``order`` on, and one whose ``pairs[k].verdict``
     is ``_HOLD`` is skipped from that position on, unapplied (and unbuilt,
@@ -512,14 +505,14 @@ def _verify(
     unapplied are returned.
 
     The bound is kept in integers, against ``induce``'s ``need``.
-    ``count[cid]`` is the candidate's support plus the pairs not yet
-    verified whose lists hold it; ``alive[cid]`` says whether that count
-    reaches ``need`` and the candidate is not held back (it is read only
-    for candidates in ``lists``). A count falls only when a pair that
-    applied the candidate did not keep it, and never rises, so a candidate
-    that leaves ``alive`` never returns.
+    ``count[cid]`` is the candidate's support (the pairs in ``flags[cid]``)
+    plus the pairs not yet verified whose lists hold it; ``alive[cid]``
+    says whether that count reaches ``need`` and the candidate is not held
+    back (it is read only for candidates in ``lists``). A count falls only
+    when a pair that applied the candidate did not keep it, and never
+    rises, so a candidate that leaves ``alive`` never returns.
     """
-    count = support.copy()
+    count = [len(flags.get(cid, ())) for cid in range(len(table.keys))]
     for cid in chain.from_iterable(lists):
         count[cid] += 1
     alive = [c >= need for c in count]
@@ -537,7 +530,6 @@ def _verify(
         if not reachable:
             continue
         found = detect_unit_patterns(pair, table, reachable)
-        per_pair[k].update(found)
         for cid in reachable:
             exact = found.get(cid)
             if exact is None:
@@ -545,7 +537,7 @@ def _verify(
                 if count[cid] < need:
                     alive[cid] = False
             else:
-                support[cid] += 1
+                flags.setdefault(cid, {})[k] = exact
                 if held_from is not None and not exact:
                     held_from[cid] = i + 1
                     alive[cid] = False
@@ -553,15 +545,16 @@ def _verify(
 
 
 def _contradicted(
-    pattern: UnitPattern, exact_by_pair: dict[int, bool], train_pairs: list[TrainPair]
+    table: CandidateTable, cid: int, by_pair: dict[int, bool], train_pairs: list[TrainPair]
 ) -> bool:
-    """Whether ``pattern`` runs without error on a pair it has no verdict
-    on and misses that pair's output; not applied again where verification
-    already saw it do so (``TrainPair.missed``)."""
+    """Whether candidate ``cid`` of ``table`` runs without error on a pair
+    it has no verdict on and misses that pair's output; not applied again
+    where verification already saw it do so (``TrainPair.missed``)."""
+    pattern = table.pattern(cid)
     for idx, pair in enumerate(train_pairs):
-        if idx in exact_by_pair:
+        if idx in by_pair:
             continue
-        if pattern_key(pattern) in pair.missed:
+        if cid in pair.missed:
             return True
         try:
             result = apply_pattern(pattern, pair.scene)

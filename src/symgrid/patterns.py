@@ -17,8 +17,8 @@ its forward semantics, its hint template, which colors its result may
 hold more cells of than the input, which colors the cells it changes
 may hold, and the dims of its result as a function of its parameter
 values and the input's dims (None for the four kinds whose result dims
-depend on the grid's content). ``KIND_ORDER``, ``OBJECT_KINDS``,
-``GROWS``, ``RESULT_DIMS``, ``may_change``, validation, serialization,
+depend on the grid's content). ``KIND_ORDER``, ``GROWS``,
+``RESULT_DIMS``, ``may_change``, validation, serialization,
 ``apply_pattern`` and ``synthesize_hint`` all read that table. Each
 parameter type named in a signature (``int``, ``positive``, ``color``,
 ``factor``, ``axis``, ``direction``, ``colormap``) is one record of the
@@ -217,7 +217,8 @@ def format_pattern(p: UnitPattern) -> str:
     return f"{p.kind}({inner})@{suffix}"
 
 
-_LINE_RE = re.compile(r"^([a-z_0-9]+)\(([^()]*)\)@([a-z_]+)(?:=(-?\d+))?$")
+_INT_RE = re.compile(r"-?\d+")  # every integer's spelling: selector, parameters, color maps
+_LINE_RE = re.compile(rf"^([a-z_0-9]+)\(([^()]*)\)@([a-z_]+)(?:=({_INT_RE.pattern}))?$")
 
 
 def parse_pattern(line: str) -> UnitPattern:
@@ -235,8 +236,10 @@ def parse_pattern(line: str) -> UnitPattern:
             if "=" not in item:
                 raise PatternContractError(f"bad parameter {item!r} in {line!r}")
             name, raw = item.split("=", 1)
+            if name in params:
+                raise PatternContractError(f"repeated parameter {name!r} in {line!r}")
             try:
-                params[name] = parsers.get(name, int)(raw)
+                params[name] = parsers.get(name, _parse_int)(raw)
             except ValueError:
                 raise PatternContractError(f"bad value {raw!r} in {line!r}") from None
     return make_pattern(kind, selector=selector, **params)
@@ -661,11 +664,17 @@ def _colormap_error(value: object) -> str | None:
     return None
 
 
+def _parse_int(raw: str) -> int:
+    if not _INT_RE.fullmatch(raw):
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _parse_colormap(raw: str) -> tuple:
     # A pair of the wrong length is kept, so the check rejects it with a
     # PatternContractError like any other bad value.
     try:
-        return tuple(sorted(tuple(int(x) for x in pair.split(":")) for pair in raw.split(";")))
+        return tuple(sorted(tuple(map(_parse_int, pair.split(":"))) for pair in raw.split(";")))
     except ValueError:
         raise PatternContractError(f"bad color map {raw!r}") from None
 
@@ -675,7 +684,7 @@ class _Tag:
     """Everything this module knows about one parameter type."""
 
     error: Callable[[object], str | None]  # None if valid, else the message tail
-    parse: Callable[[str], object] = int  # serialized form back to a value
+    parse: Callable[[str], object] = _parse_int  # serialized form back to a value
     words: Callable[[object], str] = str  # the value as a hint renders it
 
 
@@ -814,7 +823,6 @@ _KINDS: dict[str, _Kind] = {k.name: k for k in (
 )}
 
 KIND_ORDER = tuple(_KINDS)
-OBJECT_KINDS = frozenset(name for name, k in _KINDS.items() if k.takes_selector)
 GROWS = {name: k.grows for name, k in _KINDS.items()}  # see ``_Kind.grows``
 RESULT_DIMS = {name: k.dims for name, k in _KINDS.items()}  # see ``_Kind.dims``
 # The kinds that only rearrange the grid's cells, the reflections and rotations.

@@ -30,14 +30,12 @@ from .patterns import AXES, DIRECTIONS, ISOMETRIES, KEY_ALL as ALL, RESULT_DIMS,
 from .perception import segment
 
 
-def enumerate_candidates(
-    pair: tuple[Grid, Grid], budget: int, connectivity: int = 4
-) -> list[ScoredPattern]:
+def enumerate_candidates(pair: tuple[Grid, Grid], budget: int) -> list[ScoredPattern]:
     """The search's consistent candidates for one (input, output) grid
-    pair: up to ``budget`` distinct ones are collected, then verified by
-    ``detect_unit_patterns``."""
+    pair, perceived at connectivity 4: up to ``budget`` distinct ones are
+    collected, then verified by ``detect_unit_patterns``."""
     gin, gout = pair
-    pair = TrainPair(Scene(gin, connectivity), gout)
+    pair = TrainPair(Scene(gin), gout)
     table = CandidateTable()
     ids = collect_candidates(pair, SearchProposer(), budget, table)
     found = detect_unit_patterns(pair, table, ids)

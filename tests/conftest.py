@@ -86,15 +86,15 @@ def collect_keys(pair, proposer, budget):
 def intersect(per_pair, pairs, threshold=1.0):
     """``intersect_patterns`` over per-pair ScoredPattern lists: each
     distinct pattern is numbered once in a fresh CandidateTable, and a
-    pair's first flag for it is its verdict there."""
+    pair's first flag for it is its verdict there, in the candidate's
+    record of verdicts by pair index."""
     table = CandidateTable()
-    verdicts = []
-    for detections in per_pair:
-        found = {}
+    flags = {}
+    for k, detections in enumerate(per_pair):
         for sp in detections:
-            found.setdefault(table.number(pattern_key(sp.pattern), sp.pattern), sp.exact)
-        verdicts.append(found)
-    return intersect_patterns(table, verdicts, pairs, threshold)
+            cid = table.number(pattern_key(sp.pattern), sp.pattern)
+            flags.setdefault(cid, {}).setdefault(k, sp.exact)
+    return intersect_patterns(table, flags, pairs, threshold)
 
 
 def train_pairs(pairs, connectivity=4):

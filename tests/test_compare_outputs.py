@@ -94,9 +94,9 @@ def test_held_back_round_difference_is_named(tmp_path):
     change = _copy_checkout(tmp_path / "change")
     path = change / "src" / "symgrid" / "induction.py"
     text = path.read_text()
-    old = "if held_from[c] <= n}"
+    old = "final = {c: by_pair for c, by_pair in flags.items() if held_from[c] <= n}"
     assert old in text
-    path.write_text(text.replace(old, "if held_from[c] < n}"))
+    path.write_text(text.replace(old, old.replace("<= n}", "< n}")))
     result = _compare(ROOT, change)
     assert result.returncode == 1
     assert result.stderr.startswith("first difference: perturbed induce ")

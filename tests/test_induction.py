@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from operator import itemgetter
 
 import hypothesis.strategies as st
 import pytest
@@ -641,6 +642,19 @@ def _sp(pattern, exact=True):
     return ScoredPattern(pattern=pattern, support=1, confidence=1.0, exact=exact)
 
 
+# The candidates of the random verdict tables below. On the ``_pool_task``
+# pairs each one matches an output, misses it, or cannot apply, so the
+# contradiction checks take every branch.
+_TABLE_LINES = (
+    "rotate90()@all",
+    "reflect_h()@all",
+    "rotate180()@all",
+    "recolor(src=1,dst=0)@all",
+    "tile_grid(rows=2,cols=1)@all",
+    "scale_down(factor=2)@all",
+)
+
+
 class TestIntersect:
     def test_unanimous_pattern(self):
         g1 = Grid.from_rows([[1, 2], [3, 4]])
@@ -718,7 +732,65 @@ class TestIntersect:
 
     def test_empty_input_is_a_contract_error(self):
         with pytest.raises(ValueError):
-            intersect_patterns(CandidateTable(), [], [])
+            intersect_patterns(CandidateTable(), {}, [])
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.5])
+    def test_unreachable_threshold_keeps_nothing(self, threshold):
+        # No support reaches such a threshold, so ``induce`` verifies
+        # nothing and a direct call keeps nothing either; a float test of
+        # the confidence kept rotate90 at NaN with support 1 of 2.
+        g1 = Grid.from_rows([[1, 2], [3, 4]])
+        g2 = Grid.from_rows([[5, 6], [7, 8]])
+        rot = make_pattern("rotate90")
+        pairs = tuple((g, apply_pattern(rot, g)) for g in (g1, g2))
+        rs = intersect([[_sp(rot)], []], train_pairs(pairs), threshold=threshold)
+        assert rs.patterns == ()
+        task = Task(train=pairs, test=((g1, None),))
+        assert induce(task, SearchProposer(), threshold) == rs
+
+    @given(
+        n_pairs=st.integers(1, 4),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(_TABLE_LINES),
+                st.dictionaries(st.integers(0, 3), st.booleans(), min_size=1),
+                st.sets(st.integers(0, 3)),
+            ),
+            max_size=6,
+            unique_by=itemgetter(0),
+        ),
+        threshold=st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3 - 1e-12, 2 / 3, 2 / 3 + 1e-12, 1.0]),
+    )
+    # Support 2 of 3 passes 2/3 + 1e-12 only through the test's 1e-9 slack.
+    @example(n_pairs=3, rows=[("rotate90()@all", {0: True, 1: True}, set())], threshold=2 / 3 + 1e-12)
+    @settings(max_examples=200, deadline=None)
+    def test_record_matches_per_pair_oracle(self, n_pairs, rows, threshold):
+        # A random verdict table: each row a candidate, its exact or
+        # partial flag on some pairs, and the pairs where verification
+        # missed it (pair indices from n_pairs on are dropped). The
+        # per-candidate record (``missed`` by number) and the oracle's
+        # per-pair lists (``missed`` by key) each get fresh TrainPairs.
+        from oracles import dict_intersect_patterns
+
+        grid_pairs = _pool_task()[:n_pairs]
+        table = CandidateTable()
+        flags = {}
+        per_pair = [[] for _ in grid_pairs]
+        ours, theirs = train_pairs(grid_pairs), train_pairs(grid_pairs)
+        for line, drawn, missed in rows:
+            by_pair = {k: exact for k, exact in drawn.items() if k < n_pairs}
+            if not by_pair:
+                continue
+            pattern = parse_pattern(line)
+            cid = table.number(pattern_key(pattern), pattern)
+            flags[cid] = by_pair
+            for k, exact in by_pair.items():
+                per_pair[k].append(_sp(pattern, exact))
+            for k in missed & set(range(n_pairs)):
+                ours[k].missed.add(cid)
+                theirs[k].missed.add(pattern_key(pattern))
+        expected = dict_intersect_patterns(per_pair, theirs, threshold)
+        assert intersect_patterns(table, flags, ours, threshold) == expected
 
     def test_monotone_in_threshold(self):
         rng = random.Random(19)

@@ -33,7 +33,6 @@ from symgrid.patterns import (
     DIRECTIONS,
     GROWS,
     KEY_ALL,
-    OBJECT_KINDS,
     RESULT_DIMS,
     _KINDS,
     may_change,
@@ -335,7 +334,8 @@ class TestRepaint:
     def test_every_rendering_object_kind_is_covered(self):
         from oracles import RENDER_KINDS
 
-        assert set(RENDER_KINDS) == set(OBJECT_KINDS) - {"count_encode"}
+        object_kinds = {k for k in KIND_ORDER if _KINDS[k].takes_selector}
+        assert set(RENDER_KINDS) == object_kinds - {"count_encode"}
 
     def test_upside_down_u_over_a_dot_falls_around_it(self):
         from oracles import render_reference
@@ -611,7 +611,7 @@ def pattern_lists(draw):
     out = []
     for kind in draw(st.permutations(KIND_ORDER)):
         params = {name: draw(value) for name, value in _PARAMS[kind].items()}
-        selector = draw(_SELECTOR) if kind in OBJECT_KINDS else Selector("all")
+        selector = draw(_SELECTOR) if _KINDS[kind].takes_selector else Selector("all")
         out.append(make_pattern(kind, selector=selector, **params))
     return out
 
@@ -620,7 +620,7 @@ def pattern_lists(draw):
 def valid_patterns(draw, kinds=st.sampled_from(KIND_ORDER)):
     kind = draw(kinds)
     params = {name: draw(value) for name, value in _PARAMS[kind].items()}
-    selector = draw(_SELECTOR) if kind in OBJECT_KINDS else Selector("all")
+    selector = draw(_SELECTOR) if _KINDS[kind].takes_selector else Selector("all")
     return make_pattern(kind, selector=selector, **params)
 
 
@@ -980,7 +980,19 @@ class TestSerialization:
             assert format_pattern(parse_pattern(line)) == line
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "rotate90", "rotate90()@", "nope()@all", "translate(dx=a,dy=0)@all", "rotate90()@all extra"]:
+        for bad in [
+            "",
+            "rotate90",
+            "rotate90()@",
+            "nope()@all",
+            "translate(dx=a,dy=0)@all",
+            "rotate90()@all extra",
+            "translate(dx=1,dy=2,dx=3)@all",
+            "translate(dx=+1,dy=0)@all",
+            "translate(dx= 1,dy=0)@all",
+            "translate(dx=1_0,dy=0)@all",
+            "palette_swap(map=0: 1;1:0)@all",
+        ]:
             with pytest.raises(PatternContractError):
                 parse_pattern(bad)
 
@@ -994,6 +1006,15 @@ class TestSerialization:
             ("translate(dx=1,dz=x)@all", "bad value 'x' in 'translate(dx=1,dz=x)@all'"),
             ("spin(a=1)@all", "unknown pattern kind 'spin'"),
             ("spin(a=x)@all", "bad value 'x' in 'spin(a=x)@all'"),
+            (
+                "translate(dx=1,dy=2,dx=3)@all",
+                "repeated parameter 'dx' in 'translate(dx=1,dy=2,dx=3)@all'",
+            ),
+            ("translate(dx=+1,dy=0)@all", "bad value '+1' in 'translate(dx=+1,dy=0)@all'"),
+            ("translate(dx= 1,dy=0)@all", "bad value ' 1' in 'translate(dx= 1,dy=0)@all'"),
+            ("translate(dx=1_0,dy=0)@all", "bad value '1_0' in 'translate(dx=1_0,dy=0)@all'"),
+            ("palette_swap(map=0:+1)@all", "bad color map '0:+1'"),
+            ("palette_swap(map=0:1_0;1:0)@all", "bad color map '0:1_0;1:0'"),
             (
                 "symmetry_complete(axis=q)@all",
                 "symmetry_complete: parameter axis must be one of ('h', 'v')",
@@ -1086,7 +1107,7 @@ class TestContracts:
     def test_whole_grid_kind_rejects_selector(self, kind, data):
         params = data.draw(st.fixed_dictionaries(_PARAMS[kind]))
         selector = data.draw(_SELECTOR.filter(lambda s: s.kind != "all"))
-        if kind in OBJECT_KINDS:
+        if _KINDS[kind].takes_selector:
             assert make_pattern(kind, selector=selector, **params).selector == selector
         else:
             with pytest.raises(PatternContractError, match="whole-grid"):

@@ -56,4 +56,7 @@ def test_tracer_installs_and_restores_every_binding():
     assert counts["induction.match_objects.calls"] > 0
     assert counts["induction.verify_applies"] > 0
     assert counts["induction.rules"] > 0
+    # The span that ``induction.intersect.self_s`` times: the wrapper passes
+    # the arguments through, whatever ``intersect_patterns`` takes.
+    assert any(span[0] == "induction.intersect" for span in tracer.spans)
     assert _bindings() == before

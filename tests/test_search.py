@@ -25,6 +25,8 @@ from symgrid import (
 )
 from symgrid.taskgen import generate_planted_task, generate_suite
 
+from conftest import detect
+
 
 class TestEnumerate:
     def test_planted_rotation_recovered_exact(self):
@@ -118,7 +120,7 @@ class TestPerceptionCount:
             for connectivity in (4, 8):
                 for pair in task.train:
                     segment_calls.clear()
-                    enumerate_candidates(pair, 2000, connectivity)
+                    detect(pair, SearchProposer(), 2000, connectivity)
                     assert {c for _, c in segment_calls} <= {connectivity}
                     grids = Counter(g for g, _ in segment_calls)
                     assert grids <= Counter(pair), kind
