@@ -10,7 +10,8 @@ Each checkout runs its own ``scripts/gen_tasks.py`` and its own
    ``MANIFEST.tsv``);
 2. ``symgrid eval SUITE --passes 1`` and ``--passes 2``: stdout,
    ``eval_summary.json`` and stderr;
-3. ``symgrid solve TASK --passes 2`` stdout for every task;
+3. ``symgrid solve TASK --passes 2`` stdout for every task, at
+   connectivity 4 and at ``--connectivity 8``;
 4. ``symgrid induce TASK --threshold T`` stdout (rule set and hints) for
    every task at thresholds 1.0, 0.67, 0.5, 0.34 and 0.0, at connectivity
    4 and at ``--connectivity 8``, and with ``--budget B`` for B in 1 and 3
@@ -212,6 +213,7 @@ def _worker(checkout: Path, suite: Path, perturbed: bool) -> int:
             commands.extend(["induce", str(task), "--threshold", t] for t in PERTURBED_THRESHOLDS)
             continue
         commands.append(["solve", str(task), "--passes", "2"])
+        commands.append(["solve", str(task), "--passes", "2", "--connectivity", "8"])
         commands.extend(["induce", str(task), "--threshold", t] for t in THRESHOLDS)
         commands.extend(
             ["induce", str(task), "--connectivity", "8", "--threshold", t] for t in THRESHOLDS
@@ -295,7 +297,8 @@ def main() -> int:
     planted = sum(name.startswith("plant_") for name in suites["parent"])
     print(
         f"identical: {tasks}-task suite, eval --passes 1 and 2 (stdout, "
-        f"eval_summary.json and stderr), solve --passes 2 on {tasks} tasks, induce on "
+        f"eval_summary.json and stderr), solve --passes 2 on {tasks} tasks at "
+        f"connectivity 4 and 8, induce on "
         f"{tasks} tasks at thresholds {', '.join(THRESHOLDS)} at connectivity 4 and 8, "
         f"and at budgets {' and '.join(BUDGETS)} at thresholds "
         f"{' and '.join(BUDGET_THRESHOLDS)}, "

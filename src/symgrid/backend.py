@@ -139,7 +139,6 @@ class RemoteBackend:
         # The HTTP stack loads here, on the first live call: a replayed or
         # backend-less run never pays for http.client, ssl and email.
         import http.client
-        import urllib.error
         import urllib.request
 
         assert self.url is not None
@@ -157,8 +156,7 @@ class RemoteBackend:
                     # Unlike read(), read1(n) does not check Content-Length.
                     raise http.client.IncompleteRead(payload, resp.length)
         except (
-            urllib.error.URLError,
-            OSError,
+            OSError,  # URLError and HTTPError among them
             ValueError,
             http.client.HTTPException,  # BadStatusLine, IncompleteRead, ...
         ) as e:

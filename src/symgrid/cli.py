@@ -139,9 +139,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     rs, failure = induce_with_fallback(
         task, proposer, cfg.confidence_threshold, cfg.search_budget, cfg.connectivity
     )
-    predictions = solve_task(
-        task, rs, backend, cfg.passes, cfg.samples, cfg.connectivity
-    )
+    predictions = solve_task(task, rs, backend, cfg.passes, cfg.samples)
     for i, pred in enumerate(predictions):
         if failure is not None:
             pred.trace.degraded = True

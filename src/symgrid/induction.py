@@ -105,10 +105,12 @@ class ScoredPattern:
 @dataclass(frozen=True)
 class RuleSet:
     """Surviving patterns sorted by (confidence desc, exact desc, canonical
-    order), with one hint sentence per pattern."""
+    order), with one hint sentence per pattern, and the connectivity their
+    train pairs were perceived at, which ``apply_ruleset`` perceives at."""
 
     patterns: tuple[ScoredPattern, ...]
     hints: tuple[str, ...]
+    connectivity: int
 
 
 class Proposer(Protocol):
@@ -402,6 +404,7 @@ def intersect_patterns(
     return RuleSet(
         patterns=tuple(survivors),
         hints=tuple(synthesize_hint(sp.pattern) for sp in survivors),
+        connectivity=train_pairs[0].scene.connectivity,
     )
 
 

@@ -217,7 +217,7 @@ def format_pattern(p: UnitPattern) -> str:
     return f"{p.kind}({inner})@{suffix}"
 
 
-_INT_RE = re.compile(r"-?\d+")  # every integer's spelling: selector, parameters, color maps
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # an integer as str spells it, wherever a line has one
 _LINE_RE = re.compile(rf"^([a-z_0-9]+)\(([^()]*)\)@([a-z_]+)(?:=({_INT_RE.pattern}))?$")
 
 

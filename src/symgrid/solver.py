@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .errors import BackendError, MarkdownError, PatternApplicationError
 from .grid import Grid, Task, decode_markdown, encode_markdown, grids_equal
 from .induction import RuleSet, induce
-from .patterns import Scene, apply_pattern, as_scene, format_pattern
+from .patterns import Scene, apply_pattern, format_pattern
 from .search import SearchProposer
 
 log = logging.getLogger(__name__)
@@ -73,17 +73,16 @@ class Prediction:
 
 
 def apply_ruleset(
-    rs: RuleSet, test_input: Grid | Scene, trace: SolveTrace | None = None
+    rs: RuleSet, test_input: Grid, trace: SolveTrace | None = None
 ) -> list[Candidate]:
     """Run every surviving pattern on the test input, in rule-set order.
 
     Each successful application becomes a candidate weighted by the
-    pattern's confidence; failures are skipped with a trace note. A Scene
-    may stand in for the test input, as in ``apply_pattern``, and brings
-    its connectivity (a bare grid is read at 4); either way every rule
-    shares one segmentation of it.
+    pattern's confidence; failures are skipped with a trace note. The
+    test input is perceived once, at the connectivity the rules were
+    induced at, and every rule shares that segmentation of it.
     """
-    scene = as_scene(test_input)
+    scene = Scene(test_input, rs.connectivity)
     candidates: list[Candidate] = []
     for sp in rs.patterns:
         try:
@@ -198,7 +197,6 @@ def solve_task(
     backend=None,
     passes: int = 2,
     samples: int = 5,
-    connectivity: int = 4,
 ) -> list[Prediction]:
     """Produce one Prediction per test input.
 
@@ -217,8 +215,7 @@ def solve_task(
     predictions = []
     for test_input, _expected in task.test:
         trace = SolveTrace()
-        scene = Scene(test_input, connectivity)
-        candidates = apply_ruleset(rs, scene, trace=trace)
+        candidates = apply_ruleset(rs, test_input, trace=trace)
 
         backend_ok = backend is not None
         test_md = None if backend is None else encode_markdown(test_input)
@@ -324,7 +321,7 @@ def evaluate(
     candidate_total = 0
     for task_id, task in items:
         rs, failure = induce_with_fallback(task, proposer, threshold, budget, connectivity)
-        preds = solve_task(task, rs, backend, passes, samples, connectivity)
+        preds = solve_task(task, rs, backend, passes, samples)
         induction = () if failure is None else (failure,)
         for idx, ((_, expected), pred) in enumerate(zip(task.test, preds)):
             candidate_total += pred.trace.candidate_count

@@ -607,19 +607,20 @@ def _sample_pair(rng, pattern, sampler, competitors) -> tuple[Grid, Grid] | None
     return None
 
 
-def generate_planted_task(rng: random.Random, kind: str, n_test: int = 1) -> PlantedTask:
-    """One task whose every pair is explained by a single planted pattern."""
+def generate_planted_task(rng: random.Random, kind: str) -> PlantedTask:
+    """One task whose every pair is explained by a single planted pattern;
+    like a noise task, it has one test pair."""
     for _ in range(100):
         pattern, sampler, competitors = _PLANTERS[kind](rng, kind)
         pairs = []
-        for _ in range(_TRAIN_PAIRS + n_test):
+        for _ in range(_TRAIN_PAIRS + 1):
             pair = _sample_pair(rng, pattern, sampler, competitors)
             if pair is None:
                 break
             pairs.append(pair)
-        if len(pairs) < _TRAIN_PAIRS + n_test:
+        if len(pairs) <= _TRAIN_PAIRS:
             continue
-        task = Task(train=tuple(pairs[:_TRAIN_PAIRS]), test=tuple(pairs[_TRAIN_PAIRS:]))
+        task = Task(train=tuple(pairs[:-1]), test=(pairs[-1],))
         if not _in_closure(task):
             continue
         return PlantedTask(task=task, pattern=pattern)

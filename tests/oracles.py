@@ -783,6 +783,7 @@ def dict_intersect_patterns(per_pair, train_pairs, threshold=1.0):
     return RuleSet(
         patterns=tuple(survivors),
         hints=tuple(synthesize_hint(sp.pattern) for sp in survivors),
+        connectivity=train_pairs[0].scene.connectivity,
     )
 
 

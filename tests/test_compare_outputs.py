@@ -32,6 +32,7 @@ def test_checkout_against_itself_is_identical():
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("identical: 4-task suite")
     assert "eval --passes 1 and 2 (stdout, eval_summary.json and stderr)" in result.stdout
+    assert "solve --passes 2 on 4 tasks at connectivity 4 and 8" in result.stdout
     assert (
         "eval --passes 2 with a replayed remote proposer (stdout, eval_summary.json and stderr)"
         in result.stdout

@@ -992,6 +992,14 @@ class TestSerialization:
             "translate(dx= 1,dy=0)@all",
             "translate(dx=1_0,dy=0)@all",
             "palette_swap(map=0: 1;1:0)@all",
+            # Integers have one spelling: ASCII digits, no leading zero, no -0.
+            "translate(dx=\u0661,dy=-0)@all",
+            "translate(dx=01,dy=0)@all",
+            "translate(dx=1,dy=-0)@all",
+            "delete_object()@color=07",
+            "delete_object()@color=\u0667",
+            "delete_object()@size_rank=-0",
+            "palette_swap(map=01:2)@all",
         ]:
             with pytest.raises(PatternContractError):
                 parse_pattern(bad)
@@ -1015,6 +1023,14 @@ class TestSerialization:
             ("translate(dx=1_0,dy=0)@all", "bad value '1_0' in 'translate(dx=1_0,dy=0)@all'"),
             ("palette_swap(map=0:+1)@all", "bad color map '0:+1'"),
             ("palette_swap(map=0:1_0;1:0)@all", "bad color map '0:1_0;1:0'"),
+            ("translate(dx=01,dy=0)@all", "bad value '01' in 'translate(dx=01,dy=0)@all'"),
+            ("translate(dx=1,dy=-0)@all", "bad value '-0' in 'translate(dx=1,dy=-0)@all'"),
+            (
+                "translate(dx=\u0661,dy=0)@all",
+                "bad value '\u0661' in 'translate(dx=\u0661,dy=0)@all'",
+            ),
+            ("palette_swap(map=0:\u0661)@all", "bad color map '0:\u0661'"),
+            ("delete_object()@color=07", "unparseable pattern line: 'delete_object()@color=07'"),
             (
                 "symmetry_complete(axis=q)@all",
                 "symmetry_complete: parameter axis must be one of ('h', 'v')",

@@ -1,13 +1,15 @@
 """The benchmark's hold on the package: the names ``perfbench/workloads.py``
-imports from symgrid resolve (conftest imports it), and the tracer of
+imports from symgrid resolve (conftest imports it), the calls
+``perfbench/run.py`` makes still bind, and the tracer of
 ``perfbench/tracing.py`` installs against the package and leaves every
 binding as it found it, so a change that drops a name the benchmark binds
-fails here rather than in a traced benchmark run."""
+or a parameter it passes fails here rather than in a benchmark run."""
 
 import inspect
 import random
 import sys
 
+import symgrid
 from symgrid import SearchProposer, induction, perception, search, solver
 from symgrid.taskgen import generate_planted_task
 
@@ -60,3 +62,14 @@ def test_tracer_installs_and_restores_every_binding():
     # the arguments through, whatever ``intersect_patterns`` takes.
     assert any(span[0] == "induction.intersect" for span in tracer.spans)
     assert _bindings() == before
+
+
+def test_benchmark_call_shapes_bind():
+    # ``perfbench/run.py``'s calls, argument for argument; ``bind`` raises
+    # TypeError on a call the signature no longer accepts.
+    task, rs, backend, proposer, order = object(), object(), None, object(), []
+    inspect.signature(symgrid.induce).bind(task, proposer)
+    inspect.signature(symgrid.solve_task).bind(task, rs, backend, passes=1)
+    inspect.signature(symgrid.evaluate).bind(
+        order, passes=1, backend=backend, proposer=proposer
+    )

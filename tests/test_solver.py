@@ -13,6 +13,7 @@ from symgrid import (
     Grid,
     KIND_ORDER,
     RuleSet,
+    Scene,
     ScoredPattern,
     SearchProposer,
     Task,
@@ -29,7 +30,13 @@ from symgrid import (
 from symgrid import BackendError, solver
 from symgrid.backend import RemoteBackend
 from symgrid.induction import synthesize_hint
-from symgrid.solver import SolveTrace, _vote, render_report, report_summary
+from symgrid.solver import (
+    SolveTrace,
+    _vote,
+    induce_with_fallback,
+    render_report,
+    report_summary,
+)
 from symgrid.taskgen import (
     generate_noise_task,
     generate_planted_task,
@@ -45,7 +52,9 @@ def _ruleset(*entries):
         for p, s, c, e in entries
     )
     return RuleSet(
-        patterns=patterns, hints=tuple(synthesize_hint(sp.pattern) for sp in patterns)
+        patterns=patterns,
+        hints=tuple(synthesize_hint(sp.pattern) for sp in patterns),
+        connectivity=4,
     )
 
 
@@ -289,7 +298,7 @@ class TestApplyRuleset:
         assert cands[0].source == "rule_exec"
 
     def test_empty_ruleset(self):
-        rs = RuleSet(patterns=(), hints=())
+        rs = RuleSet(patterns=(), hints=(), connectivity=4)
         assert apply_ruleset(rs, Grid.from_rows([[1]])) == []
 
     def test_bounds_failure_skipped_with_trace_note(self):
@@ -394,7 +403,7 @@ class TestSolveTask:
             test=((Grid.from_rows([[1]]), None),),
         )
         with pytest.raises(ValueError):
-            solve_task(task, RuleSet((), ()), passes=3)
+            solve_task(task, RuleSet((), (), 4), passes=3)
 
     def test_deterministic(self):
         rng = random.Random(67)
@@ -456,10 +465,18 @@ class TestEvaluate:
         assert len(summary["items"]) == 3
 
 
+def _two_test_task(rng, kind):
+    """A planted task of ``kind`` with a second test pair, taken from
+    another planted task of that kind."""
+    task = generate_planted_task(rng, kind=kind).task
+    other = generate_planted_task(rng, kind=kind).task
+    return Task(train=task.train, test=task.test + other.test)
+
+
 class TestPerceptionCount:
     def test_each_test_input_segmented_at_most_once(self, segment_calls):
         rng = random.Random(1217)
-        tasks = [generate_planted_task(rng, kind=k, n_test=2).task for k in KIND_ORDER]
+        tasks = [_two_test_task(rng, k) for k in KIND_ORDER]
         for task in tasks:
             rs = induce(task, SearchProposer())
             segment_calls.clear()
@@ -486,7 +503,7 @@ class TestApplyCount:
     def test_each_rule_applied_once_per_test_input(self, apply_calls):
         rng = random.Random(1249)
         for kind in KIND_ORDER:
-            task = generate_planted_task(rng, kind=kind, n_test=2).task
+            task = _two_test_task(rng, kind)
             rs = induce(task, SearchProposer())
             apply_calls.clear()
             solve_task(task, rs, passes=2)
@@ -517,6 +534,74 @@ class TestApplyCount:
         assert sorted(key for key, _ in apply_calls) == sorted(
             format_pattern(sp.pattern) for sp in rs.patterns
         )
+
+
+# Per pair: the two cells of one color that touch only at a corner, and
+# the lone cell of another color.
+_CORNER_LAYOUTS = (
+    (((0, 0), (1, 1)), (3, 3)),
+    (((1, 2), (2, 3)), (3, 0)),
+    (((2, 0), (3, 1)), (0, 3)),
+    (((2, 2), (3, 1)), (0, 0)),
+)
+
+
+def _corner_task(colors):
+    """Three 4x4 train pairs and one test pair. Each input holds two cells
+    that touch only at a corner, one object at connectivity 8 and two at
+    4, and a lone cell; the output deletes the corner pair. ``colors``
+    gives each pair's (corner pair, lone cell) colors."""
+    pairs = []
+    for (corner, lone), (cells, (r, c)) in zip(colors, _CORNER_LAYOUTS):
+        gin = [[0] * 4 for _ in range(4)]
+        gout = [[0] * 4 for _ in range(4)]
+        for cr, cc in cells:
+            gin[cr][cc] = corner
+        gin[r][c] = gout[r][c] = lone
+        pairs.append((Grid.from_rows(gin), Grid.from_rows(gout)))
+    return Task(train=tuple(pairs[:3]), test=(pairs[3],))
+
+
+class _FailingProposer:
+    def propose(self, pair, budget):
+        raise BackendError("backend down")
+
+
+class TestInducedConnectivity:
+    """A rule set runs on the test input at the connectivity its rules were
+    verified at, which only ``induce`` is given."""
+
+    def test_solve_answers_at_the_induced_connectivity(self):
+        # The colors vary per pair, so only the size rules survive, and at
+        # connectivity 4 the largest object is one cell of the corner pair.
+        task = _corner_task(((1, 2), (2, 1), (1, 3), (3, 1)))
+        rs = induce(task, SearchProposer(), connectivity=8)
+        assert [format_pattern(sp.pattern) for sp in rs.patterns] == [
+            "delete_object()@size_rank=0",
+            "draw_bbox_border(color=0)@size_rank=0",
+        ]
+        preds = solve_task(task, rs, passes=1)
+        assert preds[0].attempts[0] == task.test[0][1]
+
+    def test_apply_ruleset_perceives_a_grid_at_the_rules_connectivity(self):
+        task = _corner_task(((1, 2),) * 4)
+        rs = induce(task, SearchProposer(), connectivity=8)
+        assert len(rs.patterns) == 6
+        bare = task.test[0][0]
+        cands = apply_ruleset(rs, bare)
+        assert [c.grid for c in cands] == [
+            apply_pattern(sp.pattern, Scene(bare, 8)) for sp in rs.patterns
+        ]
+
+    @pytest.mark.parametrize("connectivity", (4, 8))
+    def test_rule_set_carries_the_connectivity_given_to_induce(self, connectivity):
+        task = _corner_task(((1, 2),) * 4)
+        rs = induce(task, SearchProposer(), connectivity=connectivity)
+        assert rs.connectivity == connectivity
+        # The search fallback after a failed backend induces at it too.
+        rs, note = induce_with_fallback(task, _FailingProposer(), connectivity=connectivity)
+        assert note == "backend induction failed: backend down"
+        assert rs.connectivity == connectivity
 
 
 class TestMarkdownCount:
